@@ -1,5 +1,7 @@
 """Extraction engine benchmark: single-pass vs the all-pairs reference.
 
+The reference is the oracle in ``tests/oracles/extraction.py``.
+
 Times the leafwise hot path and the end-to-end graph build under both
 extractors on the synthetic JavaScript corpus, at two granularities:
 
@@ -19,11 +21,8 @@ import time
 from collections import defaultdict
 
 from conftest import emit, emit_json
-from repro.core.extraction import (
-    ExtractionConfig,
-    PathExtractor,
-    ReferencePathExtractor,
-)
+from oracles.extraction import ReferencePathExtractor
+from repro.core.extraction import ExtractionConfig, PathExtractor
 from repro.lang.base import parse_source
 from repro.tasks.variable_naming import build_crf_graph
 

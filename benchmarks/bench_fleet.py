@@ -166,7 +166,7 @@ def run_all():
     # Tier 1: the lone server.  Its cache holds CACHE_PER_SERVER of the
     # UNIQUE_SOURCES-entry working set, so the shuffled duplicates keep
     # evicting entries they are about to need again.
-    host = ModelHost([model_path], workers=0)
+    host = ModelHost([model_path])
     single_server = PredictionServer(
         host, port=0, batch_size=8, batch_wait_ms=2.0, cache_size=CACHE_PER_SERVER
     )

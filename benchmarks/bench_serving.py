@@ -145,7 +145,7 @@ def run_all():
     tmp_dir = results_dir()
     models = _train_models(tmp_dir)
     unique, duplicated = _workloads(models)
-    host = ModelHost([model["path"] for model in models], workers=0)
+    host = ModelHost([model["path"] for model in models])
 
     sequential_seconds, direct_predictions = _sequential_direct(models, duplicated)
 

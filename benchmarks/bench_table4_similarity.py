@@ -38,9 +38,10 @@ def run_all(js_data):
     graphs = [build_crf_graph(ast, extractor, f.path) for f, ast in js_data.train]
     model, _stats = CrfTrainer(BENCH_TRAINING).train(graphs)
     query = build_crf_graph(parse_source("javascript", FIG1), extractor)
-    assignment = map_inference(model, query)
+    compiled = model.compile()
+    assignment = map_inference(compiled, query)
     index = next(i for i, node in enumerate(query.unknowns) if node.gold == "d")
-    ranked = topk_for_node(model, query, index, k=8, assignment=assignment)
+    ranked = topk_for_node(compiled, query, index, k=8, assignment=assignment)
     rows_a = [(str(i + 1), name, f"{score:.2f}") for i, (name, score) in enumerate(ranked)]
     table_a = format_table(
         "Table 4a: top-k candidates for `d` in Fig. 1a "

@@ -94,7 +94,7 @@ def _serving_parity(model_paths, cases):
         )
         direct[(source_language, target_language, source)] = payload
     identical = 0
-    host = ModelHost(sorted(set(model_paths)), workers=0)
+    host = ModelHost(sorted(set(model_paths)))
     server = PredictionServer(host, port=0, cache_size=64)
     with ServerThread(server) as url:
         with ServingClient(url) as client:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from collections import defaultdict
 from functools import lru_cache
 
@@ -23,6 +24,11 @@ from repro.corpus.splits import split_corpus
 from repro.eval.harness import PreparedData, prepare_language_data
 from repro.lang.base import parse_source
 from repro.learning.crf import TrainingConfig
+
+# The bit-identity oracles the perf gates time against live with the
+# tests (``tests/oracles/``); appended, so they import as ``oracles``
+# without shadowing anything of the benchmarks' own.
+sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests"))
 
 #: Where benchmark artifacts (tables, BENCH_*.json) land.  Defaults to
 #: the gitignored ``benchmarks/results/``; CI (and anyone who wants the

@@ -12,8 +12,7 @@ API surfaces three layers:
 * **PIGEON** -- :class:`~repro.api.Pipeline`, the registry-driven
   train/predict facade: every (language, task, representation, learner)
   cell is one :class:`~repro.api.RunSpec` away, and trained pipelines
-  persist to a single file.  (:class:`~repro.core.pigeon.Pigeon` remains
-  as a back-compat shim over it.)
+  persist to a single file.
 
 Languages, tasks, representations and learners are plugin registries
 (:mod:`repro.registry`); registering a new implementation makes it
@@ -21,15 +20,11 @@ reachable from :class:`~repro.api.Pipeline`, the experiment harness and
 the CLI alike.
 """
 
-# repro.core must initialize before repro.api: core/__init__ pulls in the
-# Pigeon shim, which itself imports repro.api, and that inner import only
-# resolves cleanly when the core submodules it needs are already loaded.
 from .core.abstractions import ABSTRACTIONS, get_abstraction
 from .core.ast_model import Ast, Node
 from .core.extraction import ExtractionConfig, PathExtractor, extract_path_contexts
 from .core.path_context import PathContext
 from .core.paths import AstPath, NWisePath, path_between, semi_path
-from .core.pigeon import Pigeon
 from .api import Pipeline, RunSpec, UnknownPluginError, UnsupportedSpecError
 from .lang.base import parse_source, supported_languages
 
@@ -44,7 +39,6 @@ __all__ = [
     "Node",
     "PathContext",
     "PathExtractor",
-    "Pigeon",
     "Pipeline",
     "RunSpec",
     "UnknownPluginError",

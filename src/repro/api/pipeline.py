@@ -320,7 +320,15 @@ class Pipeline:
 
     def suggest(self, source: str, k: int = 5) -> Dict[str, List[Tuple[str, float]]]:
         """element key -> top-k (label, score) suggestions."""
-        return self.learner.suggest(self.view(self.parse(source)), k=k)
+        return self._suggest_view(self.view(self.parse(source)), k)
+
+    def _suggest_view(self, view, k: int) -> Dict[str, List[Tuple[str, float]]]:
+        # The one boundary every top-k request crosses (this pipeline and
+        # its ScoringHandle): a k below 1 would silently truncate or
+        # misorder inside the learners' slicing.
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        return self.learner.suggest(view, k=k)
 
     def rename(self, source: str) -> str:
         """Predict names and return the renamed program text.
@@ -495,8 +503,8 @@ class ScoringHandle:
         # Freeze-time compile: the CRF learner packs its weights against
         # the now-frozen base vocab once, and every request (and every
         # throwaway overlay -- overlay ids sit above the packed id range
-        # and score 0.0, exactly like the scalar path's unseen labels)
-        # reuses that pack instead of re-freezing per call.
+        # and score 0.0, like any label the model never saw) reuses that
+        # pack instead of re-freezing per call.
         warm = getattr(pipeline.learner, "ensure_compiled", None)
         if warm is not None:
             warm()
@@ -505,11 +513,6 @@ class ScoringHandle:
     @property
     def cell(self) -> str:
         return self.spec.cell()
-
-    @property
-    def engine(self) -> Optional[str]:
-        """The learner's inference engine name (None when it has none)."""
-        return getattr(self.pipeline.learner, "engine", None)
 
     @property
     def service(self):
@@ -574,7 +577,7 @@ class ScoringHandle:
                 view = pipeline.view(program)
                 if k is None:
                     return pipeline.learner.predict(view)
-                return pipeline.learner.suggest(view, k=k)
+                return pipeline._suggest_view(view, k)
             finally:
                 if overlaid:
                     # Leave the pipeline bound to the frozen base, never

@@ -283,10 +283,10 @@ def _packed_crf_model(artifact: ModelArtifact):
     class PackedCrfModel(CrfModel):
         """A :class:`CrfModel` whose state are views over one artifact.
 
-        Scoring, candidate generation and the string APIs behave exactly
-        like the dict-backed model (the scalar engine resolves weights
-        through binary search; the compiled engine reuses the packed
-        plane directly via :meth:`compile`).  Mutation raises.
+        Candidate generation and scoring behave exactly like the
+        dict-backed model: :meth:`compile` reuses the packed weight
+        plane directly, and the weight views answer dict-style lookups
+        by binary search.  Mutation raises.
         """
 
         def compile(self):

@@ -90,6 +90,16 @@ def _read(path: str) -> str:
         return handle.read()
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def cmd_languages(args: argparse.Namespace) -> int:
     names = supported_languages()
     if args.json:
@@ -528,11 +538,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
         args.server = args.fleet
     if args.server and args.model:
         raise SystemExit("pass either --model (local) or --server (remote), not both")
-    if args.server and args.engine:
-        raise SystemExit(
-            "--engine is a local (--model) option; the server picks its "
-            "engine at startup (pigeon serve --engine)"
-        )
     source = _read(args.file)
     if args.server:
         from .serving.client import ServingClient, ServingError
@@ -556,20 +561,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
         result = dict({"file": args.file}, **response)
     elif args.model:
         pipeline = Pipeline.load(args.model)
-        if args.engine:
-            if not hasattr(pipeline.learner, "engine"):
-                raise SystemExit(
-                    f"error: --engine applies to CRF models, but "
-                    f"{args.model!r} holds a {pipeline.spec.learner!r} learner"
-                )
-            pipeline.learner.engine = args.engine
         result = {
             "file": args.file,
             "cell": pipeline.spec.cell(),
         }
-        engine = getattr(pipeline.learner, "engine", None)
-        if engine is not None:
-            result["engine"] = engine
         if args.top:
             result["suggestions"] = {
                 key: [[label, score] for label, score in ranked]
@@ -588,7 +583,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from .serving import ModelHost, PredictionServer
 
-    host = ModelHost(args.model, workers=args.workers, engine=args.engine)
+    host = ModelHost(args.model)
     server = PredictionServer(
         host,
         address=args.host,
@@ -604,7 +599,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         await server.start()
         print(
             f"serving {', '.join(host.cells())} on {server.url} "
-            f"(workers={host.workers}, batch={server.batcher.batch_size}"
+            f"(batch={server.batcher.batch_size}"
             f"/{args.batch_wait_ms}ms, cache={server.cache.capacity})",
             file=sys.stderr,
         )
@@ -672,7 +667,6 @@ def cmd_fleet_serve(args: argparse.Namespace) -> int:
             args.model,
             args.replicas,
             base_port=args.base_port,
-            workers=args.workers,
         )
     print(
         f"starting {args.replicas} "
@@ -1105,13 +1099,8 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument(
         "--task", default=None, help="route to this task (--server mode)"
     )
-    predict.add_argument("--top", type=int, default=0, help="emit top-K suggestions")
     predict.add_argument(
-        "--engine",
-        choices=("compiled", "scalar"),
-        default=None,
-        help="CRF inference engine: 'compiled' (vectorised, default) or "
-        "'scalar' (the bit-identity oracle); local --model mode only",
+        "--top", type=_non_negative_int, default=0, help="emit top-K suggestions"
     )
     predict.set_defaults(func=cmd_predict)
 
@@ -1122,7 +1111,8 @@ def build_parser() -> argparse.ArgumentParser:
             "examples:\n"
             "  pigeon train --model m.json --language javascript\n"
             "  pigeon serve --model m.json --port 8017\n"
-            "  pigeon serve --model vars.json --model methods.json --workers 4\n"
+            "  pigeon serve --model vars.json --model methods.json\n"
+            "  pigeon fleet serve --model m.json --replicas 4   # more cores\n"
             "\n"
             "  curl -s localhost:8017/healthz\n"
             "  curl -s localhost:8017/stats\n"
@@ -1144,19 +1134,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument("--port", type=int, default=8017, help="bind port (0 = ephemeral)")
-    serve.add_argument(
-        "--engine",
-        choices=("compiled", "scalar"),
-        default=None,
-        help="pin the CRF inference engine for every served model "
-        "(default: each model's own default, 'compiled')",
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="pre-warmed scoring processes (0 = score in-process)",
-    )
     serve.add_argument(
         "--batch-size", type=int, default=8, help="max requests per micro-batch"
     )
@@ -1226,12 +1203,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run replicas as threads in this process instead of "
         "'pigeon serve' subprocesses (shared-nothing either way)",
-    )
-    fleet_serve.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="scoring processes per replica (subprocess replicas only)",
     )
     fleet_serve.add_argument(
         "--max-inflight",

@@ -6,7 +6,6 @@ from .extraction import (
     ExtractedPath,
     ExtractionConfig,
     PathExtractor,
-    ReferencePathExtractor,
     ast_digest,
     ast_fingerprint,
     extract_path_contexts,
@@ -22,7 +21,6 @@ from .interning import (
 )
 from .path_context import PathContext, make_path_context
 from .paths import DOWN, UP, AstPath, NWisePath, path_between, semi_path
-from .pigeon import Pigeon
 from .service import CorpusExtraction, ExtractionService, ExtractionStats
 
 __all__ = [
@@ -46,8 +44,6 @@ __all__ = [
     "PathContext",
     "PathExtractor",
     "PathVocab",
-    "Pigeon",
-    "ReferencePathExtractor",
     "UP",
     "Vocab",
     "ast_digest",

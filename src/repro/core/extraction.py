@@ -12,8 +12,8 @@ traversal merges per-child leaf lists bucketed by depth, so a pair of
 terminals is considered exactly once -- at its lowest common ancestor --
 and pairs whose path would exceed ``max_length`` or ``max_width`` are
 pruned *before* any path is materialised.  The naive all-pairs algorithm
-(quadratic in the number of terminals, with an LCA climb per pair) is
-kept as :class:`ReferencePathExtractor`, the oracle the tests and the
+(quadratic in the number of terminals, with an LCA climb per pair) lives
+in ``tests/oracles/extraction.py``, the oracle the tests and the
 extraction benchmark compare against.
 
 Extraction *interns* as it goes: each record carries the integer ids of
@@ -560,61 +560,6 @@ class PathExtractor:
         if p >= 1.0:
             return True
         return rng.random() < p
-
-
-class ReferencePathExtractor(PathExtractor):
-    """The naive all-pairs extractor, kept as the correctness oracle.
-
-    This is the original quadratic algorithm: enumerate every terminal
-    pair, climb to the LCA, filter by length and width afterwards, and
-    materialise the full string context eagerly per path.  The
-    single-pass engine must produce exactly this path set (same order,
-    same interned ids); the property tests and
-    ``benchmarks/bench_extraction.py`` hold it to that (and to being
-    faster).
-    """
-
-    def _record(self, start: Node, end: Node, path: AstPath) -> ExtractedPath:
-        context = make_path_context(path, self._alpha)
-        space = self._space
-        return ExtractedPath(
-            start,
-            end,
-            path,
-            context,
-            rel_id=space.paths.intern(context.path),
-            start_value_id=space.values.intern(context.start_value),
-            end_value_id=space.values.intern(context.end_value),
-            space=space,
-        )
-
-    def iter_leafwise(
-        self, ast: Ast, _rng: Optional[random.Random] = None
-    ) -> Iterator[ExtractedPath]:
-        cfg = self.config
-        rng = _rng if _rng is not None else self._rng_for(ast)
-        leaves = ast.leaves
-        if cfg.leaf_filter is not None:
-            leaves = [l for l in leaves if cfg.leaf_filter(l)]
-        depths = {id(n): n.depth() for n in ast.root.walk()}
-        for i in range(len(leaves)):
-            a = leaves[i]
-            for j in range(i + 1, len(leaves)):
-                b = leaves[j]
-                # Cheap length pre-check via the LCA depth bound: the true
-                # path length is depth(a)+depth(b)-2*depth(lca) and the lca
-                # is no deeper than min(depth(a), depth(b)).
-                min_possible = abs(depths[id(a)] - depths[id(b)])
-                if min_possible > cfg.max_length:
-                    continue
-                path = path_between(a, b)
-                if path.length > cfg.max_length:
-                    continue
-                if path.width > cfg.max_width:
-                    continue
-                if not self._keep(rng):
-                    continue
-                yield self._record(a, b, path)
 
 
 def _materialise(a: Node, b: Node, up_steps: int, down_steps: int) -> AstPath:

@@ -279,8 +279,9 @@ def evaluate_crf(
     t0 = time.perf_counter()
     accuracy = AccuracyCounter()
     f1 = SubtokenF1Counter()
+    compiled = model.compile()
     for graph in test_graphs:
-        assignment = map_inference(model, graph)
+        assignment = map_inference(compiled, graph)
         for i, node in enumerate(graph.unknowns):
             accuracy.add(assignment[i], node.gold)
             if with_f1:

@@ -168,7 +168,7 @@ class ThreadReplica(Replica):
         from ..serving.host import ModelHost
         from ..serving.server import PredictionServer, ServerThread
 
-        host = ModelHost(self.models, workers=0)
+        host = ModelHost(self.models)
         self.server = PredictionServer(host, port=0, **self.server_kwargs)
         self._runner = ServerThread(self.server)
         self.url = self._runner.__enter__()
@@ -203,14 +203,12 @@ class ProcessReplica(Replica):
         name: str,
         model_paths: Sequence[str],
         port: Optional[int] = None,
-        workers: int = 0,
         extra_args: Sequence[str] = (),
         startup_timeout_s: float = 120.0,
     ) -> None:
         super().__init__(name)
         self.models = list(model_paths)
         self.port = port
-        self.workers = workers
         self.extra_args = list(extra_args)
         self.startup_timeout_s = startup_timeout_s
         self.process: Optional[subprocess.Popen] = None
@@ -220,8 +218,6 @@ class ProcessReplica(Replica):
         command = [sys.executable, "-m", "repro.cli", "serve", "--port", str(port)]
         for path in self.models:
             command += ["--model", path]
-        if self.workers:
-            command += ["--workers", str(self.workers)]
         command += self.extra_args
         env = dict(os.environ)
         src_root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
@@ -329,7 +325,6 @@ class ReplicaSet:
         model_paths: Sequence[str],
         count: int,
         base_port: Optional[int] = None,
-        workers: int = 0,
     ) -> "ReplicaSet":
         return cls(
             [
@@ -337,7 +332,6 @@ class ReplicaSet:
                     f"replica-{index}",
                     model_paths,
                     port=(base_port + index) if base_port else None,
-                    workers=workers,
                 )
                 for index in range(count)
             ]

@@ -26,13 +26,14 @@ runs on a parallel **columnar** representation:
   ``searchsorted`` gathers a whole ``factors x candidates`` weight
   matrix and a factor-ordered reduction scores the beam.
 
-The scalar path (``CrfModel.node_score`` + the string-based sweep in
-:mod:`~repro.learning.crf.inference`) is kept verbatim as the
-**bit-identity oracle**: the compiled engine must reproduce its output
-exactly -- scores, tie-breaks, fallbacks -- and the oracle suite
-(``tests/test_crf_compiled.py``) holds that gate.  This mirrors how the
-optimised path extractor is gated on ``ReferencePathExtractor``:
-the fast path may only ever be a faster spelling of the slow one.
+Inference has one engine, the compiled one.  The scalar scorer it
+replaced (one dict lookup per factor, a string-based ICM sweep) lives
+in ``tests/oracles/crf.py`` as the **bit-identity oracle**: the compiled
+engine must reproduce its output exactly -- scores, tie-breaks,
+fallbacks -- and the oracle suite (``tests/test_crf_compiled.py``) holds
+that gate.  This mirrors how the single-pass path extractor is gated on
+the all-pairs extractor in ``tests/oracles/extraction.py``: the fast
+path may only ever be a faster spelling of the slow one.
 """
 
 from .compiled import CompiledCrfModel

@@ -23,9 +23,10 @@ hand-rolled kills.
     checkpoint can never silently resume against different data.
     ``pigeon train --resume`` continues an interrupted run and saves a
     model bit-identical to the uninterrupted one -- the same oracle
-    discipline as ``ReferencePathExtractor``.  Shard builds keep a
-    journal (:mod:`repro.shards.build`) so ``pigeon shard build
-    --resume`` skips digest-verified completed shards.
+    discipline as the bit-identity oracles in ``tests/oracles/``.
+    Shard builds keep a journal (:mod:`repro.shards.build`) so
+    ``pigeon shard build --resume`` skips digest-verified completed
+    shards.
 :mod:`repro.resilience.faults`
     :class:`FaultPlan`: seeded, named injection sites threaded through
     shard writes, pipeline/checkpoint saves, replica HTTP

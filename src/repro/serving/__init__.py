@@ -5,8 +5,9 @@ service with the read-path properties PR 3 made possible:
 
 :mod:`repro.serving.host`
     :class:`ModelHost` loads each model once, freezes its feature space
-    through :meth:`Pipeline.scoring_handle`, and scores either in-process
-    or on a pre-warmed ``ProcessPoolExecutor``.
+    through :meth:`Pipeline.scoring_handle`, and scores batches off the
+    event loop on a thread; more cores means more replicas
+    (:mod:`repro.fleet`).
 :mod:`repro.serving.batching`
     :class:`MicroBatcher` collects requests for up to ``batch_size`` /
     ``batch_wait_ms`` and hands them to the host as one batch, keeping

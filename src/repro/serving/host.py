@@ -7,22 +7,16 @@ converted to a read-only :class:`~repro.api.pipeline.ScoringHandle`
 routed by their ``(language, task)`` pair.
 
 Scoring is CPU-bound (parse, extract, CRF inference), so it never runs
-on the event loop:
-
-* ``workers == 0`` -- in-process mode: each batch scores sequentially on
-  the default thread executor.  Zero setup cost, observable extraction
-  stats; what tests and the in-process benchmark use.
-* ``workers > 0`` -- a ``ProcessPoolExecutor`` whose workers pre-load the
-  same model files in their initializer (pre-warmed: the pool is spun up
-  and exercised before the server accepts traffic), and batch items fan
-  out across the pool.
+on the event loop: each batch scores sequentially on the default thread
+executor.  To use more cores, run more servers: a fleet
+(:mod:`repro.fleet`) puts N shared-nothing replicas, each mapping the
+same binary artifact, behind one consistent-hash router.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -43,29 +37,18 @@ class PredictRequest:
     #: Set (only) on ``translate``-task requests: the language the
     #: response's ``translated_source`` is rendered in.
     target_language: Optional[str] = None
-    #: The already-parsed source, when the caller fingerprinted it in
-    #: this process (in-process scoring reuses it; worker-pool requests
-    #: ship only the source text and re-parse on the other side).
+    #: The already-parsed source, when the caller fingerprinted it
+    #: (scoring reuses it instead of parsing the source again).
     program: Optional[ParsedProgram] = field(default=None, compare=False, repr=False)
-
-    @property
-    def route(self) -> Tuple[str, str]:
-        return (self.language, self.task)
 
 
 class ModelHost:
     """Load saved pipelines once; route and score prediction requests."""
 
-    def __init__(
-        self,
-        model_paths: Sequence[str],
-        workers: int = 0,
-        engine: Optional[str] = None,
-    ) -> None:
+    def __init__(self, model_paths: Sequence[str]) -> None:
         if not model_paths:
             raise ValueError("ModelHost needs at least one saved model file")
         self.model_paths: List[str] = list(model_paths)
-        self.engine = engine
         self.handles: Dict[Tuple[str, str], ScoringHandle] = {}
         #: cell -> {path, format, load_ms}: cold-start cost per model,
         #: exposed under ``/stats`` so the JSON-vs-binary artifact choice
@@ -73,7 +56,7 @@ class ModelHost:
         self.load_info: Dict[str, Dict[str, object]] = {}
         for path in self.model_paths:
             started = time.perf_counter()
-            handle = _load_handle(path, engine)
+            handle = Pipeline.load(path).scoring_handle()
             load_ms = (time.perf_counter() - started) * 1000.0
             key = (handle.spec.language, handle.spec.task)
             if key in self.handles:
@@ -87,8 +70,6 @@ class ModelHost:
                 "format": sniff_format(path),
                 "load_ms": round(load_ms, 3),
             }
-        self.workers = max(0, int(workers))
-        self._executor: Optional[ProcessPoolExecutor] = None
 
     def model_stats(self) -> Dict[str, Dict[str, object]]:
         """Per-model artifact format and load latency (for ``/stats``)."""
@@ -126,33 +107,6 @@ class ModelHost:
         raise LookupError(f"{wanted} is ambiguous; serving: {served}")
 
     # ------------------------------------------------------------------
-    # Worker pool
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Spin up and pre-warm the process pool (no-op in-process)."""
-        if self.workers > 0 and self._executor is None:
-            executor = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_init_worker,
-                initargs=(tuple(self.model_paths), self.engine),
-            )
-            # Pre-warm: force every worker to fork/spawn and finish
-            # loading its models *now*, so the first real request never
-            # pays a cold start.  One barrier call per worker; the small
-            # sleep spreads the calls across distinct processes.
-            warmups = [
-                executor.submit(_warm_worker, 0.05) for _ in range(self.workers)
-            ]
-            for warmup in warmups:
-                warmup.result()
-            self._executor = executor
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    # ------------------------------------------------------------------
     # Scoring
     # ------------------------------------------------------------------
     async def score_batch(self, requests: List[PredictRequest]) -> List[dict]:
@@ -163,25 +117,6 @@ class ModelHost:
         while every other item's result comes back intact.
         """
         loop = asyncio.get_running_loop()
-        if self._executor is not None:
-            # Fan the batch out across the pool; each worker holds its
-            # own pre-loaded handles, so items score in parallel.
-            outcomes = await asyncio.gather(
-                *(
-                    loop.run_in_executor(self._executor, _score_in_worker, request)
-                    for request in requests
-                ),
-                return_exceptions=True,
-            )
-            results: List[dict] = []
-            for outcome in outcomes:
-                if isinstance(outcome, asyncio.CancelledError):
-                    raise outcome
-                if isinstance(outcome, BaseException):
-                    results.append({"error": str(outcome)})
-                else:
-                    results.append(outcome)
-            return results
         return await loop.run_in_executor(None, self.score_batch_sync, requests)
 
     def score_batch_sync(self, requests: List[PredictRequest]) -> List[dict]:
@@ -196,7 +131,7 @@ class ModelHost:
 
 
 def score_one(handle: ScoringHandle, request: PredictRequest) -> dict:
-    """Score one request against one handle (shared by both modes)."""
+    """Score one request against one handle."""
     if request.target_language is not None:
         return _translate_one(handle, request)
     if request.top > 0:
@@ -246,42 +181,3 @@ def _translate_one(handle: ScoringHandle, request: PredictRequest) -> dict:
             },
         }
     return dict(payload, cell=handle.cell)
-
-
-def _load_handle(path: str, engine: Optional[str]) -> ScoringHandle:
-    """Load one model, pin its inference engine, freeze into a handle."""
-    if engine is not None and engine not in ("compiled", "scalar"):
-        raise ValueError(
-            f"unknown inference engine {engine!r}; expected 'compiled' or 'scalar'"
-        )
-    pipeline = Pipeline.load(path)
-    if engine is not None:
-        if not hasattr(pipeline.learner, "engine"):
-            raise ValueError(
-                f"engine={engine!r} applies to CRF models, but {path!r} "
-                f"holds a {pipeline.spec.learner!r} learner"
-            )
-        pipeline.learner.engine = engine
-    return pipeline.scoring_handle()
-
-
-#: Per-worker-process state: (language, task) -> ScoringHandle.
-_WORKER_HANDLES: Dict[Tuple[str, str], ScoringHandle] = {}
-
-
-def _init_worker(model_paths: Tuple[str, ...], engine: Optional[str] = None) -> None:
-    for path in model_paths:
-        handle = _load_handle(path, engine)
-        _WORKER_HANDLES[(handle.spec.language, handle.spec.task)] = handle
-
-
-def _warm_worker(hold_seconds: float) -> int:
-    import os
-    import time
-
-    time.sleep(hold_seconds)
-    return os.getpid()
-
-
-def _score_in_worker(request: PredictRequest) -> dict:
-    return score_one(_WORKER_HANDLES[request.route], request)

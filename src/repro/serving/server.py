@@ -86,8 +86,7 @@ class PredictionServer:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Warm the workers, start batching, bind the listener."""
-        self.host.start()
+        """Start batching, bind the listener."""
         self.batcher.start()
         self._server = await asyncio.start_server(
             self._handle_connection, self.address, self.port
@@ -118,7 +117,6 @@ class PredictionServer:
             task.cancel()
         if self._connection_tasks:
             await asyncio.gather(*self._connection_tasks, return_exceptions=True)
-        self.host.close()
 
     async def abort(self) -> None:
         """Die *now*: close the listener and every connection, no drain.
@@ -140,7 +138,6 @@ class PredictionServer:
             await self.batcher.close()
         except Exception:  # pragma: no cover - best-effort teardown
             pass
-        self.host.close()
 
     async def serve_forever(self) -> None:
         if self._server is None:
@@ -266,7 +263,6 @@ class PredictionServer:
             "status": status,
             "state": status,
             "models": self.host.cells(),
-            "workers": self.host.workers,
             "inflight": self._active_requests,
             "queued": self.batcher.depth,
             "uptime_seconds": round(self._uptime(), 3),
@@ -276,11 +272,6 @@ class PredictionServer:
         extraction = {
             handle.cell: handle.extraction_stats()
             for handle in self.host.handles.values()
-        }
-        engines = {
-            handle.cell: handle.engine
-            for handle in self.host.handles.values()
-            if handle.engine is not None
         }
         return {
             "uptime_seconds": round(self._uptime(), 3),
@@ -302,9 +293,6 @@ class PredictionServer:
             "cache": self.cache.stats(),
             "batcher": self.batcher.stats(),
             "extraction": extraction,
-            # Which inference engine each served cell scores with
-            # (cells whose learner has no engine knob are omitted).
-            "engines": engines,
             # Per-model artifact format and cold-start load latency.
             "models": self.host.model_stats(),
         }
@@ -419,10 +407,8 @@ class PredictionServer:
             task=spec.task,
             top=top,
             target_language=target_language,
-            # In-process scoring reuses the parse that produced the
-            # fingerprint; worker-pool requests re-parse in the worker
-            # rather than pickling an AST across the process boundary.
-            program=program if self.host.workers == 0 else None,
+            # Scoring reuses the parse that produced the fingerprint.
+            program=program,
         )
         inflight = self._inflight.get(key)
         if inflight is not None:

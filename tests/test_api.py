@@ -139,10 +139,20 @@ class TestValidation:
             Pipeline(RunSpec(language="javascript"), task="method_naming")
 
     def test_default_params_resolved_per_cell(self):
-        assert Pipeline(language="javascript").representation.extractor.config.max_length == 7
+        js_config = Pipeline(language="javascript").representation.extractor.config
+        assert js_config.max_length == 7
+        assert js_config.max_width == 3
         java_types = Pipeline(language="java", task="type_prediction")
         assert java_types.representation.extractor.config.max_length == 4
         assert java_types.representation.extractor.config.max_width == 1
+
+    def test_explicit_extraction_overrides_defaults(self):
+        pipeline = Pipeline(
+            language="javascript", extraction={"max_length": 9, "max_width": 5}
+        )
+        config = pipeline.representation.extractor.config
+        assert config.max_length == 9
+        assert config.max_width == 5
 
 
 class TestBaselinesThroughApi:
@@ -286,18 +296,46 @@ class TestPipelineFlow:
         with pytest.raises(ValueError):
             pipeline.rename("class T {}")
 
+    def test_suggest_topk(self):
+        pipeline = Pipeline(language="javascript", training={"epochs": 3})
+        pipeline.train(TRAIN_JS)
+        ranked = list(pipeline.suggest(TEST_JS, k=3).values())[0]
+        assert len(ranked) <= 3
+        assert ranked[0][0] == "done"
+        scores = [s for _, s in ranked]
+        assert scores == sorted(scores, reverse=True)
 
-class TestPigeonShimBackCompat:
-    def test_model_attributes_remain_assignable(self, tmp_path):
-        # Pre-Pipeline code loaded models by assigning pigeon.crf_model.
-        from repro import Pigeon
-        from repro.learning.crf import CrfModel
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_suggest_rejects_k_below_one(self, k):
+        pipeline = Pipeline(language="javascript", training={"epochs": 1})
+        pipeline.train(TRAIN_JS)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            pipeline.suggest(TEST_JS, k=k)
 
-        trained = Pigeon(language="javascript")
-        trained.train(TRAIN_JS[:6])
-        path = str(tmp_path / "crf.json")
-        trained.crf_model.save(path)
+    def test_java_method_naming_flow(self):
+        train = [
+            (
+                "public class T%d { public int count(java.util.List<Integer> xs, int t) {"
+                " int c = 0; for (int r : xs) { if (r == t) { c++; } } return c; } }"
+            )
+            % i
+            for i in range(6)
+        ]
+        pipeline = Pipeline(language="java", task="method_naming", training={"epochs": 3})
+        pipeline.train(train)
+        assert list(pipeline.predict(train[0]).values()) == ["count"]
 
-        fresh = Pigeon(language="javascript")
-        fresh.crf_model = CrfModel.load(path)
-        assert fresh.predict(TEST_JS) == trained.predict(TEST_JS)
+
+class TestWord2vecFlow:
+    def test_train_predict(self):
+        pipeline = Pipeline(language="javascript", learner="word2vec", sgns=SGNS)
+        pipeline.train(TRAIN_JS)
+        predictions = pipeline.predict(TEST_JS)
+        assert list(predictions.values()) == ["done"]
+
+    def test_suggest(self):
+        pipeline = Pipeline(language="javascript", learner="word2vec", sgns=SGNS)
+        pipeline.train(TRAIN_JS)
+        suggestions = pipeline.suggest(TEST_JS, k=2)
+        assert suggestions
+        assert all(len(ranked) <= 2 for ranked in suggestions.values())

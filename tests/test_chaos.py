@@ -368,7 +368,7 @@ class TestFleetUnderFaults:
             replicas.stop()
 
     def test_dropped_connection_then_clean_recovery(self, chaos_model):
-        host = ModelHost([chaos_model], workers=0)
+        host = ModelHost([chaos_model])
         server = PredictionServer(host, port=0, cache_size=16)
         with ServerThread(server) as url:
             install(FaultPlan.parse("replica.accept:error@1", seed=CHAOS_SEED))
@@ -402,7 +402,7 @@ def translate_chaos_model(tmp_path_factory):
 
 class TestTranslateUnderFaults:
     def _server(self, model_path):
-        host = ModelHost([model_path], workers=0)
+        host = ModelHost([model_path])
         return PredictionServer(host, port=0, cache_size=16)
 
     def test_injected_translate_fault_is_a_clean_500_then_recovery(

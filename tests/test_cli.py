@@ -202,6 +202,15 @@ class TestTrainPredictCommands:
         assert ranked[0][0] == "done"
         assert len(ranked) <= 3
 
+    def test_predict_rejects_negative_top(self, tmp_path, capsys):
+        model = self._train(tmp_path, capsys)
+        target = tmp_path / "test.js"
+        target.write_text("function run() { var d = false; }")
+        with pytest.raises(SystemExit) as caught:
+            main(["predict", str(target), "--model", str(model), "--top", "-1"])
+        assert caught.value.code == 2  # an argparse usage error
+        assert "--top: must be >= 0" in capsys.readouterr().err
+
 
 class TestShardCommands:
     TRAIN = TestTrainPredictCommands.TRAIN

@@ -1,7 +1,6 @@
 """Tests for the interning layer and the id-keyed model persistence."""
 
 import json
-import os
 
 import pytest
 
@@ -125,33 +124,12 @@ class TestIdKeyedModelPersistence:
         assert restored.pair_weights == model.pair_weights
         assert restored.unary_weights == model.unary_weights
 
-    def test_save_load_predicts_identically(self, tmp_path):
+    def test_save_load_predicts_identically(self):
         model, graphs = self._trained_model()
-        path = os.path.join(tmp_path, "model.json")
-        model.save(path)
-        loaded = CrfModel.load(path, space=graphs[0].space)
+        loaded = CrfModel.from_dict(json.loads(json.dumps(model.to_dict())))
+        compiled, reloaded = model.compile(), loaded.compile()
         for graph in graphs:
-            assert map_inference(loaded, graph) == map_inference(model, graph)
-
-    def test_standalone_load_remaps_onto_default_space(self, tmp_path):
-        """A model saved in one process must score graphs built by fresh
-        default extractors in another: load() translates snapshot ids
-        into DEFAULT_SPACE."""
-        source = "function f(a, b) { return a + b; }"
-        # "Process A": private space, train, save.
-        space = FeatureSpace()
-        extractor = PathExtractor(ExtractionConfig(), space=space)
-        graphs = [build_crf_graph(parse_source("javascript", source), extractor)]
-        model, _ = CrfTrainer(TrainingConfig(epochs=2)).train(graphs)
-        path = os.path.join(tmp_path, "model.json")
-        model.save(path)
-        # "Process B": default extractor (DEFAULT_SPACE), fresh graph.
-        loaded = CrfModel.load(path)
-        assert loaded.space is DEFAULT_SPACE
-        fresh_graph = build_crf_graph(
-            parse_source("javascript", source), PathExtractor(ExtractionConfig())
-        )
-        assert map_inference(loaded, fresh_graph) == map_inference(model, graphs[0])
+            assert map_inference(reloaded, graph) == map_inference(compiled, graph)
 
     def test_model_uses_graph_space(self):
         model, graphs = self._trained_model()

@@ -1,11 +1,12 @@
-"""Unit tests for the PIGEON facade."""
+"""Unit tests for PIGEON's end-to-end construction and CRF flow.
+
+PIGEON is the paper's name for the whole train/predict system; in this
+repository that system is :class:`repro.api.Pipeline`.
+"""
 
 import pytest
 
-from repro import Pigeon
-from repro.core.pigeon import DEFAULT_PARAMS
-from repro.learning.crf import TrainingConfig
-from repro.learning.word2vec import SgnsConfig
+from repro.api import Pipeline
 
 
 TRAIN_JS = [
@@ -66,97 +67,44 @@ function run() {
 class TestConstruction:
     def test_rejects_unknown_language(self):
         with pytest.raises(ValueError):
-            Pigeon(language="cobol")
+            Pipeline(language="cobol")
 
     def test_rejects_unknown_task(self):
         with pytest.raises(ValueError):
-            Pigeon(task="poetry")
+            Pipeline(language="javascript", task="poetry")
 
     def test_rejects_unknown_learner(self):
         with pytest.raises(ValueError):
-            Pigeon(learner="gbdt")
+            Pipeline(language="javascript", learner="gbdt")
 
     def test_w2v_only_for_variable_naming(self):
         with pytest.raises(ValueError):
-            Pigeon(task="method_naming", learner="word2vec")
+            Pipeline(language="javascript", task="method_naming", learner="word2vec")
 
     def test_types_only_for_java(self):
         with pytest.raises(ValueError):
-            Pigeon(language="python", task="type_prediction")
-        Pigeon(language="java", task="type_prediction")  # ok
+            Pipeline(language="python", task="type_prediction")
+        Pipeline(language="java", task="type_prediction")  # ok
 
     def test_default_parameters_follow_table2(self):
-        pigeon = Pigeon(language="javascript", task="variable_naming")
-        assert pigeon.extractor.config.max_length == 7
-        assert pigeon.extractor.config.max_width == 3
-        java = Pigeon(language="java", task="type_prediction")
-        assert java.extractor.config.max_length == 4
-        assert java.extractor.config.max_width == 1
-
-    def test_explicit_parameters_override(self):
-        pigeon = Pigeon(max_length=9, max_width=5)
-        assert pigeon.extractor.config.max_length == 9
-        assert pigeon.extractor.config.max_width == 5
+        pipeline = Pipeline(language="javascript", task="variable_naming")
+        assert pipeline.representation.extractor.config.max_length == 7
+        assert pipeline.representation.extractor.config.max_width == 3
+        java = Pipeline(language="java", task="type_prediction")
+        assert java.representation.extractor.config.max_length == 4
+        assert java.representation.extractor.config.max_width == 1
 
 
 class TestCrfFlow:
     def test_predict_before_train_raises(self):
         with pytest.raises(RuntimeError):
-            Pigeon().predict(TEST_JS)
+            Pipeline(language="javascript").predict(TEST_JS)
 
     def test_train_predict_roundtrip(self):
-        pigeon = Pigeon(training_config=TrainingConfig(epochs=3))
-        stats = pigeon.train(TRAIN_JS)
+        pipeline = Pipeline(language="javascript", training={"epochs": 3})
+        stats = pipeline.train(TRAIN_JS)
         assert stats.files_trained == len(TRAIN_JS)
         assert stats.elements_trained > 0
-        predictions = pigeon.predict(TEST_JS)
+        predictions = pipeline.predict(TEST_JS)
         assert len(predictions) == 1
         assert list(predictions.values())[0] == "done"
-
-    def test_suggest_topk(self):
-        pigeon = Pigeon(training_config=TrainingConfig(epochs=3))
-        pigeon.train(TRAIN_JS)
-        suggestions = pigeon.suggest(TEST_JS, k=3)
-        ranked = list(suggestions.values())[0]
-        assert len(ranked) <= 3
-        assert ranked[0][0] == "done"
-        scores = [s for _, s in ranked]
-        assert scores == sorted(scores, reverse=True)
-
-
-class TestW2vFlow:
-    # SGNS's shifted-PMI objective (PMI - log k) drives even true pairs
-    # negative when the context vocabulary is tiny, so the miniature
-    # corpora of unit tests use a single negative sample.
-    _SGNS = dict(dim=16, epochs=12, negatives=1)
-
-    def test_train_predict(self):
-        pigeon = Pigeon(learner="word2vec", sgns_config=SgnsConfig(**self._SGNS))
-        pigeon.train(TRAIN_JS)
-        predictions = pigeon.predict(TEST_JS)
-        assert predictions
-        assert list(predictions.values())[0] == "done"
-
-    def test_suggest(self):
-        pigeon = Pigeon(learner="word2vec", sgns_config=SgnsConfig(**self._SGNS))
-        pigeon.train(TRAIN_JS)
-        suggestions = pigeon.suggest(TEST_JS, k=2)
-        assert all(len(ranked) <= 2 for ranked in suggestions.values())
-
-
-class TestMethodNaming:
-    def test_java_method_flow(self):
-        train = [
-            (
-                "public class T%d { public int count(java.util.List<Integer> xs, int t) {"
-                " int c = 0; for (int r : xs) { if (r == t) { c++; } } return c; } }"
-            )
-            % i
-            for i in range(6)
-        ]
-        pigeon = Pigeon(
-            language="java", task="method_naming", training_config=TrainingConfig(epochs=3)
-        )
-        pigeon.train(train)
-        predictions = pigeon.predict(train[0])
-        assert list(predictions.values()) == ["count"]

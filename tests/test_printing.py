@@ -127,8 +127,7 @@ class TestDispatch:
 
 class TestPigeonRename:
     def test_end_to_end_deobfuscation(self):
-        from repro import Pigeon
-        from repro.learning.crf import TrainingConfig
+        from repro.api import Pipeline
 
         train = [
             """
@@ -142,8 +141,8 @@ function wait() {
 }
 """
         ] * 8
-        pigeon = Pigeon(training_config=TrainingConfig(epochs=3))
-        pigeon.train(train)
+        pipeline = Pipeline(language="javascript", training={"epochs": 3})
+        pipeline.train(train)
         stripped = """
 function f() {
   var d = false;
@@ -154,14 +153,14 @@ function f() {
   }
 }
 """
-        renamed = pigeon.rename(stripped)
+        renamed = pipeline.rename(stripped)
         assert "done" in renamed
         reparsed = parse_source("javascript", renamed)
         assert any(l.value == "done" for l in reparsed.leaves)
 
     def test_rename_requires_variable_task(self):
-        from repro import Pigeon
+        from repro.api import Pipeline
 
-        pigeon = Pigeon(language="java", task="method_naming")
+        pipeline = Pipeline(language="java", task="method_naming")
         with pytest.raises((ValueError, RuntimeError)):
-            pigeon.rename("class T {}")
+            pipeline.rename("class T {}")

@@ -64,7 +64,7 @@ def direct(model_path):
 
 @pytest.fixture(scope="module")
 def live_server(model_path):
-    host = ModelHost([model_path], workers=0)
+    host = ModelHost([model_path])
     server = PredictionServer(
         host, port=0, batch_size=4, batch_wait_ms=2.0, cache_size=128
     )
@@ -83,6 +83,12 @@ class TestScoringHandle:
         assert served.space.frozen
         assert handle.predict(NOVEL_JS) == direct.predict(NOVEL_JS)
         assert handle.suggest(NOVEL_JS, k=3) == direct.suggest(NOVEL_JS, k=3)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_suggest_rejects_k_below_one(self, model_path, k):
+        handle = Pipeline.load(model_path).scoring_handle()
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            handle.suggest(NOVEL_JS, k=k)
 
     def test_unseen_strings_never_grow_the_space(self, model_path):
         served = Pipeline.load(model_path)
@@ -219,34 +225,6 @@ class TestHealthAndStats:
         assert histogram["sum_ms"] > 0
         assert histogram["p95_ms"] > 0
         assert sum(histogram["counts"]) == histogram["count"]
-
-
-class TestInferenceEngines:
-    def test_stats_expose_served_engine(self, live_server):
-        _server, url = live_server
-        with ServingClient(url) as client:
-            stats = client.stats()
-        cell = "javascript/variable_naming/ast-paths/crf"
-        assert stats["engines"] == {cell: "compiled"}
-
-    def test_scalar_and_compiled_hosts_are_bit_identical(self, model_path):
-        """Serving parity: the engine flag changes the wall-clock only."""
-        compiled_handle = ModelHost([model_path], engine="compiled").resolve(
-            None, None
-        )
-        scalar_handle = ModelHost([model_path], engine="scalar").resolve(
-            None, None
-        )
-        assert compiled_handle.engine == "compiled"
-        assert scalar_handle.engine == "scalar"
-        assert compiled_handle.predict(NOVEL_JS) == scalar_handle.predict(NOVEL_JS)
-        assert compiled_handle.suggest(NOVEL_JS, k=3) == scalar_handle.suggest(
-            NOVEL_JS, k=3
-        )
-
-    def test_unknown_engine_rejected(self, model_path):
-        with pytest.raises(ValueError, match="engine"):
-            ModelHost([model_path], engine="quantum")
 
 
 class TestPredict:
@@ -446,7 +424,7 @@ class TestMalformedRequests:
 
 class TestGracefulShutdown:
     def test_drain_answers_everything_queued(self, model_path, direct):
-        host = ModelHost([model_path], workers=0)
+        host = ModelHost([model_path])
         # A wide-open batch window, so requests pile up in the queue and
         # shutdown begins while they are still waiting.
         server = PredictionServer(host, port=0, batch_size=64, batch_wait_ms=400.0)
@@ -613,7 +591,7 @@ class TestClientRetry:
         # binds during the backoff window and the retry succeeds --
         # exactly the gap a replica leaves between drain and restart.
         port = self._free_port()
-        host = ModelHost([model_path], workers=0)
+        host = ModelHost([model_path])
         server = PredictionServer(host, port=port)
 
         def bind_late():

@@ -334,11 +334,8 @@ class TestTranslateTask:
         host = ModelHost.__new__(ModelHost)  # in-memory handle, no file
         handle = pipeline.scoring_handle()
         host.model_paths = []
-        host.engine = None
         host.handles = {("javascript", "variable_naming"): handle}
         host.load_info = {}
-        host.workers = 0
-        host._executor = None
         server = PredictionServer(host, port=0, cache_size=4)
         with ServerThread(server) as url:
             with ServingClient(url) as client:
