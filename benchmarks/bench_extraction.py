@@ -1,6 +1,7 @@
 """Extraction engine benchmark: single-pass vs the all-pairs reference.
 
-The reference is the oracle in ``tests/oracles/extraction.py``.
+The reference is the oracle in ``tests/oracles/extraction.py``: the
+all-pairs extractor, and for graphs its per-path view builder.
 
 Times the leafwise hot path and the end-to-end graph build under both
 extractors on the synthetic JavaScript corpus, at two granularities:
@@ -21,6 +22,7 @@ import time
 from collections import defaultdict
 
 from conftest import emit, emit_json
+from oracles import extraction as oracle
 from oracles.extraction import ReferencePathExtractor
 from repro.core.extraction import ExtractionConfig, PathExtractor
 from repro.lang.base import parse_source
@@ -47,14 +49,14 @@ def _time_extract(extractor_cls, asts, repeats=3):
     return best, paths
 
 
-def _time_graphs(extractor_cls, asts, repeats=3):
+def _time_graphs(extractor_cls, build, asts, repeats=3):
     config = ExtractionConfig(max_length=7, max_width=3)
     best = float("inf")
     for _ in range(repeats):
         extractor = extractor_cls(config)
         started = time.perf_counter()
         for ast in asts:
-            build_crf_graph(ast, extractor)
+            build(ast, extractor)
         best = min(best, time.perf_counter() - started)
     return best
 
@@ -75,8 +77,8 @@ def run_all(js_data):
         new_seconds, new_paths = _time_extract(PathExtractor, asts)
         old_seconds, old_paths = _time_extract(ReferencePathExtractor, asts)
         assert new_paths == old_paths, "engines disagree on the path set"
-        graph_new = _time_graphs(PathExtractor, asts)
-        graph_old = _time_graphs(ReferencePathExtractor, asts)
+        graph_new = _time_graphs(PathExtractor, build_crf_graph, asts)
+        graph_old = _time_graphs(ReferencePathExtractor, oracle.build_crf_graph, asts)
         report[granularity] = {
             "asts": len(asts),
             "nodes": nodes,

@@ -21,7 +21,7 @@ import numpy as np
 from ..core.interning import FeatureSpace
 from ..learning.crf import CrfModel, CrfTrainer, TrainingConfig
 from ..learning.crf.graph import CrfGraph
-from ..learning.crf.inference import map_inference, topk_for_node
+from ..learning.crf.inference import label_ids, map_inference, topk_for_node
 from ..learning.word2vec import ContextPredictor, SgnsConfig, SgnsModel, train_sgns
 from ..learning.word2vec.sgns import restore_context_token
 from ..learning.word2vec.vocab import Vocabulary
@@ -109,9 +109,11 @@ class CrfLearner(_LearnerBase):
     def suggest(self, view: CrfGraph, k: int = 5) -> Dict[str, List[Tuple[str, float]]]:
         self._require_trained()
         scorer = self._scorer()
-        assignment = map_inference(scorer, view)
+        # One MAP pass, one id conversion and (memoized) one graph compile
+        # per request; only the ranking runs per node.
+        ids = label_ids(scorer, map_inference(scorer, view))
         return {
-            node.key: topk_for_node(scorer, view, i, k=k, assignment=assignment)
+            node.key: topk_for_node(scorer, view, i, k=k, assignment_ids=ids)
             for i, node in enumerate(view.unknowns)
         }
 

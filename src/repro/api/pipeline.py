@@ -567,8 +567,8 @@ class ScoringHandle:
             overlaid = self._base_space is not None and rebind is not None
             if overlaid:
                 # Rebinding swaps the request's throwaway overlay in; the
-                # extractor keeps the *base* halves of its shape/flip
-                # caches warm across these rebinds (entries referencing
+                # extractor keeps the *base* half of its shape cache
+                # warm across these rebinds (entries referencing
                 # only frozen-base ids mean the same strings under every
                 # overlay) and discards only overlay-local entries, so no
                 # request-local id ever leaks into shared state.

@@ -6,6 +6,7 @@ from .extraction import (
     ExtractedPath,
     ExtractionConfig,
     PathExtractor,
+    PathTable,
     ast_digest,
     ast_fingerprint,
     extract_path_contexts,
@@ -43,6 +44,7 @@ __all__ = [
     "Node",
     "PathContext",
     "PathExtractor",
+    "PathTable",
     "PathVocab",
     "UP",
     "Vocab",

@@ -1,25 +1,37 @@
 """Path-context extraction with the paper's hyper-parameters (Sec. 4.2, 5.5).
 
 :class:`PathExtractor` walks an :class:`repro.core.ast_model.Ast` and
-produces :class:`ExtractedPath` records for
+returns a :class:`PathTable` with one row per
 
-* every pair of terminals whose connecting path respects ``max_length``
-  and ``max_width`` (leafwise paths), and
-* optionally, every (terminal, ancestor) semi-path within ``max_length``.
+* pair of terminals whose connecting path respects ``max_length`` and
+  ``max_width`` (leafwise paths), and, optionally,
+* (terminal, ancestor) semi-path within ``max_length``.
 
 Leafwise extraction is a **single bottom-up pass**: one post-order
 traversal merges per-child leaf lists bucketed by depth, so a pair of
-terminals is considered exactly once -- at its lowest common ancestor --
-and pairs whose path would exceed ``max_length`` or ``max_width`` are
-pruned *before* any path is materialised.  The naive all-pairs algorithm
-(quadratic in the number of terminals, with an LCA climb per pair) lives
-in ``tests/oracles/extraction.py``, the oracle the tests and the
-extraction benchmark compare against.
+terminals is considered exactly once -- at its lowest common ancestor,
+the path's top -- and pairs whose path would exceed ``max_length`` or
+``max_width`` are pruned before anything is built.  The naive all-pairs
+algorithm (quadratic in the number of terminals, with an LCA climb per
+pair) lives in ``tests/oracles/extraction.py``, the oracle the tests and
+the extraction benchmark compare against.
 
-Extraction *interns* as it goes: each record carries the integer ids of
-its abstract path encoding and endpoint values in the extractor's
-:class:`~repro.core.interning.FeatureSpace`, so downstream consumers
-(graph builders, learners) can stay on dense ids end-to-end.
+The table is **columnar and lazy**.  A row is five columns (start, end,
+up steps, down steps, top) and carries no ids until a consumer asks:
+
+* a relation id comes from a shape cache keyed ``(chain_start, top kind,
+  chain_end)``, where a chain is the interned id of the node kinds below
+  the top on one side, listed upward.  Every leaf carries its chain ids
+  for depths ``1..max_length``, so a key costs three lookups.  The
+  reversed relation is the swapped key in the same cache.  An
+  :class:`~repro.core.paths.AstPath` is built only on a cache miss, or
+  for a callable abstraction, which has no cache;
+* endpoint value ids are interned once per node.
+
+The variable-naming view builders resolve only the rows they keep.
+String consumers iterate the table, which materialises rows in order as
+:class:`ExtractedPath`, so they intern exactly what a path-by-path
+extractor would, in the same order.
 
 It also implements the *downsampling* of Sec. 5.5 / Fig. 11: each
 extracted path-context occurrence is kept with probability ``p`` using a
@@ -39,7 +51,13 @@ from .abstractions import ABSTRACTIONS, Abstraction, alpha_id, get_abstraction
 from .ast_model import Ast, Node
 from .interning import DEFAULT_SPACE, FeatureSpace, OverlayVocab, Vocab
 from .path_context import PathContext, endpoint_value, make_path_context
-from .paths import DOWN, UP, AstPath, path_between, semi_path
+from .paths import DOWN, UP, AstPath, path_between
+
+#: A path's shape: (kind-chain id of the nodes below the top on the start
+#: side, listed upward; the top's kind; the same for the end side).  Chain
+#: id 0 is the empty chain (a semi-path has no end side).  Swapping the
+#: two chain ids gives the shape of the same path read from its end.
+ShapeKey = Tuple[int, str, int]
 
 
 class ExtractedPath:
@@ -193,6 +211,112 @@ def ast_digest(ast: Ast) -> str:
     return hasher.hexdigest()
 
 
+class PathTable:
+    """One AST's extracted paths as columns, with ids resolved on demand.
+
+    Row ``i`` is the path that climbs ``ups[i]`` steps from ``starts[i]``
+    to ``tops[i]`` and descends ``downs[i]`` steps to ``ends[i]``; a
+    semi-path has ``downs[i] == 0`` and ends at its top.  Leafwise rows
+    come first, in leaf order ``(i, j)``, then the semi-paths of each
+    terminal, nearest ancestor first.
+
+    Building the table interns nothing.  :meth:`rel_id`,
+    :meth:`reversed_rel_id` and :meth:`value_id` intern on first use, so
+    a view builder pays only for the rows it keeps.  Iterating (or
+    indexing) the table materialises rows as :class:`ExtractedPath`,
+    and :meth:`triples` yields their id triples; either way rows are
+    resolved in order, so a consumer that reads every row interns the
+    same strings, in the same order, as a path-by-path extractor would.
+
+    Ids reference :attr:`space`, the extractor's space when the table
+    was built; resolving a row after the extractor was rebound to
+    another space raises.
+    """
+
+    __slots__ = (
+        "starts", "ends", "ups", "downs", "tops",
+        "space", "_extractor", "_chains", "_value_ids",
+    )
+
+    def __init__(
+        self,
+        extractor: "PathExtractor",
+        rows: List[Tuple[Node, Node, int, int, Node]],
+        chains: List[Optional[List[int]]],
+    ) -> None:
+        columns = tuple(zip(*rows)) if rows else ((), (), (), (), ())
+        self.starts, self.ends, self.ups, self.downs, self.tops = columns
+        self.space = extractor.space
+        self._extractor = extractor
+        #: leaf index -> kind-chain ids of the leaf's first d nodes upward.
+        self._chains = chains
+        self._value_ids: Dict[Node, int] = {}
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def _key(self, i: int) -> ShapeKey:
+        chains = self._chains
+        down = self.downs[i]
+        return (
+            chains[self.starts[i]._leaf_index][self.ups[i]],  # type: ignore[index]
+            self.tops[i].kind,
+            chains[self.ends[i]._leaf_index][down] if down else 0,  # type: ignore[index]
+        )
+
+    def rel_id(self, i: int) -> int:
+        """The interned relation of row ``i``, read from its start."""
+        return self._extractor._rel(
+            self.space, self._key(i), self.starts[i], self.ends[i], self.ups[i], self.downs[i]
+        )
+
+    def reversed_rel_id(self, i: int) -> int:
+        """The relation of row ``i`` read from its end: the swapped key."""
+        up_side, top, down_side = self._key(i)
+        return self._extractor._rel(
+            self.space,
+            (down_side, top, up_side),
+            self.ends[i],
+            self.starts[i],
+            self.downs[i],
+            self.ups[i],
+        )
+
+    def value_id(self, node: Node) -> int:
+        """The interned endpoint value of ``node`` (once per node)."""
+        value_id = self._value_ids.get(node)
+        if value_id is None:
+            value_id = self.space.values.intern(endpoint_value(node))
+            self._value_ids[node] = value_id
+        return value_id
+
+    def triples(self) -> List[Tuple[int, int, int]]:
+        """``(start value id, rel id, end value id)`` of every row, in order."""
+        value_id = self.value_id
+        return [
+            (value_id(start), self.rel_id(i), value_id(end))
+            for i, (start, end) in enumerate(zip(self.starts, self.ends))
+        ]
+
+    def __getitem__(self, i: int) -> ExtractedPath:
+        start, end, up, down = self.starts[i], self.ends[i], self.ups[i], self.downs[i]
+        path = _row_path(start, end, up, down)
+        rel_id = self._extractor._rel(self.space, self._key(i), start, end, up, down, path)
+        return ExtractedPath(
+            start,
+            end,
+            path,
+            rel_id=rel_id,
+            start_value_id=self.value_id(start),
+            end_value_id=self.value_id(end),
+            space=self.space,
+        )
+
+    def __iter__(self) -> Iterator[ExtractedPath]:
+        for i in range(len(self.starts)):
+            yield self[i]
+
+
 class PathExtractor:
     """Extract path-contexts from ASTs under an :class:`ExtractionConfig`.
 
@@ -219,30 +343,22 @@ class PathExtractor:
         self._alpha = config.resolve_abstraction()
         self._rng = random.Random(config.seed)
         self._space = space if space is not None else DEFAULT_SPACE
-        # The reversed-relation cache is only sound for the named built-in
-        # abstractions, where alpha(reversed(p)) is a function of alpha(p);
-        # an arbitrary callable gets no cache and is recomputed per path.
-        self._can_cache_flips = (
-            isinstance(config.abstraction, str) and config.abstraction in ABSTRACTIONS
-        )
-        # Each cache is split in two: a *base* half whose entries reference
+        # Kind chains intern into small ints: (chain id, next kind upward)
+        # -> chain id, with 0 the empty chain.  Space-independent, so the
+        # trie survives every rebind.
+        self._chain_ids: Dict[Tuple[int, str], int] = {}
+        # rel-id cache keyed by path shape.  Sound for the named built-in
+        # abstractions, which are functions of the shape alone; an
+        # arbitrary callable gets no cache and is recomputed per path.
+        # The cache is split in two: a *base* half whose entries reference
         # only ids of a frozen base vocabulary (safe to keep across
         # overlay rebinds -- the serving read path), and a *local* half for
         # everything else, discarded whenever the space changes.
-        self._flip_cache: Dict[int, int] = {}
-        self._base_flip_cache: Dict[int, int] = {}
-        # rel-id cache keyed by path *shape* (kind sequence + directions).
-        # Sound for the named built-in abstractions, which are functions of
-        # the shape alone; arbitrary callables are recomputed per path.
-        self._shape_cache: Optional[Dict[tuple, int]] = (
-            {} if self._can_cache_flips else None
-        )
-        self._base_shape_cache: Optional[Dict[tuple, int]] = (
-            {} if self._can_cache_flips else None
-        )
+        cached = isinstance(config.abstraction, str) and config.abstraction in ABSTRACTIONS
+        self._shape_cache: Optional[Dict[ShapeKey, int]] = {} if cached else None
+        self._base_shape_cache: Dict[ShapeKey, int] = {}
         self._cache_base_len = self._base_len_of(self._space)
         self._base_shape_hits = 0
-        self._base_flip_hits = 0
 
     # ------------------------------------------------------------------
     # Feature space
@@ -277,123 +393,76 @@ class PathExtractor:
 
         Rebinding between spaces that share one *frozen* base path vocab
         -- the per-request overlay dance of the serving read path --
-        keeps the base halves of the shape/flip caches warm: their
-        entries reference only base ids, which mean the same strings
-        under every overlay.  Local entries (and everything, on a rebind
-        to an unrelated space) are discarded.
+        keeps the base half of the shape cache warm: its entries
+        reference only base ids, which mean the same strings under every
+        overlay.  Local entries (and everything, on a rebind to an
+        unrelated space) are discarded.
         """
         old_base = self._frozen_base_of(self._space)
         self._space = space
         new_base = self._frozen_base_of(space)
         self._cache_base_len = self._base_len_of(space)
+        if self._shape_cache is None:
+            return
         if new_base is not None and new_base is old_base:
             # Same frozen base: promote fully-base-resident local entries
             # (the warm-up path right after freeze()), drop overlay-local
             # ones -- their ids would mean different strings next request.
             base_len = len(new_base)
-            for key, rel in self._flip_cache.items():
-                if key < base_len and rel < base_len:
-                    self._base_flip_cache[key] = rel
-            self._flip_cache.clear()
-            if self._shape_cache is not None:
-                for key, rel in self._shape_cache.items():
-                    if rel < base_len:
-                        self._base_shape_cache[key] = rel
-                self._shape_cache.clear()
+            for key, rel in self._shape_cache.items():
+                if rel < base_len:
+                    self._base_shape_cache[key] = rel
         else:
-            self._flip_cache.clear()
-            self._base_flip_cache.clear()
-            if self._shape_cache is not None:
-                self._shape_cache.clear()
-                self._base_shape_cache.clear()
+            self._base_shape_cache.clear()
+        self._shape_cache.clear()
 
     def cache_stats(self) -> dict:
-        """Shape/flip cache occupancy and base-half hit counters.
+        """Shape cache occupancy and the base-half hit counter.
 
-        The ``base_*_hits`` counters are the observable behind the
-        serving warm-cache guarantee: they keep growing across
-        :class:`~repro.api.pipeline.ScoringHandle` requests, while under
-        the pre-split behaviour every request started cold.
+        ``base_shape_hits`` is the observable behind the serving
+        warm-cache guarantee: it keeps growing across
+        :class:`~repro.api.pipeline.ScoringHandle` requests, while
+        ``shape_entries`` (overlay-local entries) is empty between them.
         """
         return {
             "shape_entries": len(self._shape_cache or ()),
-            "base_shape_entries": len(self._base_shape_cache or ()),
-            "flip_entries": len(self._flip_cache),
-            "base_flip_entries": len(self._base_flip_cache),
+            "base_shape_entries": len(self._base_shape_cache),
             "base_shape_hits": self._base_shape_hits,
-            "base_flip_hits": self._base_flip_hits,
         }
-
-    def reversed_rel_id(self, extracted: ExtractedPath) -> int:
-        """The interned relation of the same path read from the other end."""
-        if self._can_cache_flips:
-            cached = self._base_flip_cache.get(extracted.rel_id)
-            if cached is not None:
-                self._base_flip_hits += 1
-                return cached
-            cached = self._flip_cache.get(extracted.rel_id)
-            if cached is not None:
-                return cached
-        rel = self._space.paths.intern(self._alpha(extracted.path.reversed()))
-        if self._can_cache_flips:
-            base_len = self._cache_base_len
-            if base_len is not None and extracted.rel_id < base_len and rel < base_len:
-                self._base_flip_cache[extracted.rel_id] = rel
-            else:
-                self._flip_cache[extracted.rel_id] = rel
-        return rel
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def extract(self, ast: Ast) -> List[ExtractedPath]:
-        """All leafwise (and optionally semi-) paths of one AST."""
-        rng = self._rng_for(ast)
-        out = list(self.iter_leafwise(ast, _rng=rng))
-        if self.config.include_semi_paths:
-            out.extend(self.iter_semi_paths(ast, _rng=rng))
-        return out
+    def extract(self, ast: Ast) -> PathTable:
+        """All leafwise (and optionally semi-) paths of one AST.
 
-    def iter_leafwise(
-        self, ast: Ast, _rng: Optional[random.Random] = None
-    ) -> Iterator[ExtractedPath]:
-        """Pairwise paths between terminals, filtered by length and width.
-
-        Single-pass bottom-up enumeration: every candidate pair is found
-        at its LCA with both path length and width known *before* the
-        path is materialised.  Pairs are emitted in the leaf order of the
-        naive all-pairs loop (``(i, j)`` lexicographic), so downsampling
-        draws the same RNG stream and keeps the same subset.
+        One structural pass: leafwise pairs come from the bottom-up
+        enumeration of :meth:`_leafwise_pairs`, sorted into the leaf
+        order ``(i, j)`` of the naive all-pairs loop, then the
+        semi-paths follow.  Downsampling draws once per candidate row in
+        that order, so it keeps the same subset as a path-by-path
+        extractor.  No path is materialised and nothing is interned.
         """
-        rng = _rng if _rng is not None else self._rng_for(ast)
-        pairs = self._leafwise_pairs(ast)
-        pairs.sort(key=lambda pair: (pair[0]._leaf_index, pair[1]._leaf_index))
-        for a, b, up_steps, down_steps in pairs:
-            if not self._keep(rng):
-                continue
-            path = _materialise(a, b, up_steps, down_steps)
-            yield self._record(a, b, path)
-
-    def iter_semi_paths(
-        self, ast: Ast, _rng: Optional[random.Random] = None
-    ) -> Iterator[ExtractedPath]:
-        """Semi-paths from each terminal to its ancestors within max_length."""
         cfg = self.config
-        rng = _rng if _rng is not None else self._rng_for(ast)
+        rng = self._rng_for(ast)
+        rows = self._leafwise_pairs(ast)
+        rows.sort(key=_leaf_order)
+        if cfg.downsample_p < 1.0:
+            rows = [row for row in rows if self._keep(rng)]
         leaves = ast.leaves
         if cfg.leaf_filter is not None:
-            leaves = [l for l in leaves if cfg.leaf_filter(l)]
-        for leaf in leaves:
-            nodes: List[Node] = [leaf]
-            node = leaf.parent
-            while node is not None and len(nodes) - 1 < cfg.max_length:
-                nodes.append(node)
-                length = len(nodes) - 1
-                if length >= cfg.semi_path_min_length:
-                    if self._keep(rng):
-                        path = semi_path(leaf, node)
-                        yield self._record(leaf, node, path)
-                node = node.parent
+            leaves = [leaf for leaf in leaves if cfg.leaf_filter(leaf)]
+        if cfg.include_semi_paths:
+            max_length, min_length = cfg.max_length, cfg.semi_path_min_length
+            for leaf in leaves:
+                node = leaf.parent
+                length = 1
+                while node is not None and length <= max_length:
+                    if length >= min_length and self._keep(rng):
+                        rows.append((leaf, node, length, 0, node))
+                    node = node.parent
+                    length += 1
+        return PathTable(self, rows, self._leaf_chains(ast, leaves))
 
     def paths_from(
         self,
@@ -412,6 +481,7 @@ class PathExtractor:
         extractor-lifetime RNG.
         """
         cfg = self.config
+        space = self._space
         out: List[ExtractedPath] = []
         target_list = list(targets)
         for src in sources:
@@ -424,7 +494,27 @@ class PathExtractor:
                         continue
                 if not self._keep(self._rng):
                     continue
-                out.append(self._record(src, dst, path))
+                nodes = path.nodes
+                top = path.top_index
+                # Up side listed upward from the start, down side upward
+                # from the end: the key a table row of this shape gets.
+                key = (
+                    self._chain_id(nodes[:top]),
+                    nodes[top].kind,
+                    self._chain_id(nodes[:top:-1]),
+                )
+                rel_id = self._rel(space, key, src, dst, top, len(nodes) - 1 - top, path)
+                out.append(
+                    ExtractedPath(
+                        src,
+                        dst,
+                        path,
+                        rel_id=rel_id,
+                        start_value_id=space.values.intern(endpoint_value(src)),
+                        end_value_id=space.values.intern(endpoint_value(dst)),
+                        space=space,
+                    )
+                )
         return out
 
     def context_for(
@@ -439,38 +529,75 @@ class PathExtractor:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _record(self, start: Node, end: Node, path: AstPath) -> ExtractedPath:
-        """Intern one path into an id-bearing record (context stays lazy)."""
-        space = self._space
+    def _rel(
+        self,
+        space: FeatureSpace,
+        key: ShapeKey,
+        start: Node,
+        end: Node,
+        up: int,
+        down: int,
+        path: Optional[AstPath] = None,
+    ) -> int:
+        """The interned relation of one path, by shape key.
+
+        The concrete :class:`AstPath` is built only on a cache miss, or
+        for a callable abstraction (which has no cache).
+        """
+        if space is not self._space:
+            raise RuntimeError(
+                "path table outlived its feature space: the extractor was "
+                "rebound since; extract the AST again"
+            )
         shape_cache = self._shape_cache
         if shape_cache is not None:
-            key = (tuple(n.kind for n in path.nodes), path.directions)
-            rel_id = self._base_shape_cache.get(key)  # type: ignore[union-attr]
+            rel_id = self._base_shape_cache.get(key)
             if rel_id is not None:
                 self._base_shape_hits += 1
+                return rel_id
+            rel_id = shape_cache.get(key)
+            if rel_id is not None:
+                return rel_id
+        if path is None:
+            path = _row_path(start, end, up, down)
+        rel_id = space.paths.intern(self._alpha(path))
+        if shape_cache is not None:
+            base_len = self._cache_base_len
+            if base_len is not None and rel_id < base_len:
+                self._base_shape_cache[key] = rel_id
             else:
-                rel_id = shape_cache.get(key)
-            if rel_id is None:
-                rel_id = space.paths.intern(self._alpha(path))
-                base_len = self._cache_base_len
-                if base_len is not None and rel_id < base_len:
-                    self._base_shape_cache[key] = rel_id  # type: ignore[index]
-                else:
-                    shape_cache[key] = rel_id
-        else:
-            rel_id = space.paths.intern(self._alpha(path))
-        return ExtractedPath(
-            start,
-            end,
-            path,
-            rel_id=rel_id,
-            start_value_id=space.values.intern(endpoint_value(start)),
-            end_value_id=space.values.intern(endpoint_value(end)),
-            space=space,
-        )
+                shape_cache[key] = rel_id
+        return rel_id
 
-    def _leafwise_pairs(self, ast: Ast) -> List[Tuple[Node, Node, int, int]]:
-        """All (a, b, up_steps, down_steps) admissible leaf pairs.
+    def _chain_id(self, nodes: Sequence[Node]) -> int:
+        """The interned kind chain of ``nodes``, listed bottom-up."""
+        chain_ids = self._chain_ids
+        chain = 0
+        for node in nodes:
+            step = (chain, node.kind)
+            chain = chain_ids.get(step) or chain_ids.setdefault(step, len(chain_ids) + 1)
+        return chain
+
+    def _leaf_chains(self, ast: Ast, leaves: Sequence[Node]) -> List[Optional[List[int]]]:
+        """leaf index -> ``[0, c1, .., cL]``: ``cd`` is the chain id of the
+        leaf and its first ``d - 1`` ancestors, for ``d`` up to max_length."""
+        chain_ids = self._chain_ids
+        depth = self.config.max_length
+        chains: List[Optional[List[int]]] = [None] * len(ast.leaves)
+        for leaf in leaves:
+            ids = [0]
+            chain = 0
+            node: Optional[Node] = leaf
+            while node is not None and len(ids) <= depth:
+                step = (chain, node.kind)
+                chain = chain_ids.get(step) or chain_ids.setdefault(step, len(chain_ids) + 1)
+                ids.append(chain)
+                node = node.parent
+            chains[leaf._leaf_index] = ids  # type: ignore[index]
+        return chains
+
+    def _leafwise_pairs(self, ast: Ast) -> List[Tuple[Node, Node, int, int, Node]]:
+        """All (a, b, up_steps, down_steps, top) admissible leaf pairs.
 
         One post-order pass.  Each node receives, from each child, the
         list of that subtree's terminals bucketed by depth; a bucket
@@ -480,6 +607,8 @@ class PathExtractor:
         position distance respects ``max_width`` (the path's width *is*
         that distance) and only for depth combinations whose total
         respects ``max_length`` (the path's length *is* that total).
+        The node where a pair is formed is its lowest common ancestor,
+        the path's top.
         """
         cfg = self.config
         max_length = cfg.max_length
@@ -487,7 +616,7 @@ class PathExtractor:
         keep_leaf = cfg.leaf_filter
         max_depth = max_length - 1  # deepest useful bucket below any node
 
-        out: List[Tuple[Node, Node, int, int]] = []
+        out: List[Tuple[Node, Node, int, int, Node]] = []
         if max_width < 1:
             return out  # a leafwise path's width is >= 1 by construction
 
@@ -530,7 +659,7 @@ class PathExtractor:
                                 continue
                             for a in bucket_a:
                                 for b in bucket_b:
-                                    out.append((a, b, depth_a, depth_b))
+                                    out.append((a, b, depth_a, depth_b, node))
 
             # Merge the lifted buckets for this node's parent.
             depth_count = max(len(l) for l in lifted)
@@ -552,9 +681,6 @@ class PathExtractor:
             return self._rng
         return random.Random(self.config.seed ^ ast_fingerprint(ast))
 
-    def _context(self, path: AstPath) -> PathContext:
-        return make_path_context(path, self._alpha)
-
     def _keep(self, rng: random.Random) -> bool:
         p = self.config.downsample_p
         if p >= 1.0:
@@ -562,20 +688,26 @@ class PathExtractor:
         return rng.random() < p
 
 
-def _materialise(a: Node, b: Node, up_steps: int, down_steps: int) -> AstPath:
-    """Build the concrete up-then-down path from pre-computed step counts."""
-    nodes: List[Node] = [a]
-    node = a
-    for _ in range(up_steps):
+def _leaf_order(row: Tuple[Node, Node, int, int, Node]) -> Tuple[int, int]:
+    return (row[0]._leaf_index, row[1]._leaf_index)  # type: ignore[return-value]
+
+
+def _row_path(start: Node, end: Node, up: int, down: int) -> AstPath:
+    """The concrete path that climbs ``up`` steps from ``start`` to the
+    top, then descends ``down`` steps to ``end``."""
+    nodes: List[Node] = [start]
+    node = start
+    for _ in range(up):
         node = node.parent  # type: ignore[assignment]
         nodes.append(node)
-    tail: List[Node] = [b]
-    node = b
-    for _ in range(down_steps - 1):
-        node = node.parent  # type: ignore[assignment]
-        tail.append(node)
-    nodes.extend(reversed(tail))
-    return AstPath(nodes, [UP] * up_steps + [DOWN] * down_steps)
+    if down:
+        tail: List[Node] = [end]
+        node = end
+        for _ in range(down - 1):
+            node = node.parent  # type: ignore[assignment]
+            tail.append(node)
+        nodes.extend(reversed(tail))
+    return AstPath(nodes, [UP] * up + [DOWN] * down)
 
 
 def extract_path_contexts(

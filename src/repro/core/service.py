@@ -4,7 +4,10 @@
 with the three things every corpus-scale caller needs:
 
 * **per-AST memoization** -- a program whose graph view and contexts view
-  are both built (or that appears in several sweeps) is extracted once;
+  are both built (or that appears in several sweeps) is extracted once.
+  The memo holds the AST's :class:`~repro.core.extraction.PathTable`,
+  whose ids resolve on demand into the service's space, so it is
+  dropped whenever the space is rebound;
 * **a shared feature space** -- every AST that flows through one service
   interns into the same vocabularies, so ids are corpus-consistent;
 * **batched / parallel source extraction** -- :meth:`index_sources`
@@ -15,8 +18,8 @@ with the three things every corpus-scale caller needs:
   run.
 
 The service duck-types as an extractor (``extract`` / ``paths_from`` /
-``context_for`` / ``reversed_rel_id`` / ``config`` / ``space``), so task
-graph builders accept either.
+``context_for`` / ``config`` / ``space``), so task graph builders accept
+either.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .ast_model import Ast
-from .extraction import ExtractedPath, ExtractionConfig, PathExtractor
+from .extraction import ExtractionConfig, PathExtractor, PathTable
 from .interning import FeatureSpace
 
 
@@ -113,7 +116,7 @@ class ExtractionService:
         self.extractor = extractor
         self.workers = max(1, int(workers))
         self.stats = ExtractionStats()
-        self._memo: "weakref.WeakKeyDictionary[Ast, List[ExtractedPath]]" = (
+        self._memo: "weakref.WeakKeyDictionary[Ast, PathTable]" = (
             weakref.WeakKeyDictionary()
         )
 
@@ -149,20 +152,11 @@ class ExtractionService:
     def paths_from(self, sources, targets, enforce_limits: bool = True):
         return self.extractor.paths_from(sources, targets, enforce_limits)
 
-    def reversed_rel_id(self, extracted: ExtractedPath) -> int:
-        return self.extractor.reversed_rel_id(extracted)
-
-    def iter_leafwise(self, ast: Ast):
-        return self.extractor.iter_leafwise(ast)
-
-    def iter_semi_paths(self, ast: Ast):
-        return self.extractor.iter_semi_paths(ast)
-
     # ------------------------------------------------------------------
     # Memoized extraction
     # ------------------------------------------------------------------
-    def extract(self, ast: Ast) -> List[ExtractedPath]:
-        """One AST's full path set, cached for the AST's lifetime."""
+    def extract(self, ast: Ast) -> PathTable:
+        """One AST's path table, cached for the AST's lifetime."""
         cached = self._memo.get(ast)
         if cached is not None:
             self.stats.cache_hits += 1
@@ -176,7 +170,7 @@ class ExtractionService:
         self._memo[ast] = extracted
         return extracted
 
-    def extract_many(self, asts: Iterable[Ast]) -> List[List[ExtractedPath]]:
+    def extract_many(self, asts: Iterable[Ast]) -> List[PathTable]:
         """Extraction for a batch of ASTs (memoized, shared vocab)."""
         return [self.extract(ast) for ast in asts]
 
@@ -232,12 +226,10 @@ class ExtractionService:
             result.workers = 1
             for source in sources:
                 ast = parse_source(language, source)
-                extracted = self.extract(ast)
-                result.contexts.append(
-                    [(e.start_value_id, e.rel_id, e.end_value_id) for e in extracted]
-                )
+                table = self.extract(ast)
+                result.contexts.append(table.triples())
                 result.files += 1
-                result.paths += len(extracted)
+                result.paths += len(table)
                 result.nodes += ast.size()
         result.seconds = time.perf_counter() - started
         return result
@@ -319,8 +311,6 @@ def _extract_in_worker(source: str) -> Tuple[List[Tuple[str, str, str]], int]:
 
     extractor: PathExtractor = _WORKER["extractor"]  # type: ignore[assignment]
     ast = parse_source(_WORKER["language"], source)  # type: ignore[arg-type]
-    triples = [
-        (e.context.start_value, e.context.path, e.context.end_value)
-        for e in extractor.extract(ast)
-    ]
+    decode = extractor.space.decode_context
+    triples = [decode(triple) for triple in extractor.extract(ast).triples()]
     return triples, ast.size()

@@ -98,6 +98,7 @@ class CompiledCrfModel:
         self.model = model
         self._pack_version = 0
         self._dirty = False
+        self._last_compiled: Optional[CompiledGraph] = None
         self._pack()
 
     @classmethod
@@ -132,6 +133,7 @@ class CompiledCrfModel:
         self._unary_pos = {}
         self._overflow = {}
         self._overflow_count = 0
+        self._last_compiled = None
         return self
 
     # ------------------------------------------------------------------
@@ -243,11 +245,17 @@ class CompiledCrfModel:
     def compile_graph(self, graph: CrfGraph) -> CompiledGraph:
         """Resolve one graph's columnar factors against this pack.
 
-        Called once per inference call; the group-row lookups here are
-        the only per-factor python work the vectorized engine performs.
+        The group-row lookups here are the only per-factor python work
+        the vectorized engine performs.  The last resolution is reused
+        while the graph's columnar view (cached until the graph changes)
+        and the pack are the same: a suggest request ranks every node of
+        one graph against one pack, and compiles it once.
         """
         self._refresh()
         cols = graph.columnar()
+        memo = self._last_compiled
+        if memo is not None and memo.cols is cols and memo.pack_version == self._pack_version:
+            return memo
         group_of = self._group_of
         known_rows = np.fromiter(
             (
@@ -262,7 +270,7 @@ class CompiledCrfModel:
             dtype=np.int64,
             count=len(cols.unary_rel_list),
         )
-        return CompiledGraph(
+        compiled = CompiledGraph(
             cols=cols,
             known_rows=known_rows,
             unary_rows=unary_rows,
@@ -271,6 +279,8 @@ class CompiledCrfModel:
             edge_off=cols.edge_off.tolist(),
             unary_off=cols.unary_off.tolist(),
         )
+        self._last_compiled = compiled
+        return compiled
 
     # ------------------------------------------------------------------
     # Scoring

@@ -170,19 +170,42 @@ def topk_for_node(
     k: int = 8,
     assignment: Optional[Sequence[str]] = None,
     beam: int = 96,
+    assignment_ids: Optional[np.ndarray] = None,
 ) -> List[Tuple[str, float]]:
     """Top-k candidate labels for one node, with their scores.
 
     The rest of the graph is fixed to ``assignment`` (computed by MAP
     inference when not provided).  This is the API the paper used for the
-    qualitative study of Table 4a.
+    qualitative study of Table 4a.  A caller ranking every node of one
+    graph converts the assignment once, with :func:`label_ids`, and
+    passes it as ``assignment_ids``.
     """
-    if assignment is None:
-        assignment = map_inference(compiled, graph)
     model = compiled.model
     values = model.space.values
+    if assignment_ids is None:
+        if assignment is None:
+            assignment = map_inference(compiled, graph)
+        assignment_ids = label_ids(compiled, assignment)
     cg = compiled.compile_graph(graph)
-    ids = np.fromiter(
+    candidate_ids = model.candidate_ids_for(
+        graph.unknowns[index], assignment_ids.tolist(), beam=beam
+    )
+    if not candidate_ids:
+        return []
+    candidates = np.asarray(candidate_ids, dtype=np.int64)
+    scores = compiled.score_candidates(cg, index, candidates, assignment_ids)
+    scored = [
+        (values.value(label_id), score)
+        for label_id, score in zip(candidate_ids, scores.tolist())
+    ]
+    scored.sort(key=lambda kv: (-kv[1], kv[0]))
+    return scored[:k]
+
+
+def label_ids(compiled: CompiledCrfModel, assignment: Sequence[str]) -> np.ndarray:
+    """An assignment's labels as value ids (``-1`` outside the vocab)."""
+    values = compiled.model.space.values
+    return np.fromiter(
         (
             -1 if (lid := values.id_of(label)) is None else lid
             for label in assignment
@@ -190,19 +213,6 @@ def topk_for_node(
         dtype=np.int64,
         count=len(assignment),
     )
-    candidate_ids = model.candidate_ids_for(
-        graph.unknowns[index], ids.tolist(), beam=beam
-    )
-    if not candidate_ids:
-        return []
-    candidates = np.asarray(candidate_ids, dtype=np.int64)
-    scores = compiled.score_candidates(cg, index, candidates, ids)
-    scored = [
-        (values.value(label_id), score)
-        for label_id, score in zip(candidate_ids, scores.tolist())
-    ]
-    scored.sort(key=lambda kv: (-kv[1], kv[0]))
-    return scored[:k]
 
 
 def predict(compiled: CompiledCrfModel, graph: CrfGraph) -> List[str]:

@@ -383,10 +383,7 @@ def _build_triples_shard(
     nodes = 0
     for offset, source in enumerate(sources):
         ast = parse_source(language, source)
-        triples = [
-            [e.start_value_id, e.rel_id, e.end_value_id]
-            for e in extractor.extract(ast)
-        ]
+        triples = [list(triple) for triple in extractor.extract(ast).triples()]
         nodes += ast.size()
         record_paths += len(triples)
         writer.add_record(

@@ -23,7 +23,7 @@ from ..core.ast_model import Ast
 from ..core.extraction import PathExtractor
 from ..learning.crf.graph import CrfGraph
 from .method_naming import add_method_factors, method_elements
-from .variable_naming import _add_factor, element_groups
+from .variable_naming import add_path_factors, element_groups
 
 
 def build_translate_graph(
@@ -40,7 +40,6 @@ def build_translate_graph(
     for key, info in methods.items():
         graph.add_unknown(key, gold=str(info["gold"]))
 
-    for extracted in extractor.extract(ast):
-        _add_factor(graph, extractor, extracted)
+    add_path_factors(graph, extractor.extract(ast), groups)
     add_method_factors(graph, ast, extractor, methods)
     return graph

@@ -8,10 +8,17 @@ element become unary factors, paths to fixed-label neighbours become
 pairwise factors, and paths between two renameable elements become
 unknown-unknown factors.
 
-Factors are built from the extractor's **interned ids** (relation ids
-and endpoint-value ids) -- no path strings are materialised on this
-path.  The same extraction drives word2vec: each (element, path-context)
-pair becomes an SGNS training pair whose context token is the id pair
+Both views read the extractor's :class:`~repro.core.extraction.PathTable`
+directly.  A row with no renameable element at either end is skipped
+before any id is resolved; the rows kept resolve their relation id (and,
+where a factor needs it, the reversed relation) from the chain-keyed
+shape cache, and the far endpoint's value id once per node.  No path
+string and no path object is built on this route, except on a
+shape-cache miss.  So a model's path vocab holds only relations seen
+next to an element.
+
+The same extraction drives word2vec: each (element, path-context) pair
+becomes an SGNS training pair whose context token is the id pair
 ``(rel_id, other-endpoint value id)``.  Endpoints that are themselves
 renameable elements are replaced by a placeholder so gold names never
 leak into contexts.
@@ -20,13 +27,12 @@ leak into contexts.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.ast_model import Ast, Node
-from ..core.extraction import ExtractedPath, PathExtractor
+from ..core.extraction import PathExtractor, PathTable
 from ..core.interning import FeatureSpace
-from ..core.path_context import endpoint_value
-from ..learning.crf.graph import CrfGraph
+from ..learning.crf.graph import CrfGraph, KnownNeighbor, UnknownEdge
 
 #: ``meta["id_kind"]`` values that are prediction targets.
 RENAMEABLE_KINDS = frozenset({"local", "param"})
@@ -66,44 +72,44 @@ def build_crf_graph(
     groups = element_groups(ast)
     for binding, occurrences in groups.items():
         graph.add_unknown(binding, gold=occurrences[0].value or "")
-
-    for extracted in extractor.extract(ast):
-        _add_factor(graph, extractor, extracted)
+    add_path_factors(graph, extractor.extract(ast), groups)
     return graph
 
 
-def _add_factor(
-    graph: CrfGraph, extractor: PathExtractor, extracted: ExtractedPath
+def add_path_factors(
+    graph: CrfGraph, table: PathTable, groups: Dict[str, List[Node]]
 ) -> None:
-    start_binding = _binding_of(extracted.start)
-    end_binding = _binding_of(extracted.end)
-    if start_binding is None and end_binding is None:
-        return
-    rel_forward = extracted.rel_id
+    """Add the factors of every path with an element at one or both ends.
 
-    if start_binding is not None and start_binding == end_binding:
-        index = graph.index_of(start_binding)
-        if index is not None:
-            graph.add_unary_factor(index, rel_forward)
-        return
-
-    rel_backward = extractor.reversed_rel_id(extracted)
-    if start_binding is not None and end_binding is not None:
-        a = graph.index_of(start_binding)
-        b = graph.index_of(end_binding)
-        if a is not None and b is not None:
-            graph.add_unknown_factor(a, b, rel_forward, rel_backward)
-        return
-
-    if start_binding is not None:
-        index = graph.index_of(start_binding)
-        if index is not None:
-            graph.add_known_factor(index, rel_forward, extracted.end_value_id)
-        return
-
-    index = graph.index_of(end_binding)  # type: ignore[arg-type]
-    if index is not None:
-        graph.add_known_factor(index, rel_backward, extracted.start_value_id)
+    ``groups`` are the elements (see :func:`element_groups`), each
+    already an unknown of ``graph``.  Rows with no element endpoint are
+    skipped before any id is resolved, and a reversed relation is
+    resolved only for the rows that need one.  Factors are appended to
+    the node lists in row order, before the graph's first
+    :meth:`~repro.learning.crf.graph.CrfGraph.columnar` call.
+    """
+    node_index = {
+        leaf: graph.index_of(binding)
+        for binding, occurrences in groups.items()
+        for leaf in occurrences
+    }
+    get = node_index.get
+    unknowns = graph.unknowns
+    for i, (start, end) in enumerate(zip(table.starts, table.ends)):
+        a = get(start)
+        b = get(end)
+        if a is None:
+            if b is not None:
+                unknowns[b].known.append(
+                    KnownNeighbor(table.reversed_rel_id(i), table.value_id(start))
+                )
+        elif b is None:
+            unknowns[a].known.append(KnownNeighbor(table.rel_id(i), table.value_id(end)))
+        elif a == b:
+            unknowns[a].unary.append(table.rel_id(i))
+        else:
+            unknowns[a].edges.append(UnknownEdge(table.rel_id(i), b))
+            unknowns[b].edges.append(UnknownEdge(table.reversed_rel_id(i), a))
 
 
 # ----------------------------------------------------------------------
@@ -137,27 +143,22 @@ def element_contexts(
     groups = element_groups(ast)
     contexts: Dict[str, List[W2vToken]] = {binding: [] for binding in groups}
     placeholder_id = extractor.space.values.intern(PLACEHOLDER)
+    binding_of = {leaf: binding for binding, leaves in groups.items() for leaf in leaves}.get
 
-    for extracted in extractor.extract(ast):
-        start_binding = _binding_of(extracted.start)
-        end_binding = _binding_of(extracted.end)
+    table = extractor.extract(ast)
+    for i, (start, end) in enumerate(zip(table.starts, table.ends)):
+        start_binding = binding_of(start)
+        end_binding = binding_of(end)
         if start_binding is None and end_binding is None:
             continue
-        if start_binding is not None and start_binding == end_binding:
+        if start_binding == end_binding:
             continue  # self-contexts would pair a name with itself
         if start_binding is not None:
-            other = (
-                placeholder_id if end_binding is not None else extracted.end_value_id
-            )
-            contexts[start_binding].append((extracted.rel_id, other))
+            other = placeholder_id if end_binding is not None else table.value_id(end)
+            contexts[start_binding].append((table.rel_id(i), other))
         if end_binding is not None:
-            rel_back = extractor.reversed_rel_id(extracted)
-            other = (
-                placeholder_id
-                if start_binding is not None
-                else extracted.start_value_id
-            )
-            contexts[end_binding].append((rel_back, other))
+            other = placeholder_id if start_binding is not None else table.value_id(start)
+            contexts[end_binding].append((table.reversed_rel_id(i), other))
 
     return {
         binding: (groups[binding][0].value or "", tokens)

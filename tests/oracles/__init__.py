@@ -7,6 +7,8 @@ reference:
 * :mod:`oracles.crf` -- the scalar CRF scorer and its string-based ICM
   sweep; the compiled engine must reproduce its assignments, scores,
   tie-breaks and fallbacks float-for-float;
-* :mod:`oracles.extraction` -- the all-pairs path extractor; the
-  single-pass engine must emit exactly its path set, in its order.
+* :mod:`oracles.extraction` -- the all-pairs path extractor, whose path
+  set and order the single-pass engine must emit exactly, and the
+  per-path variable-naming view builders, whose decoded views the path
+  table's direct builders must reproduce.
 """

@@ -294,6 +294,24 @@ class TestEdgeCases:
                 np.zeros(len(graph), dtype=np.int64),
             )
 
+    def test_compile_graph_reused_until_graph_or_pack_changes(self):
+        space = FeatureSpace()
+        model = _random_model(space)
+        compiled = model.compile()
+        graph = _random_graph(space, seed=51)
+        first = compiled.compile_graph(graph)
+        assert compiled.compile_graph(graph) is first
+        other = _random_graph(space, seed=52)
+        assert compiled.compile_graph(other) is not first
+        assert compiled.compile_graph(graph) is not first  # memo holds one graph
+        again = compiled.compile_graph(graph)
+        graph.add_unary_factor(0, "fresh-relation")
+        changed = compiled.compile_graph(graph)
+        assert changed is not again
+        assert len(changed.unary_rows) == len(again.unary_rows) + 1
+        compiled.invalidate()
+        assert compiled.compile_graph(graph).pack_version != changed.pack_version
+
     def test_columnar_view_caches_and_invalidates(self):
         space = FeatureSpace()
         graph = _random_graph(space, seed=60)

@@ -123,22 +123,26 @@ class TestPerAstDeterminism:
 
 class TestReversedRelations:
     def test_reversed_rel_id_matches_recomputation(self):
-        """The flip cache must agree with computing alpha(reversed(p))."""
+        """The swapped shape key must agree with computing alpha(reversed(p))."""
         asts = corpus_asts("javascript", n_projects=2)
         for abstraction in ("full", "no-arrows", "forget-order", "first-last"):
             extractor = PathExtractor(
                 ExtractionConfig(abstraction=abstraction), space=FeatureSpace()
             )
             for ast in asts:
-                for extracted in extractor.extract(ast):
-                    rid = extractor.reversed_rel_id(extracted)
+                table = extractor.extract(ast)
+                for i, extracted in enumerate(table):
+                    rid = table.reversed_rel_id(i)
                     expected = extractor.context_for(extracted.path.reversed()).path
                     assert extractor.space.paths.value(rid) == expected
+                    assert table.rel_id(i) == extracted.rel_id
 
     def test_callable_abstraction_not_cached_but_correct(self, fig1_ast):
         extractor = PathExtractor(
             ExtractionConfig(abstraction=lambda p: p.encode()), space=FeatureSpace()
         )
-        for extracted in extractor.extract(fig1_ast):
-            rid = extractor.reversed_rel_id(extracted)
+        table = extractor.extract(fig1_ast)
+        for i, extracted in enumerate(table):
+            rid = table.reversed_rel_id(i)
             assert extractor.space.paths.value(rid) == extracted.path.reversed().encode()
+        assert extractor.cache_stats()["shape_entries"] == 0

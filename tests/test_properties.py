@@ -143,8 +143,9 @@ class TestExtractionProperties:
     @settings(max_examples=30, deadline=None)
     def test_semi_paths_all_ascending(self, ast):
         extractor = PathExtractor(ExtractionConfig(include_semi_paths=True))
-        for extracted in extractor.iter_semi_paths(ast):
-            assert all(d == UP for d in extracted.path.directions)
+        for extracted in extractor.extract(ast):
+            if extracted.is_semi:
+                assert all(d == UP for d in extracted.path.directions)
 
 
 _NAME_ALPHABET = st.text(

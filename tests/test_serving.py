@@ -38,6 +38,38 @@ function qzUnseenStep(qzUnseenArg) {
 }
 """
 
+#: Two programs with path shapes absent from the training corpus; the
+#: second one reaches its unseen shapes in a different order.
+UNSEEN_SHAPES_A = """
+function qzA(qzX) {
+  try { throw qzX; } catch (qzErr) { qzX = qzErr; }
+  do { qzX = qzX - 1; } while (qzX > 0);
+  return qzX;
+}
+"""
+UNSEEN_SHAPES_B = """
+function qzB(qzY) {
+  for (var qzI = 0; qzI < qzY; qzI++) { qzY = qzY * 2; }
+  var qzZ = qzY ? qzY : !qzY;
+  try { throw qzY; } catch (qzE) { qzY = qzE; }
+  return qzZ;
+}
+"""
+
+
+def _decoded(graph):
+    """A graph's factors as strings, node by node, in factor order."""
+    paths, values = graph.space.paths, graph.space.values
+    return [
+        (
+            node.key,
+            [(paths.value(f.rel), values.value(f.label)) for f in node.known],
+            [(paths.value(e.rel), e.other) for e in node.edges],
+            [paths.value(rel) for rel in node.unary],
+        )
+        for node in graph.unknowns
+    ]
+
 
 @pytest.fixture(scope="module")
 def corpus_sources():
@@ -110,10 +142,11 @@ class TestScoringHandle:
             served.predict(NOVEL_JS)
 
     def test_extraction_caches_stay_warm_across_requests(self, model_path, direct):
-        # The shape/flip caches are split so entries resident in the
-        # frozen base survive the per-request overlay rebinds; only
-        # overlay-local entries are discarded.  Observable: the base
-        # halves stay populated between requests and keep taking hits.
+        # The shape cache is split so entries resident in the frozen base
+        # survive the per-request overlay rebinds; only overlay-local
+        # entries are discarded.  A reversed relation is the swapped key
+        # in the same cache.  Observable: the base half stays populated
+        # between requests and keeps taking hits.
         served = Pipeline.load(model_path)
         handle = served.scoring_handle()
         extractor = served.representation.extractor
@@ -121,16 +154,39 @@ class TestScoringHandle:
         handle.predict(NOVEL_JS)
         first = extractor.cache_stats()
         assert first["base_shape_entries"] > 0  # survived the request
-        assert first["base_flip_entries"] > 0
         # Nothing request-local may outlive the request.
         assert first["shape_entries"] == 0
-        assert first["flip_entries"] == 0
 
         assert handle.predict(NOVEL_JS) == direct.predict(NOVEL_JS)
         second = extractor.cache_stats()
         assert second["base_shape_hits"] > first["base_shape_hits"]
-        assert second["base_flip_hits"] > first["base_flip_hits"]
-        assert second["shape_entries"] == 0 and second["flip_entries"] == 0
+        assert second["shape_entries"] == 0
+
+    def test_unseen_paths_across_requests_match_fresh_loads(self, model_path):
+        # Both programs have path shapes the model never saw, so each
+        # request interns overlay-local relation ids, and the second
+        # request's overlay hands out the same local ids to different
+        # strings.  A cached local id surviving the first request would
+        # mislabel the second request's relations.
+        served = Pipeline.load(model_path)
+        base_len = len(served.space.paths)
+        handle = served.scoring_handle()
+        extractor = served.representation.extractor
+        for source in (UNSEEN_SHAPES_A, UNSEEN_SHAPES_B):
+            fresh = Pipeline.load(model_path)
+            fresh_view = fresh.view(fresh.parse(source))
+            assert len(fresh.space.paths) > base_len  # genuinely unseen paths
+            assert handle.predict(source) == Pipeline.load(model_path).predict(source)
+            assert handle.suggest(source, k=3) == Pipeline.load(model_path).suggest(source, k=3)
+            assert extractor.cache_stats()["shape_entries"] == 0
+            assert all(rel < base_len for rel in extractor._base_shape_cache.values())
+            # The view a request builds decodes to the fresh load's view.
+            served.representation.bind_space(served.space.overlay())
+            try:
+                overlay_view = served.view(served.parse(source))
+            finally:
+                served.representation.bind_space(served.space)
+            assert _decoded(overlay_view) == _decoded(fresh_view)
 
     def test_fingerprint_is_layout_independent(self, model_path):
         handle = Pipeline.load(model_path).scoring_handle()
