@@ -1,17 +1,17 @@
-"""Artifact benchmark: binary mmap models vs the writable JSON default.
+"""Artifact benchmark: the pigeon-model/1 artifact, unpruned and pruned.
 
-Trains one JS variable-naming model on a mid-size corpus, saves it three
-ways -- JSON, unpruned ``pigeon-model/1`` binary, and a pruned binary
-(``min_rel_count=2``) -- then measures what the artifact redesign is
-supposed to buy:
+Trains one JS variable-naming model on a mid-size corpus, saves it as a
+``pigeon-model/1`` artifact, prunes that artifact
+(``min_rel_count=2``), then measures what the artifact and pruning buy:
 
-* **size**: bytes on disk per format, and the pruned-binary compression
-  ratio against JSON;
+* **size**: bytes on disk of the unpruned and pruned artifacts, and the
+  compression ratio pruning achieves;
 * **load-to-first-prediction**: wall time from a cold ``Pipeline.load``
-  to the first completed ``predict`` (median of several runs), JSON vs
-  mmap;
-* **identity**: unpruned binary predictions compared against the JSON
-  pipeline across the held-out set;
+  to the first completed ``predict`` (median of several runs), for both
+  artifacts (reported, not gated: the perfbench ``setup_s`` metric
+  gates load cost end to end);
+* **identity**: loaded-artifact predictions compared against the live
+  trained pipeline across the held-out set;
 * **accuracy**: held-out exact-match accuracy of the full vs the pruned
   model, against the budget recorded in the pruned artifact's header.
 
@@ -19,9 +19,10 @@ Emitted as ``BENCH_artifacts.json``; this file runs in the CI smoke job.
 
 Gates:
 
-* unpruned binary predictions are **bit-identical** to JSON (0 mismatches);
-* the pruned binary is at least **2x** smaller than the JSON artifact;
-* binary load-to-first-prediction is at least **5x** faster than JSON;
+* loaded-artifact predictions are **bit-identical** to the live
+  pipeline (0 mismatches);
+* the pruned artifact is at least **1.1x** smaller than the unpruned one
+  (the committed baseline measures 1.21x);
 * the pruned model's accuracy delta stays within the declared budget.
 """
 
@@ -50,13 +51,11 @@ def _train(tmp_dir):
         language="javascript", task="variable_naming", training={"epochs": EPOCHS}
     )
     pipeline.train(train)
-    json_path = f"{tmp_dir}/artifact_model.json"
     binary_path = f"{tmp_dir}/artifact_model.bin"
     pruned_path = f"{tmp_dir}/artifact_model.pruned.bin"
-    pipeline.save(json_path)
-    pipeline.save(binary_path, format="binary")
-    prune_info = pack_model(json_path, pruned_path, prune_min_count=PRUNE_MIN_COUNT)
-    return pipeline, test, json_path, binary_path, pruned_path, prune_info
+    pipeline.save(binary_path)
+    prune_info = pack_model(binary_path, pruned_path, prune_min_count=PRUNE_MIN_COUNT)
+    return pipeline, test, binary_path, pruned_path, prune_info
 
 
 def _load_to_first_prediction_ms(path, source, rounds=LOAD_ROUNDS):
@@ -90,21 +89,16 @@ def _file_bytes(path):
 
 def run_all():
     tmp_dir = results_dir()
-    trained, test, json_path, binary_path, pruned_path, prune_info = _train(tmp_dir)
+    trained, test, binary_path, pruned_path, prune_info = _train(tmp_dir)
 
-    json_bytes = _file_bytes(json_path)
     binary_bytes = _file_bytes(binary_path)
     pruned_bytes = _file_bytes(pruned_path)
 
-    from_json = Pipeline.load(json_path)
     from_binary = Pipeline.load(binary_path)
     mismatches = sum(
-        1
-        for source in test
-        if from_binary.predict(source) != from_json.predict(source)
+        1 for source in test if from_binary.predict(source) != trained.predict(source)
     )
 
-    json_ms = _load_to_first_prediction_ms(json_path, test[0])
     binary_ms = _load_to_first_prediction_ms(binary_path, test[0])
     pruned_ms = _load_to_first_prediction_ms(pruned_path, test[0])
 
@@ -124,17 +118,13 @@ def run_all():
             "parameters": trained.learner.model.num_parameters(),
         },
         "size": {
-            "json_bytes": json_bytes,
             "binary_bytes": binary_bytes,
             "pruned_binary_bytes": pruned_bytes,
-            "binary_vs_json_ratio": round(json_bytes / binary_bytes, 2),
-            "pruned_vs_json_ratio": round(json_bytes / pruned_bytes, 2),
+            "pruned_vs_binary_ratio": round(binary_bytes / pruned_bytes, 2),
         },
         "load": {
-            "json_ms": round(json_ms, 2),
             "binary_ms": round(binary_ms, 2),
             "pruned_binary_ms": round(pruned_ms, 2),
-            "speedup": round(json_ms / binary_ms, 2),
         },
         "identity": {"held_out_sources": len(test), "mismatches": mismatches},
         "accuracy": {
@@ -149,11 +139,10 @@ def run_all():
 
     table = "\n".join(
         [
-            "Model artifacts: pigeon-model/1 binary vs JSON",
-            f"size    json {json_bytes:>9,}B  binary {binary_bytes:>9,}B  "
-            f"pruned {pruned_bytes:>9,}B  ({report['size']['pruned_vs_json_ratio']:.1f}x smaller)",
-            f"load    json {json_ms:>8.1f}ms  binary {binary_ms:>8.1f}ms  "
-            f"pruned {pruned_ms:>8.1f}ms  ({report['load']['speedup']:.1f}x faster)",
+            "Model artifacts: pigeon-model/1, unpruned vs pruned",
+            f"size    binary {binary_bytes:>9,}B  pruned {pruned_bytes:>9,}B  "
+            f"({report['size']['pruned_vs_binary_ratio']:.2f}x smaller)",
+            f"load    binary {binary_ms:>8.1f}ms  pruned {pruned_ms:>8.1f}ms",
             f"parity  {mismatches} mismatched prediction(s) over {len(test)} held-out sources",
             f"prune   accuracy {accuracy_full:.3f} -> {accuracy_pruned:.3f} "
             f"(delta {delta:+.3f}, budget {budget})",
@@ -162,26 +151,21 @@ def run_all():
     return table, report
 
 
-def test_artifact_formats(benchmark):
+def test_model_artifacts(benchmark):
     table, report = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    emit("artifact_formats", table)
+    emit("model_artifacts", table)
     emit_json("BENCH_artifacts", report)
 
-    # Gate 1: the binary path is the JSON path, bit for bit.
+    # Gate 1: the loaded artifact is the live pipeline, bit for bit.
     assert report["identity"]["mismatches"] == 0, (
-        "binary-loaded predictions diverged from the JSON pipeline"
+        "artifact-loaded predictions diverged from the live pipeline"
     )
-    # Gate 2: pruning + binary packing must genuinely shrink the artifact.
-    assert report["size"]["pruned_vs_json_ratio"] >= 2.0, (
-        f"pruned binary only {report['size']['pruned_vs_json_ratio']}x "
-        f"smaller than JSON: {report['size']}"
+    # Gate 2: pruning must genuinely shrink the artifact.
+    assert report["size"]["pruned_vs_binary_ratio"] >= 1.1, (
+        f"pruned artifact only {report['size']['pruned_vs_binary_ratio']}x "
+        f"smaller than the unpruned one: {report['size']}"
     )
-    # Gate 3: mmap + zero-copy compile must beat JSON decode decisively.
-    assert report["load"]["speedup"] >= 5.0, (
-        f"binary load-to-first-prediction only {report['load']['speedup']}x "
-        f"faster than JSON: {report['load']}"
-    )
-    # Gate 4: the pruned model honours its recorded accuracy budget.
+    # Gate 3: the pruned model honours its recorded accuracy budget.
     assert report["accuracy"]["within_budget"], (
         f"pruned accuracy delta {report['accuracy']['delta']} exceeds "
         f"budget {report['accuracy']['budget']}"

@@ -63,7 +63,7 @@ def _train_model(tmp_dir):
     sources = [f.source for f in kept]
     pipeline = Pipeline(language="javascript", training={"epochs": EPOCHS})
     pipeline.train(sources[:20])
-    path = f"{tmp_dir}/fleet_model.json"
+    path = f"{tmp_dir}/fleet_model.bin"
     pipeline.save(path)
     return path, sources[20:]
 

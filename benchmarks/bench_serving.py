@@ -58,7 +58,7 @@ def _train_models(tmp_dir):
         train, test = sources[:split], sources[split:][:UNIQUE_PER_TASK]
         pipeline = Pipeline(language=language, task=task, training={"epochs": EPOCHS})
         pipeline.train(train)
-        path = f"{tmp_dir}/serve_{language}_{task}.json"
+        path = f"{tmp_dir}/serve_{language}_{task}.bin"
         pipeline.save(path)
         models.append({"task": task, "language": language, "path": path, "test": test})
     return models

@@ -122,7 +122,7 @@ def run_all():
             )
         )
         pipeline.train(_sources(train_config))
-        model_path = f"{tmp_dir}/translate_{source_language}.json"
+        model_path = f"{tmp_dir}/translate_{source_language}.bin"
         pipeline.save(model_path)
         model_paths.append(model_path)
 

@@ -59,8 +59,7 @@ TRACKED: Dict[str, List[str]] = {
         "memory.stream_headroom",
     ],
     "BENCH_artifacts.json": [
-        "size.pruned_vs_json_ratio",
-        "load.speedup",
+        "size.pruned_vs_binary_ratio",
         "accuracy.pruned",
     ],
     "BENCH_fleet.json": [

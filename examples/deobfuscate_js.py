@@ -68,8 +68,8 @@ def main() -> None:
         names = ", ".join(name for name, _score in ranked)
         print(f"  {element:>14}: {names}")
 
-    print("\n=== Save / reload the trained pipeline ===")
-    model_path = os.path.join(tempfile.mkdtemp(), "deobfuscator.json")
+    print("\n=== Save / reload the trained pipeline (pigeon-model/1 artifact) ===")
+    model_path = os.path.join(tempfile.mkdtemp(), "deobfuscator.bin")
     pipeline.save(model_path)
     reloaded = Pipeline.load(model_path)
     assert reloaded.predict(STRIPPED) == predictions

@@ -9,7 +9,7 @@ architecture, and :mod:`repro.registry` for the registry mechanism.
 
 from ..registry import Registry, UnknownPluginError
 from .learners import CrfLearner, Word2vecLearner, learners
-from .pipeline import PIPELINE_FORMAT, Pipeline, PipelineStats, ScoringHandle
+from .pipeline import Pipeline, PipelineStats, ScoringHandle
 from .protocols import (
     CONTEXTS_VIEW,
     GRAPH_VIEW,
@@ -40,7 +40,6 @@ __all__ = [
     "Learner",
     "LearnerStats",
     "NoPathsRepresentation",
-    "PIPELINE_FORMAT",
     "ParsedProgram",
     "Pipeline",
     "PipelineStats",

@@ -1,8 +1,10 @@
 """The learner extension point and the two built-in learning engines.
 
 A learner consumes one feature view ("graph" or "contexts"), fits it,
-predicts labels for new programs, and can serialize its trained state to
-a JSON-ready dict (:meth:`state_dict` / :meth:`load_state`) so a whole
+predicts labels for new programs, and snapshots its trained state as a
+plain dict (:meth:`state_dict`).  The artifact codec
+(:mod:`repro.artifacts.codec`) packs that snapshot into a
+``pigeon-model/1`` file and restores it onto a fresh learner, so a whole
 :class:`~repro.api.Pipeline` persists to a single file and reloads with
 bit-identical predictions.
 
@@ -16,15 +18,11 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
 
-import numpy as np
-
 from ..core.interning import FeatureSpace
 from ..learning.crf import CrfModel, CrfTrainer, TrainingConfig
 from ..learning.crf.graph import CrfGraph
 from ..learning.crf.inference import label_ids, map_inference, topk_for_node
-from ..learning.word2vec import ContextPredictor, SgnsConfig, SgnsModel, train_sgns
-from ..learning.word2vec.sgns import restore_context_token
-from ..learning.word2vec.vocab import Vocabulary
+from ..learning.word2vec import ContextPredictor, SgnsConfig, train_sgns
 from ..registry import Registry
 from .protocols import CONTEXTS_VIEW, GRAPH_VIEW, ContextMap, LearnerStats
 
@@ -121,10 +119,6 @@ class CrfLearner(_LearnerBase):
         self._require_trained()
         return {"model": self.model.to_dict()}
 
-    def load_state(self, state: dict) -> None:
-        self.model = CrfModel.from_dict(state["model"])
-        self._compiled = None
-
 
 @learners.register("word2vec")
 class Word2vecLearner(_LearnerBase):
@@ -187,32 +181,12 @@ class Word2vecLearner(_LearnerBase):
             "words": list(model.words.id_to_token),
             "word_counts": [int(c) for c in model.words.counts],
             # Context tokens are strings (token-stream baselines) or
-            # interned (rel_id, value_id) pairs; pairs serialize as JSON
-            # arrays and are restored as int tuples on load.
-            "contexts": [
-                list(t) if isinstance(t, tuple) else t
-                for t in model.contexts.id_to_token
-            ],
+            # interned (rel_id, value_id) tuples; the codec packs tuples
+            # as an int matrix and restores them as int tuples on load.
+            "contexts": list(model.contexts.id_to_token),
             "context_counts": [int(c) for c in model.contexts.counts],
             "word_vectors": model.word_vectors.tolist(),
             "context_vectors": model.context_vectors.tolist(),
             "space": self._space.to_dict() if self._space is not None else None,
         }
 
-    def load_state(self, state: dict) -> None:
-        space_data = state.get("space")
-        self._space = (
-            FeatureSpace.from_dict(space_data) if space_data is not None else None
-        )
-        words = Vocabulary()
-        for token, count in zip(state["words"], state["word_counts"]):
-            words._add(str(token), int(count))
-        contexts = Vocabulary()
-        for token, count in zip(state["contexts"], state["context_counts"]):
-            contexts._add(restore_context_token(token), int(count))
-        dim = int(state["dim"])
-        word_vectors = np.asarray(state["word_vectors"], dtype=np.float64).reshape(len(words), dim)
-        context_vectors = np.asarray(state["context_vectors"], dtype=np.float64).reshape(len(contexts), dim)
-        self.predictor = ContextPredictor(
-            SgnsModel(words, contexts, word_vectors, context_vectors)
-        )

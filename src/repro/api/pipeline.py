@@ -13,9 +13,9 @@ train / predict / suggest / rename workflow of the paper's PIGEON tool
     pipeline.train(training_sources)
     pipeline.predict(source)                          # element -> name
     pipeline.suggest(source, k=5)                     # element -> top-k
-    pipeline.save("model.json")
+    pipeline.save("model.bin")                        # pigeon-model/1
     ...
-    Pipeline.load("model.json").predict(source)       # identical output
+    Pipeline.load("model.bin").predict(source)        # identical output
 
 Baselines are the same one-line change the paper describes::
 
@@ -33,7 +33,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..lang.base import languages, parse_source
 from ..resilience import faults
-from ..resilience.atomicio import read_stamped_json, stamped_json_bytes, atomic_write_bytes
 from ..resilience.checkpoint import (
     TrainerCheckpoint,
     corpus_fingerprint,
@@ -52,12 +51,6 @@ from .protocols import (
 from .representations import representations
 from .spec import RunSpec
 from .tasks import tasks
-
-#: On-disk format tag for saved pipelines.  Version 2 switched learner
-#: state to interned integer feature keys with an embedded FeatureSpace
-#: (and tuple word2vec context tokens); version 1 files cannot be read.
-PIPELINE_FORMAT = "pigeon-pipeline/2"
-
 
 @dataclass
 class PipelineStats:
@@ -98,8 +91,8 @@ class Pipeline:
         if binder is not None:
             binder(self.space)
         self.stats = PipelineStats()
-        #: The opened binary artifact backing this pipeline, when it was
-        #: loaded from a ``pigeon-model/1`` file (None otherwise).
+        #: The opened model artifact backing this pipeline, when it was
+        #: built by :meth:`load` (None otherwise).
         self.artifact = None
 
     @property
@@ -369,105 +362,62 @@ class Pipeline:
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-    def save(self, path: str, format: str = "json") -> None:
-        """Persist spec + trained learner state to one file.
+    def save(self, path: str, format: str = "binary") -> None:
+        """Persist spec + trained learner state as one model artifact.
 
-        ``format="json"`` (the writable default) emits the digest-stamped
-        ``pigeon-pipeline/2`` JSON file.  ``format="binary"`` emits a
-        ``pigeon-model/1`` artifact (see :mod:`repro.artifacts`): the
-        same state packed into mmap-ready numpy sections, which
-        :meth:`load` opens with near-zero cold-start and which N serving
-        processes on one box share through the OS page cache.
+        Writes a ``pigeon-model/1`` file (see :mod:`repro.artifacts`):
+        the learner state packed into mmap-ready numpy sections, which
+        :meth:`load` maps without parsing (one digest pass, no copy)
+        and which N serving processes on one box share through the OS
+        page cache.
+        ``"binary"`` is the only ``format``.  A pipeline loaded from a
+        pruned artifact is saved with the same prune provenance and
+        float32 weights, so saving is a faithful copy.
         """
+        if format != "binary":
+            raise ValueError(f"unknown save format {format!r} (only 'binary')")
         if not self.learner.trained:
             raise RuntimeError("call train() before save()")
         faults.fire("pipeline.save")
-        if format == "binary":
-            from ..artifacts import write_state_artifact
+        from ..artifacts import write_state_artifact
 
-            write_state_artifact(
-                os.fspath(path),
-                self.spec.to_dict(),
-                self.spec.learner,
-                self.learner.state_dict(),
-            )
-            return
-        if format != "json":
-            raise ValueError(f"unknown save format {format!r} (json or binary)")
-        payload = {
-            "format": PIPELINE_FORMAT,
-            "spec": self.spec.to_dict(),
-            "learner_state": self.learner.state_dict(),
-        }
-        # Digest-stamped + atomic: a crash leaves the old model or the
-        # complete new one, and Pipeline.load verifies the digest.
-        atomic_write_bytes(os.fspath(path), stamped_json_bytes(payload))
+        write_state_artifact(
+            os.fspath(path),
+            self.spec.to_dict(),
+            self.spec.learner,
+            self.learner.state_dict(),
+            prune=self.artifact.prune if self.artifact is not None else None,
+        )
 
     @classmethod
     def load(cls, path: str) -> "Pipeline":
-        """Rebuild a trained pipeline saved by :meth:`save`.
-
-        Sniffs the on-disk format -- ``pigeon-model/1`` binary artifacts
-        mmap in place (packed read-only weights, shared pages), JSON
-        pipelines parse as before -- and produces bit-identical
-        predictions and suggestion scores either way.  Torn or corrupt
-        files of either format raise
-        :class:`~repro.resilience.atomicio.CorruptArtifactError` with a
-        recovery hint.
-        """
-        from ..artifacts.format import is_model_artifact
-
-        if is_model_artifact(path):
-            return cls._load_binary(path)
-        payload = read_stamped_json(
-            path, hint="the saved model is torn -- retrain or restore a backup"
-        )
-        if not isinstance(payload, dict):
-            raise ValueError(f"{path!r} is not a saved pipeline")
-        fmt = payload.get("format")
-        if fmt == "pigeon-pipeline/1":
-            raise ValueError(
-                f"{path!r} was saved by a pre-interning release "
-                f"(format {fmt!r}); retrain and re-save it with this "
-                f"version (expected {PIPELINE_FORMAT!r})"
-            )
-        if fmt != PIPELINE_FORMAT:
-            raise ValueError(
-                f"{path!r} is not a saved pipeline (format {fmt!r}; "
-                f"expected {PIPELINE_FORMAT!r})"
-            )
-        pipeline = cls(RunSpec.from_dict(payload["spec"]))
-        pipeline.learner.load_state(payload["learner_state"])
-        pipeline._rebind_loaded_space()
-        return pipeline
-
-    @classmethod
-    def _load_binary(cls, path: str) -> "Pipeline":
-        """Open a ``pigeon-model/1`` artifact as a trained pipeline.
+        """Open a model artifact written by :meth:`save` as a trained pipeline.
 
         The learner adopts packed read-only state whose arrays are
-        zero-copy views over the artifact's mapping; the pipeline keeps
-        the opened :class:`~repro.artifacts.ModelArtifact` on
+        zero-copy views over the artifact's mapping, and predicts
+        bit-identically to the pipeline that saved it.  The pipeline
+        keeps the opened :class:`~repro.artifacts.ModelArtifact` on
         :attr:`artifact` (pinning the mapping and exposing header
-        metadata like prune provenance).
+        metadata like prune provenance).  The header stamp and the
+        payload digest are both checked before the learner is restored:
+        a torn, truncated, bit-flipped or foreign file raises
+        :class:`~repro.resilience.atomicio.CorruptArtifactError` with a
+        recovery hint, never a silently wrong model.
         """
         from ..artifacts import ModelArtifact, restore_learner
 
-        artifact = ModelArtifact.open(path)
+        artifact = ModelArtifact.open(path, verify_payload=True)
         pipeline = cls(RunSpec.from_dict(artifact.spec))
         restore_learner(pipeline.learner, artifact)
         pipeline.artifact = artifact
-        pipeline._rebind_loaded_space()
-        return pipeline
-
-    def _rebind_loaded_space(self) -> None:
         # The learner state carries the feature space its int keys index
         # into; the representation must intern new programs into the SAME
         # space or predict-time ids would not match the trained weights.
-        space = getattr(self.learner, "space", None)
-        rebind = getattr(self.representation, "bind_space", None)
+        space = getattr(pipeline.learner, "space", None)
+        rebind = getattr(pipeline.representation, "bind_space", None)
         if space is not None and rebind is not None:
             rebind(space)
+        return pipeline
 
 
 class ScoringHandle:

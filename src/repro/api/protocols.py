@@ -106,9 +106,11 @@ class Learner(Protocol):
     """A trainable model over one feature view.
 
     ``fit`` consumes a list of views (one per training program);
-    ``predict``/``suggest`` consume a single program's view.  The state
-    methods make a trained learner serializable to JSON so that
-    :meth:`repro.api.Pipeline.save` round-trips predictions exactly.
+    ``predict``/``suggest`` consume a single program's view.
+    ``state_dict`` snapshots a trained learner as plain data, which the
+    artifact codec (:mod:`repro.artifacts.codec`) packs for
+    :meth:`repro.api.Pipeline.save`; loading restores packed state
+    through the same codec, so predictions round-trip exactly.
     """
 
     name: str
@@ -125,5 +127,3 @@ class Learner(Protocol):
     def suggest(self, view, k: int = 5) -> Dict[str, List[Tuple[str, float]]]: ...
 
     def state_dict(self) -> dict: ...
-
-    def load_state(self, state: dict) -> None: ...

@@ -3,26 +3,20 @@
 Architecture
 ------------
 
-Saved pipelines historically had one on-disk shape: a digest-stamped
-JSON file (``pigeon-pipeline/2``) holding the :class:`~repro.api.spec.RunSpec`
-plus the learner's ``state_dict()``.  That format stays the writable
-default -- it is human-inspectable, diffable, and the only format the
-trainer emits without being asked.  But JSON is the wrong shape for a
-replica fleet: every serving process re-parses the whole file and
-rebuilds dict-of-float weight tables, paying N x cold-start latency and
-N x resident weight memory per box.
-
-This package adds the complementary read-optimized shape, split into
-three layers:
+A saved pipeline is one ``pigeon-model/1`` file: the
+:class:`~repro.api.spec.RunSpec` plus the learner's packed state, shaped
+so that every process of a serving fleet maps the same file instead of
+decoding and rebuilding weight tables.  The package has three layers:
 
 :mod:`repro.artifacts.format`
     the ``pigeon-model/1`` container: magic + digest-stamped JSON header
     + 64-byte-aligned numpy sections.  Opening verifies the header stamp
-    and section table (torn files raise
+    and section table (torn or foreign files raise
     :class:`~repro.resilience.atomicio.CorruptArtifactError`), then
     mmaps the file; sections are zero-copy numpy views, so N processes
     mapping one artifact share one copy of the weights through the OS
-    page cache and cold-start is O(header), not O(weights).
+    page cache.  ``Pipeline.load`` also hashes the payload against its
+    digest, so a bit flip in the weights is refused at load.
 :mod:`repro.artifacts.codec`
     per-learner packing (state dict -> sections) and restoring
     (sections -> a *packed*, read-only model).  The packed CRF model
@@ -31,15 +25,15 @@ three layers:
     <repro.learning.crf.compiled.CompiledCrfModel.from_buffers>` adopts
     the mmapped planes without copying -- and its vocab tables are
     :class:`~repro.core.interning.PackedVocab` lazy views.  Unpruned
-    artifacts predict **bit-identically** to their JSON twins.
+    artifacts predict **bit-identically** to the live pipeline that
+    saved them.
 :mod:`repro.artifacts.prune`
     the offline pruning pass: drop relations below a corpus-frequency
     floor, re-pack the vocab densely, and record provenance (floor,
     before/after sizes, declared accuracy-delta budget) in the header.
 
-Entry points: ``Pipeline.save(path, format="binary")`` /
-``Pipeline.load`` (which sniffs the format), and the ``pigeon model``
-CLI group (``pack`` / ``info`` / ``verify``).
+Entry points: ``Pipeline.save(path)`` / ``Pipeline.load(path)``, and the
+``pigeon model`` CLI group (``pack`` prunes, ``info``, ``verify``).
 """
 
 from __future__ import annotations
@@ -48,14 +42,7 @@ import os
 from typing import Any, Dict, Optional
 
 from .codec import PackedModelError, pack_learner_state, restore_learner
-from .format import (
-    MODEL_FORMAT,
-    MODEL_MAGIC,
-    ArtifactWriter,
-    ModelArtifact,
-    is_model_artifact,
-    sniff_format,
-)
+from .format import MODEL_FORMAT, MODEL_MAGIC, ArtifactWriter, ModelArtifact
 from .prune import DEFAULT_ACCURACY_DELTA_BUDGET, prune_state
 
 __all__ = [
@@ -66,12 +53,10 @@ __all__ = [
     "PackedModelError",
     "DEFAULT_ACCURACY_DELTA_BUDGET",
     "artifact_info",
-    "is_model_artifact",
     "pack_learner_state",
     "pack_model",
     "prune_state",
     "restore_learner",
-    "sniff_format",
     "write_state_artifact",
 ]
 
@@ -92,49 +77,42 @@ def write_state_artifact(
 def pack_model(
     source: str,
     dest: str,
-    format: str = "binary",
-    prune_min_count: Optional[int] = None,
+    prune_min_count: int,
     accuracy_delta_budget: Optional[float] = None,
 ) -> Dict[str, Any]:
-    """Re-pack a saved model (either format) into ``dest``.
+    """Prune a saved model into a new artifact at ``dest``.
 
     ``pigeon model pack`` in library form: loads ``source`` through
-    :meth:`Pipeline.load <repro.api.pipeline.Pipeline.load>` (so JSON
-    and binary inputs both work), optionally prunes, and writes the
-    requested output format.  Returns a summary dict (formats, sizes,
-    prune provenance).
+    :meth:`Pipeline.load <repro.api.pipeline.Pipeline.load>`, drops
+    relations observed fewer than ``prune_min_count`` times (see
+    :func:`prune_state`), and writes the result with its prune
+    provenance in the header.  An artifact that is already pruned is
+    refused: its float32 weights and provenance describe the original
+    model, so pruning must start from the unpruned artifact.  Returns a
+    summary dict (sizes, prune provenance).
     """
-    from ..api.pipeline import PIPELINE_FORMAT, Pipeline
-    from ..resilience.atomicio import atomic_write_bytes, stamped_json_bytes
+    from ..api.pipeline import Pipeline
 
-    if format not in ("binary", "json"):
-        raise ValueError(f"unknown artifact format {format!r} (binary or json)")
     pipeline = Pipeline.load(source)
+    if pipeline.artifact.prune is not None:
+        raise ValueError(
+            f"{os.fspath(source)!r} is already pruned (min_rel_count="
+            f"{pipeline.artifact.prune.get('min_rel_count')}); prune the "
+            f"unpruned artifact instead"
+        )
     learner_name = pipeline.spec.learner
-    state = pipeline.learner.state_dict()
-    provenance = None
-    if prune_min_count is not None:
-        state, provenance = prune_state(
-            learner_name, state, prune_min_count, accuracy_delta_budget
-        )
-    if format == "binary":
-        write_state_artifact(
-            dest, pipeline.spec.to_dict(), learner_name, state, prune=provenance
-        )
-    else:
-        payload = {
-            "format": PIPELINE_FORMAT,
-            "spec": pipeline.spec.to_dict(),
-            "learner_state": state,
-        }
-        if provenance is not None:
-            payload["prune"] = provenance
-        atomic_write_bytes(os.fspath(dest), stamped_json_bytes(payload))
+    state, provenance = prune_state(
+        learner_name,
+        pipeline.learner.state_dict(),
+        prune_min_count,
+        accuracy_delta_budget,
+    )
+    write_state_artifact(
+        dest, pipeline.spec.to_dict(), learner_name, state, prune=provenance
+    )
     return {
         "source": os.fspath(source),
         "dest": os.fspath(dest),
-        "source_format": sniff_format(source),
-        "dest_format": format,
         "cell": pipeline.spec.cell(),
         "source_bytes": os.path.getsize(source),
         "dest_bytes": os.path.getsize(dest),
@@ -143,45 +121,26 @@ def pack_model(
 
 
 def artifact_info(path: str) -> Dict[str, Any]:
-    """Header-level summary of a saved model in either format."""
+    """Header-level summary of a saved model artifact."""
     path = os.fspath(path)
-    if is_model_artifact(path):
-        artifact = ModelArtifact.open(path)
-        sections = [
-            {
-                "name": entry["name"],
-                "dtype": entry["dtype"],
-                "shape": entry["shape"],
-                "nbytes": entry["nbytes"],
-            }
-            for entry in artifact.header.get("sections", ())
-        ]
-        return {
-            "path": path,
-            "kind": "binary",
-            "format": MODEL_FORMAT,
-            "learner": artifact.learner,
-            "spec": artifact.spec,
-            "meta": artifact.meta,
-            "prune": artifact.prune,
-            "sections": sections,
-            "payload_bytes": sum(entry["nbytes"] for entry in sections),
-            "file_bytes": os.path.getsize(path),
+    artifact = ModelArtifact.open(path)
+    sections = [
+        {
+            "name": entry["name"],
+            "dtype": entry["dtype"],
+            "shape": entry["shape"],
+            "nbytes": entry["nbytes"],
         }
-    from ..resilience.atomicio import read_stamped_json
-
-    payload = read_stamped_json(
-        path, hint="the saved model is torn -- retrain or restore a backup"
-    )
-    spec = payload.get("spec", {}) if isinstance(payload, dict) else {}
+        for entry in artifact.header.get("sections", ())
+    ]
     return {
         "path": path,
-        "kind": "json",
-        "format": payload.get("format") if isinstance(payload, dict) else None,
-        "learner": spec.get("learner"),
-        "spec": spec,
-        "prune": payload.get("prune") if isinstance(payload, dict) else None,
-        "sections": [],
-        "payload_bytes": os.path.getsize(path),
+        "format": MODEL_FORMAT,
+        "learner": artifact.learner,
+        "spec": artifact.spec,
+        "meta": artifact.meta,
+        "prune": artifact.prune,
+        "sections": sections,
+        "payload_bytes": sum(entry["nbytes"] for entry in sections),
         "file_bytes": os.path.getsize(path),
     }

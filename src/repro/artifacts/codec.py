@@ -1,6 +1,6 @@
 """Learner state <-> artifact sections, plus the packed (read-only) models.
 
-One codec per built-in learner turns the JSON-ready
+One codec per built-in learner turns the plain-data
 ``learner.state_dict()`` into numpy sections for
 :class:`~repro.artifacts.format.ArtifactWriter`, and restores a loaded
 :class:`~repro.artifacts.format.ModelArtifact` back onto a fresh
@@ -17,17 +17,17 @@ learner.  Restoring never rebuilds the dict-of-floats representation:
 * the word2vec learner gets an :class:`~repro.learning.word2vec.SgnsModel`
   whose embedding matrices are zero-copy views of the mapping.
 
-**Bit-identity** with the JSON path is the contract: candidate counters
-are stored in ``most_common`` order (stable descending count -- so any
-``most_common(n)`` prefix is exactly what ``Counter.most_common(n)``
-returns, ties included), weights keep their exact float64 bits, and the
-packed combined keys use the same ``row * label_base + label`` layout
-the live compiler builds.
+**Bit-identity** with the live trained model is the contract: candidate
+counters are stored in ``most_common`` order (stable descending count --
+so any ``most_common(n)`` prefix is exactly what
+``Counter.most_common(n)`` returns, ties included), weights keep their
+exact float64 bits, and the packed combined keys use the same
+``row * label_base + label`` layout the live compiler builds.
 
-Packed models are **read-only**: training-path mutators raise with a
-pointer at re-packing from a JSON model.  ``state_dict()`` still works
-(``pigeon model pack`` can convert binary back to JSON), materializing
-plain dicts on demand -- an offline operation, never the serving path.
+Packed models are **read-only**: training-path mutators raise.
+``state_dict()`` still works (``pigeon model pack`` prunes from it),
+materializing plain dicts on demand -- an offline operation, never the
+serving path.
 """
 
 from __future__ import annotations
@@ -37,15 +37,15 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from ..core.interning import FeatureSpace, PackedVocab
-from .format import ArtifactWriter, ModelArtifact, pack_strings
+from .format import MODEL_FORMAT, ArtifactWriter, ModelArtifact, pack_strings
 
 #: Mirrors :data:`repro.learning.crf.compiled.UNARY_OTHER` without
 #: importing the learning stack at module import time.
 _UNARY_OTHER = -1
 
 _READ_ONLY_HINT = (
-    "binary-loaded (packed) models are read-only; re-train, or re-pack "
-    "from a JSON model with 'pigeon model pack' to modify weights"
+    "models loaded from an artifact are read-only; re-train to modify "
+    "weights"
 )
 
 
@@ -115,10 +115,10 @@ class PackedCandidateIndex:
         counts: np.ndarray,
     ) -> None:
         if contexts.ndim == 2:
-            keys = map(tuple, contexts.tolist())
+            keys = zip(*contexts.T.tolist())
         else:
-            keys = iter(contexts.tolist())
-        self._row_of: Dict[Any, int] = {key: i for i, key in enumerate(keys)}
+            keys = contexts.tolist()
+        self._row_of: Dict[Any, int] = dict(zip(keys, range(len(contexts))))
         self._offsets = offsets
         self._labels = labels
         self._counts = counts
@@ -253,10 +253,12 @@ class _WeightPack:
         self.keys = keys
         self.weights = weights
         self.label_base = int(label_base)
-        rows = groups.tolist()
-        self.group_of: Dict[Tuple[int, int], int] = {
-            (rel, other): i for i, (rel, other) in enumerate(rows)
-        }
+        # Column lists zipped into row tuples: the fastest way from a
+        # numpy (n, 2) array to a dict of int pairs, and load time is
+        # dominated by building these two lookup dicts.
+        self.group_of: Dict[Tuple[int, int], int] = dict(
+            zip(zip(*groups.T.tolist()), range(len(groups)))
+        )
 
 
 # ----------------------------------------------------------------------
@@ -564,8 +566,8 @@ def pack_learner_state(
     packer = _PACKERS.get(learner)
     if packer is None:
         raise ValueError(
-            f"the binary model format supports learners "
-            f"{sorted(_PACKERS)}; {learner!r} models must stay JSON"
+            f"the {MODEL_FORMAT} format supports learners "
+            f"{sorted(_PACKERS)}; cannot save a {learner!r} model"
         )
     packer(writer, state)
 

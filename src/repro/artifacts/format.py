@@ -22,8 +22,12 @@ section table (a torn ``write`` is caught without hashing megabytes of
 weights), then mmaps the file.  Sections come back as zero-copy numpy
 views over the mapping -- N serving processes on one box share one copy
 of the weights through the OS page cache.  :meth:`ModelArtifact.verify`
-(``pigeon model verify``) additionally hashes the payload region against
-``payload_digest``.
+additionally hashes the payload region against ``payload_digest``;
+:meth:`~repro.api.Pipeline.load` (and so every ``pigeon`` command that
+reads a model) and ``pigeon model verify`` open with
+``verify_payload=True``, so a bit flip inside the weights is refused
+before anything is predicted from it.  ``pigeon model info`` reads the
+header alone.
 
 Integrity failures raise the stack's structured
 :class:`~repro.resilience.atomicio.CorruptArtifactError`, never a
@@ -51,7 +55,7 @@ from ..resilience.atomicio import (
 #: readers refuse other versions with a clear error.
 MODEL_FORMAT = "pigeon-model/1"
 
-#: First bytes of every binary model artifact (the sniffing key).
+#: First bytes of every model artifact.
 MODEL_MAGIC = (MODEL_FORMAT + "\n").encode("ascii")
 
 #: Section alignment: every section (and the payload region itself)
@@ -64,20 +68,6 @@ _HEADER_SIZE_STRUCT = struct.Struct("<Q")
 
 def _aligned(offset: int) -> int:
     return (offset + ALIGN - 1) // ALIGN * ALIGN
-
-
-def is_model_artifact(path: str) -> bool:
-    """Whether ``path`` starts with the ``pigeon-model/1`` magic bytes."""
-    try:
-        with open(os.fspath(path), "rb") as handle:
-            return handle.read(len(MODEL_MAGIC)) == MODEL_MAGIC
-    except OSError:
-        return False
-
-
-def sniff_format(path: str) -> str:
-    """``"binary"`` for a ``pigeon-model/1`` file, else ``"json"``."""
-    return "binary" if is_model_artifact(path) else "json"
 
 
 class ArtifactWriter:
@@ -178,13 +168,11 @@ class ModelArtifact:
         Cheap by design: the header stamp and the file-size check catch
         torn or truncated files without faulting in the weight pages.
         ``verify_payload=True`` additionally hashes the payload region
-        (what ``pigeon model verify`` does).
+        (what :meth:`~repro.api.Pipeline.load` and ``pigeon model
+        verify`` do).
         """
         path = os.fspath(path)
-        hint = (
-            "re-pack the artifact with 'pigeon model pack' (or re-save "
-            "the pipeline) from a good model file"
-        )
+        hint = "retrain or restore a backup of the model file"
         with open(path, "rb") as handle:
             magic = handle.read(len(MODEL_MAGIC))
             if magic != MODEL_MAGIC:
@@ -256,7 +244,7 @@ class ModelArtifact:
             raise CorruptArtifactError(
                 path,
                 detail=f"unknown model artifact format {fmt!r} (expected {MODEL_FORMAT!r})",
-                hint="upgrade this installation, or re-pack the model with it",
+                hint="upgrade this installation, or retrain the model with it",
             )
         return header
 
@@ -309,17 +297,17 @@ class ModelArtifact:
         payload_size = 0
         for entry in self.header.get("sections", ()):
             payload_size = max(payload_size, entry["offset"] + entry["nbytes"])
-        view = memoryview(self._map)[
-            self._payload_start : self._payload_start + payload_size
-        ]
-        actual = artifact_digest(bytes(view))
+        with memoryview(self._map) as whole:
+            actual = artifact_digest(
+                whole[self._payload_start : self._payload_start + payload_size]
+            )
         expected = self.header.get("payload_digest")
         if actual != expected:
             raise CorruptArtifactError(
                 self.path,
                 expected=expected,
                 actual=actual,
-                hint="the weight sections are corrupt -- re-pack the artifact",
+                hint="the weight sections are corrupt -- retrain or restore a backup",
             )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

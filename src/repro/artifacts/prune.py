@@ -1,8 +1,8 @@
 """Offline model pruning: corpus-frequency floors + dense vocab re-pack.
 
-Operates on the plain ``learner.state_dict()`` JSON state (never on live
-models), so pruning composes with both output formats: prune-then-pack
-for binary artifacts, prune-then-save for JSON.
+Operates on the plain ``learner.state_dict()`` snapshot (never on live
+models); :func:`repro.artifacts.pack_model` prunes a loaded artifact's
+state and packs the result into a new artifact.
 
 The floor is a **relation observation count**: a relation (abstract path
 id) observed fewer than ``min_rel_count`` times across the training
@@ -20,13 +20,14 @@ candidate tie-breaks (ranked by label *string*) are unaffected by the
 remap itself -- any accuracy delta comes from the dropped evidence, not
 from id shuffling.
 
-The caller records the declared ``accuracy_delta_budget`` in the
-returned provenance (and thus in the artifact header);
+The declared ``accuracy_delta_budget`` (a fraction in [0, 1]) is
+recorded in the returned provenance and thus in the artifact header;
 ``benchmarks/bench_artifacts.py`` measures the actual delta against it.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -224,4 +225,8 @@ def prune_state(
         if accuracy_delta_budget is None
         else float(accuracy_delta_budget)
     )
+    if not (math.isfinite(budget) and 0.0 <= budget <= 1.0):
+        raise ValueError(
+            f"accuracy_delta_budget must be a fraction in [0, 1], got {budget}"
+        )
     return pruner(state, int(min_rel_count), budget)

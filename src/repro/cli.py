@@ -4,9 +4,9 @@ Usage::
 
     python -m repro.cli languages [--json]        # supported languages
     python -m repro.cli cells [--json]            # valid registry cells
-    python -m repro.cli paths <file>              # print path-contexts
     python -m repro.cli extract [files...]        # corpus-scale extraction
-                                                  # stats (optionally --workers N)
+                                                  # stats (optionally --workers N;
+                                                  # --show prints every context)
     python -m repro.cli shard build --out DIR ... # persist a corpus as shards
     python -m repro.cli shard build --out DIR --partition 2/4 ...
                                                   # build one machine's slice
@@ -16,25 +16,23 @@ Usage::
                                                   # into one validated set
     python -m repro.cli shard info DIR            # inspect/verify a shard set
     python -m repro.cli shard merge DIR           # merge shard vocabs
-    python -m repro.cli train --model m.json ...  # train + save a pipeline
-    python -m repro.cli train --model m.bin --format binary ...
-                                                  # save a mmap-ready binary
-                                                  # artifact instead of JSON
-    python -m repro.cli train --model m.json --shards DIR
+    python -m repro.cli train --model m.bin ...   # train + save a pipeline as
+                                                  # a pigeon-model/1 artifact
+    python -m repro.cli train --model m.bin --shards DIR
                                                   # stream a sharded corpus
                                                   # through training instead
-    python -m repro.cli model pack IN OUT [--prune-min-count N] [--format binary]
-                                                  # re-pack (and optionally
-                                                  # prune) a saved model
+    python -m repro.cli model pack IN OUT --prune-min-count N
+                                                  # prune a saved model into
+                                                  # a new artifact
     python -m repro.cli model info PATH           # header, sections, sizes,
                                                   # prune provenance
     python -m repro.cli model verify PATH         # full integrity check
-    python -m repro.cli predict --model m.json <file> [--top K]
+    python -m repro.cli predict --model m.bin <file> [--top K]
     python -m repro.cli predict --server URL <file>
                                                   # thin client against a
                                                   # running prediction server
-    python -m repro.cli serve --model m.json      # async batched HTTP server
-    python -m repro.cli fleet serve --model m.json --replicas 3
+    python -m repro.cli serve --model m.bin       # async batched HTTP server
+    python -m repro.cli fleet serve --model m.bin --replicas 3
                                                   # consistent-hash router over
                                                   # N shared-nothing replicas
     python -m repro.cli fleet stats [URL]         # merged fleet statistics
@@ -57,7 +55,7 @@ import os
 import sys
 from typing import List, Optional
 
-from . import ExtractionConfig, PathExtractor, parse_source, supported_languages
+from . import ExtractionConfig, supported_languages
 from .core.service import ExtractionService
 from .api import Pipeline, RunSpec
 from .corpus import deduplicate, generate_corpus
@@ -120,21 +118,6 @@ def cmd_cells(args: argparse.Namespace) -> int:
     else:
         for spec in specs:
             print(spec.cell())
-    return 0
-
-
-def cmd_paths(args: argparse.Namespace) -> int:
-    language = _guess_language(args.file, args.language)
-    ast = parse_source(language, _read(args.file))
-    extractor = PathExtractor(
-        ExtractionConfig(
-            max_length=args.max_length,
-            max_width=args.max_width,
-            include_semi_paths=args.semi_paths,
-        )
-    )
-    for extracted in extractor.extract(ast):
-        print(extracted.context)
     return 0
 
 
@@ -388,8 +371,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         checkpoint=checkpoint,
         resume=resume,
     )
-    pipeline.save(args.model, format=args.format)
-    print(json.dumps(_train_report(args.model, spec, stats, format=args.format)))
+    pipeline.save(args.model)
+    print(json.dumps(_train_report(args.model, spec, stats)))
     return 0
 
 
@@ -434,14 +417,8 @@ def _train_from_shards(args: argparse.Namespace) -> int:
     stats = pipeline.train(
         shards=shard_set, merged=args.merged, checkpoint=checkpoint, resume=resume
     )
-    pipeline.save(args.model, format=args.format)
-    print(
-        json.dumps(
-            _train_report(
-                args.model, spec, stats, shards=len(shard_set), format=args.format
-            )
-        )
-    )
+    pipeline.save(args.model)
+    print(json.dumps(_train_report(args.model, spec, stats, shards=len(shard_set))))
     return 0
 
 
@@ -450,11 +427,9 @@ def _train_report(
     spec: RunSpec,
     stats,
     shards: Optional[int] = None,
-    format: str = "json",
 ) -> dict:
     report = {
         "model": model,
-        "format": format,
         "spec": spec.to_dict(),
         "files_trained": stats.files_trained,
         "elements_trained": stats.elements_trained,
@@ -472,7 +447,6 @@ def cmd_model_pack(args: argparse.Namespace) -> int:
     info = pack_model(
         args.input,
         args.output,
-        format=args.format,
         prune_min_count=args.prune_min_count,
         accuracy_delta_budget=args.accuracy_delta_budget,
     )
@@ -493,7 +467,7 @@ def cmd_model_info(args: argparse.Namespace) -> int:
         for axis in ("language", "task", "representation", "learner")
     )
     print(
-        f"{info['path']}: {info['kind']} ({info['format']}), cell {cell}, "
+        f"{info['path']}: {info['format']}, cell {cell}, "
         f"{info['file_bytes']} bytes"
     )
     if info["prune"]:
@@ -512,20 +486,10 @@ def cmd_model_info(args: argparse.Namespace) -> int:
 
 
 def cmd_model_verify(args: argparse.Namespace) -> int:
-    from .artifacts import ModelArtifact, is_model_artifact
-    from .resilience.atomicio import read_stamped_json
+    from .artifacts import ModelArtifact
 
-    if is_model_artifact(args.path):
-        ModelArtifact.open(args.path, verify_payload=True)
-        kind = "binary"
-    else:
-        read_stamped_json(
-            args.path,
-            require_digest=True,
-            hint="the saved model is torn -- retrain or restore a backup",
-        )
-        kind = "json"
-    print(f"{args.path}: OK ({kind}; digests verified)")
+    ModelArtifact.open(args.path, verify_payload=True)
+    print(f"{args.path}: OK (digests verified)")
     return 0
 
 
@@ -845,14 +809,6 @@ def build_parser() -> argparse.ArgumentParser:
     cells.add_argument("--json", action="store_true", help="emit full RunSpec JSON")
     cells.set_defaults(func=cmd_cells)
 
-    paths = sub.add_parser("paths", help="print path-contexts of a file")
-    paths.add_argument("file")
-    paths.add_argument("--language", default=None)
-    paths.add_argument("--max-length", type=int, default=7)
-    paths.add_argument("--max-width", type=int, default=3)
-    paths.add_argument("--semi-paths", action="store_true")
-    paths.set_defaults(func=cmd_paths)
-
     extract = sub.add_parser(
         "extract", help="batch-extract path-contexts and report corpus stats"
     )
@@ -877,7 +833,7 @@ def build_parser() -> argparse.ArgumentParser:
             "  pigeon shard build src/*.js --out shards/ --shard-size 64\n"
             "  pigeon shard info shards/ --verify\n"
             "  pigeon shard merge shards/ --out merged.json\n"
-            "  pigeon train --model m.json --shards shards/\n"
+            "  pigeon train --model m.bin --shards shards/\n"
             "\n"
             "shards are independent (build them on as many cores or machines\n"
             "as you like); merging replays their vocabularies in shard order,\n"
@@ -962,13 +918,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     train = sub.add_parser("train", help="train a pipeline and save it to a model file")
     train.add_argument("files", nargs="*", help="training files (default: generated corpus)")
-    train.add_argument("--model", required=True, help="output model file")
     train.add_argument(
-        "--format",
-        default="json",
-        choices=("json", "binary"),
-        help="saved-model format: json (writable default) or binary "
-        "(mmap-ready pigeon-model/1 artifact for serving fleets)",
+        "--model", required=True, help="output model file (pigeon-model/1 artifact)"
     )
     train.add_argument(
         "--shards",
@@ -1013,31 +964,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     model = sub.add_parser(
         "model",
-        help="inspect, verify, and re-pack saved model artifacts",
-        description="The unified artifact surface: pack converts between "
-        "the JSON pipeline format and the mmap-ready pigeon-model/1 "
-        "binary container (optionally pruning rare relations), info "
-        "prints the header and section table, verify checks every "
-        "digest.",
+        help="inspect, verify, and prune saved model artifacts",
+        description="The pigeon-model/1 artifact surface: pack prunes rare "
+        "relations into a new artifact, info prints the header and section "
+        "table, verify checks every digest.",
     )
     model_sub = model.add_subparsers(dest="model_command", required=True)
 
     model_pack = model_sub.add_parser(
-        "pack",
-        help="re-pack a saved model (either format) into json or binary",
+        "pack", help="prune a saved model into a new artifact"
     )
-    model_pack.add_argument("input", help="saved model (JSON pipeline or binary artifact)")
+    model_pack.add_argument("input", help="saved (unpruned) model artifact")
     model_pack.add_argument("output", help="output artifact path")
-    model_pack.add_argument(
-        "--format",
-        default="binary",
-        choices=("binary", "json"),
-        help="output format (default: binary)",
-    )
     model_pack.add_argument(
         "--prune-min-count",
         type=int,
-        default=None,
+        required=True,
         metavar="N",
         help="drop weights/candidates whose relation was observed fewer "
         "than N times in training, then re-pack the vocab densely",
@@ -1071,8 +1013,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="predict with a saved model (or against a server), emit JSON",
         epilog=(
             "examples:\n"
-            "  pigeon predict --model m.json program.js\n"
-            "  pigeon predict --model m.json program.js --top 5\n"
+            "  pigeon predict --model m.bin program.js\n"
+            "  pigeon predict --model m.bin program.js --top 5\n"
             "  pigeon predict --server http://localhost:8017 program.js\n"
             "  pigeon predict --server localhost:8017 --task method_naming f.py\n"
         ),
@@ -1109,10 +1051,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve saved models over async batched HTTP",
         epilog=(
             "examples:\n"
-            "  pigeon train --model m.json --language javascript\n"
-            "  pigeon serve --model m.json --port 8017\n"
-            "  pigeon serve --model vars.json --model methods.json\n"
-            "  pigeon fleet serve --model m.json --replicas 4   # more cores\n"
+            "  pigeon train --model m.bin --language javascript\n"
+            "  pigeon serve --model m.bin --port 8017\n"
+            "  pigeon serve --model vars.bin --model methods.bin\n"
+            "  pigeon fleet serve --model m.bin --replicas 4   # more cores\n"
             "\n"
             "  curl -s localhost:8017/healthz\n"
             "  curl -s localhost:8017/stats\n"
@@ -1157,9 +1099,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run and inspect a consistent-hash fleet of serving replicas",
         epilog=(
             "examples:\n"
-            "  pigeon fleet serve --model m.json --replicas 3\n"
-            "  pigeon fleet serve --model m.json --replicas 3 --base-port 8100\n"
-            "  pigeon fleet serve --model m.json --replicas 2 --in-process\n"
+            "  pigeon fleet serve --model m.bin --replicas 3\n"
+            "  pigeon fleet serve --model m.bin --replicas 3 --base-port 8100\n"
+            "  pigeon fleet serve --model m.bin --replicas 2 --in-process\n"
             "  pigeon fleet stats http://127.0.0.1:8016\n"
             "  pigeon fleet reload http://127.0.0.1:8016\n"
             "  pigeon predict --fleet http://127.0.0.1:8016 program.js\n"

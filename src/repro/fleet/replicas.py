@@ -27,15 +27,15 @@ server on a background event loop in this process), ``ProcessReplica``
 ``AdoptedReplica`` (a URL someone else manages; probed and routed to,
 never restarted).
 
-Model files may be either saved-pipeline format --
-:meth:`~repro.api.pipeline.Pipeline.load` sniffs JSON vs the binary
-``pigeon-model/1`` container, so ``POST /fleet/reload`` rolls a fleet
-onto a new artifact of either kind transparently.  Point every replica
-on a box at the *same* binary artifact: each process mmaps it instead of
-parsing JSON, so cold-start (and therefore rolling-restart downtime) is
-near-zero and the OS page cache keeps one shared copy of the weights no
-matter how many replicas serve it (weight memory O(1) per box instead
-of O(replicas)).
+Model files are ``pigeon-model/1`` artifacts
+(:meth:`~repro.api.pipeline.Pipeline.load`), so ``POST /fleet/reload``
+rolls a fleet onto a new artifact by restarting replicas on it.  Point
+every replica on a box at the *same* artifact: each process mmaps it
+and checks its digest without parsing or copying the weights, so
+cold-start (and therefore rolling-restart downtime) stays small and
+the OS page cache keeps one shared copy of the weights no matter how
+many replicas serve it (weight memory O(1) per box instead of
+O(replicas)).
 """
 
 from __future__ import annotations

@@ -15,9 +15,10 @@ All weight and index keys are **integer tuples** over the model's
 are value-vocab ids, relations are path-vocab ids; labels intern once at
 the boundary (:meth:`label_id`).  Scoring lives in the vectorised
 :class:`~repro.learning.crf.compiled.CompiledCrfModel` (:meth:`compile`).
-Serialization is vocab-aware -- :meth:`to_dict` embeds the space, so a
-reloaded model resolves the same ids to the same strings and predictions
-round-trip bit-identically.
+Snapshots are vocab-aware -- :meth:`to_dict` embeds the space, so a
+model packed into an artifact (:mod:`repro.artifacts.codec`) resolves
+the same ids to the same strings on load and predictions round-trip
+bit-identically.
 
 The *candidate index* maps observed ``(rel, neighbour-label)`` contexts to
 the gold labels seen with them in training -- the mechanism Nice2Predict
@@ -293,10 +294,10 @@ class CrfModel:
         return items[:n]
 
     def to_dict(self) -> dict:
-        """Vocab-aware JSON-ready snapshot; inverse of :meth:`from_dict`.
+        """Vocab-aware plain-data snapshot (what the artifact codec packs).
 
-        Int-tuple keys serialize as arrays; the feature space rides along
-        so the ids stay meaningful in any process.
+        Int-tuple keys flatten to rows; the feature space rides along so
+        the ids stay meaningful in any process.
         """
         return {
             "space": self.space.to_dict(),
@@ -318,30 +319,3 @@ class CrfModel:
             "label_counts": list(self.label_counts.items()),
             "use_unary": self.use_unary,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CrfModel":
-        """Rebuild a model from a :meth:`to_dict` snapshot.
-
-        The model adopts the snapshot's own (detached) feature space,
-        keeping the stored ids verbatim -- :meth:`~repro.api.Pipeline.load`
-        then rebinds its representation onto the restored space.
-        """
-        space = FeatureSpace.from_dict(data.get("space", {}))
-        model = cls(use_unary=data.get("use_unary", True), space=space)
-        for label, r, other, weight in data.get("pair_weights", ()):
-            model.pair_weights[(int(label), int(r), int(other))] = weight
-        for label, r, weight in data.get("unary_weights", ()):
-            model.unary_weights[(int(label), int(r))] = weight
-        for r, other, counts in data.get("candidate_index", ()):
-            model.candidate_index[(int(r), int(other))].update(
-                {int(label): count for label, count in counts}
-            )
-        for r, counts in data.get("unary_candidate_index", ()):
-            model.unary_candidate_index[int(r)].update(
-                {int(label): count for label, count in counts}
-            )
-        model.label_counts.update(
-            {int(label): count for label, count in data.get("label_counts", ())}
-        )
-        return model

@@ -83,34 +83,6 @@ class SgnsModel:
             return 0.0
         return float(va @ vb / denom)
 
-    def save(self, path: str) -> None:
-        """Persist vocabularies and embedding matrices (.npz)."""
-        # Context tokens may be (rel_id, value_id) tuples; a plain
-        # np.asarray would stack those into a 2-D int array and lose the
-        # token structure, so build the 1-D object array explicitly.
-        context_tokens = np.empty(len(self.contexts.id_to_token), dtype=object)
-        context_tokens[:] = self.contexts.id_to_token
-        np.savez_compressed(
-            path,
-            word_tokens=np.asarray(self.words.id_to_token, dtype=object),
-            word_counts=np.asarray(self.words.counts, dtype=np.int64),
-            context_tokens=context_tokens,
-            context_counts=np.asarray(self.contexts.counts, dtype=np.int64),
-            word_vectors=self.word_vectors,
-            context_vectors=self.context_vectors,
-        )
-
-    @classmethod
-    def load(cls, path: str) -> "SgnsModel":
-        data = np.load(path, allow_pickle=True)
-        words = Vocabulary()
-        for token, count in zip(data["word_tokens"], data["word_counts"]):
-            words._add(str(token), int(count))
-        contexts = Vocabulary()
-        for token, count in zip(data["context_tokens"], data["context_counts"]):
-            contexts._add(restore_context_token(token), int(count))
-        return cls(words, contexts, data["word_vectors"], data["context_vectors"])
-
     def most_similar(self, word: str, k: int = 10) -> List[Tuple[str, float]]:
         """Nearest word embeddings by cosine -- used for Table 4b."""
         vec = self.word_vector(word)
@@ -255,21 +227,6 @@ def _mean_scatter_update(
     accumulated = np.zeros((len(unique), matrix.shape[1]))
     np.add.at(accumulated, inverse, grads)
     matrix[unique] -= lr * accumulated / counts[:, None]
-
-
-def restore_context_token(token):
-    """Normalise a deserialized context token.
-
-    Context tokens are either plain strings (token-stream baselines) or
-    interned ``(rel_id, value_id)`` int pairs (AST-path contexts); the
-    pairs come back from JSON as lists and from numpy object arrays as
-    tuples of numpy ints, so both are folded back to ``Tuple[int, int]``.
-    """
-    if isinstance(token, str):
-        return token
-    if isinstance(token, (list, tuple, np.ndarray)):
-        return tuple(int(part) for part in token)
-    return str(token)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

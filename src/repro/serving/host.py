@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..api.pipeline import Pipeline, ScoringHandle
 from ..api.protocols import ParsedProgram
-from ..artifacts.format import sniff_format
 
 
 @dataclass(frozen=True)
@@ -50,9 +49,8 @@ class ModelHost:
             raise ValueError("ModelHost needs at least one saved model file")
         self.model_paths: List[str] = list(model_paths)
         self.handles: Dict[Tuple[str, str], ScoringHandle] = {}
-        #: cell -> {path, format, load_ms}: cold-start cost per model,
-        #: exposed under ``/stats`` so the JSON-vs-binary artifact choice
-        #: is visible in production instead of being invisible startup tax.
+        #: cell -> {path, load_ms}: cold-start cost per model, exposed
+        #: under ``/stats`` so startup tax is visible in production.
         self.load_info: Dict[str, Dict[str, object]] = {}
         for path in self.model_paths:
             started = time.perf_counter()
@@ -67,12 +65,11 @@ class ModelHost:
             self.handles[key] = handle
             self.load_info[handle.cell] = {
                 "path": path,
-                "format": sniff_format(path),
                 "load_ms": round(load_ms, 3),
             }
 
     def model_stats(self) -> Dict[str, Dict[str, object]]:
-        """Per-model artifact format and load latency (for ``/stats``)."""
+        """Per-model artifact path and load latency (for ``/stats``)."""
         return {cell: dict(info) for cell, info in self.load_info.items()}
 
     # ------------------------------------------------------------------

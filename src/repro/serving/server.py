@@ -293,7 +293,7 @@ class PredictionServer:
             "cache": self.cache.stats(),
             "batcher": self.batcher.stats(),
             "extraction": extraction,
-            # Per-model artifact format and cold-start load latency.
+            # Per-model artifact path and cold-start load latency.
             "models": self.host.model_stats(),
         }
 

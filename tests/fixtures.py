@@ -66,3 +66,14 @@ namespace Demo.App {
     }
 }
 """
+
+
+def crf_artifact_round_trip(model, path):
+    """Pack a bare CRF model into a pigeon-model/1 artifact and load it back."""
+    from repro.api import CrfLearner
+    from repro.artifacts import ModelArtifact, restore_learner, write_state_artifact
+
+    write_state_artifact(str(path), {}, "crf", {"model": model.to_dict()})
+    learner = CrfLearner()
+    restore_learner(learner, ModelArtifact.open(str(path), verify_payload=True))
+    return learner.model

@@ -207,9 +207,10 @@ class TestPersistence:
     def test_crf_save_load_identical_predictions(self, tmp_path):
         pipeline = Pipeline(language="javascript", training={"epochs": 3})
         pipeline.train(TRAIN_JS)
-        path = str(tmp_path / "model.json")
+        path = str(tmp_path / "model.bin")
         pipeline.save(path)
         reloaded = Pipeline.load(path)
+        assert reloaded.artifact is not None
         assert reloaded.spec == pipeline.spec
         assert reloaded.predict(TEST_JS) == pipeline.predict(TEST_JS)
         # suggestion scores must round-trip bit-for-bit too
@@ -222,18 +223,18 @@ class TestPersistence:
     def test_crf_save_load_round_trips_vocab(self, tmp_path):
         pipeline = Pipeline(language="javascript", training={"epochs": 2})
         pipeline.train(TRAIN_JS)
-        path = str(tmp_path / "model.json")
+        path = str(tmp_path / "model.bin")
         pipeline.save(path)
         reloaded = Pipeline.load(path)
         model = reloaded.learner.model
-        assert model.pair_weights == pipeline.learner.model.pair_weights
+        assert dict(model.pair_weights.items()) == pipeline.learner.model.pair_weights
         for key in model.pair_weights:
             assert all(isinstance(part, int) for part in key)
 
     def test_word2vec_save_load_identical_predictions(self, tmp_path):
         pipeline = Pipeline(language="javascript", learner="word2vec", sgns=SGNS)
         pipeline.train(TRAIN_JS)
-        path = str(tmp_path / "model.json")
+        path = str(tmp_path / "model.bin")
         pipeline.save(path)
         reloaded = Pipeline.load(path)
         assert reloaded.predict(TEST_JS) == pipeline.predict(TEST_JS)
@@ -241,12 +242,21 @@ class TestPersistence:
 
     def test_save_requires_training(self, tmp_path):
         with pytest.raises(RuntimeError):
-            Pipeline(language="javascript").save(str(tmp_path / "m.json"))
+            Pipeline(language="javascript").save(str(tmp_path / "m.bin"))
+
+    def test_save_accepts_only_the_binary_format(self, tmp_path):
+        pipeline = Pipeline(language="javascript", training={"epochs": 1})
+        pipeline.train(TRAIN_JS)
+        with pytest.raises(ValueError, match="unknown save format"):
+            pipeline.save(str(tmp_path / "m.json"), format="json")
+        assert not (tmp_path / "m.json").exists()
+        pipeline.save(str(tmp_path / "m.bin"), format="binary")
+        assert Pipeline.load(str(tmp_path / "m.bin")).predict(TEST_JS)
 
     def test_load_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text('{"hello": "world"}')
-        with pytest.raises(ValueError, match="not a saved pipeline"):
+        with pytest.raises(ValueError, match="not a pigeon-model/1 artifact"):
             Pipeline.load(str(path))
 
 

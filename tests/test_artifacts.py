@@ -1,18 +1,20 @@
-"""Tests for binary model artifacts (`repro.artifacts`).
+"""Tests for model artifacts (`repro.artifacts`).
 
-The contract under test: an unpruned ``pigeon-model/1`` artifact loads
-via mmap into a packed read-only model that predicts **bit-identically**
-to the JSON-loaded pipeline on every registry cell; pruned artifacts
-stay within their recorded accuracy-delta budget; corrupt or torn files
-of either format raise the structured ``CorruptArtifactError``; and N
-loader processes share the artifact's pages through the OS page cache.
+The contract under test: a ``pigeon-model/1`` artifact -- the only
+saved-model format -- loads via mmap into a packed read-only model that
+predicts **bit-identically** to the live trained pipeline on every
+registry cell; pruning packs exactly what :func:`prune_state` produces
+and stays within its recorded accuracy-delta budget; corrupt, torn or
+foreign (e.g. JSON) files raise the structured ``CorruptArtifactError``;
+and N loader processes share the artifact's pages through the OS page
+cache.
 """
 
 import json
 import multiprocessing
 import os
-import time
 
+import numpy as np
 import pytest
 
 from repro.api import Pipeline
@@ -21,9 +23,9 @@ from repro.artifacts import (
     ModelArtifact,
     PackedModelError,
     artifact_info,
-    is_model_artifact,
     pack_model,
-    sniff_format,
+    prune_state,
+    write_state_artifact,
 )
 from repro.cli import main as cli_main
 from repro.resilience.atomicio import CorruptArtifactError
@@ -31,9 +33,9 @@ from repro.resilience.atomicio import CorruptArtifactError
 from fixtures import FIG1_JS
 from oracles import crf as crf_oracle
 
-#: Identifiers that never occur in the generated corpora: binary-loaded
+#: Identifiers that never occur in the generated corpora: artifact-loaded
 #: pipelines must intern genuinely unseen request strings exactly like
-#: the JSON path does.
+#: the live pipeline does.
 NOVEL = {
     "javascript": "var qqUnseen = 1; function qqStep(qqArg) { var qqLoc = qqArg + qqUnseen; return qqLoc; }",
     "python": "def qq_step(qq_arg):\n    qq_loc = qq_arg + 1\n    return qq_loc\n",
@@ -67,32 +69,39 @@ def _train(request, language, task="variable_naming", **kwargs):
     return pipeline, sources[10:14]
 
 
-def _save_both(pipeline, tmp_path):
-    json_path = str(tmp_path / "model.json")
-    bin_path = str(tmp_path / "model.bin")
-    pipeline.save(json_path)
-    pipeline.save(bin_path, format="binary")
-    return json_path, bin_path
+def _save(pipeline, tmp_path, name="model.bin"):
+    path = str(tmp_path / name)
+    pipeline.save(path)
+    return path
+
+
+def _write_json_model(pipeline, path):
+    """A model file in the retired ``pigeon-pipeline/2`` JSON layout."""
+    payload = {
+        "format": "pigeon-pipeline/2",
+        "spec": pipeline.spec.to_dict(),
+        "learner_state": pipeline.learner.state_dict(),
+    }
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle)
+    return path
 
 
 class TestBitIdentity:
     @pytest.mark.parametrize("language,task", CRF_CELLS)
     def test_crf_binary_matches_json(self, request, tmp_path, language, task):
+        """The loaded artifact matches the live pipeline that saved it."""
         pipeline, held_out = _train(request, language, task)
-        json_path, bin_path = _save_both(pipeline, tmp_path)
-        from_json = Pipeline.load(json_path)
-        from_bin = Pipeline.load(bin_path)
+        from_bin = Pipeline.load(_save(pipeline, tmp_path))
         assert from_bin.artifact is not None
         probes = held_out + [NOVEL[language]]
         for source in probes:
-            assert from_bin.predict(source) == from_json.predict(source)
-        assert from_bin.suggest(probes[0], k=5) == from_json.suggest(probes[0], k=5)
+            assert from_bin.predict(source) == pipeline.predict(source)
+        assert from_bin.suggest(probes[0], k=5) == pipeline.suggest(probes[0], k=5)
 
     def test_crf_scalar_engine_matches_too(self, request, tmp_path):
         pipeline, held_out = _train(request, "javascript")
-        json_path, bin_path = _save_both(pipeline, tmp_path)
-        from_json = Pipeline.load(json_path)
-        from_bin = Pipeline.load(bin_path)
+        from_bin = Pipeline.load(_save(pipeline, tmp_path))
         packed = from_bin.learner.model
         for source in held_out + [NOVEL["javascript"]]:
             # The scalar oracle resolves weights through the packed
@@ -100,10 +109,17 @@ class TestBitIdentity:
             view = from_bin.view(from_bin.parse(source))
             assignment = crf_oracle.map_inference(packed, view)
             keys = [node.key for node in view.unknowns]
-            assert dict(zip(keys, assignment)) == from_json.predict(source)
+            assert dict(zip(keys, assignment)) == pipeline.predict(source)
 
     @pytest.mark.parametrize("representation", ["ast-paths", "token-context"])
     def test_word2vec_binary_matches_json(self, request, tmp_path, representation):
+        """The loaded artifact matches the live pipeline that saved it.
+
+        The SGNS model itself round-trips exactly: vocabularies in id
+        order, embedding matrices bit for bit, and interned
+        ``(rel_id, value_id)`` context tokens as int tuples (not lists or
+        numpy rows), so they hit the same vocabulary entries.
+        """
         corpus = request.getfixturevalue(CORPORA["javascript"])
         sources = [f.source for f in corpus]
         pipeline = Pipeline(
@@ -113,27 +129,32 @@ class TestBitIdentity:
             sgns={"epochs": 2},
         )
         pipeline.train(sources[:10])
-        json_path, bin_path = _save_both(pipeline, tmp_path)
-        from_json = Pipeline.load(json_path)
-        from_bin = Pipeline.load(bin_path)
+        from_bin = Pipeline.load(_save(pipeline, tmp_path))
+        live, loaded = pipeline.learner.predictor.model, from_bin.learner.predictor.model
+        assert loaded.words.token_to_id == live.words.token_to_id
+        assert loaded.contexts.token_to_id == live.contexts.token_to_id
+        assert np.array_equal(loaded.word_vectors, live.word_vectors)
+        assert np.array_equal(loaded.context_vectors, live.context_vectors)
+        if representation == "ast-paths":
+            assert all(
+                type(token) is tuple and all(type(part) is int for part in token)
+                for token in loaded.contexts.id_to_token
+            )
         for source in sources[10:13] + [NOVEL["javascript"]]:
-            assert from_bin.predict(source) == from_json.predict(source)
-            assert from_bin.suggest(source, k=3) == from_json.suggest(source, k=3)
+            assert from_bin.predict(source) == pipeline.predict(source)
+            assert from_bin.suggest(source, k=3) == pipeline.suggest(source, k=3)
 
     def test_scoring_handle_over_binary_model(self, request, tmp_path):
         pipeline, held_out = _train(request, "javascript")
-        json_path, bin_path = _save_both(pipeline, tmp_path)
-        reference = Pipeline.load(json_path)
-        handle = Pipeline.load(bin_path).scoring_handle()
+        handle = Pipeline.load(_save(pipeline, tmp_path)).scoring_handle()
         for source in held_out + [NOVEL["javascript"]]:
-            assert handle.predict(source) == reference.predict(source)
+            assert handle.predict(source) == pipeline.predict(source)
 
 
 class TestPackedModelSemantics:
     def test_mutation_raises(self, request, tmp_path):
         pipeline, _held_out = _train(request, "javascript")
-        _json_path, bin_path = _save_both(pipeline, tmp_path)
-        model = Pipeline.load(bin_path).learner.model
+        model = Pipeline.load(_save(pipeline, tmp_path)).learner.model
         with pytest.raises(PackedModelError, match="read-only"):
             model.add_pair((0, 0, 0), 1.0)
         with pytest.raises(PackedModelError):
@@ -143,22 +164,10 @@ class TestPackedModelSemantics:
         with pytest.raises(PackedModelError):
             model.observe_training_node(None, None)
 
-    def test_binary_to_json_repack_is_identical(self, request, tmp_path):
-        pipeline, held_out = _train(request, "javascript")
-        json_path, bin_path = _save_both(pipeline, tmp_path)
-        back = str(tmp_path / "back.json")
-        info = pack_model(bin_path, back, format="json")
-        assert info["source_format"] == "binary"
-        reference = Pipeline.load(json_path)
-        repacked = Pipeline.load(back)
-        for source in held_out:
-            assert repacked.predict(source) == reference.predict(source)
-
     def test_packed_weight_views_behave_like_dicts(self, request, tmp_path):
         pipeline, _held_out = _train(request, "javascript")
-        _json_path, bin_path = _save_both(pipeline, tmp_path)
         reference = pipeline.learner.model
-        packed = Pipeline.load(bin_path).learner.model
+        packed = Pipeline.load(_save(pipeline, tmp_path)).learner.model
         assert len(packed.pair_weights) == len(reference.pair_weights)
         assert len(packed.unary_weights) == len(reference.unary_weights)
         assert dict(packed.pair_weights.items()) == dict(reference.pair_weights)
@@ -177,10 +186,8 @@ class TestPruning:
         pipeline = Pipeline(language="javascript", training={"epochs": 2})
         pipeline.train(sources[:14])
         held_out = sources[14:]
-        json_path = str(tmp_path / "model.json")
-        pipeline.save(json_path)
         pruned_path = str(tmp_path / "pruned.bin")
-        info = pack_model(json_path, pruned_path, prune_min_count=2)
+        info = pack_model(_save(pipeline, tmp_path), pruned_path, prune_min_count=2)
         provenance = info["prune"]
         assert provenance["paths"]["after"] <= provenance["paths"]["before"]
         pruned = Pipeline.load(pruned_path)
@@ -192,10 +199,8 @@ class TestPruning:
 
     def test_prune_remaps_vocab_densely(self, request, tmp_path):
         pipeline, _held_out = _train(request, "javascript")
-        json_path = str(tmp_path / "model.json")
-        pipeline.save(json_path)
         pruned_path = str(tmp_path / "pruned.bin")
-        info = pack_model(json_path, pruned_path, prune_min_count=2)
+        info = pack_model(_save(pipeline, tmp_path), pruned_path, prune_min_count=2)
         artifact = ModelArtifact.open(pruned_path)
         meta = artifact.meta
         assert meta["paths"] == info["prune"]["paths"]["after"]
@@ -203,6 +208,69 @@ class TestPruning:
         # The dense re-pack keeps only referenced ids, so the pruned
         # vocab is never larger than the original.
         assert meta["paths"] <= info["prune"]["paths"]["before"]
+
+    @pytest.mark.parametrize("learner", ["crf", "word2vec"])
+    def test_pack_prunes_exactly_the_live_state(self, request, tmp_path, learner):
+        """Pruning a loaded artifact writes the same bytes as pruning the
+        live model's state: the artifact loses nothing pruning reads."""
+        corpus = request.getfixturevalue(CORPORA["javascript"])
+        pipeline = Pipeline(
+            language="javascript",
+            learner=learner,
+            training={"epochs": 2},
+            sgns={"epochs": 2},
+        )
+        pipeline.train([f.source for f in corpus][:10])
+        packed = str(tmp_path / "packed.bin")
+        info = pack_model(_save(pipeline, tmp_path), packed, prune_min_count=2)
+        state, provenance = prune_state(learner, pipeline.learner.state_dict(), 2)
+        direct = str(tmp_path / "direct.bin")
+        write_state_artifact(
+            direct, pipeline.spec.to_dict(), learner, state, prune=provenance
+        )
+        assert info["prune"] == provenance
+        with open(packed, "rb") as a, open(direct, "rb") as b:
+            assert a.read() == b.read()
+
+    def test_pruning_a_pruned_artifact_is_refused(self, request, tmp_path):
+        pipeline, _held_out = _train(request, "javascript")
+        pruned = str(tmp_path / "pruned.bin")
+        pack_model(_save(pipeline, tmp_path), pruned, prune_min_count=2)
+        again = str(tmp_path / "again.bin")
+        with pytest.raises(ValueError, match="already pruned"):
+            pack_model(pruned, again, prune_min_count=3)
+        assert not os.path.exists(again)
+        # The pruned artifact keeps its provenance and float32 weights.
+        artifact = ModelArtifact.open(pruned)
+        assert artifact.prune["min_rel_count"] == 2
+        assert artifact.array("crf/weights").dtype == np.float32
+
+    def test_saving_a_loaded_pruned_pipeline_keeps_its_provenance(
+        self, request, tmp_path
+    ):
+        pipeline, _held_out = _train(request, "javascript")
+        pruned = str(tmp_path / "pruned.bin")
+        pack_model(_save(pipeline, tmp_path), pruned, prune_min_count=2)
+        copy = _save(Pipeline.load(pruned), tmp_path, "copy.bin")
+        artifact = ModelArtifact.open(copy)
+        assert artifact.prune["min_rel_count"] == 2
+        assert artifact.array("crf/weights").dtype == np.float32
+        with open(pruned, "rb") as a, open(copy, "rb") as b:
+            assert a.read() == b.read()
+
+    def test_budget_outside_unit_interval_is_refused(self, request, tmp_path):
+        pipeline, _held_out = _train(request, "javascript")
+        bin_path = _save(pipeline, tmp_path)
+        state = pipeline.learner.state_dict()
+        pruned = str(tmp_path / "pruned.bin")
+        for budget in (-3.0, 1.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="accuracy_delta_budget"):
+                prune_state("crf", state, 2, accuracy_delta_budget=budget)
+            with pytest.raises(ValueError, match="accuracy_delta_budget"):
+                pack_model(
+                    bin_path, pruned, prune_min_count=2, accuracy_delta_budget=budget
+                )
+            assert not os.path.exists(pruned)
 
     def test_word2vec_string_contexts_refuse_pruning(self, request, tmp_path):
         corpus = request.getfixturevalue(CORPORA["javascript"])
@@ -214,10 +282,9 @@ class TestPruning:
             sgns={"epochs": 1},
         )
         pipeline.train(sources[:6])
-        json_path = str(tmp_path / "w2v.json")
-        pipeline.save(json_path)
+        bin_path = _save(pipeline, tmp_path, "w2v.bin")
         with pytest.raises(ValueError, match="relation ids"):
-            pack_model(json_path, str(tmp_path / "w2v.bin"), prune_min_count=2)
+            pack_model(bin_path, str(tmp_path / "w2v.pruned.bin"), prune_min_count=2)
 
 
 def _accuracy(pipeline, sources):
@@ -236,18 +303,18 @@ class TestIntegrity:
     @pytest.fixture()
     def saved(self, request, tmp_path):
         pipeline, _held_out = _train(request, "javascript")
-        return _save_both(pipeline, tmp_path)
+        return pipeline, _save(pipeline, tmp_path)
 
-    def test_sniffing(self, saved):
-        json_path, bin_path = saved
-        assert sniff_format(json_path) == "json"
-        assert sniff_format(bin_path) == "binary"
-        assert is_model_artifact(bin_path)
-        assert not is_model_artifact(json_path)
-        assert not is_model_artifact(json_path + ".does-not-exist")
+    def test_json_model_file_is_refused(self, saved, tmp_path):
+        pipeline, _bin_path = saved
+        json_path = _write_json_model(pipeline, str(tmp_path / "model.json"))
+        with pytest.raises(CorruptArtifactError, match=MODEL_FORMAT):
+            Pipeline.load(json_path)
+        with pytest.raises(CorruptArtifactError, match=MODEL_FORMAT):
+            ModelArtifact.open(json_path)
 
     def test_truncated_artifact_raises_structured_error(self, saved, tmp_path):
-        _json_path, bin_path = saved
+        _pipeline, bin_path = saved
         data = open(bin_path, "rb").read()
         torn = str(tmp_path / "torn.bin")
         with open(torn, "wb") as handle:
@@ -256,7 +323,7 @@ class TestIntegrity:
             Pipeline.load(torn)
 
     def test_flipped_header_byte_raises_on_open(self, saved, tmp_path):
-        _json_path, bin_path = saved
+        _pipeline, bin_path = saved
         data = bytearray(open(bin_path, "rb").read())
         data[40] ^= 0xFF  # inside the JSON header
         bad = str(tmp_path / "bad-header.bin")
@@ -265,14 +332,17 @@ class TestIntegrity:
             ModelArtifact.open(bad)
 
     def test_flipped_payload_byte_caught_by_verify(self, saved, tmp_path):
-        _json_path, bin_path = saved
+        _pipeline, bin_path = saved
         data = bytearray(open(bin_path, "rb").read())
         data[-3] ^= 0xFF  # inside the last section
         bad = str(tmp_path / "bad-payload.bin")
         open(bad, "wb").write(bytes(data))
-        artifact = ModelArtifact.open(bad)  # open is O(header): passes
-        with pytest.raises(CorruptArtifactError, match="re-pack"):
+        artifact = ModelArtifact.open(bad)  # bare open is O(header): passes
+        with pytest.raises(CorruptArtifactError, match="retrain or restore"):
             artifact.verify()
+        # Loading a pipeline hashes the payload, so the flip never serves.
+        with pytest.raises(CorruptArtifactError, match="retrain or restore"):
+            Pipeline.load(bad)
 
     def test_json_garbage_raises_structured_error(self, tmp_path):
         bad = str(tmp_path / "garbage.json")
@@ -280,33 +350,38 @@ class TestIntegrity:
         with pytest.raises(CorruptArtifactError):
             Pipeline.load(bad)
 
-    def test_artifact_info_both_formats(self, saved):
-        json_path, bin_path = saved
+    def test_artifact_info_both_formats(self, saved, tmp_path):
+        """``artifact_info`` summarises an artifact and refuses JSON."""
+        pipeline, bin_path = saved
         binfo = artifact_info(bin_path)
-        assert binfo["kind"] == "binary"
         assert binfo["format"] == MODEL_FORMAT
         assert binfo["learner"] == "crf"
+        assert binfo["spec"]["language"] == "javascript"
         assert any(s["name"] == "crf/weights" for s in binfo["sections"])
-        jinfo = artifact_info(json_path)
-        assert jinfo["kind"] == "json"
-        assert jinfo["spec"]["language"] == "javascript"
+        json_path = _write_json_model(pipeline, str(tmp_path / "model.json"))
+        with pytest.raises(CorruptArtifactError, match=MODEL_FORMAT):
+            artifact_info(json_path)
 
 
 class TestServingIntegration:
     def test_model_host_reports_load_info_for_both_formats(self, request, tmp_path):
+        """The host reports path and load time for an artifact; a JSON
+        model fails at startup with the structured error."""
         from repro.serving import ModelHost
 
         pipeline, held_out = _train(request, "javascript")
-        json_path, bin_path = _save_both(pipeline, tmp_path)
-        for path, expected_format in ((json_path, "json"), (bin_path, "binary")):
-            host = ModelHost([path])
-            cell = "javascript/variable_naming/ast-paths/crf"
-            info = host.model_stats()[cell]
-            assert info["format"] == expected_format
-            assert info["path"] == path
-            assert info["load_ms"] > 0
-            handle = host.resolve("javascript", "variable_naming")
-            assert handle.predict(held_out[0]) == pipeline.predict(held_out[0])
+        bin_path = _save(pipeline, tmp_path)
+        host = ModelHost([bin_path])
+        cell = "javascript/variable_naming/ast-paths/crf"
+        info = host.model_stats()[cell]
+        assert set(info) == {"path", "load_ms"}
+        assert info["path"] == bin_path
+        assert info["load_ms"] > 0
+        handle = host.resolve("javascript", "variable_naming")
+        assert handle.predict(held_out[0]) == pipeline.predict(held_out[0])
+        json_path = _write_json_model(pipeline, str(tmp_path / "model.json"))
+        with pytest.raises(CorruptArtifactError, match=MODEL_FORMAT):
+            ModelHost([json_path])
 
     def test_server_stats_expose_models_for_binary_artifact(self, request, tmp_path):
         from repro.serving import (
@@ -317,7 +392,7 @@ class TestServingIntegration:
         )
 
         pipeline, _held_out = _train(request, "javascript")
-        _json_path, bin_path = _save_both(pipeline, tmp_path)
+        bin_path = _save(pipeline, tmp_path)
         host = ModelHost([bin_path])
         server = PredictionServer(host, port=0, batch_size=2, batch_wait_ms=1.0)
         with ServerThread(server) as url:
@@ -325,20 +400,21 @@ class TestServingIntegration:
                 client.predict(NOVEL["javascript"])
                 stats = client.stats()
         cell = "javascript/variable_naming/ast-paths/crf"
-        assert stats["models"][cell]["format"] == "binary"
+        assert stats["models"][cell]["path"] == bin_path
         assert stats["models"][cell]["load_ms"] > 0
 
     def test_fleet_reload_accepts_binary_artifact(self, request, tmp_path):
         from repro.fleet.replicas import ReplicaSet
 
         pipeline, held_out = _train(request, "javascript")
-        json_path, bin_path = _save_both(pipeline, tmp_path)
-        fleet = ReplicaSet.in_process([json_path], count=1)
+        first = _save(pipeline, tmp_path, "first.bin")
+        second = _save(pipeline, tmp_path, "second.bin")
+        fleet = ReplicaSet.in_process([first], count=1)
         fleet.start()
         try:
             fleet.wait_healthy(timeout_s=30.0)
             replica = next(iter(fleet))
-            fleet.restart(replica.name, model_paths=[bin_path])
+            fleet.restart(replica.name, model_paths=[second])
             fleet.wait_healthy(timeout_s=30.0)
             from repro.serving import ServingClient
 
@@ -347,38 +423,28 @@ class TestServingIntegration:
                 stats = client.stats()
             assert response["predictions"] == pipeline.predict(held_out[0])
             cell = "javascript/variable_naming/ast-paths/crf"
-            assert stats["models"][cell]["format"] == "binary"
+            assert stats["models"][cell]["path"] == second
         finally:
             fleet.stop()
 
 
 class TestCli:
-    def test_train_format_binary_and_model_group(self, tmp_path, capsys):
+    def _train_cli(self, tmp_path, capsys):
         source = tmp_path / "a.js"
         source.write_text(FIG1_JS)
         model = str(tmp_path / "m.bin")
-        assert (
-            cli_main(
-                [
-                    "train",
-                    "--model",
-                    model,
-                    "--format",
-                    "binary",
-                    "--language",
-                    "javascript",
-                    "--projects",
-                    "2",
-                    "--epochs",
-                    "1",
-                    str(source),
-                ]
-            )
-            == 0
-        )
-        report = json.loads(capsys.readouterr().out)
-        assert report["format"] == "binary"
-        assert is_model_artifact(model)
+        argv = ["train", "--model", model, "--language", "javascript",
+                "--projects", "2", "--epochs", "1", str(source)]
+        assert cli_main(argv) == 0
+        return model, json.loads(capsys.readouterr().out)
+
+    def test_train_format_binary_and_model_group(self, tmp_path, capsys):
+        """``train`` writes a pigeon-model/1 artifact; ``model`` prunes,
+        describes and verifies it."""
+        model, report = self._train_cli(tmp_path, capsys)
+        assert report["model"] == model
+        assert "format" not in report
+        assert ModelArtifact.open(model).learner == "crf"
 
         packed = str(tmp_path / "m.packed.bin")
         assert cli_main(["model", "pack", model, packed, "--prune-min-count", "2"]) == 0
@@ -387,24 +453,44 @@ class TestCli:
 
         assert cli_main(["model", "info", packed, "--json"]) == 0
         info = json.loads(capsys.readouterr().out)
-        assert info["kind"] == "binary"
+        assert info["format"] == MODEL_FORMAT
         assert info["prune"]["min_rel_count"] == 2
 
         assert cli_main(["model", "verify", packed]) == 0
         assert "OK" in capsys.readouterr().out
 
-    def test_model_verify_rejects_corrupt_file(self, tmp_path, capsys):
-        source = tmp_path / "a.js"
-        source.write_text(FIG1_JS)
-        model = str(tmp_path / "m.bin")
-        cli_main(
-            [
-                "train", "--model", model, "--format", "binary",
-                "--language", "javascript", "--projects", "2", "--epochs", "1",
-                str(source),
-            ]
-        )
+    def test_model_pack_refusals(self, tmp_path, capsys):
+        """``model pack`` needs a floor (without one it would only copy
+        the artifact, and a budget would silently do nothing), a budget
+        in [0, 1] and an unpruned input; ``--format`` is gone."""
+        model, _report = self._train_cli(tmp_path, capsys)
+        out = str(tmp_path / "out.bin")
+        for argv in (
+            ["model", "pack", model, out],
+            ["model", "pack", model, out, "--accuracy-delta-budget", "0.1"],
+            ["model", "pack", model, out, "--prune-min-count", "2", "--format", "json"],
+            ["train", "--model", out, "--format", "binary", "--language", "javascript"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                cli_main(argv)
+            assert excinfo.value.code == 2, argv
+        assert "--prune-min-count" in capsys.readouterr().err
+        with pytest.raises(SystemExit, match="accuracy_delta_budget"):
+            cli_main(
+                ["model", "pack", model, out,
+                 "--prune-min-count", "2", "--accuracy-delta-budget", "-3.0"]
+            )
+        assert not os.path.exists(out)
+        assert cli_main(["model", "pack", model, out, "--prune-min-count", "2"]) == 0
         capsys.readouterr()
+        with pytest.raises(SystemExit, match="already pruned"):
+            cli_main(
+                ["model", "pack", out, str(tmp_path / "again.bin"),
+                 "--prune-min-count", "2"]
+            )
+
+    def test_model_verify_rejects_corrupt_file(self, tmp_path, capsys):
+        model, _report = self._train_cli(tmp_path, capsys)
         data = bytearray(open(model, "rb").read())
         data[-3] ^= 0xFF
         open(model, "wb").write(bytes(data))
@@ -460,7 +546,7 @@ def test_replica_processes_share_artifact_pages(request, tmp_path):
     pipeline = Pipeline(language="javascript", training={"epochs": 2})
     pipeline.train(sources[:10])
     bin_path = str(tmp_path / "shared.bin")
-    pipeline.save(bin_path, format="binary")
+    pipeline.save(bin_path)
 
     ctx = multiprocessing.get_context("fork")
     barrier = ctx.Barrier(2)

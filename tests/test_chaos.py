@@ -174,14 +174,14 @@ class TestShardBuildCrashResume:
 class TestTrainCrashResume:
     def test_kill_mid_train_then_resume_is_bit_identical(self, tmp_path):
         files = _write_corpus(tmp_path)
-        clean = str(tmp_path / "clean.json")
+        clean = str(tmp_path / "clean.bin")
         result = _run_cli(
             ["train", "--model", clean, "--language", "javascript",
              "--epochs", "3", *files]
         )
         assert result.returncode == 0, result.stderr
 
-        interrupted = str(tmp_path / "interrupted.json")
+        interrupted = str(tmp_path / "interrupted.bin")
         checkpoint = str(tmp_path / "ckpt.json")
         result = _run_cli(
             ["train", "--model", interrupted, "--language", "javascript",
@@ -204,7 +204,7 @@ class TestTrainCrashResume:
         spec = RunSpec(language="javascript", training={"epochs": 3})
         uninterrupted = Pipeline(spec)
         uninterrupted.train(TRAIN)
-        reference = str(tmp_path / "reference.json")
+        reference = str(tmp_path / "reference.bin")
         uninterrupted.save(reference)
 
         checkpoint = str(tmp_path / "ckpt.json")
@@ -215,7 +215,7 @@ class TestTrainCrashResume:
 
         resumed = Pipeline(spec)
         resumed.train(TRAIN, checkpoint=checkpoint, resume=True)
-        restored = str(tmp_path / "resumed.json")
+        restored = str(tmp_path / "resumed.bin")
         resumed.save(restored)
         with open(reference, "rb") as a, open(restored, "rb") as b:
             assert a.read() == b.read()
@@ -226,7 +226,7 @@ class TestTrainCrashResume:
         )
         uninterrupted = Pipeline(spec)
         uninterrupted.train(TRAIN)
-        reference = str(tmp_path / "reference.json")
+        reference = str(tmp_path / "reference.bin")
         uninterrupted.save(reference)
 
         checkpoint = str(tmp_path / "ckpt.json")
@@ -237,7 +237,7 @@ class TestTrainCrashResume:
 
         resumed = Pipeline(spec)
         resumed.train(TRAIN, checkpoint=checkpoint, resume=True)
-        restored = str(tmp_path / "resumed.json")
+        restored = str(tmp_path / "resumed.bin")
         resumed.save(restored)
         with open(reference, "rb") as a, open(restored, "rb") as b:
             assert a.read() == b.read()
@@ -245,7 +245,7 @@ class TestTrainCrashResume:
     def test_resume_against_changed_corpus_is_refused(self, tmp_path):
         files = _write_corpus(tmp_path)
         checkpoint = str(tmp_path / "ckpt.json")
-        model = str(tmp_path / "model.json")
+        model = str(tmp_path / "model.bin")
         result = _run_cli(
             ["train", "--model", model, "--language", "javascript",
              "--epochs", "3", "--checkpoint", checkpoint, *files],
@@ -296,7 +296,7 @@ class TestCorruptionQuarantine:
 def chaos_model(tmp_path_factory):
     pipeline = Pipeline(language="javascript", training={"epochs": 2})
     pipeline.train(TRAIN)
-    path = tmp_path_factory.mktemp("chaos") / "model.json"
+    path = tmp_path_factory.mktemp("chaos") / "model.bin"
     pipeline.save(str(path))
     return str(path)
 
@@ -395,7 +395,7 @@ def translate_chaos_model(tmp_path_factory):
         RunSpec(language="javascript", task="translate", training={"epochs": 2})
     )
     pipeline.train(TRAIN)
-    path = tmp_path_factory.mktemp("chaos-translate") / "model.json"
+    path = tmp_path_factory.mktemp("chaos-translate") / "model.bin"
     pipeline.save(str(path))
     return str(path)
 

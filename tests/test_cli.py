@@ -36,17 +36,20 @@ class TestParser:
 
 
 class TestPathsCommand:
+    """Printing one file's path-contexts is ``extract FILE --show``."""
+
     def test_prints_path_contexts(self, tmp_path, capsys):
         path = tmp_path / "fig1.js"
         path.write_text(FIG1_JS)
-        assert main(["paths", str(path), "--max-length", "7", "--max-width", "3"]) == 0
+        argv = ["extract", str(path), "--show", "--max-length", "7", "--max-width", "3"]
+        assert main(argv) == 0
         out = capsys.readouterr().out
         assert "SymbolRef↑UnaryPrefix!↑While↓If↓Assign=↓SymbolRef" in out
 
     def test_semi_paths_flag(self, tmp_path, capsys):
         path = tmp_path / "fig1.js"
         path.write_text(FIG1_JS)
-        assert main(["paths", str(path), "--semi-paths"]) == 0
+        assert main(["extract", str(path), "--show", "--semi-paths"]) == 0
         out = capsys.readouterr().out
         assert "Toplevel" in out  # semi-path endpoint kinds appear
 
@@ -161,7 +164,7 @@ class TestTrainPredictCommands:
     ] * 4
 
     def _train(self, tmp_path, capsys):
-        model = tmp_path / "model.json"
+        model = tmp_path / "model.bin"
         files = []
         for i, source in enumerate(self.TRAIN):
             path = tmp_path / f"train{i}.js"
@@ -256,7 +259,7 @@ class TestShardCommands:
         assert manifest.exists()
 
         # The manifest feeds straight back into streamed training.
-        model = tmp_path / "from-manifest.json"
+        model = tmp_path / "from-manifest.bin"
         assert main(
             ["train", "--model", str(model), "--shards", str(shards),
              "--merged", str(manifest), "--epochs", "2"]
@@ -266,7 +269,7 @@ class TestShardCommands:
 
     def test_train_from_shards_matches_in_memory_train(self, tmp_path, capsys):
         shards, files = self._build(tmp_path, capsys)
-        sharded_model = tmp_path / "sharded.json"
+        sharded_model = tmp_path / "sharded.bin"
         assert main(
             ["train", "--model", str(sharded_model), "--shards", str(shards),
              "--epochs", "3"]
@@ -275,7 +278,7 @@ class TestShardCommands:
         assert stats["files_trained"] == len(files)
         assert stats["shards"] == 3
 
-        in_memory_model = tmp_path / "inmem.json"
+        in_memory_model = tmp_path / "inmem.bin"
         assert main(
             ["train", "--model", str(in_memory_model), "--language", "javascript",
              "--epochs", "3", *files]
@@ -312,20 +315,20 @@ class TestShardCommands:
         shards, files = self._build(tmp_path, capsys)
         # --shards plus files is a usage error.
         with pytest.raises(SystemExit, match="not both"):
-            main(["train", "--model", "m.json", "--shards", str(shards), *files])
+            main(["train", "--model", "m.bin", "--shards", str(shards), *files])
         # Explicit axes must agree with the shard set.
         with pytest.raises(SystemExit, match="built for language"):
-            main(["train", "--model", "m.json", "--shards", str(shards),
+            main(["train", "--model", "m.bin", "--shards", str(shards),
                   "--language", "python"])
         with pytest.raises(SystemExit, match="built for learner"):
-            main(["train", "--model", "m.json", "--shards", str(shards),
+            main(["train", "--model", "m.bin", "--shards", str(shards),
                   "--learner", "word2vec"])
         # train needs either --shards or --language.
         with pytest.raises(SystemExit, match="--language"):
-            main(["train", "--model", "m.json", *files])
+            main(["train", "--model", "m.bin", *files])
         # --merged without --shards is a usage error.
         with pytest.raises(SystemExit, match="--shards training only"):
-            main(["train", "--model", "m.json", "--language", "javascript",
+            main(["train", "--model", "m.bin", "--language", "javascript",
                   "--merged", "x.json", *files])
         # Shard errors surface as one-line messages (ShardError is a
         # ValueError, so the main() handler catches it).
@@ -338,17 +341,17 @@ class TestCleanErrors:
 
     def test_unknown_plugin_name(self, capsys):
         with pytest.raises(SystemExit, match="unknown task"):
-            main(["train", "--model", "m.json", "--language", "javascript",
+            main(["train", "--model", "m.bin", "--language", "javascript",
                   "--task", "typo"])
 
     def test_incompatible_cell(self):
         with pytest.raises(SystemExit, match="consumes the 'graph' view"):
-            main(["train", "--model", "m.json", "--language", "javascript",
+            main(["train", "--model", "m.bin", "--language", "javascript",
                   "--representation", "token-context"])
 
     def test_missing_model_file(self):
         with pytest.raises(SystemExit, match="No such file"):
-            main(["predict", "x.js", "--model", "does-not-exist.json"])
+            main(["predict", "x.js", "--model", "does-not-exist.bin"])
 
     def test_unknown_cells_language(self):
         with pytest.raises(SystemExit, match="unknown language"):

@@ -1,7 +1,5 @@
 """Unit tests for the CRF engine: graph, model, inference, training."""
 
-import json
-
 import pytest
 
 from repro.learning.crf import (
@@ -14,6 +12,7 @@ from repro.learning.crf import (
 )
 from repro.learning.crf.inference import predict
 
+from fixtures import crf_artifact_round_trip
 from oracles import crf as oracle
 
 
@@ -104,12 +103,12 @@ class TestModelScoring:
 
 
 class TestModelPersistence:
-    def test_save_load_roundtrip(self):
+    def test_save_load_roundtrip(self, tmp_path):
         model = CrfModel()
         model.pair_weights[model.pair_key("a", "r", "b")] = 1.5
         model.unary_weights[model.unary_key("a", "u")] = -0.5
         model.label_counts[model.label_id("a")] = 3
-        loaded = CrfModel.from_dict(json.loads(json.dumps(model.to_dict())))
+        loaded = crf_artifact_round_trip(model, tmp_path / "model.bin")
         assert loaded.pair_weights[loaded.pair_key("a", "r", "b")] == 1.5
         assert loaded.unary_weights[loaded.unary_key("a", "u")] == -0.5
         assert loaded.label_counts[loaded.label_id("a")] == 3

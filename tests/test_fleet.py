@@ -83,7 +83,7 @@ def corpus_sources():
 def model_path(tmp_path_factory, corpus_sources):
     pipeline = Pipeline(language="javascript", training={"epochs": 2})
     pipeline.train(corpus_sources[:18])
-    path = tmp_path_factory.mktemp("fleet") / "model.json"
+    path = tmp_path_factory.mktemp("fleet") / "model.bin"
     pipeline.save(str(path))
     return str(path)
 

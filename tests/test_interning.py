@@ -18,6 +18,8 @@ from repro.learning.crf import CrfGraph, CrfModel, CrfTrainer, TrainingConfig, m
 from repro.tasks.variable_naming import build_crf_graph, element_contexts
 from repro.lang.base import parse_source
 
+from fixtures import crf_artifact_round_trip
+
 
 class TestVocab:
     def test_dense_first_seen_ids(self):
@@ -117,16 +119,16 @@ class TestIdKeyedModelPersistence:
             assert all(isinstance(part, int) for part in key)
         assert all(isinstance(label, int) for label in model.label_counts)
 
-    def test_state_is_json_serializable(self):
+    def test_state_is_json_serializable(self, tmp_path):
         model, _graphs = self._trained_model()
-        payload = json.dumps(model.to_dict())
-        restored = CrfModel.from_dict(json.loads(payload))
-        assert restored.pair_weights == model.pair_weights
-        assert restored.unary_weights == model.unary_weights
+        json.dumps(model.to_dict())  # plain data the codec and pruning read
+        restored = crf_artifact_round_trip(model, tmp_path / "model.bin")
+        assert dict(restored.pair_weights.items()) == model.pair_weights
+        assert dict(restored.unary_weights.items()) == model.unary_weights
 
-    def test_save_load_predicts_identically(self):
+    def test_save_load_predicts_identically(self, tmp_path):
         model, graphs = self._trained_model()
-        loaded = CrfModel.from_dict(json.loads(json.dumps(model.to_dict())))
+        loaded = crf_artifact_round_trip(model, tmp_path / "model.bin")
         compiled, reloaded = model.compile(), loaded.compile()
         for graph in graphs:
             assert map_inference(reloaded, graph) == map_inference(compiled, graph)

@@ -18,6 +18,7 @@ import time
 import pytest
 
 from repro.api import Pipeline
+from repro.artifacts import ModelArtifact
 from repro.cli import main
 from repro.resilience import (
     CHECKPOINT_FORMAT,
@@ -57,7 +58,7 @@ def _no_leaked_fault_plan():
 def model_path(tmp_path_factory):
     pipeline = Pipeline(language="javascript", training={"epochs": 2})
     pipeline.train(TRAIN)
-    path = tmp_path_factory.mktemp("resilience") / "model.json"
+    path = tmp_path_factory.mktemp("resilience") / "model.bin"
     pipeline.save(str(path))
     return str(path)
 
@@ -301,25 +302,21 @@ class TestTrainerCheckpoint:
 
 class TestPipelineArtifacts:
     def test_saved_model_is_digest_stamped(self, model_path):
-        payload = json.loads(open(model_path, encoding="utf-8").read())
-        assert "digest" in payload
+        # Opening verifies the header stamp (an unstamped header is
+        # refused); verify() re-hashes the payload against its digest.
+        artifact = ModelArtifact.open(model_path)
+        assert artifact.header["payload_digest"]
+        artifact.verify()
         assert Pipeline.load(model_path).predict(TRAIN[0])
 
     def test_corrupted_model_is_quarantined_on_load(self, model_path, tmp_path):
-        target = tmp_path / "model.json"
+        target = tmp_path / "model.bin"
         data = bytearray(open(model_path, "rb").read())
         data[len(data) // 2] ^= 0xFF
         target.write_bytes(bytes(data))
         with pytest.raises(CorruptArtifactError) as excinfo:
             Pipeline.load(str(target))
         assert "retrain or restore" in str(excinfo.value)
-
-    def test_legacy_unstamped_model_still_loads(self, model_path, tmp_path):
-        payload = json.loads(open(model_path, encoding="utf-8").read())
-        payload.pop("digest")
-        legacy = tmp_path / "legacy.json"
-        legacy.write_text(json.dumps(payload))
-        assert Pipeline.load(str(legacy)).predict(TRAIN[0])
 
 
 # ----------------------------------------------------------------------
@@ -440,7 +437,7 @@ class TestServeStartupErrors:
             squatter.close()
 
     def test_corrupt_model_at_startup_is_one_line(self, model_path, tmp_path):
-        target = tmp_path / "model.json"
+        target = tmp_path / "model.bin"
         data = bytearray(open(model_path, "rb").read())
         data[len(data) // 2] ^= 0xFF
         target.write_bytes(bytes(data))

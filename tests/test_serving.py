@@ -83,7 +83,7 @@ def corpus_sources():
 def model_path(tmp_path_factory, corpus_sources):
     pipeline = Pipeline(language="javascript", training={"epochs": 2})
     pipeline.train(corpus_sources[:18])
-    path = tmp_path_factory.mktemp("serving") / "model.json"
+    path = tmp_path_factory.mktemp("serving") / "model.bin"
     pipeline.save(str(path))
     return str(path)
 
@@ -267,9 +267,9 @@ class TestHealthAndStats:
         assert "hit_rate" in stats["cache"]
         cell = "javascript/variable_naming/ast-paths/crf"
         assert "asts" in stats["extraction"][cell]
-        # Artifact observability: which format each model loaded from
-        # and what the cold start cost (JSON decode vs binary mmap).
-        assert stats["models"][cell]["format"] == "json"
+        # Artifact observability: which file each model loaded from and
+        # what its cold start cost.
+        assert stats["models"][cell]["path"].endswith("model.bin")
         assert stats["models"][cell]["load_ms"] > 0
         # Load observability (what a fleet router merges and fits its
         # capacity model from): instantaneous depth plus per-endpoint

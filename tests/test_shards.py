@@ -546,7 +546,7 @@ class TestTrainFromShards:
     ):
         sharded = Pipeline(crf_spec)
         sharded.train(shards=shard_dir)
-        path = tmp_path / "model.json"
+        path = tmp_path / "model.bin"
         sharded.save(str(path))
         reloaded = Pipeline.load(str(path))
         novel = "function probe(alpha, beta) { return alpha + beta * 2; }"

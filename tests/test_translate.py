@@ -222,7 +222,7 @@ def translate_model(tmp_path_factory):
         RunSpec(language="java", task="translate", training={"epochs": 2})
     )
     pipeline.train(sources)
-    path = tmp_path_factory.mktemp("translate") / "java_translate.json"
+    path = tmp_path_factory.mktemp("translate") / "java_translate.bin"
     pipeline.save(str(path))
     return str(path)
 

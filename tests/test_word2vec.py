@@ -158,39 +158,3 @@ class TestSigmoid:
         assert y[2] == pytest.approx(0.5)
         assert y[0] == pytest.approx(0.0)
         assert y[4] == pytest.approx(1.0)
-
-
-class TestPersistence:
-    def test_save_load_roundtrip(self, tmp_path):
-        import os
-
-        pairs = [("done", "c_flag"), ("count", "c_count")] * 40
-        model, _ = train_sgns(pairs, SgnsConfig(dim=8, epochs=3))
-        path = os.path.join(tmp_path, "sgns.npz")
-        model.save(path)
-        loaded = SgnsModel.load(path)
-        assert np.allclose(loaded.word_vectors, model.word_vectors)
-        assert np.allclose(loaded.context_vectors, model.context_vectors)
-        assert loaded.words.token_to_id == model.words.token_to_id
-        predictor = ContextPredictor(loaded)
-        assert predictor.predict(["c_flag"]) == ContextPredictor(model).predict(
-            ["c_flag"]
-        )
-
-    def test_save_load_roundtrip_id_pair_tokens(self, tmp_path):
-        """Interned (rel_id, value_id) context tokens survive the .npz
-        round trip as int tuples (not stringified numpy rows)."""
-        import os
-
-        pairs = [("done", (0, 1)), ("count", (2, 3))] * 40
-        model, _ = train_sgns(pairs, SgnsConfig(dim=8, epochs=3))
-        path = os.path.join(tmp_path, "sgns_ids.npz")
-        model.save(path)
-        loaded = SgnsModel.load(path)
-        assert loaded.contexts.token_to_id == model.contexts.token_to_id
-        assert all(
-            isinstance(t, tuple) and all(isinstance(p, int) for p in t)
-            for t in loaded.contexts.id_to_token
-        )
-        predictor = ContextPredictor(loaded)
-        assert predictor.predict([(0, 1)]) == ContextPredictor(model).predict([(0, 1)])
