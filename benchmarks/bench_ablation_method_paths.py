@@ -4,24 +4,30 @@ For method naming the paper uses internal paths (from the method-name
 leaf into the implementation) plus external paths from same-file
 invocations, and observes that internal-only loses only about one
 accuracy point.
+
+Internal + external paths is the ``method_naming`` registry cell;
+internal-only builds the same cell's graphs with ``use_external=False``
+through the pipeline's extraction service.
 """
 
-from conftest import BENCH_TRAINING, emit
-from repro.eval.harness import evaluate_crf, method_graph_builder
+from conftest import emit, evaluate_graphs, spec
+from repro.eval.harness import evaluate_spec
 from repro.eval.reports import format_comparison_rows
+from repro.tasks.method_naming import build_method_graph
 
 
 def run_all(java_data):
-    both = evaluate_crf(
+    both = evaluate_spec(
+        spec(java_data, task="method_naming"),
         java_data,
-        method_graph_builder(6, 2, use_external=True),
-        training_config=BENCH_TRAINING,
         name="internal + external paths",
     )
-    internal_only = evaluate_crf(
+    internal_only = evaluate_graphs(
         java_data,
-        method_graph_builder(6, 2, use_external=False),
-        training_config=BENCH_TRAINING,
+        lambda pipeline, f, a: build_method_graph(
+            a, pipeline.service, f.path, use_external=False
+        ),
+        task="method_naming",
         name="internal paths only",
     )
     table = format_comparison_rows(

@@ -8,22 +8,20 @@ CRF with and without unary factors.
 
 from dataclasses import replace
 
-from conftest import BENCH_TRAINING, emit
-from repro.eval.harness import evaluate_crf, path_graph_builder
+from conftest import BENCH_TRAINING, emit, spec
+from repro.eval.harness import evaluate_spec
 from repro.eval.reports import format_comparison_rows
 
 
 def run_all(js_data):
-    with_unary = evaluate_crf(
+    with_unary = evaluate_spec(
+        spec(js_data, replace(BENCH_TRAINING, use_unary=True)),
         js_data,
-        path_graph_builder(7, 3),
-        training_config=replace(BENCH_TRAINING, use_unary=True),
         name="with unary factors",
     )
-    without_unary = evaluate_crf(
+    without_unary = evaluate_spec(
+        spec(js_data, replace(BENCH_TRAINING, use_unary=False)),
         js_data,
-        path_graph_builder(7, 3),
-        training_config=replace(BENCH_TRAINING, use_unary=False),
         name="without unary factors",
     )
     table = format_comparison_rows(

@@ -6,9 +6,9 @@ grows substantially with length (long paths are fundamental), grows
 mildly with width, and AST paths dominate the hand-crafted features.
 """
 
-from conftest import SWEEP_TRAINING, emit
+from conftest import SWEEP_TRAINING, emit, evaluate_graphs
 from repro.baselines import build_unuglify_graph
-from repro.eval.harness import evaluate_crf, grid_search
+from repro.eval.harness import grid_search
 from repro.eval.reports import format_grid
 
 
@@ -20,10 +20,10 @@ def run_all(js_data):
         training_config=SWEEP_TRAINING,
         on_validation=False,
     )
-    unuglify = evaluate_crf(
+    unuglify = evaluate_graphs(
         js_data,
-        lambda f, a: build_unuglify_graph(a, f.path),
-        training_config=SWEEP_TRAINING,
+        lambda pipeline, f, a: build_unuglify_graph(a, f.path, space=pipeline.space),
+        training=SWEEP_TRAINING,
         name="UnuglifyJS reference",
     )
     grid = format_grid(

@@ -6,17 +6,25 @@ Rows, as in the paper:
 * Java:       ConvAttention (Allamanis et al.) 16.5 / F1 33.9
               -> AST paths (6/2) 47.3 / F1 49.9
 * Python:     no-paths 41.6 -> AST paths (10/6) 51.1
+
+The CRF rows are ``method_naming`` registry cells; the per-language path
+limits come from the task plugin.
 """
 
-from conftest import BENCH_TRAINING, emit
+from conftest import emit, spec
 from repro.baselines.conv_attention import (
     ConvAttentionConfig,
     method_examples,
     train_conv_attention,
 )
-from repro.eval.harness import evaluate_crf, method_graph_builder
+from repro.eval.harness import evaluate_spec
 from repro.eval.metrics import AccuracyCounter, SubtokenF1Counter
 from repro.eval.reports import format_table
+
+
+def _cell(representation, data, name, with_f1=False):
+    cell = spec(data, task="method_naming", representation=representation)
+    return evaluate_spec(cell, data, name=name, with_f1=with_f1)
 
 
 def eval_conv_attention(java_data):
@@ -39,22 +47,13 @@ def eval_conv_attention(java_data):
 def run_all(js_data, java_data, python_data, js_module_data):
     rows = []
 
-    js_no_paths = evaluate_crf(
-        js_data, method_graph_builder(12, 4, abstraction="no-path"),
-        training_config=BENCH_TRAINING, name="js methods no-paths",
-    )
-    js_paths = evaluate_crf(
-        js_data, method_graph_builder(12, 4), training_config=BENCH_TRAINING,
-        name="js methods paths",
-    )
+    js_no_paths = _cell("no-paths", js_data, "js methods no-paths")
+    js_paths = _cell("ast-paths", js_data, "js methods paths")
     rows.append(("JavaScript  no-paths", f"{js_no_paths.accuracy:.1f}%", "", "44.1%"))
     rows.append(("JavaScript  AST paths (12/4)", f"{js_paths.accuracy:.1f}%", "", "53.1%"))
 
     conv_acc, conv_f1 = eval_conv_attention(java_data)
-    java_paths = evaluate_crf(
-        java_data, method_graph_builder(6, 2), training_config=BENCH_TRAINING,
-        name="java methods paths", with_f1=True,
-    )
+    java_paths = _cell("ast-paths", java_data, "java methods paths", with_f1=True)
     rows.append(
         ("Java        ConvAttention", f"{conv_acc:.1f}%", f"F1 {conv_f1:.1f}", "16.5% / F1 33.9")
     )
@@ -67,22 +66,13 @@ def run_all(js_data, java_data, python_data, js_module_data):
         )
     )
 
-    js_paths_mod = evaluate_crf(
-        js_module_data, method_graph_builder(12, 4), training_config=BENCH_TRAINING,
-        name="js methods paths (modules)",
-    )
+    js_paths_mod = _cell("ast-paths", js_module_data, "js methods paths (modules)")
     rows.append(
         ("JavaScript  AST paths, modules", f"{js_paths_mod.accuracy:.1f}%", "", "-")
     )
 
-    py_no_paths = evaluate_crf(
-        python_data, method_graph_builder(10, 6, abstraction="no-path"),
-        training_config=BENCH_TRAINING, name="python methods no-paths",
-    )
-    py_paths = evaluate_crf(
-        python_data, method_graph_builder(10, 6), training_config=BENCH_TRAINING,
-        name="python methods paths",
-    )
+    py_no_paths = _cell("no-paths", python_data, "python methods no-paths")
+    py_paths = _cell("ast-paths", python_data, "python methods paths")
     rows.append(("Python      no-paths", f"{py_no_paths.accuracy:.1f}%", "", "41.6%"))
     rows.append(("Python      AST paths (10/6)", f"{py_paths.accuracy:.1f}%", "", "51.1%"))
 

@@ -3,10 +3,10 @@
 Paper: naive ``java.lang.String`` baseline 24.1%; AST paths (4/1) 69.1%.
 """
 
-from conftest import BENCH_TRAINING, emit
+from conftest import emit, spec
 from repro.baselines.naive_type import NAIVE_TYPE
 from repro.core.extraction import ExtractionConfig, PathExtractor
-from repro.eval.harness import evaluate_crf, evaluate_prediction_map, type_graph_builder
+from repro.eval.harness import evaluate_prediction_map, evaluate_spec
 from repro.eval.reports import format_table
 from repro.tasks.type_prediction import build_type_graph
 
@@ -27,12 +27,11 @@ def run_all(java_data, java_module_data):
         _gold_types,
         name="naive String",
     )
-    paths = evaluate_crf(
-        java_data, type_graph_builder(4, 1), training_config=BENCH_TRAINING,
-        name="type paths",
+    paths = evaluate_spec(
+        spec(java_data, task="type_prediction"), java_data, name="type paths"
     )
-    paths_mod = evaluate_crf(
-        java_module_data, type_graph_builder(4, 1), training_config=BENCH_TRAINING,
+    paths_mod = evaluate_spec(
+        spec(java_module_data, task="type_prediction"), java_module_data,
         name="type paths (modules)",
     )
     rows = [

@@ -13,38 +13,25 @@ Python 35.2 / 56.7; C# 56.1.
 The representation rows (no-paths vs AST paths) run as registry cells
 through :func:`repro.eval.harness.evaluate_spec` -- the tuned per-cell
 path parameters come from the task plugin, not from this file.  The
-UnuglifyJS-features and n-gram rows keep the callable-based engine:
-they are feature ablations the paper implements as bespoke graph
-builders, not representations of the plugin API.
+UnuglifyJS-features and n-gram rows are feature ablations the paper
+implements as bespoke graph builders, not representations of the plugin
+API: they build their graphs in a pipeline's space and are scored by the
+same :func:`repro.eval.harness.evaluate_views` core.
 """
 
-import dataclasses
-
-from conftest import BENCH_TRAINING, emit
-from repro.api import RunSpec
+from conftest import emit, evaluate_graphs, spec
 from repro.baselines import (
     build_ngram_graph,
     build_unuglify_graph,
     rule_based_predictions,
 )
-from repro.eval.harness import (
-    evaluate_crf,
-    evaluate_prediction_map,
-    evaluate_spec,
-)
+from repro.eval.harness import evaluate_prediction_map, evaluate_spec
 from repro.eval.reports import format_table
 from repro.tasks.variable_naming import element_groups
 
-# Full config, not just epochs: registry-cell rows must train under the
-# exact same TrainingConfig as the callable-engine rows of this table.
-TRAINING = dataclasses.asdict(BENCH_TRAINING)
 
-
-def _cell(language, representation, data, name):
-    spec = RunSpec(
-        language=language, representation=representation, training=TRAINING
-    )
-    return evaluate_spec(spec, data, name=name)
+def _cell(representation, data, name):
+    return evaluate_spec(spec(data, representation=representation), data, name=name)
 
 
 def _gold_variables(ast):
@@ -55,12 +42,13 @@ def run_all(js_data, java_data, python_data, csharp_data, js_module_data):
     rows = []
 
     # --- JavaScript ---------------------------------------------------
-    no_paths = _cell("javascript", "no-paths", js_data, "js no-paths")
-    unuglify = evaluate_crf(
-        js_data, lambda f, a: build_unuglify_graph(a, f.path),
-        training_config=BENCH_TRAINING, name="js unuglify",
+    no_paths = _cell("no-paths", js_data, "js no-paths")
+    unuglify = evaluate_graphs(
+        js_data,
+        lambda pipeline, f, a: build_unuglify_graph(a, f.path, space=pipeline.space),
+        name="js unuglify",
     )
-    paths_js = _cell("javascript", "ast-paths", js_data, "js paths")
+    paths_js = _cell("ast-paths", js_data, "js paths")
     rows.append(("JavaScript  no-paths", f"{no_paths.accuracy:.1f}%", "24.9%"))
     rows.append(("JavaScript  UnuglifyJS feats", f"{unuglify.accuracy:.1f}%", "60.0%"))
     rows.append(("JavaScript  AST paths (7/3)", f"{paths_js.accuracy:.1f}%", "67.3%"))
@@ -72,31 +60,32 @@ def run_all(js_data, java_data, python_data, csharp_data, js_module_data):
     )
     # n is tuned on the validation set, as in the paper (they chose
     # n = 4 for their corpus; ours peaks at n = 6).
-    ngram = evaluate_crf(
-        java_data, lambda f, a: build_ngram_graph(f.source, a, "java", 6, f.path),
-        training_config=BENCH_TRAINING, name="java ngram",
+    ngram = evaluate_graphs(
+        java_data,
+        lambda pipeline, f, a: build_ngram_graph(
+            f.source, a, "java", 6, f.path, space=pipeline.space
+        ),
+        name="java ngram",
     )
-    paths_java = _cell("java", "ast-paths", java_data, "java paths")
+    paths_java = _cell("ast-paths", java_data, "java paths")
     rows.append(("Java        rule-based", f"{rule.accuracy:.1f}%", "23.7%"))
     rows.append(("Java        CRFs + n-grams", f"{ngram.accuracy:.1f}%", "50.1%"))
     rows.append(("Java        AST paths (6/3)", f"{paths_java.accuracy:.1f}%", "58.2%"))
 
     # --- Python ---------------------------------------------------------
-    no_paths_py = _cell("python", "no-paths", python_data, "python no-paths")
-    paths_py = _cell("python", "ast-paths", python_data, "python paths")
+    no_paths_py = _cell("no-paths", python_data, "python no-paths")
+    paths_py = _cell("ast-paths", python_data, "python paths")
     rows.append(("Python      no-paths", f"{no_paths_py.accuracy:.1f}%", "35.2%"))
     rows.append(("Python      AST paths (7/4)", f"{paths_py.accuracy:.1f}%", "56.7%"))
 
     # --- C# --------------------------------------------------------------
-    paths_cs = _cell("csharp", "ast-paths", csharp_data, "csharp paths")
+    paths_cs = _cell("ast-paths", csharp_data, "csharp paths")
     rows.append(("C#          AST paths (7/4)", f"{paths_cs.accuracy:.1f}%", "56.1%"))
 
     # --- Module-sized units ----------------------------------------------
     # The same headline cell at the granularity of the paper's real files
     # (each project's files concatenated; hundreds of terminals per unit).
-    paths_js_mod = _cell(
-        "javascript", "ast-paths", js_module_data, "js paths (modules)"
-    )
+    paths_js_mod = _cell("ast-paths", js_module_data, "js paths (modules)")
     rows.append(
         ("JavaScript  AST paths, modules", f"{paths_js_mod.accuracy:.1f}%", "-")
     )

@@ -11,6 +11,7 @@ benchmark modules via session-scoped fixtures.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import sys
@@ -19,9 +20,10 @@ from functools import lru_cache
 
 import pytest
 
+from repro.api import Pipeline, RunSpec
 from repro.corpus.generator import CorpusConfig, CorpusFile
 from repro.corpus.splits import split_corpus
-from repro.eval.harness import PreparedData, prepare_language_data
+from repro.eval.harness import PreparedData, evaluate_views, prepare_language_data
 from repro.lang.base import parse_source
 from repro.learning.crf import TrainingConfig
 
@@ -77,6 +79,30 @@ BENCH_TRAINING = TrainingConfig(epochs=5)
 
 #: Lighter configuration for the multi-run sweep figures.
 SWEEP_TRAINING = TrainingConfig(epochs=4)
+
+
+def spec(data: PreparedData, training: TrainingConfig = BENCH_TRAINING, **fields) -> RunSpec:
+    """A registry cell on ``data``'s language under a full TrainingConfig."""
+    return RunSpec(
+        language=data.language, training=dataclasses.asdict(training), **fields
+    )
+
+
+def evaluate_graphs(data, build, *, name, training=BENCH_TRAINING, **fields):
+    """Score a bespoke graph builder through the harness's one engine.
+
+    For rows whose features are not a registered representation
+    (UnuglifyJS relations, token n-grams, internal-only method paths).
+    ``build(pipeline, file, ast)`` must build its graph in
+    ``pipeline.space`` (or through ``pipeline.service``), the space the
+    pipeline's learner trains and scores in.
+    """
+    pipeline = Pipeline(spec(data, training, **fields))
+
+    def views(pairs):
+        return [build(pipeline, f, ast) for f, ast in pairs]
+
+    return evaluate_views(pipeline, views(data.train), views(data.test), name=name)
 
 
 @lru_cache(maxsize=None)

@@ -95,10 +95,12 @@ class AstPathsRepresentation:
 class NoPathsRepresentation(AstPathsRepresentation):
     """The "no-paths" baseline: neighbour identities, relation hidden.
 
-    Adapted from :mod:`repro.baselines.no_paths` /
-    :mod:`repro.baselines.path_neighbors`: the same element-and-neighbour
-    structure as ``ast-paths`` under the ``no-path`` abstraction, so the
-    learner sees *which* nodes are nearby but not *how* they relate.
+    Built on :func:`repro.baselines.no_paths.no_paths_extractor`: the
+    same element-and-neighbour structure as ``ast-paths`` under the
+    ``no-path`` abstraction, so the learner sees *which* nodes are nearby
+    but not *how* they relate.  With the ``word2vec`` learner this is
+    the only implementation of Table 3's "path-neighbours, no-paths"
+    contexts.
     """
 
     name = "no-paths"

@@ -18,6 +18,7 @@ from collections import defaultdict
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.ast_model import Ast
+from ..core.interning import FeatureSpace
 from ..lang import lexing
 from ..lang.javascript.parser import _KEYWORDS as _JS_KEYWORDS
 from ..lang.java.parser import _KEYWORDS as _JAVA_KEYWORDS
@@ -51,9 +52,14 @@ def build_ngram_graph(
     language: str = "java",
     n: int = 4,
     name: str = "",
+    space: Optional[FeatureSpace] = None,
 ) -> CrfGraph:
-    """Build a CRF graph whose relations are token n-grams."""
-    graph = CrfGraph(name=name)
+    """Build a CRF graph whose relations are token n-grams.
+
+    Relations and labels intern into ``space`` (a private one if None);
+    to train or score with a pipeline, pass its ``pipeline.space``.
+    """
+    graph = CrfGraph(name=name, space=space)
 
     # Renameable element names (from the AST's bindings); lexical models
     # group occurrences by name.

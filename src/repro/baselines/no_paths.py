@@ -1,18 +1,17 @@
 """The "no-paths" baseline (Sec. 5.3).
 
-Same CRF, same nodes, but every relation collapses to a single symbol:
-the model sees *which* identifiers are near an element but not *how* they
-are syntactically related -- a "bag of near identifiers".  Implemented by
-running the standard variable-naming graph builder under the ``no-path``
-abstraction.
+Same nodes, but every relation collapses to a single symbol: the model
+sees *which* identifiers are near an element but not *how* they are
+syntactically related -- a "bag of near identifiers".  Implemented as an
+extractor under the ``no-path`` abstraction, which the registered
+``no-paths`` representation (:mod:`repro.api.representations`) drives
+for every task and learner: with the CRF it gives Table 2's no-paths
+rows, with word2vec Table 3's "path-neighbours, no-paths" row.
 """
 
 from __future__ import annotations
 
-from ..core.ast_model import Ast
 from ..core.extraction import ExtractionConfig, PathExtractor
-from ..learning.crf.graph import CrfGraph
-from ..tasks.variable_naming import build_crf_graph
 
 
 def no_paths_extractor(
@@ -28,8 +27,3 @@ def no_paths_extractor(
         ),
         space=space,
     )
-
-
-def build_no_paths_graph(ast: Ast, name: str = "", max_length: int = 7, max_width: int = 3) -> CrfGraph:
-    """Variable-naming graph under the no-paths abstraction."""
-    return build_crf_graph(ast, no_paths_extractor(max_length, max_width), name)

@@ -57,16 +57,3 @@ def token_stream_contexts(
         binding: (groups[binding][0].value or "", contexts[binding])
         for binding in groups
     }
-
-
-def token_stream_pairs(
-    source: str, ast: Ast, language: str = "javascript", window: int = 4
-) -> List[Tuple[str, str]]:
-    """(gold name, context token) SGNS training pairs."""
-    pairs: List[Tuple[str, str]] = []
-    for _binding, (gold, tokens) in token_stream_contexts(
-        source, ast, language, window
-    ).items():
-        for token in tokens:
-            pairs.append((gold, token))
-    return pairs

@@ -20,6 +20,7 @@ from typing import Iterator, List, Optional, Tuple
 from ..core.ast_model import Ast, Node
 from ..core.paths import path_between
 from ..core.abstractions import alpha_id
+from ..core.interning import FeatureSpace
 from ..learning.crf.graph import CrfGraph
 from ..tasks.variable_naming import RENAMEABLE_KINDS, element_groups
 
@@ -78,9 +79,15 @@ def _binding_of(node: Node) -> Optional[str]:
     return None
 
 
-def build_unuglify_graph(ast: Ast, name: str = "") -> CrfGraph:
-    """CRF graph over hand-crafted single-statement relations."""
-    graph = CrfGraph(name=name)
+def build_unuglify_graph(
+    ast: Ast, name: str = "", space: Optional[FeatureSpace] = None
+) -> CrfGraph:
+    """CRF graph over hand-crafted single-statement relations.
+
+    Relations and labels intern into ``space`` (a private one if None);
+    to train or score with a pipeline, pass its ``pipeline.space``.
+    """
+    graph = CrfGraph(name=name, space=space)
     for binding, occurrences in element_groups(ast).items():
         graph.add_unknown(binding, gold=occurrences[0].value or "")
 

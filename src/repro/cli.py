@@ -60,8 +60,7 @@ from .core.service import ExtractionService
 from .api import Pipeline, RunSpec
 from .corpus import deduplicate, generate_corpus
 from .corpus.generator import CorpusConfig
-from .eval.harness import compatible_specs, evaluate_crf, path_graph_builder, prepare_language_data
-from .learning.crf import TrainingConfig
+from .eval.harness import compatible_specs, evaluate_spec, prepare_language_data
 
 _EXTENSION_LANGUAGES = {
     ".js": "javascript",
@@ -778,11 +777,13 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         args.language,
         CorpusConfig(language=args.language, n_projects=args.projects, seed=args.seed),
     )
-    result = evaluate_crf(
-        data,
-        path_graph_builder(args.max_length, args.max_width),
-        training_config=TrainingConfig(epochs=args.epochs),
-        name=f"{args.language} AST paths ({args.max_length}/{args.max_width})",
+    spec = RunSpec(
+        language=args.language,
+        extraction={"max_length": args.max_length, "max_width": args.max_width},
+        training={"epochs": args.epochs},
+    )
+    result = evaluate_spec(
+        spec, data, name=f"{args.language} AST paths ({args.max_length}/{args.max_width})"
     )
     print(result.summary())
     print(

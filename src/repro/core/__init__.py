@@ -12,7 +12,6 @@ from .extraction import (
     extract_path_contexts,
 )
 from .interning import (
-    DEFAULT_SPACE,
     ContextVocab,
     FeatureSpace,
     FrozenVocabError,
@@ -31,7 +30,6 @@ __all__ = [
     "AstPath",
     "ContextVocab",
     "CorpusExtraction",
-    "DEFAULT_SPACE",
     "DOWN",
     "ExtractedPath",
     "ExtractionConfig",

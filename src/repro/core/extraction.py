@@ -49,7 +49,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 from .abstractions import ABSTRACTIONS, Abstraction, alpha_id, get_abstraction
 from .ast_model import Ast, Node
-from .interning import DEFAULT_SPACE, FeatureSpace, OverlayVocab, Vocab
+from .interning import FeatureSpace, OverlayVocab, Vocab
 from .path_context import PathContext, endpoint_value, make_path_context
 from .paths import DOWN, UP, AstPath, path_between
 
@@ -321,9 +321,8 @@ class PathExtractor:
     """Extract path-contexts from ASTs under an :class:`ExtractionConfig`.
 
     ``space`` is the :class:`~repro.core.interning.FeatureSpace` the
-    extractor interns into; it defaults to the process-wide
-    :data:`~repro.core.interning.DEFAULT_SPACE` so independently built
-    extractors agree on ids.
+    extractor interns into; without one the extractor gets a private
+    space.
     """
 
     def __init__(
@@ -342,7 +341,7 @@ class PathExtractor:
         self.config = config
         self._alpha = config.resolve_abstraction()
         self._rng = random.Random(config.seed)
-        self._space = space if space is not None else DEFAULT_SPACE
+        self._space = space if space is not None else FeatureSpace()
         # Kind chains intern into small ints: (chain id, next kind upward)
         # -> chain id, with 0 the empty chain.  Space-independent, so the
         # trie survives every rebind.

@@ -22,11 +22,11 @@ Three pieces:
     saved model carries its own id assignment and reloads bit-identically
     in any process.
 
-A process-wide :data:`DEFAULT_SPACE` backs extractors and graphs created
-without an explicit space, so independently constructed components agree
-on ids by default (e.g. the train and test builders of a sweep).
-Pipelines create their own private space so saved models stay compact
-and deterministic.
+There is no process-wide space: an extractor, graph or model built
+without one gets a private :class:`FeatureSpace`, so ids never depend on
+what else ran in the process.  Components that must agree on ids (a
+pipeline's extractor, its graphs and its model) share one space
+explicitly.
 """
 
 from __future__ import annotations
@@ -362,9 +362,3 @@ class FeatureSpace:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FeatureSpace(paths={len(self.paths)}, values={len(self.values)})"
-
-
-#: Process-wide default space: components constructed without an explicit
-#: space (ad-hoc extractors, hand-built graphs, the sweep builders) all
-#: intern here and therefore agree on ids.
-DEFAULT_SPACE = FeatureSpace()

@@ -102,13 +102,9 @@ class ExtractionService:
         workers: int = 1,
     ) -> None:
         if extractor is None:
-            # One *private* vocab per service by default: corpus stats
-            # (unique paths/values) describe this corpus alone instead of
-            # accumulating into the process-wide space.
-            extractor = PathExtractor(
-                config or ExtractionConfig(),
-                space=space if space is not None else FeatureSpace(),
-            )
+            # A private vocab unless one is given, as for any extractor:
+            # corpus stats (unique paths/values) describe this corpus alone.
+            extractor = PathExtractor(config or ExtractionConfig(), space=space)
         elif config is not None:
             raise ValueError("pass either an extractor or a config, not both")
         elif space is not None:
@@ -302,7 +298,7 @@ _WORKER: Dict[str, object] = {}
 
 def _init_worker(language: str, config: ExtractionConfig) -> None:
     _WORKER["language"] = language
-    _WORKER["extractor"] = PathExtractor(config, space=FeatureSpace())
+    _WORKER["extractor"] = PathExtractor(config)
 
 
 def _extract_in_worker(source: str) -> Tuple[List[Tuple[str, str, str]], int]:

@@ -5,45 +5,40 @@ each (language, task, representation, learner) cell, plus the parameter
 sweeps of Figs. 10-12.  All entry points are deterministic under their
 seeds, so the benchmark suite reproduces identical numbers across runs.
 
-Cells are enumerated from the plugin registries
-(:func:`compatible_specs`) and evaluated through the same
-:class:`~repro.api.Pipeline` the public API uses
-(:func:`evaluate_spec`), so a newly registered language, task,
-representation or learner joins the experiment matrix without touching
-this module.  The lower half of the module keeps the callable-based
-engine (:func:`evaluate_crf` / :func:`evaluate_w2v`) that the parameter
-sweeps and ablations drive with custom builders.
+There is one evaluation engine.  Every cell is a
+:class:`~repro.api.RunSpec` run through the same
+:class:`~repro.api.Pipeline` the public API uses: :func:`evaluate_spec`
+builds the pipeline and its views, and :func:`evaluate_views` -- the
+only function here that fits a learner -- trains and scores them.  The
+sweeps vary the spec's ``extraction``; rows whose features are not a
+registered representation (UnuglifyJS relations, token n-grams,
+internal-only method paths) build their graphs in ``pipeline.space``
+and call :func:`evaluate_views` directly.  Cells are enumerated from the
+plugin registries (:func:`compatible_specs`), so a newly registered
+language, task, representation or learner joins the experiment matrix
+without touching this module.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..api import ParsedProgram, Pipeline, RunSpec, UnsupportedSpecError
 from ..api.learners import learners as learner_registry
 from ..api.representations import representations as representation_registry
 from ..api.tasks import tasks as task_registry
 from ..core.ast_model import Ast
-from ..core.extraction import ExtractionConfig, PathExtractor
-from ..core.service import CorpusExtraction, ExtractionService
 from ..corpus import deduplicate, generate_corpus, split_corpus
 from ..corpus.generator import CorpusConfig, CorpusFile
 from ..corpus.splits import CorpusSplit
 from ..lang.base import parse_source, supported_languages
-from ..learning.crf import CrfModel, CrfTrainer, TrainingConfig
+from ..learning.crf import TrainingConfig
 from ..learning.crf.graph import CrfGraph
-from ..learning.crf.inference import map_inference
-from ..learning.word2vec import ContextPredictor, SgnsConfig, train_sgns
-from ..tasks.method_naming import build_method_graph
-from ..tasks.type_prediction import build_type_graph
-from ..tasks.variable_naming import build_crf_graph, element_contexts
 from .metrics import AccuracyCounter, SubtokenF1Counter
-
-GraphBuilder = Callable[[CorpusFile, Ast], CrfGraph]
-ContextProvider = Callable[[CorpusFile, Ast], Dict[str, Tuple[str, List[str]]]]
 
 
 @dataclass
@@ -107,27 +102,6 @@ def prepare_language_data(
     return PreparedData(language=language, split=split, asts=asts, removed_duplicates=removed)
 
 
-def extract_corpus(
-    data: PreparedData,
-    config: Optional[ExtractionConfig] = None,
-    workers: int = 1,
-) -> CorpusExtraction:
-    """Index a prepared corpus through the :class:`ExtractionService`.
-
-    Every file's path-contexts are interned into one shared vocab;
-    ``workers > 1`` fans the parse+extract out over a process pool.  The
-    result carries corpus-wide throughput stats (what ``pigeon extract``
-    and the extraction benchmark report).
-    """
-    service = ExtractionService(config=config)
-    files = (
-        list(data.split.train) + list(data.split.validation) + list(data.split.test)
-    )
-    return service.index_sources(
-        [f.source for f in files], data.language, workers=workers
-    )
-
-
 # ----------------------------------------------------------------------
 # Registry-driven cells
 # ----------------------------------------------------------------------
@@ -172,9 +146,12 @@ def compatible_specs(
     return cells
 
 
-def _programs(language: str, pairs: Sequence[Tuple[CorpusFile, Ast]]) -> List[ParsedProgram]:
+def build_views(pipeline: Pipeline, pairs: Sequence[Tuple[CorpusFile, Ast]]) -> List:
+    """The feature view ``pipeline``'s learner consumes, per (file, AST) pair."""
     return [
-        ParsedProgram(language=language, source=f.source, ast=ast, name=f.path)
+        pipeline.view(
+            ParsedProgram(language=pipeline.spec.language, source=f.source, ast=ast, name=f.path)
+        )
         for f, ast in pairs
     ]
 
@@ -186,32 +163,29 @@ def _view_gold(view) -> Dict[str, str]:
     return {key: gold for key, (gold, _tokens) in view.items()}
 
 
-def evaluate_spec(
-    spec: RunSpec,
-    data: PreparedData,
-    name: Optional[str] = None,
+def evaluate_views(
+    pipeline: Pipeline,
+    train_views: Sequence,
+    test_views: Sequence,
+    *,
+    name: str,
     with_f1: bool = False,
-    eval_files: Optional[Sequence[CorpusFile]] = None,
 ) -> ExperimentResult:
-    """Train and evaluate one registry cell on a prepared corpus.
+    """Fit ``pipeline``'s learner on ``train_views`` and score ``test_views``.
 
-    The generic replacement for per-cell glue: builds the cell's
-    :class:`~repro.api.Pipeline`, trains it on ``data.train``, and
-    scores exact match (optionally subtoken F1) on ``data.test`` (or
-    ``eval_files``).
+    The one place the harness trains and scores: every table, figure and
+    ablation ends here.  Views may come from :func:`build_views` or from
+    an ad-hoc builder (UnuglifyJS relations, n-grams, ...), but a graph
+    view must intern into ``pipeline.space`` -- ids from another space
+    would score silently wrong, so they raise :class:`ValueError`.
     """
-    if spec.language != data.language:
-        raise ValueError(
-            f"spec is for language {spec.language!r} but data is {data.language!r}"
-        )
-    pipeline = Pipeline(spec)
-
-    t0 = time.perf_counter()
-    train_views = [pipeline.view(p) for p in _programs(spec.language, data.train)]
-    eval_pairs = data.pairs(eval_files) if eval_files is not None else data.test
-    test_views = [pipeline.view(p) for p in _programs(spec.language, eval_pairs)]
-    extract_seconds = time.perf_counter() - t0
-
+    for view in (*train_views, *test_views):
+        if isinstance(view, CrfGraph) and view.space is not pipeline.space:
+            raise ValueError(
+                f"view {view.name!r} was built in a different FeatureSpace than "
+                f"the pipeline it is scored with ({pipeline.spec.cell()}); build "
+                f"it in pipeline.space"
+            )
     learner_stats = pipeline.fit_views(train_views)
 
     t0 = time.perf_counter()
@@ -225,201 +199,72 @@ def evaluate_spec(
                 f1.add(predictions.get(key), gold)
     predict_seconds = time.perf_counter() - t0
 
+    extra: Dict[str, float] = {}
+    if train_views and not isinstance(train_views[0], CrfGraph):
+        # Contexts views: word2vec fits one (name, context) pair per token.
+        extra["pairs"] = float(
+            sum(len(tokens) for view in train_views for _gold, tokens in view.values())
+        )
     return ExperimentResult(
-        name=name or spec.cell(),
+        name=name,
         accuracy=accuracy.as_percent(),
         n=accuracy.total,
         f1=100.0 * f1.f1 if with_f1 else 0.0,
         precision=100.0 * f1.precision if with_f1 else 0.0,
         recall=100.0 * f1.recall if with_f1 else 0.0,
-        extract_seconds=extract_seconds,
         train_seconds=learner_stats.train_seconds,
         predict_seconds=predict_seconds,
         parameters=learner_stats.parameters,
+        extra=extra,
     )
 
 
-def evaluate_cells(
-    specs: Iterable[RunSpec],
-    data: Mapping[str, PreparedData],
-    with_f1: bool = False,
-) -> List[ExperimentResult]:
-    """Evaluate a batch of cells; ``data`` maps language -> corpus."""
-    return [
-        evaluate_spec(spec, data[spec.language], with_f1=with_f1) for spec in specs
-    ]
-
-
-# ----------------------------------------------------------------------
-# CRF evaluation
-# ----------------------------------------------------------------------
-
-
-def evaluate_crf(
+def evaluate_spec(
+    spec: RunSpec,
     data: PreparedData,
-    train_builder: GraphBuilder,
-    test_builder: Optional[GraphBuilder] = None,
-    training_config: Optional[TrainingConfig] = None,
-    name: str = "crf",
+    name: Optional[str] = None,
     with_f1: bool = False,
     eval_files: Optional[Sequence[CorpusFile]] = None,
 ) -> ExperimentResult:
-    """Train a CRF with one graph builder and evaluate exact match."""
-    test_builder = test_builder or train_builder
+    """Train and evaluate one registry cell on a prepared corpus.
+
+    Builds the cell's :class:`~repro.api.Pipeline`, its views of
+    ``data.train`` and ``data.test`` (or ``eval_files``), and scores them
+    with :func:`evaluate_views` (exact match, optionally subtoken F1).
+    """
+    if spec.language != data.language:
+        raise ValueError(
+            f"spec is for language {spec.language!r} but data is {data.language!r}"
+        )
+    pipeline = Pipeline(spec)
 
     t0 = time.perf_counter()
-    train_graphs = [train_builder(f, ast) for f, ast in data.train]
+    train_views = build_views(pipeline, data.train)
     eval_pairs = data.pairs(eval_files) if eval_files is not None else data.test
-    test_graphs = [test_builder(f, ast) for f, ast in eval_pairs]
+    test_views = build_views(pipeline, eval_pairs)
     extract_seconds = time.perf_counter() - t0
 
-    trainer = CrfTrainer(training_config or TrainingConfig())
-    model, stats = trainer.train(train_graphs)
-
-    t0 = time.perf_counter()
-    accuracy = AccuracyCounter()
-    f1 = SubtokenF1Counter()
-    compiled = model.compile()
-    for graph in test_graphs:
-        assignment = map_inference(compiled, graph)
-        for i, node in enumerate(graph.unknowns):
-            accuracy.add(assignment[i], node.gold)
-            if with_f1:
-                f1.add(assignment[i], node.gold)
-    predict_seconds = time.perf_counter() - t0
-
-    return ExperimentResult(
-        name=name,
-        accuracy=accuracy.as_percent(),
-        n=accuracy.total,
-        f1=100.0 * f1.f1 if with_f1 else 0.0,
-        precision=100.0 * f1.precision if with_f1 else 0.0,
-        recall=100.0 * f1.recall if with_f1 else 0.0,
-        extract_seconds=extract_seconds,
-        train_seconds=stats.train_seconds,
-        predict_seconds=predict_seconds,
-        parameters=stats.parameters,
+    result = evaluate_views(
+        pipeline, train_views, test_views, name=name or spec.cell(), with_f1=with_f1
     )
-
-
-def path_graph_builder(
-    max_length: int = 7,
-    max_width: int = 3,
-    abstraction: str = "full",
-    downsample_p: float = 1.0,
-    seed: int = 17,
-) -> GraphBuilder:
-    """The standard AST-paths graph builder for variable naming."""
-    extractor = PathExtractor(
-        ExtractionConfig(
-            max_length=max_length,
-            max_width=max_width,
-            abstraction=abstraction,
-            downsample_p=downsample_p,
-            seed=seed,
-        )
-    )
-
-    def build(file: CorpusFile, ast: Ast) -> CrfGraph:
-        return build_crf_graph(ast, extractor, name=file.path)
-
-    return build
-
-
-def method_graph_builder(
-    max_length: int = 12,
-    max_width: int = 4,
-    abstraction: str = "full",
-    use_external: bool = True,
-) -> GraphBuilder:
-    """Graph builder for the method-naming task."""
-    extractor = PathExtractor(
-        ExtractionConfig(
-            max_length=max_length, max_width=max_width, abstraction=abstraction
-        )
-    )
-
-    def build(file: CorpusFile, ast: Ast) -> CrfGraph:
-        return build_method_graph(ast, extractor, name=file.path, use_external=use_external)
-
-    return build
-
-
-def type_graph_builder(
-    max_length: int = 4, max_width: int = 1, abstraction: str = "full"
-) -> GraphBuilder:
-    """Graph builder for the full-type task (Java)."""
-    extractor = PathExtractor(
-        ExtractionConfig(
-            max_length=max_length, max_width=max_width, abstraction=abstraction
-        )
-    )
-
-    def build(file: CorpusFile, ast: Ast) -> CrfGraph:
-        return build_type_graph(ast, extractor, name=file.path)
-
-    return build
-
-
-# ----------------------------------------------------------------------
-# word2vec evaluation
-# ----------------------------------------------------------------------
-
-
-def evaluate_w2v(
-    data: PreparedData,
-    provider: ContextProvider,
-    sgns_config: Optional[SgnsConfig] = None,
-    name: str = "word2vec",
-) -> ExperimentResult:
-    """Train SGNS on (name, context) pairs and evaluate Eq. (4)."""
-    t0 = time.perf_counter()
-    pairs: List[Tuple[str, str]] = []
-    for file, ast in data.train:
-        for _binding, (gold, tokens) in provider(file, ast).items():
-            for token in tokens:
-                pairs.append((gold, token))
-    extract_seconds = time.perf_counter() - t0
-
-    model, stats = train_sgns(pairs, sgns_config or SgnsConfig())
-    predictor = ContextPredictor(model)
-
-    t0 = time.perf_counter()
-    accuracy = AccuracyCounter()
-    for file, ast in data.test:
-        for _binding, (gold, tokens) in provider(file, ast).items():
-            accuracy.add(predictor.predict(tokens), gold)
-    predict_seconds = time.perf_counter() - t0
-
-    return ExperimentResult(
-        name=name,
-        accuracy=accuracy.as_percent(),
-        n=accuracy.total,
-        extract_seconds=extract_seconds,
-        train_seconds=stats.train_seconds,
-        predict_seconds=predict_seconds,
-        parameters=len(model.words) * model.dim + len(model.contexts) * model.dim,
-        extra={"pairs": float(stats.pairs)},
-    )
-
-
-def path_context_provider(
-    max_length: int = 7, max_width: int = 3
-) -> ContextProvider:
-    """The AST-paths context provider for word2vec."""
-    extractor = PathExtractor(
-        ExtractionConfig(max_length=max_length, max_width=max_width, abstraction="full")
-    )
-
-    def provide(file: CorpusFile, ast: Ast) -> Dict[str, Tuple[str, List[str]]]:
-        return element_contexts(ast, extractor)
-
-    return provide
+    result.extract_seconds = extract_seconds
+    return result
 
 
 # ----------------------------------------------------------------------
 # Parameter sweeps (Figs. 10-12)
 # ----------------------------------------------------------------------
+
+
+def _path_spec(
+    data: PreparedData, training_config: Optional[TrainingConfig], **extraction
+) -> RunSpec:
+    """The variable-naming AST-paths CRF cell under ``extraction``."""
+    return RunSpec(
+        language=data.language,
+        extraction=extraction,
+        training=dataclasses.asdict(training_config) if training_config else {},
+    )
 
 
 def grid_search(
@@ -434,10 +279,9 @@ def grid_search(
     eval_files = data.split.validation if on_validation else data.split.test
     for width in widths:
         for length in lengths:
-            result = evaluate_crf(
+            result = evaluate_spec(
+                _path_spec(data, training_config, max_length=length, max_width=width),
                 data,
-                path_graph_builder(max_length=length, max_width=width),
-                training_config=training_config,
                 name=f"length={length},width={width}",
                 eval_files=eval_files,
             )
@@ -457,19 +301,25 @@ def downsampling_sweep(
     """Accuracy and training time vs keep-probability p (Fig. 11).
 
     Downsampling applies to *training* extraction only; evaluation always
-    uses the full path set, exactly as in Sec. 5.5.
+    uses the full path set, exactly as in Sec. 5.5: the test views come
+    from a full-path pipeline bound to the training pipeline's space.
     """
     results = []
-    full_builder = path_graph_builder(max_length=max_length, max_width=max_width)
     for p in keep_probabilities:
-        train_builder = path_graph_builder(
-            max_length=max_length, max_width=max_width, downsample_p=p
+        pipeline = Pipeline(
+            _path_spec(
+                data, training_config,
+                max_length=max_length, max_width=max_width, downsample_p=p,
+            )
         )
-        result = evaluate_crf(
-            data,
-            train_builder,
-            test_builder=full_builder,
-            training_config=training_config,
+        full = Pipeline(
+            _path_spec(data, training_config, max_length=max_length, max_width=max_width)
+        )
+        full.representation.bind_space(pipeline.space)
+        result = evaluate_views(
+            pipeline,
+            build_views(pipeline, data.train),
+            build_views(full, data.test),
             name=f"p={p:.1f}",
         )
         result.extra["keep_probability"] = p
@@ -495,12 +345,12 @@ def abstraction_sweep(
     """Accuracy vs training time per abstraction level (Fig. 12)."""
     results = []
     for abstraction in abstractions:
-        result = evaluate_crf(
-            data,
-            path_graph_builder(
-                max_length=max_length, max_width=max_width, abstraction=abstraction
+        result = evaluate_spec(
+            _path_spec(
+                data, training_config,
+                max_length=max_length, max_width=max_width, abstraction=abstraction,
             ),
-            training_config=training_config,
+            data,
             name=abstraction,
         )
         result.extra["abstraction_index"] = float(len(results))

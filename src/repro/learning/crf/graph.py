@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ...core.interning import DEFAULT_SPACE, FeatureSpace
+from ...core.interning import FeatureSpace
 
 #: A relation or neighbour label as callers may pass it: an interned id
 #: or a raw string (interned by the graph).
@@ -121,14 +121,13 @@ class CrfGraph:
     """A factor graph for one program (one file in our corpora).
 
     ``space`` is the feature space the factor ids reference; graphs built
-    by one extractor (or one pipeline) share its space, and hand-built
-    graphs default to the process-wide
-    :data:`~repro.core.interning.DEFAULT_SPACE`.
+    by one extractor (or one pipeline) share its space, and a hand-built
+    graph without one gets a private space.
     """
 
     def __init__(self, name: str = "", space: Optional[FeatureSpace] = None) -> None:
         self.name = name
-        self.space = space if space is not None else DEFAULT_SPACE
+        self.space = space if space is not None else FeatureSpace()
         self.unknowns: List[UnknownNode] = []
         self._key_to_index: Dict[str, int] = {}
         #: Bumped on every structural mutation; invalidates the cached

@@ -32,7 +32,7 @@ from collections import Counter, defaultdict
 import numpy as np
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from ...core.interning import DEFAULT_SPACE, FeatureSpace
+from ...core.interning import FeatureSpace
 from .graph import CrfGraph, UnknownNode
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -48,10 +48,10 @@ class CrfModel:
     def __init__(
         self, use_unary: bool = True, space: Optional[FeatureSpace] = None
     ) -> None:
-        # Defaulting to the process-wide space makes a hand-built model
-        # agree on ids with hand-built graphs; the trainer and pipelines
-        # pass the graphs' (or the representation's) space explicitly.
-        self.space = space if space is not None else DEFAULT_SPACE
+        # The trainer and pipelines pass the graphs' (or the
+        # representation's) space; a hand-built model without one gets a
+        # private space, so it shares ids only with graphs built in it.
+        self.space = space if space is not None else FeatureSpace()
         self.pair_weights: Dict[PairKey, float] = defaultdict(float)
         self.unary_weights: Dict[UnaryKey, float] = defaultdict(float)
         #: (rel_id, other_value_id) -> Counter of gold label ids.

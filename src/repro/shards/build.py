@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.extraction import ExtractionConfig, PathExtractor
-from ..core.interning import FeatureSpace
 from ..learning.crf.graph import CrfGraph
 from ..resilience.atomicio import (
     fsync_directory,
@@ -375,7 +374,7 @@ def _build_triples_shard(
     """Build + write one raw-triples shard (worker or inline)."""
     from ..lang.base import parse_source  # local import: avoid a cycle
 
-    extractor = PathExtractor(config, space=FeatureSpace())
+    extractor = PathExtractor(config)
     writer = ShardWriter(
         out_path, dict(base_meta, shard_index=shard_index, start_file=start_index)
     )

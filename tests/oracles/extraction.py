@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.ast_model import Ast, Node
 from repro.core.extraction import ExtractedPath, ExtractionConfig, ast_fingerprint
-from repro.core.interning import DEFAULT_SPACE, FeatureSpace
+from repro.core.interning import FeatureSpace
 from repro.core.path_context import PathContext, make_path_context
 from repro.core.paths import AstPath, path_between, semi_path
 from repro.learning.crf.graph import CrfGraph
@@ -51,7 +51,7 @@ class ReferencePathExtractor:
             config = ExtractionConfig(**{**config.__dict__, **overrides})
         config.validate()
         self.config = config
-        self.space = space if space is not None else DEFAULT_SPACE
+        self.space = space if space is not None else FeatureSpace()
         self._alpha = config.resolve_abstraction()
         self._rng = random.Random(config.seed)
 

@@ -179,14 +179,13 @@ class TestBaselinesThroughApi:
         assert set(predictions) != set()
 
     def test_no_paths_word2vec_is_path_neighbors(self):
-        # no-paths + word2vec reproduces the "path-neighbours" baseline
-        # context extraction of repro.baselines.path_neighbors.  The two
-        # run in different feature spaces (pipeline-private vs default),
-        # so token id pairs are compared decoded.
-        from repro.baselines import path_neighbor_contexts
-        from repro.core.interning import DEFAULT_SPACE
+        # no-paths + word2vec is Table 3's "path-neighbours" context
+        # extraction: the element contexts of the AST-paths word2vec cell
+        # under the no-path abstraction.  The two run in different
+        # feature spaces, so token id pairs are compared decoded.
+        from repro.core.extraction import ExtractionConfig, PathExtractor
         from repro.lang.base import parse_source
-        from repro.tasks.variable_naming import decode_w2v_token
+        from repro.tasks.variable_naming import decode_w2v_token, element_contexts
 
         pipeline = Pipeline(
             language="javascript", representation="no-paths", learner="word2vec", sgns=SGNS
@@ -199,8 +198,11 @@ class TestBaselinesThroughApi:
             }
 
         view = pipeline.view(pipeline.parse(TEST_JS))
-        baseline = path_neighbor_contexts(parse_source("javascript", TEST_JS))
-        assert decoded(view, pipeline.space) == decoded(baseline, DEFAULT_SPACE)
+        neighbors = PathExtractor(
+            ExtractionConfig(max_length=7, max_width=3, abstraction="no-path")
+        )
+        baseline = element_contexts(parse_source("javascript", TEST_JS), neighbors)
+        assert decoded(view, pipeline.space) == decoded(baseline, neighbors.space)
 
 
 class TestPersistence:

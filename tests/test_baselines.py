@@ -2,34 +2,45 @@
 
 import pytest
 
+from repro.api import ParsedProgram, Pipeline
 from repro.baselines import (
     NAIVE_TYPE,
     build_ngram_graph,
-    build_no_paths_graph,
     build_unuglify_graph,
     naive_type_predictions,
-    path_neighbor_contexts,
-    path_neighbor_pairs,
     rule_based_predictions,
     token_stream_contexts,
-    token_stream_pairs,
 )
-from repro.core.interning import DEFAULT_SPACE
+from repro.core.interning import FeatureSpace
 from repro.lang.base import parse_source
 from repro.tasks.variable_naming import decode_w2v_token, element_groups
 
 from fixtures import COUNT_JAVA, FIG1_JS
 
 
+def fig1_view(fig1_ast, representation, learner="crf"):
+    """The Fig. 1 program's view under a registered representation."""
+    pipeline = Pipeline(
+        language="javascript", representation=representation, learner=learner
+    )
+    program = ParsedProgram(language="javascript", source=FIG1_JS, ast=fig1_ast)
+    return pipeline, pipeline.view(program)
+
+
+def w2v_pairs(view):
+    """(gold name, context token) pairs, as the word2vec learner fits them."""
+    return [(gold, token) for gold, tokens in view.values() for token in tokens]
+
+
 class TestNoPaths:
     def test_all_relations_collapse(self, fig1_ast):
-        graph = build_no_paths_graph(fig1_ast)
+        _pipeline, graph = fig1_view(fig1_ast, "no-paths")
         rels = {graph.decode_rel(f.rel) for n in graph.unknowns for f in n.known}
         rels |= {graph.decode_rel(r) for n in graph.unknowns for r in n.unary}
         assert rels == {"*"}
 
     def test_same_elements_as_paths(self, fig1_ast):
-        graph = build_no_paths_graph(fig1_ast)
+        _pipeline, graph = fig1_view(fig1_ast, "no-paths")
         assert [n.gold for n in graph.unknowns] == ["d"]
 
 
@@ -80,9 +91,11 @@ doSomething2();
 var d = false;
 d = true;
 """
+        space = FeatureSpace()
+
         def d_relations(source):
             ast = parse_source("javascript", source)
-            graph = build_unuglify_graph(ast)
+            graph = build_unuglify_graph(ast, space=space)
             node = next(n for n in graph.unknowns if n.gold == "d")
             known = sorted((f.rel, f.label) for f in node.known)
             unary = sorted(node.unary)
@@ -175,24 +188,28 @@ class TestW2vBaselines:
         assert any(t.endswith("while") for t in tokens)
 
     def test_token_pairs(self, fig1_ast):
-        pairs = token_stream_pairs(FIG1_JS, fig1_ast, "javascript")
+        _pipeline, view = fig1_view(fig1_ast, "token-context", "word2vec")
+        pairs = w2v_pairs(view)
         assert pairs and all(w == "d" for w, _ in pairs)
 
+    # The "path-neighbours, no-paths" contexts of Table 3 are the no-paths
+    # representation's contexts view.
     def test_neighbor_contexts_hide_path(self, fig1_ast):
-        contexts = path_neighbor_contexts(fig1_ast)
+        pipeline, contexts = fig1_view(fig1_ast, "no-paths", "word2vec")
         _gold, tokens = next(iter(contexts.values()))
         assert tokens
-        decoded = [decode_w2v_token(t, DEFAULT_SPACE) for t in tokens]
+        decoded = [decode_w2v_token(t, pipeline.space) for t in tokens]
         assert all(t.startswith("*\x1d") for t in decoded)
 
     def test_neighbor_contexts_keep_ancestor_kinds(self, fig1_ast):
-        contexts = path_neighbor_contexts(fig1_ast)
+        pipeline, contexts = fig1_view(fig1_ast, "no-paths", "word2vec")
         _gold, tokens = next(iter(contexts.values()))
-        decoded = [decode_w2v_token(t, DEFAULT_SPACE) for t in tokens]
+        decoded = [decode_w2v_token(t, pipeline.space) for t in tokens]
         assert any(t == "*\x1dWhile" for t in decoded)
 
     def test_neighbor_pairs(self, fig1_ast):
-        pairs = path_neighbor_pairs(fig1_ast)
+        _pipeline, view = fig1_view(fig1_ast, "no-paths", "word2vec")
+        pairs = w2v_pairs(view)
         assert pairs and all(w == "d" for w, _ in pairs)
 
 

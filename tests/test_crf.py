@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.interning import FeatureSpace
 from repro.learning.crf import (
     CrfGraph,
     CrfModel,
@@ -15,9 +16,12 @@ from repro.learning.crf.inference import predict
 from fixtures import crf_artifact_round_trip
 from oracles import crf as oracle
 
+#: One space for every hand-built graph and model here, so their ids agree.
+SPACE = FeatureSpace()
+
 
 def tiny_graph(gold_a="done", gold_b="count"):
-    graph = CrfGraph("tiny")
+    graph = CrfGraph("tiny", space=SPACE)
     a = graph.add_unknown("elem:a", gold=gold_a)
     b = graph.add_unknown("elem:b", gold=gold_b)
     graph.add_known_factor(a, "relA", "true")
@@ -29,7 +33,7 @@ def tiny_graph(gold_a="done", gold_b="count"):
 
 class TestGraph:
     def test_add_unknown_dedupes_by_key(self):
-        graph = CrfGraph()
+        graph = CrfGraph(space=SPACE)
         i = graph.add_unknown("x", gold="a")
         j = graph.add_unknown("x", gold="ignored")
         assert i == j
@@ -62,7 +66,7 @@ class TestGraph:
 class TestModelScoring:
     def test_node_score_sums_matching_weights(self):
         graph = tiny_graph()
-        model = CrfModel()
+        model = CrfModel(space=SPACE)
         model.pair_weights[model.pair_key("done", "relA", "true")] = 2.0
         model.unary_weights[model.unary_key("done", "selfA")] = 0.5
         score = oracle.node_score(model, graph.unknowns[0], "done", ["done", "count"])
@@ -71,14 +75,14 @@ class TestModelScoring:
 
     def test_unary_disabled(self):
         graph = tiny_graph()
-        model = CrfModel(use_unary=False)
+        model = CrfModel(use_unary=False, space=SPACE)
         model.unary_weights[model.unary_key("done", "selfA")] = 5.0
         score = oracle.node_score(model, graph.unknowns[0], "done", ["done", "count"])
         assert score == 0.0
 
     def test_assignment_score(self):
         graph = tiny_graph()
-        model = CrfModel()
+        model = CrfModel(space=SPACE)
         model.pair_weights[model.pair_key("done", "relA", "true")] = 1.0
         model.pair_weights[model.pair_key("count", "relB", "0")] = 1.0
         assert oracle.assignment_score(model, graph, ["done", "count"]) == pytest.approx(
@@ -87,14 +91,14 @@ class TestModelScoring:
 
     def test_candidates_come_from_observed_contexts(self):
         graph = tiny_graph()
-        model = CrfModel()
+        model = CrfModel(space=SPACE)
         for node in graph.unknowns:
             model.observe_training_node(node, graph)
         candidates = oracle.candidates_for(model, graph.unknowns[0], ["?", "?"])
         assert "done" in candidates
 
     def test_top_features_interpretability(self):
-        model = CrfModel()
+        model = CrfModel(space=SPACE)
         model.pair_weights[model.pair_key("done", "rel", "true")] = 3.0
         model.unary_weights[model.unary_key("done", "self")] = -1.0
         top = model.top_features(2)
@@ -104,7 +108,7 @@ class TestModelScoring:
 
 class TestModelPersistence:
     def test_save_load_roundtrip(self, tmp_path):
-        model = CrfModel()
+        model = CrfModel(space=SPACE)
         model.pair_weights[model.pair_key("a", "r", "b")] = 1.5
         model.unary_weights[model.unary_key("a", "u")] = -0.5
         model.label_counts[model.label_id("a")] = 3
@@ -114,7 +118,7 @@ class TestModelPersistence:
         assert loaded.label_counts[loaded.label_id("a")] == 3
 
     def test_num_parameters(self):
-        model = CrfModel()
+        model = CrfModel(space=SPACE)
         model.pair_weights[model.pair_key("a", "r", "b")] = 1.0
         model.unary_weights[model.unary_key("a", "u")] = 1.0
         assert model.num_parameters() == 2
@@ -123,7 +127,7 @@ class TestModelPersistence:
 class TestInference:
     def test_map_recovers_planted_signal(self):
         graph = tiny_graph()
-        model = CrfModel()
+        model = CrfModel(space=SPACE)
         for node in graph.unknowns:
             model.observe_training_node(node, graph)
         model.pair_weights[model.pair_key("done", "relA", "true")] = 2.0
@@ -133,14 +137,14 @@ class TestInference:
 
     def test_loss_augmented_requires_gold(self):
         graph = tiny_graph()
-        model = CrfModel()
+        model = CrfModel(space=SPACE)
         with pytest.raises(ValueError):
             map_inference(model.compile(), graph, loss_augmented=True)
 
     def test_pairwise_consistency_via_edges(self):
         """Unknown-unknown factors couple the two predictions."""
         graph = tiny_graph()
-        model = CrfModel()
+        model = CrfModel(space=SPACE)
         for node in graph.unknowns:
             model.observe_training_node(node, graph)
         # Strong coupling: 'done' with 'count' across the edge.
@@ -151,7 +155,7 @@ class TestInference:
 
     def test_topk_ranked_descending(self):
         graph = tiny_graph()
-        model = CrfModel()
+        model = CrfModel(space=SPACE)
         for node in graph.unknowns:
             model.observe_training_node(node, graph)
         model.pair_weights[model.pair_key("done", "relA", "true")] = 2.0
@@ -164,7 +168,7 @@ class TestInference:
 
     def test_predict_wrapper(self):
         graph = tiny_graph()
-        model = CrfModel()
+        model = CrfModel(space=SPACE)
         for node in graph.unknowns:
             model.observe_training_node(node, graph)
         assert len(predict(model.compile(), graph)) == 2
@@ -174,7 +178,7 @@ def synthetic_graphs(n=30):
     """Graphs where the relation determines the gold label exactly."""
     graphs = []
     for i in range(n):
-        graph = CrfGraph(f"g{i}")
+        graph = CrfGraph(f"g{i}", space=SPACE)
         a = graph.add_unknown(f"a{i}", gold="done" if i % 2 == 0 else "count")
         rel = "flagrel" if i % 2 == 0 else "countrel"
         graph.add_known_factor(a, rel, "neighbor")
@@ -195,13 +199,13 @@ class TestTraining:
         assert correct == len(graphs)
 
     def test_empty_graphs_are_skipped(self):
-        model, stats = CrfTrainer(TrainingConfig(epochs=1)).train([CrfGraph("empty")])
+        model, stats = CrfTrainer(TrainingConfig(epochs=1)).train([CrfGraph("empty", space=SPACE)])
         assert stats.updates == 0
 
     def test_unary_ablation_toggles(self):
         graphs = []
         for i in range(20):
-            graph = CrfGraph(f"g{i}")
+            graph = CrfGraph(f"g{i}", space=SPACE)
             a = graph.add_unknown(f"a{i}", gold="x" if i % 2 == 0 else "y")
             graph.add_unary_factor(a, "ux" if i % 2 == 0 else "uy")
             graphs.append(graph)

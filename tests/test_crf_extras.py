@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.interning import FeatureSpace
 from repro.learning.crf import (
     CrfGraph,
     CrfModel,
@@ -13,10 +14,13 @@ from repro.learning.crf import (
 
 from oracles import crf as oracle
 
+#: One space for every hand-built graph and model here, so their ids agree.
+SPACE = FeatureSpace()
+
 
 def chain_graph(n=5):
     """A chain of unknowns, each coupled to the next; gold alternates."""
-    graph = CrfGraph("chain")
+    graph = CrfGraph("chain", space=SPACE)
     for i in range(n):
         graph.add_unknown(f"e{i}", gold="a" if i % 2 == 0 else "b")
     for i in range(n - 1):
@@ -27,10 +31,10 @@ def chain_graph(n=5):
 
 class TestCandidates:
     def test_beam_limits_candidate_count(self):
-        graph = CrfGraph()
+        graph = CrfGraph(space=SPACE)
         index = graph.add_unknown("e", gold="g")
         graph.add_known_factor(index, "rel", "neighbor")
-        model = CrfModel()
+        model = CrfModel(space=SPACE)
         context = (model.rel_id("rel"), model.label_id("neighbor"))
         for i in range(100):
             model.candidate_index[context][model.label_id(f"label{i}")] = 100 - i
@@ -39,18 +43,18 @@ class TestCandidates:
         assert candidates[0] == "label0"
 
     def test_global_fallback_provides_candidates(self):
-        graph = CrfGraph()
+        graph = CrfGraph(space=SPACE)
         graph.add_unknown("e", gold="g")
-        model = CrfModel()
+        model = CrfModel(space=SPACE)
         model.label_counts.update({model.label_id("common"): 50, model.label_id("rare"): 1})
         candidates = oracle.candidates_for(model, graph.unknowns[0], ["?"])
         assert "common" in candidates
 
     def test_unary_candidates_used(self):
-        graph = CrfGraph()
+        graph = CrfGraph(space=SPACE)
         index = graph.add_unknown("e", gold="g")
         graph.add_unary_factor(index, "selfrel")
-        model = CrfModel()
+        model = CrfModel(space=SPACE)
         model.unary_candidate_index[model.rel_id("selfrel")][model.label_id("fromunary")] = 5
         candidates = oracle.candidates_for(model, graph.unknowns[0], ["?"])
         assert "fromunary" in candidates
@@ -99,7 +103,7 @@ class TestInterpretability:
         """
         graphs = []
         for i in range(30):
-            graph = CrfGraph(f"g{i}")
+            graph = CrfGraph(f"g{i}", space=SPACE)
             gold = "done" if i % 2 == 0 else "count"
             index = graph.add_unknown(f"e{i}", gold=gold)
             graph.add_known_factor(index, "shared", "true")

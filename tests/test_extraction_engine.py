@@ -57,12 +57,13 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("language", LANGUAGES)
     def test_exact_match_across_settings(self, language):
         asts = corpus_asts(language)
+        space = FeatureSpace()
         for max_length, max_width in SETTINGS:
             config = ExtractionConfig(
                 max_length=max_length, max_width=max_width, include_semi_paths=True
             )
-            engine = PathExtractor(config)
-            oracle = ReferencePathExtractor(config)
+            engine = PathExtractor(config, space=space)
+            oracle = ReferencePathExtractor(config, space=space)
             for ast in asts:
                 assert signature(engine.extract(ast)) == signature(oracle.extract(ast)), (
                     f"mismatch for {language} at length={max_length} width={max_width}"
@@ -70,24 +71,27 @@ class TestOracleEquivalence:
 
     def test_abstractions_match(self):
         asts = corpus_asts("javascript", n_projects=2)
+        space = FeatureSpace()
         for abstraction in ("no-arrows", "forget-order", "first-top-last", "no-path"):
             config = ExtractionConfig(abstraction=abstraction)
-            engine = PathExtractor(config)
-            oracle = ReferencePathExtractor(config)
+            engine = PathExtractor(config, space=space)
+            oracle = ReferencePathExtractor(config, space=space)
             for ast in asts:
                 assert signature(engine.extract(ast)) == signature(oracle.extract(ast))
 
     def test_leaf_filter_matches(self, fig1_ast):
         config = ExtractionConfig(leaf_filter=lambda leaf: leaf.value == "d")
-        engine = PathExtractor(config)
-        oracle = ReferencePathExtractor(config)
+        space = FeatureSpace()
+        engine = PathExtractor(config, space=space)
+        oracle = ReferencePathExtractor(config, space=space)
         assert signature(engine.extract(fig1_ast)) == signature(oracle.extract(fig1_ast))
 
     def test_downsampling_keeps_identical_subset(self):
         asts = corpus_asts("python", n_projects=2)
         config = ExtractionConfig(downsample_p=0.35, seed=3)
-        engine = PathExtractor(config)
-        oracle = ReferencePathExtractor(config)
+        space = FeatureSpace()
+        engine = PathExtractor(config, space=space)
+        oracle = ReferencePathExtractor(config, space=space)
         for ast in asts:
             assert signature(engine.extract(ast)) == signature(oracle.extract(ast))
 
@@ -99,8 +103,9 @@ class TestPerAstDeterminism:
         asts = corpus_asts("javascript", n_projects=2)
         config = ExtractionConfig(downsample_p=0.5, seed=21)
 
-        first_alone = signature(PathExtractor(config).extract(asts[0]))
-        extractor = PathExtractor(config)
+        space = FeatureSpace()
+        first_alone = signature(PathExtractor(config, space=space).extract(asts[0]))
+        extractor = PathExtractor(config, space=space)
         for ast in asts[1:]:
             extractor.extract(ast)  # burn through other trees first
         assert signature(extractor.extract(asts[0])) == first_alone
@@ -113,9 +118,11 @@ class TestPerAstDeterminism:
         assert ast_fingerprint(ast_a) != ast_fingerprint(ast_c)
 
     def test_different_seeds_differ(self, fig1_ast):
+        space = FeatureSpace()
+
         def sample(seed):
             config = ExtractionConfig(downsample_p=0.5, seed=seed)
-            return signature(PathExtractor(config).extract(fig1_ast))
+            return signature(PathExtractor(config, space=space).extract(fig1_ast))
 
         assert sample(1) == sample(1)
         assert sample(1) != sample(2) or len(sample(1)) == 0

@@ -9,19 +9,22 @@ assertions use generous margins.
 
 import pytest
 
+from repro.api import RunSpec
 from repro.corpus.generator import CorpusConfig
-from repro.eval.harness import (
-    evaluate_crf,
-    evaluate_w2v,
-    path_context_provider,
-    path_graph_builder,
-    prepare_language_data,
-)
-from repro.learning.crf import TrainingConfig
-from repro.learning.word2vec import SgnsConfig
+from repro.eval.harness import evaluate_spec, prepare_language_data
 
 SMALL = dict(files_per_project=(4, 7))
-TRAIN = TrainingConfig(epochs=4)
+TRAIN = {"epochs": 4}
+
+
+def cell(data, max_length, max_width, training=TRAIN, **fields):
+    """Train and score one cell on ``data`` at the given path limits."""
+    extraction = {"max_length": max_length, "max_width": max_width}
+    extraction.update(fields.pop("extraction", {}))
+    spec = RunSpec(
+        language=data.language, extraction=extraction, training=training, **fields
+    )
+    return evaluate_spec(spec, data, with_f1=True)
 
 
 @pytest.fixture(scope="module")
@@ -40,17 +43,13 @@ def java_data():
 
 class TestVariableNamingShape:
     def test_js_paths_beat_no_paths(self, js_data):
-        paths = evaluate_crf(js_data, path_graph_builder(7, 3), training_config=TRAIN)
-        no_paths = evaluate_crf(
-            js_data, path_graph_builder(7, 3, abstraction="no-path"), training_config=TRAIN
-        )
+        paths = cell(js_data, 7, 3)
+        no_paths = cell(js_data, 7, 3, extraction={"abstraction": "no-path"})
         assert paths.accuracy > no_paths.accuracy + 10
 
     def test_java_paths_beat_no_paths(self, java_data):
-        paths = evaluate_crf(java_data, path_graph_builder(6, 3), training_config=TRAIN)
-        no_paths = evaluate_crf(
-            java_data, path_graph_builder(6, 3, abstraction="no-path"), training_config=TRAIN
-        )
+        paths = cell(java_data, 6, 3)
+        no_paths = cell(java_data, 6, 3, extraction={"abstraction": "no-path"})
         assert paths.accuracy > no_paths.accuracy
 
     @pytest.mark.parametrize("language,seed", [("python", 44), ("csharp", 45)])
@@ -58,37 +57,32 @@ class TestVariableNamingShape:
         data = prepare_language_data(
             language, CorpusConfig(language=language, n_projects=8, seed=seed, **SMALL)
         )
-        result = evaluate_crf(data, path_graph_builder(7, 4), training_config=TRAIN)
+        result = cell(data, 7, 4)
         assert result.n > 10
         assert result.accuracy > 20.0
 
 
 class TestWord2vecShape:
     def test_paths_beat_neighbors(self, js_data):
-        from repro.baselines import path_neighbor_contexts
-
-        sgns = SgnsConfig(dim=32, epochs=8)
-        paths = evaluate_w2v(js_data, path_context_provider(7, 3), sgns)
-        neighbors = evaluate_w2v(
-            js_data, lambda f, a: path_neighbor_contexts(a), sgns
+        sgns = {"dim": 32, "epochs": 8}
+        paths = cell(js_data, 7, 3, training={}, learner="word2vec", sgns=sgns)
+        neighbors = cell(
+            js_data, 7, 3, training={}, learner="word2vec", sgns=sgns,
+            representation="no-paths",
         )
         assert paths.accuracy > neighbors.accuracy
 
 
 class TestMethodAndTypeTasks:
     def test_java_method_naming_learns(self, java_data):
-        from repro.eval.harness import method_graph_builder
-
-        result = evaluate_crf(
-            java_data, method_graph_builder(6, 2), training_config=TRAIN, with_f1=True
-        )
+        result = cell(java_data, 6, 2, task="method_naming")
         assert result.accuracy > 20.0
         assert result.f1 >= result.accuracy - 10  # subtokens give partial credit
 
     def test_java_types_beat_naive(self, java_data):
         from repro.baselines.naive_type import NAIVE_TYPE
         from repro.core.extraction import ExtractionConfig, PathExtractor
-        from repro.eval.harness import evaluate_prediction_map, type_graph_builder
+        from repro.eval.harness import evaluate_prediction_map
         from repro.tasks.type_prediction import build_type_graph
 
         gold_extractor = PathExtractor(
@@ -99,9 +93,7 @@ class TestMethodAndTypeTasks:
             graph = build_type_graph(ast, gold_extractor)
             return {node.key: node.gold for node in graph.unknowns}
 
-        paths = evaluate_crf(
-            java_data, type_graph_builder(4, 1), training_config=TRAIN
-        )
+        paths = cell(java_data, 4, 1, task="type_prediction")
         naive = evaluate_prediction_map(
             java_data,
             lambda f, a: {key: NAIVE_TYPE for key in gold_types(a)},
@@ -125,7 +117,5 @@ class TestCrossLanguageConsistency:
                 language,
                 CorpusConfig(language=language, n_projects=4, seed=seed, **SMALL),
             )
-            result = evaluate_crf(
-                data, path_graph_builder(6, 3), training_config=TrainingConfig(epochs=2)
-            )
+            result = cell(data, 6, 3, training={"epochs": 2})
             assert result.n > 0

@@ -4,9 +4,12 @@ import json
 
 import pytest
 
-from repro.core.extraction import ExtractionConfig, PathExtractor
+import repro.core.extraction
+import repro.core.interning
+import repro.learning.crf.graph
+import repro.learning.crf.model
+from repro.core.extraction import ExtractionConfig, PathExtractor, extract_path_contexts
 from repro.core.interning import (
-    DEFAULT_SPACE,
     ContextVocab,
     FeatureSpace,
     FrozenVocabError,
@@ -75,13 +78,36 @@ class TestExtractionInterning:
             assert space.values.value(extracted.start_value_id) == extracted.context.start_value
             assert space.values.value(extracted.end_value_id) == extracted.context.end_value
 
-    def test_independent_extractors_share_default_space(self, fig1_ast):
+    def test_independent_extractors_get_private_spaces(self, fig1_ast):
         a = PathExtractor(ExtractionConfig())
         b = PathExtractor(ExtractionConfig())
-        assert a.space is DEFAULT_SPACE and b.space is DEFAULT_SPACE
+        assert a.space is not b.space
         rel_a = {e.rel_id: e.context.path for e in a.extract(fig1_ast)}
+        assert rel_a
+        # Interning through one extractor never grows the other's vocab.
+        assert len(b.space.paths) == 0 and len(b.space.values) == 0
         rel_b = {e.rel_id: e.context.path for e in b.extract(fig1_ast)}
-        assert rel_a == rel_b
+        assert rel_a == rel_b  # same program, same first-seen ids
+
+    def test_unbound_components_get_private_spaces(self):
+        assert CrfGraph().space is not CrfGraph().space
+        assert CrfModel().space is not CrfModel().space
+
+    def test_extraction_leaves_no_process_wide_vocab(self, fig1_ast):
+        assert extract_path_contexts(fig1_ast)
+        fresh = PathExtractor(ExtractionConfig())
+        assert len(fresh.space.paths) == 0 and len(fresh.space.values) == 0
+        for module in (
+            repro.core.interning,
+            repro.core.extraction,
+            repro.learning.crf.graph,
+            repro.learning.crf.model,
+        ):
+            shared = [
+                name for name, value in vars(module).items()
+                if isinstance(value, FeatureSpace)
+            ]
+            assert shared == [], f"{module.__name__} holds a module-level space"
 
     def test_graph_interns_strings_and_ids_equivalently(self):
         space = FeatureSpace()
