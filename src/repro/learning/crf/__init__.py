@@ -23,8 +23,9 @@ runs on a parallel **columnar** representation:
   packs the weight dicts into sorted parallel numpy arrays keyed on the
   ``(factor-group, label)`` plane
   (:class:`~repro.learning.crf.compiled.CompiledCrfModel`), so one
-  ``searchsorted`` gathers a whole ``factors x candidates`` weight
-  matrix and a factor-ordered reduction scores the beam.
+  ``searchsorted`` gathers a whole ``live factors x candidates`` weight
+  matrix and a factor-ordered reduction scores the beam (factors whose
+  group holds no weight are dropped when the graph is compiled).
 
 Inference has one engine, the compiled one.  The scalar scorer it
 replaced (one dict lookup per factor, a string-based ICM sweep) lives

@@ -17,21 +17,32 @@ node's whole beam scores as a handful of numpy ops:
 * At *graph-compile* time (:meth:`compile_graph`, once per inference
   call), the graph's :meth:`~repro.learning.crf.graph.CrfGraph.columnar`
   view is resolved against the pack: each known/unary factor's group row
-  is looked up once, so ICM sweeps touch no python tuples.
-* At *scoring* time, :meth:`score_candidates` builds the ``(factors x
-  candidates)`` key matrix, gathers all weights with **one**
-  ``searchsorted``, and reduces along the factor axis.
+  is looked up once, and the factors whose group holds no weight at all
+  (no row: neither packed nor in the overflow) are dropped.  What
+  remains are the graph's **live rows**: one mask over the flat factor
+  columns, split per node by the CSR offsets, so ICM sweeps touch no
+  python tuples and no dead factor.
+* At *scoring* time, :meth:`score_candidates` builds the ``(live
+  factors x candidates)`` key matrix, gathers all weights with **one**
+  ``searchsorted``, and reduces along the factor axis.  Edge liveness
+  depends on the current assignment, so edges are filtered per call.
 
 **Bit-identity with the scalar oracle** (``tests/oracles/crf.py``) is
 the design constraint, not an afterthought: predictions (tie-breaks
 included) and suggestion scores must match its ``node_score`` exactly.
-Two rules make that hold:
+Three rules make that hold:
 
 1. The factor-axis reduction runs row by row (``scores += w[f]``) in
-   factor order -- the same left-to-right IEEE addition sequence the
-   scalar loop performs.  Absent weights contribute ``+0.0``, which is
-   bitwise inert (the scalar running sum is never ``-0.0``).
-2. Candidate ids at or beyond ``label_base`` (overlay-interned request
+   factor order (known, then edges, then unary) -- the same
+   left-to-right IEEE addition sequence the scalar loop performs.
+   Absent weights contribute ``+0.0``, which is bitwise inert: the
+   running sum starts at ``+0.0`` and can never become ``-0.0`` (in
+   round-to-nearest, ``x + (-x)`` is ``+0.0``), and ``s + 0.0 == s``
+   for every other ``s``.
+2. A dead factor is therefore skipped exactly: every candidate would
+   gather ``+0.0`` from it, so dropping its row leaves every partial
+   sum, and the order of the live rows, unchanged.
+3. Candidate ids at or beyond ``label_base`` (overlay-interned request
    strings) and the ``-1`` sentinel (the un-interned ``"?"`` fallback)
    are masked to a zero score, exactly what the scalar path computes for
    a label that matches no trained feature.
@@ -39,17 +50,25 @@ Two rules make that hold:
 The trainer mutates weights between inference calls, so the pack
 supports cheap **write-through**: :meth:`set_pair`/:meth:`set_unary`
 update packed entries in place, unseen keys land in a small overflow
-dict that scoring consults per *factor* (not per candidate), and the
-pack rebuilds itself once the overflow outgrows a threshold.  Overflow
-weights are patched into the gathered weight matrix *before* the
-factor-order reduction, so mid-training scoring stays bit-identical to
-the scalar oracle too.
+dict that scoring consults per *live factor* (not per candidate), and
+the pack rebuilds itself once the overflow outgrows a threshold.  A
+group new to the pack gets the next free row when its first weight is
+stashed; no packed key carries that row, so it gathers ``+0.0`` like
+any miss.  Overflow weights are patched into the gathered weight matrix
+*before* the factor-order reduction, so mid-training scoring stays
+bit-identical to the scalar oracle too.  Training and serving share
+this one scoring path.  A group that enters the overflow after a graph
+was compiled turns some of that graph's dead factors live, so a
+:class:`CompiledGraph` records the overflow's group count, and scoring
+refuses it once the count has grown, as it refuses one resolved against
+an older pack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from itertools import chain, repeat
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -64,26 +83,68 @@ UNARY_OTHER = -1
 
 
 @dataclass(frozen=True)
+class LiveFactors:
+    """The known (or unary) factors of one graph that can carry a weight.
+
+    A factor is *live* when its ``(rel, other)`` group has a row: a
+    packed one, or one given to a group born in the overflow.  ``rows``
+    holds the live factors' rows in factor order, ``groups`` their group
+    keys (for the overflow patch), and node ``i``'s live factors sit at
+    ``off[i]:off[i + 1]``.
+    """
+
+    rows: np.ndarray
+    groups: List[Tuple[int, int]]
+    off: List[int]
+
+
+@dataclass(frozen=True)
 class CompiledGraph:
     """One graph resolved against one weight pack.
 
     ``known_rows`` / ``unary_rows`` are flat arrays parallel with the
     :class:`~repro.learning.crf.graph.ColumnarGraph` factor columns:
-    each entry is the packed group row of that factor (or ``-1`` when the
-    model holds no weights for its group).  Edge rows depend on the
-    evolving assignment, so they resolve per scoring call instead.
+    each entry is the group row of that factor (or ``-1`` when the pack
+    holds no row for its group).  ``live_known`` / ``live_unary``
+    are the subsets scoring reads; the rest hold no weight and would add
+    ``+0.0``.  Edge rows and liveness depend on the evolving assignment,
+    so they resolve per scoring call instead.  ``known_off`` /
+    ``edge_off`` / ``unary_off`` are the columnar CSR offsets over all
+    factors.
 
-    ``pack_version`` pins the pack this resolution belongs to; scoring
-    against a repacked model raises rather than silently mis-gathering.
+    ``pack_version`` pins the pack this resolution belongs to and
+    ``overflow_groups`` the overflow's group count at compile time;
+    scoring against a repacked model, or after a new group entered the
+    overflow (which may have turned a dead factor live), raises rather
+    than silently mis-gathering.
     """
 
     cols: ColumnarGraph
     known_rows: np.ndarray
     unary_rows: np.ndarray
     pack_version: int
+    overflow_groups: int
     known_off: List[int]
     edge_off: List[int]
     unary_off: List[int]
+    live_known: LiveFactors
+    live_unary: LiveFactors
+
+
+def _live(
+    groups: List[Tuple[int, int]], rows: np.ndarray, off: np.ndarray
+) -> LiveFactors:
+    """Keep the factors whose group has a row, split per node.
+
+    One mask over the flat columns; a node's live range starts at the
+    number of live factors before its CSR offset.
+    """
+    kept = np.flatnonzero(rows >= 0)
+    return LiveFactors(
+        rows=rows[kept],
+        groups=[groups[i] for i in kept.tolist()],
+        off=np.searchsorted(kept, off).tolist(),
+    )
 
 
 class CompiledCrfModel:
@@ -183,8 +244,8 @@ class CompiledCrfModel:
         self._pair_pos = pair_pos
         self._unary_pos = unary_pos
         #: group key -> {label_id: weight}; weights for keys born after
-        #: the pack.  Consulted per factor during scoring, folded back in
-        #: at the next repack.
+        #: the pack.  Consulted per live factor during scoring, folded
+        #: back in at the next repack.
         self._overflow: Dict[Tuple[int, int], Dict[int, float]] = {}
         self._overflow_count = 0
         self._dirty = False
@@ -232,7 +293,13 @@ class CompiledCrfModel:
         self._stash((rel, UNARY_OTHER), label, value)
 
     def _stash(self, group: Tuple[int, int], label: int, value: float) -> None:
-        bucket = self._overflow.setdefault(group, {})
+        bucket = self._overflow.get(group)
+        if bucket is None:
+            bucket = self._overflow[group] = {}
+            # A group new to the pack gets the next free row.  No packed
+            # key carries that row, so scoring gathers +0.0 there and
+            # patches the bucket in, and the group's factors read as live.
+            self._group_of.setdefault(group, len(self._group_of))
         if label not in bucket:
             self._overflow_count += 1
         bucket[label] = value
@@ -243,44 +310,51 @@ class CompiledCrfModel:
     # Graph compilation
     # ------------------------------------------------------------------
     def compile_graph(self, graph: CrfGraph) -> CompiledGraph:
-        """Resolve one graph's columnar factors against this pack.
+        """Resolve one graph's columnar factors to live rows of this pack.
 
         The group-row lookups here are the only per-factor python work
         the vectorized engine performs.  The last resolution is reused
-        while the graph's columnar view (cached until the graph changes)
-        and the pack are the same: a suggest request ranks every node of
-        one graph against one pack, and compiles it once.
+        while the graph's columnar view (cached until the graph changes),
+        the pack and the overflow's group count are the same: a suggest
+        request ranks every node of one graph against one pack, and
+        compiles it once.
         """
         self._refresh()
         cols = graph.columnar()
         memo = self._last_compiled
-        if memo is not None and memo.cols is cols and memo.pack_version == self._pack_version:
+        if (
+            memo is not None
+            and memo.cols is cols
+            and memo.pack_version == self._pack_version
+            and memo.overflow_groups == len(self._overflow)
+        ):
             return memo
-        group_of = self._group_of
-        known_rows = np.fromiter(
-            (
-                group_of.get((rel, label), -1)
-                for rel, label in zip(cols.known_rel_list, cols.known_label_list)
-            ),
-            dtype=np.int64,
-            count=len(cols.known_rel_list),
-        )
-        unary_rows = np.fromiter(
-            (group_of.get((rel, UNARY_OTHER), -1) for rel in cols.unary_rel_list),
-            dtype=np.int64,
-            count=len(cols.unary_rel_list),
-        )
+        known_groups = list(zip(cols.known_rel_list, cols.known_label_list))
+        unary_groups = list(zip(cols.unary_rel_list, repeat(UNARY_OTHER)))
+        known_rows = self._rows_of(known_groups)
+        unary_rows = self._rows_of(unary_groups)
         compiled = CompiledGraph(
             cols=cols,
             known_rows=known_rows,
             unary_rows=unary_rows,
             pack_version=self._pack_version,
+            overflow_groups=len(self._overflow),
             known_off=cols.known_off.tolist(),
             edge_off=cols.edge_off.tolist(),
             unary_off=cols.unary_off.tolist(),
+            live_known=_live(known_groups, known_rows, cols.known_off),
+            live_unary=_live(unary_groups, unary_rows, cols.unary_off),
         )
         self._last_compiled = compiled
         return compiled
+
+    def _rows_of(self, groups: List[Tuple[int, int]]) -> np.ndarray:
+        """The row of every group (``-1`` for a group holding no weight)."""
+        return np.fromiter(
+            map(self._group_of.get, groups, repeat(-1)),
+            dtype=np.int64,
+            count=len(groups),
+        )
 
     # ------------------------------------------------------------------
     # Scoring
@@ -298,8 +372,9 @@ class CompiledCrfModel:
         id at/above :attr:`label_base`) means "no trained feature can
         match" and scores exactly ``0.0``.  ``assignment_ids`` is the
         current assignment as an ``int64`` array over all nodes (``-1``
-        for labels outside the model vocabulary).  Bit-identical to the
-        scalar oracle's ``node_score`` per candidate.
+        for labels outside the model vocabulary).  Only the node's live
+        factors are gathered and summed.  Bit-identical to the scalar
+        oracle's ``node_score`` per candidate.
         """
         if cg.pack_version != self._pack_version:
             raise RuntimeError(
@@ -307,41 +382,44 @@ class CompiledCrfModel:
                 f"{cg.pack_version}, but the model has repacked to "
                 f"{self._pack_version}; call compile_graph() again"
             )
-        cols = cg.cols
-        n_candidates = len(candidates)
-        ks, ke = cg.known_off[index], cg.known_off[index + 1]
+        overflow = self._overflow
+        if cg.overflow_groups != len(overflow):
+            raise RuntimeError(
+                "CompiledGraph was resolved with "
+                f"{cg.overflow_groups} overflow groups, but the overflow "
+                f"has grown to {len(overflow)}; call compile_graph() again"
+            )
+        known, unary = cg.live_known, cg.live_unary
+        ks, ke = known.off[index], known.off[index + 1]
         es, ee = cg.edge_off[index], cg.edge_off[index + 1]
-        us, ue = cg.unary_off[index], cg.unary_off[index + 1]
-        use_unary = self.model.use_unary
+        us, ue = unary.off[index], unary.off[index + 1]
+        if not self.model.use_unary:
+            us = ue
 
-        parts = []
-        edge_other_ids: List[int] = []
-        if ke > ks:
-            parts.append(cg.known_rows[ks:ke])
+        edge_rows: List[int] = []
+        edge_groups: List[Tuple[int, int]] = []
         if ee > es:
-            edge_other_ids = assignment_ids[cols.edge_other[es:ee]].tolist()
             group_of = self._group_of
+            others = assignment_ids[cg.cols.edge_other[es:ee]].tolist()
             # The other >= 0 gate keeps unassigned/unseen neighbours
             # (sentinel -1) from colliding with UNARY_OTHER group keys;
             # the scalar path skips those edges the same way.
-            parts.append(
-                np.fromiter(
-                    (
-                        group_of.get((rel, other), -1) if other >= 0 else -1
-                        for rel, other in zip(
-                            cols.edge_rel_list[es:ee], edge_other_ids
-                        )
-                    ),
-                    dtype=np.int64,
-                    count=ee - es,
-                )
-            )
-        if use_unary and ue > us:
-            parts.append(cg.unary_rows[us:ue])
-        if not parts:
+            for group in zip(cg.cols.edge_rel_list[es:ee], others):
+                row = group_of.get(group, -1) if group[1] >= 0 else -1
+                if row >= 0:
+                    edge_rows.append(row)
+                    edge_groups.append(group)
+        n_candidates = len(candidates)
+        n_factors = ke - ks + len(edge_rows) + ue - us
+        if not n_factors:
             return np.zeros(n_candidates, dtype=np.float64)
-        rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        n_factors = len(rows)
+        rows = np.concatenate(
+            (
+                known.rows[ks:ke],
+                np.array(edge_rows, dtype=np.int64),
+                unary.rows[us:ue],
+            )
+        )
 
         valid = (candidates >= 0) & (candidates < self._label_base)
         all_valid = bool(valid.all())
@@ -357,10 +435,11 @@ class CompiledCrfModel:
         else:
             weight_matrix = np.zeros((n_factors, n_candidates), dtype=np.float64)
 
-        if self._overflow:
+        if overflow:
             self._patch_overflow(
-                weight_matrix, cg, candidates, ks, ke, es, ee, us, ue,
-                edge_other_ids, use_unary,
+                weight_matrix,
+                candidates,
+                chain(known.groups[ks:ke], edge_groups, unary.groups[us:ue]),
             )
         if not all_valid:
             weight_matrix[:, ~valid] = 0.0
@@ -375,46 +454,20 @@ class CompiledCrfModel:
     def _patch_overflow(
         self,
         weight_matrix: np.ndarray,
-        cg: CompiledGraph,
         candidates: np.ndarray,
-        ks: int,
-        ke: int,
-        es: int,
-        ee: int,
-        us: int,
-        ue: int,
-        edge_other_ids: List[int],
-        use_unary: bool,
+        groups: Iterable[Tuple[int, int]],
     ) -> None:
         """Write post-pack weights into the gathered matrix, in place.
 
-        Runs only while the trainer has unrepacked updates; the factory
-        rows keep their factor order so the reduction stays sequential.
+        ``groups`` are the live rows' group keys in factor order; only
+        the trainer's unrepacked updates have buckets to write.
         """
         overflow = self._overflow
-        cols = cg.cols
-        f = 0
-        for rel, label in zip(
-            cols.known_rel_list[ks:ke], cols.known_label_list[ks:ke]
-        ):
-            bucket = overflow.get((rel, label))
+        for f, group in enumerate(groups):
+            bucket = overflow.get(group)
             if bucket:
-                for lbl, value in bucket.items():
-                    weight_matrix[f, candidates == lbl] = value
-            f += 1
-        for rel, other in zip(cols.edge_rel_list[es:ee], edge_other_ids):
-            bucket = overflow.get((rel, other)) if other >= 0 else None
-            if bucket:
-                for lbl, value in bucket.items():
-                    weight_matrix[f, candidates == lbl] = value
-            f += 1
-        if use_unary:
-            for rel in cols.unary_rel_list[us:ue]:
-                bucket = overflow.get((rel, UNARY_OTHER))
-                if bucket:
-                    for lbl, value in bucket.items():
-                        weight_matrix[f, candidates == lbl] = value
-                f += 1
+                for label, value in bucket.items():
+                    weight_matrix[f, candidates == label] = value
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -12,10 +12,13 @@ of the graph, rank the candidate labels of one node.
 
 Both run on a :class:`~repro.learning.crf.compiled.CompiledCrfModel`
 (``CrfModel.compile()``): ids end-to-end (labels decode only at the
-return boundary), whole beams scored per numpy call, and nodes whose
+return boundary), whole beams scored per numpy call over only the
+node's *live* factors (those whose group holds any weight; the rest add
+``+0.0`` to every candidate, so dropping them is exact), and nodes whose
 neighbourhood has not changed since they were last scored skipped
 outright (their candidates and best label are pure functions of the
-neighbour ids, so skipping is exact, not approximate).
+neighbour ids, so skipping is exact, not approximate).  The trainer's
+loss-augmented inference and serving share this one scoring path.
 
 The results are bit-identical -- tie-breaks included -- to the scalar
 string-based sweep kept in ``tests/oracles/crf.py``;

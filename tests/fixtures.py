@@ -77,3 +77,55 @@ def crf_artifact_round_trip(model, path):
     learner = CrfLearner()
     restore_learner(learner, ModelArtifact.open(str(path), verify_payload=True))
     return learner.model
+
+
+#: Plain-file stdlib modules present in CPython 3.10 through 3.13.
+STDLIB_MODULES = (
+    "bisect",
+    "calendar",
+    "colorsys",
+    "copy",
+    "fnmatch",
+    "genericpath",
+    "glob",
+    "heapq",
+    "posixpath",
+    "shlex",
+    "string",
+    "textwrap",
+)
+#: Definitions per module, and their longest length in lines (the
+#: all-pairs extraction oracle is quadratic in a definition's terminals,
+#: the scalar CRF oracle linear in its factors).
+DEFINITIONS_PER_MODULE = 4
+MAX_DEFINITION_LINES = 40
+
+
+def stdlib_definitions():
+    """Source texts of the first top-level definitions of each pinned
+    stdlib module, skipping modules this interpreter lacks."""
+    import ast
+    import os
+    import sysconfig
+
+    root = sysconfig.get_paths()["stdlib"]
+    texts = []
+    for module in STDLIB_MODULES:
+        path = os.path.join(root, module + ".py")
+        if not os.path.exists(path):
+            continue
+        with open(path, encoding="utf-8") as handle:
+            source = handle.read()
+        lines = source.splitlines(keepends=True)
+        taken = 0
+        for node in ast.parse(source).body:
+            if taken == DEFINITIONS_PER_MODULE:
+                break
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            text = "".join(lines[node.lineno - 1 : node.end_lineno])
+            if text.count("\n") > MAX_DEFINITION_LINES:
+                continue
+            texts.append(text)
+            taken += 1
+    return texts

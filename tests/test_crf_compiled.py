@@ -9,11 +9,15 @@ approximately.  Covered here:
 
 * real models across all four language frontends and every task
   (variable naming, method naming, Java type prediction);
+* a model trained on real stdlib definitions, scored on held-out views
+  built the serving way (under an overlay of the frozen base space),
+  where most factors hold no weight and scoring skips them;
 * loss-augmented inference (the trainer's inner loop) and full trainer
   parity (the trainer with the oracle swapped in for its inference
   trains the same weights, including weight decay and averaging);
 * edge cases: empty candidate beams, labels outside the trained vocab,
-  count-and-score ties, write-through after compile, stale packs.
+  count-and-score ties, write-through after compile, stale packs, a
+  group entering the overflow after compile, all-dead graphs.
 """
 
 import random
@@ -34,8 +38,9 @@ from repro.learning.crf import (
     map_inference,
     topk_for_node,
 )
-from repro.learning.crf.inference import UNKNOWN_LABEL, _best_id
+from repro.learning.crf.inference import UNKNOWN_LABEL, _best_id, label_ids
 
+from fixtures import stdlib_definitions
 from oracles import crf as oracle
 
 #: One cell per language, both graph tasks, plus the Java-only task.
@@ -115,6 +120,103 @@ class TestRealModels:
             assert learner.predict(graph) == dict(zip(keys, assignment))
             assert learner.suggest(graph, k=3) == {
                 key: oracle.topk_for_node(model, graph, i, k=3, assignment=assignment)
+                for i, key in enumerate(keys)
+            }
+
+
+@pytest.fixture(scope="module")
+def stdlib_texts():
+    texts = stdlib_definitions()
+    if len(texts) < 12:
+        pytest.skip("too few of the pinned stdlib modules are installed")
+    return texts
+
+
+@pytest.fixture(scope="module")
+def stdlib_cell(stdlib_texts):
+    """A Python model trained on real stdlib definitions; held-out views
+    built as :class:`~repro.api.pipeline.ScoringHandle` builds them, each
+    under a fresh overlay of the frozen base space."""
+    held_out = stdlib_texts[::3]
+    training = [text for i, text in enumerate(stdlib_texts) if i % 3]
+    pipeline = Pipeline(language="python", training={"epochs": 2})
+    pipeline.train(training)
+    handle = pipeline.scoring_handle()  # freezes the base space
+    base = pipeline.space
+    graphs = []
+    for text in held_out:
+        pipeline.representation.bind_space(base.overlay())
+        graphs.append((text, pipeline.view(pipeline.parse(text))))
+    pipeline.representation.bind_space(base)
+    graphs = [(text, graph) for text, graph in graphs if len(graph)]
+    assert len(graphs) >= 4, "held-out definitions produced too few graphs"
+    model = pipeline.learner.model
+    return handle, model, model.compile(), graphs
+
+
+class TestRealCode:
+    def test_most_known_factors_are_dead(self, stdlib_cell):
+        """The cell exercises the skip: at least half of its known
+        factors hold no weight, and some do."""
+        _, _, compiled, graphs = stdlib_cell
+        known = live = 0
+        for _, graph in graphs:
+            cg = compiled.compile_graph(graph)
+            known += len(cg.known_rows)
+            live += len(cg.live_known.rows)
+        assert 0 < live <= known // 2
+
+    def test_map_and_loss_augmented_bit_identical(self, stdlib_cell):
+        _, model, compiled, graphs = stdlib_cell
+        for _, graph in graphs:
+            assert map_inference(compiled, graph) == oracle.map_inference(model, graph)
+            gold = graph.gold_assignment()
+            assert map_inference(
+                compiled, graph, loss_augmented=True, gold=gold
+            ) == oracle.map_inference(model, graph, loss_augmented=True, gold=gold)
+
+    def test_topk_labels_and_scores_bit_identical(self, stdlib_cell):
+        _, model, compiled, graphs = stdlib_cell
+        for _, graph in graphs:
+            assignment = oracle.map_inference(model, graph)
+            for index in range(len(graph)):
+                scalar = oracle.topk_for_node(
+                    model, graph, index, k=5, assignment=assignment
+                )
+                vector = topk_for_node(
+                    compiled, graph, index, k=5, assignment=assignment
+                )
+                assert vector == scalar  # labels AND float scores, exactly
+
+    def test_trainer_bit_identical(self, stdlib_texts, monkeypatch):
+        """Training scores through the same live rows, with the weights
+        born since the last repack in the overflow."""
+
+        def train():
+            pipeline = Pipeline(language="python")
+            graphs = [pipeline.view(pipeline.parse(text)) for text in stdlib_texts]
+            return CrfTrainer(TrainingConfig(epochs=2)).train(graphs)
+
+        compiled_model, compiled_stats = train()
+        monkeypatch.setattr(
+            "repro.learning.crf.training.map_inference",
+            lambda compiled, graph, **kwargs: oracle.map_inference(
+                compiled.model, graph, **kwargs
+            ),
+        )
+        scalar_model, scalar_stats = train()
+        assert compiled_stats.updates == scalar_stats.updates > 0
+        assert dict(compiled_model.pair_weights) == dict(scalar_model.pair_weights)
+        assert dict(compiled_model.unary_weights) == dict(scalar_model.unary_weights)
+
+    def test_scoring_handle_matches_oracle(self, stdlib_cell):
+        handle, model, _, graphs = stdlib_cell
+        for text, graph in graphs:
+            assignment = oracle.map_inference(model, graph)
+            keys = [node.key for node in graph.unknowns]
+            assert handle.predict(text) == dict(zip(keys, assignment))
+            assert handle.suggest(text, k=5) == {
+                key: oracle.topk_for_node(model, graph, i, k=5, assignment=assignment)
                 for i, key in enumerate(keys)
             }
 
@@ -294,6 +396,48 @@ class TestEdgeCases:
                 np.zeros(len(graph), dtype=np.int64),
             )
 
+    def test_overflow_group_born_after_compile(self):
+        """A weight in a group the pack lacks turns a dead factor live:
+        the old CompiledGraph refuses to score, and a recompile (which
+        takes liveness from the overflow as well as the packed rows)
+        scores that factor exactly as the oracle does."""
+        space = FeatureSpace()
+        model = _random_model(space)
+        compiled = model.compile()
+        graph = _random_graph(space, seed=53)
+        assignment = oracle.map_inference(model, graph)
+        assignment_ids = label_ids(compiled, assignment)
+        cg = compiled.compile_graph(graph)
+        index, factor = next(
+            (i, factor)
+            for i, node in enumerate(graph.unknowns)
+            for factor in node.known
+            if (factor.rel, factor.label) not in compiled._group_of
+        )
+        node = graph.unknowns[index]
+        label = model.candidate_ids_for(node, assignment_ids.tolist(), beam=96)[0]
+        name = space.values.value(label)
+        before = oracle.node_score(model, node, name, assignment)
+        key = (label, factor.rel, factor.label)
+        model.pair_weights[key] = 5.0
+        compiled.set_pair(key, 5.0)
+        assert compiled.pack_version == cg.pack_version  # no repack
+        candidates = np.array([label], dtype=np.int64)
+        with pytest.raises(RuntimeError, match="overflow"):
+            compiled.score_candidates(cg, index, candidates, assignment_ids)
+
+        fresh = compiled.compile_graph(graph)
+        assert fresh is not cg
+        assert (factor.rel, factor.label) in fresh.live_known.groups
+        expected = oracle.node_score(model, node, name, assignment)
+        assert expected != before
+        score = compiled.score_candidates(fresh, index, candidates, assignment_ids)
+        assert score.tolist() == [expected]
+        assert map_inference(compiled, graph) == oracle.map_inference(model, graph)
+        assert topk_for_node(
+            compiled, graph, index, k=8, assignment=assignment
+        ) == oracle.topk_for_node(model, graph, index, k=8, assignment=assignment)
+
     def test_compile_graph_reused_until_graph_or_pack_changes(self):
         space = FeatureSpace()
         model = _random_model(space)
@@ -381,3 +525,31 @@ class TestCompiledModelShape:
             cg, 0, np.array([-1, beyond], dtype=np.int64), assignment
         )
         assert scores.tolist() == [0.0, 0.0]
+
+    def test_all_dead_graph_scores_positive_zero(self):
+        """Every factor misses the pack: nothing is live, and every
+        candidate scores exactly +0.0 (bit pattern, so -0.0 fails)."""
+        space = FeatureSpace()
+        model = _random_model(space)
+        compiled = model.compile()
+        graph = CrfGraph("dead", space=space)
+        a = graph.add_unknown("a")
+        b = graph.add_unknown("b")
+        graph.add_known_factor(a, "dead-rel", "dead-neighbour")
+        graph.add_known_factor(b, "dead-rel", LABELS[0])
+        graph.add_unknown_factor(a, b, "dead-ab", "dead-ba")
+        graph.add_unary_factor(a, "dead-unary")
+        graph.add_unary_factor(b, "dead-unary")
+        cg = compiled.compile_graph(graph)
+        for live in (cg.live_known, cg.live_unary):
+            assert len(live.rows) == 0 and live.groups == []
+            assert live.off == [0, 0, 0]
+        candidates = np.arange(-1, compiled.label_base + 2, dtype=np.int64)
+        zeros = np.zeros(len(candidates), dtype=np.float64).tobytes()
+        for assigned in (0, space.values.id_of(LABELS[3])):
+            assignment = np.full(len(graph), assigned, dtype=np.int64)
+            for index in (a, b):
+                scores = compiled.score_candidates(cg, index, candidates, assignment)
+                assert scores.dtype == np.float64
+                assert scores.tobytes() == zeros
+        assert map_inference(compiled, graph) == oracle.map_inference(model, graph)

@@ -15,7 +15,6 @@ Corpora: generated programs in all four languages and top-level
 definitions from pinned stdlib modules present in CPython 3.10-3.13.
 """
 
-import ast as pyast
 import os
 import sysconfig
 
@@ -30,29 +29,10 @@ from repro.learning.crf import CrfTrainer, TrainingConfig
 from repro.learning.crf.inference import map_inference, topk_for_node
 from repro.tasks import translate, variable_naming
 
+from fixtures import STDLIB_MODULES, stdlib_definitions
 from oracles import extraction as oracle
 
 LANGUAGES = ("javascript", "java", "python", "csharp")
-
-#: Plain-file stdlib modules present in CPython 3.10 through 3.13.
-STDLIB_MODULES = (
-    "bisect",
-    "calendar",
-    "colorsys",
-    "copy",
-    "fnmatch",
-    "genericpath",
-    "glob",
-    "heapq",
-    "posixpath",
-    "shlex",
-    "string",
-    "textwrap",
-)
-#: Definitions per module, and their longest length in lines (the
-#: all-pairs oracle is quadratic in a definition's terminals).
-DEFINITIONS_PER_MODULE = 4
-MAX_DEFINITION_LINES = 40
 
 SETTINGS = {
     "default": {},
@@ -75,27 +55,7 @@ def _generated(language, n_projects=2, seed=11):
 
 
 def _stdlib_definitions():
-    root = sysconfig.get_paths()["stdlib"]
-    asts = []
-    for module in STDLIB_MODULES:
-        path = os.path.join(root, module + ".py")
-        if not os.path.exists(path):
-            continue
-        with open(path, encoding="utf-8") as handle:
-            source = handle.read()
-        lines = source.splitlines(keepends=True)
-        taken = 0
-        for node in pyast.parse(source).body:
-            if taken == DEFINITIONS_PER_MODULE:
-                break
-            if not isinstance(node, (pyast.FunctionDef, pyast.ClassDef)):
-                continue
-            text = "".join(lines[node.lineno - 1 : node.end_lineno])
-            if text.count("\n") > MAX_DEFINITION_LINES:
-                continue
-            asts.append(parse_source("python", text))
-            taken += 1
-    return asts
+    return [parse_source("python", text) for text in stdlib_definitions()]
 
 
 @pytest.fixture(scope="module")
