@@ -23,8 +23,9 @@ invariant: **every routed prediction is bit-identical to a direct**
     and drain-restarts single replicas for rolling reloads.
 :mod:`repro.fleet.router`
     :class:`FleetRouter`: the asyncio front tier (stdlib only, the same
-    HTTP dialect as the single server).  ``POST /predict`` parses the
-    source locally, routes by digest, forwards the body verbatim to the
+    HTTP dialect as the single server).  ``POST /predict`` derives the
+    source's digest (memoized per source bytes, so a repeat is not
+    parsed), routes by it, forwards the body verbatim to the
     ring owner and retries once -- after exponential backoff with
     jitter -- on the ring successor when the owner is dead, draining or
     timed out.  ``GET /fleet/stats`` merges replica stats and the
@@ -42,7 +43,7 @@ invariant: **every routed prediction is bit-identical to a direct**
 The end-to-end flow (``pigeon fleet serve`` in front of clients, or
 :class:`ReplicaSet` + :class:`FleetRouter` in code)::
 
-    client --POST /predict--> router --(parse -> ast_digest x task)-->
+    client --POST /predict--> router --(memo | parse -> ast_digest x task)-->
         ring owner replica --(cache hit | micro-batched scoring)--> answer
     owner dead/draining?  --(backoff + jitter)--> ring successor
     saturated?            --> 503 + Retry-After (grey-box estimate)

@@ -4,9 +4,10 @@
 wire dialect as :class:`~repro.serving.server.PredictionServer`) that
 owns no model and scores nothing.  Its whole job is placement:
 
-* ``POST /predict`` -- parse the source *here* (the router runs the same
-  frontends the replicas do), derive the structural
-  :func:`~repro.core.extraction.ast_digest`, and forward the request --
+* ``POST /predict`` -- derive the source's structural
+  :func:`~repro.core.extraction.ast_digest` (recalled from a memo keyed
+  on the source's bytes when they were seen before, else parsed with
+  the same frontends the replicas run), and forward the request --
   body bytes untouched -- to the replica that owns
   ``digest x task`` on the :class:`~repro.fleet.ring.HashRing`.  Owner
   dead, draining or timed out?  One retry, after an exponential-backoff-
@@ -41,9 +42,10 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from ..core.extraction import ast_digest
-from ..lang.base import parse_source
+from ..lang.base import ParseError, parse_source
 from ..resilience import faults
 from ..resilience.faults import FaultInjected
+from ..serving.cache import LruCache, source_key
 from ..serving.http import (
     BadRequest,
     Connection,
@@ -62,6 +64,9 @@ from .capacity import (
 )
 from .replicas import HEALTHY, Replica, ReplicaSet
 from .ring import DEFAULT_VNODES, HashRing, request_key
+
+#: Capacity of the router's source_key -> routing-digest memo.
+DIGEST_MEMO_SIZE = 4096
 
 
 class FleetRouter:
@@ -93,6 +98,8 @@ class FleetRouter:
         self._poll_task: Optional[asyncio.Task] = None
         self._inflight = 0
         self._requests = 0
+        self._errors = 0
+        self._digests = LruCache(DIGEST_MEMO_SIZE)
         self._routed: Dict[str, int] = {}
         self._failovers = 0
         self._reloads = 0
@@ -280,6 +287,8 @@ class FleetRouter:
                     break
                 self._requests += 1
                 status, payload, headers = await self._route(request)
+                if status >= 400:
+                    self._errors += 1
                 await respond(
                     writer,
                     status,
@@ -393,15 +402,25 @@ class FleetRouter:
 
         # The routing key is the same structural digest the replica's
         # response cache keys on, so one program always lands on the
-        # replica already holding its answer.  Parsing is CPU-bound:
+        # replica already holding its answer.  Bytes seen before recall
+        # their digest from the memo; otherwise parsing is CPU-bound:
         # off-loop, like the replicas do it.
-        loop = asyncio.get_running_loop()
         try:
-            digest = await loop.run_in_executor(
-                None, _digest_source, route_language, source
-            )
-        except Exception as error:  # noqa: BLE001 - parser errors are user input
-            return 400, {"error": f"cannot parse source: {error}"}, None
+            memo_key = source_key(self._routes[(route_language, route_task)], source)
+        except UnicodeEncodeError as error:
+            return 400, {"error": f"source is not encodable as UTF-8: {error}"}, None
+        digest = self._digests.get(memo_key)
+        if digest is None:
+            loop = asyncio.get_running_loop()
+            try:
+                digest = await loop.run_in_executor(
+                    None, _digest_source, route_language, source
+                )
+            except ParseError as error:
+                return 400, {"error": f"cannot parse source: {error}"}, None
+            except Exception as error:  # noqa: BLE001 - our bug, not user input
+                return 500, {"error": f"fingerprinting failed: {error}"}, None
+            self._digests.put(memo_key, digest)
 
         key = request_key(digest, route_task)
         # The forward path (owner attempt + backoff + successor retry)
@@ -554,12 +573,14 @@ class FleetRouter:
             "router": {
                 "uptime_seconds": round(self._uptime(), 3),
                 "requests": self._requests,
+                "errors": self._errors,
                 "inflight": self._inflight,
                 "routed": dict(sorted(self._routed.items())),
                 "failovers": self._failovers,
                 "rejected": self.admission.rejected,
                 "reloads": self._reloads,
                 "admission_limit": self.admission.limit(healthy),
+                "digests": self._digests.stats(),
             },
             "ring": self.ring.describe(),
             "replicas": self.replicas.status(),
@@ -654,6 +675,11 @@ def _digest_source(language: str, source: str) -> str:
     return ast_digest(parse_source(language, source))
 
 
+#: The replicas' LruCache stats blocks, and the counters merged by addition.
+_CACHE_BLOCKS = ("cache", "digests")
+_CACHE_COUNTERS = ("hits", "misses", "evictions", "size", "capacity")
+
+
 def _merge_stats(per_replica: Dict[str, dict]) -> dict:
     """Fleet-level view: counters summed, histograms added bucket-wise."""
     merged: dict = {
@@ -665,8 +691,7 @@ def _merge_stats(per_replica: Dict[str, dict]) -> dict:
         "inflight": 0,
         "queue_depth": 0,
     }
-    hits = misses = evictions = 0
-    size = capacity = 0
+    caches = {block: dict.fromkeys(_CACHE_COUNTERS, 0) for block in _CACHE_BLOCKS}
     latency_snapshots: Dict[str, List[dict]] = {}
     for stats in per_replica.values():
         for counter in (
@@ -678,23 +703,16 @@ def _merge_stats(per_replica: Dict[str, dict]) -> dict:
             "queue_depth",
         ):
             merged[counter] += int(stats.get(counter, 0))
-        cache = stats.get("cache") or {}
-        hits += int(cache.get("hits", 0))
-        misses += int(cache.get("misses", 0))
-        evictions += int(cache.get("evictions", 0))
-        size += int(cache.get("size", 0))
-        capacity += int(cache.get("capacity", 0))
+        for block, totals in caches.items():
+            counters = stats.get(block) or {}
+            for counter in _CACHE_COUNTERS:
+                totals[counter] += int(counters.get(counter, 0))
         for path, snapshot in (stats.get("latency") or {}).items():
             latency_snapshots.setdefault(path, []).append(snapshot)
-    lookups = hits + misses
-    merged["cache"] = {
-        "hits": hits,
-        "misses": misses,
-        "evictions": evictions,
-        "size": size,
-        "capacity": capacity,
-        "hit_rate": round(hits / lookups, 4) if lookups else 0.0,
-    }
+    for block, totals in caches.items():
+        lookups = totals["hits"] + totals["misses"]
+        totals["hit_rate"] = round(totals["hits"] / lookups, 4) if lookups else 0.0
+        merged[block] = totals
     merged["latency"] = {
         path: FixedHistogram.merge(snapshots)
         for path, snapshots in latency_snapshots.items()

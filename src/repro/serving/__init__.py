@@ -14,7 +14,9 @@ service with the read-path properties PR 3 made possible:
     the event loop free to accept connections.
 :mod:`repro.serving.cache`
     :class:`LruCache` keyed on ``ast_digest(source) x task``, so a
-    duplicated submission never reaches extraction or inference.
+    duplicated submission never reaches extraction or inference, and a
+    second one from the source's bytes to its digest, so a byte-identical
+    resubmission never reaches the parser either.
 :mod:`repro.serving.server`
     :class:`PredictionServer`, a stdlib-only asyncio HTTP server with
     ``POST /predict``, ``GET /healthz`` and ``GET /stats`` and a graceful

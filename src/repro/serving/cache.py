@@ -1,23 +1,40 @@
-"""The serving response cache.
+"""The serving caches: source memo and response cache.
 
 Responses are cached under ``(cell, language, target_language, top,
 ast_digest)``: the digest (:func:`repro.core.extraction.ast_digest`)
 covers the full tree structure, so two submissions share an entry
 exactly when their parsed ASTs are identical -- byte-identical sources
-and layout-only variants hit, structurally different programs never do
--- and a hit costs one parse instead of extraction plus CRF inference.
+and layout-only variants hit, structurally different programs never do.
 The source language and (for ``translate`` requests) the target language
 are part of the key because the digest alone does not carry them: the
 same structure parsed from two languages, or one source translated into
 two targets, must neither share a cache entry nor coalesce onto the same
 in-flight scoring future.
+
+Finding the digest takes a parse, so a second :class:`LruCache` in front
+of the response cache memoizes it under :func:`source_key` -- the cell
+and a hash of the source's bytes.  A byte-identical resubmission (an
+editor or CI job sending the same buffer again) finds its digest there
+and is answered without parsing; only a source seen for the first time,
+or a layout-only variant of one, pays the parse.
 """
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from collections import OrderedDict
-from typing import Any, Hashable, Optional
+from typing import Any, Hashable, Optional, Tuple
+
+
+def source_key(cell: str, source: str) -> Tuple[str, bytes]:
+    """The digest-memo key: ``(cell, blake2b-128 of the UTF-8 source)``.
+
+    Raises ``UnicodeEncodeError`` for a source with no UTF-8 form (a
+    lone surrogate, say) -- before anything is hashed, so callers can
+    answer it as the caller's fault.
+    """
+    return cell, hashlib.blake2b(source.encode("utf-8"), digest_size=16).digest()
 
 
 class LruCache:

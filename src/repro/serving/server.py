@@ -6,8 +6,9 @@ loop:
 * connections are accepted and parsed as HTTP/1.1 with keep-alive;
 * ``POST /predict`` requests are routed to a model, fingerprinted
   (:func:`~repro.core.extraction.ast_digest` of the parsed source,
-  computed off-loop), and answered from the LRU response cache when the
-  same program x task was already scored;
+  computed off-loop, or recalled without a parse from the digest memo
+  when the same bytes were seen before), and answered from the LRU
+  response cache when the same program x task was already scored;
 * cache misses join the :class:`~repro.serving.batching.MicroBatcher`
   queue and fan out to the :class:`~repro.serving.host.ModelHost`;
   concurrent duplicates of an in-flight request coalesce onto the same
@@ -25,10 +26,11 @@ import threading
 import time
 from typing import Dict, Optional, Tuple
 
+from ..lang.base import ParseError
 from ..resilience import faults
 from ..resilience.faults import FaultInjected
 from .batching import BatcherClosed, MicroBatcher
-from .cache import LruCache
+from .cache import LruCache, source_key
 from .host import ModelHost, PredictRequest
 from .http import (
     MAX_BODY_BYTES,
@@ -64,6 +66,10 @@ class PredictionServer:
         self.address = address
         self.port = port
         self.cache = LruCache(cache_size)
+        #: source_key -> ast_digest, so a byte-identical resubmission
+        #: skips the parse; sized like the response cache, so
+        #: ``cache_size=0`` turns all caching off.
+        self.digests = LruCache(cache_size)
         self.batcher = MicroBatcher(
             self.host.score_batch, batch_size=batch_size, batch_wait_ms=batch_wait_ms
         )
@@ -291,6 +297,7 @@ class PredictionServer:
                 for path, histogram in self._latency.items()
             },
             "cache": self.cache.stats(),
+            "digests": self.digests.stats(),
             "batcher": self.batcher.stats(),
             "extraction": extraction,
             # Per-model artifact path and cold-start load latency.
@@ -382,13 +389,25 @@ class PredictionServer:
                 "error": "field 'target_language' only applies to task 'translate'"
             }
 
-        loop = asyncio.get_running_loop()
         try:
-            program, fingerprint = await loop.run_in_executor(
-                None, handle.fingerprinted, source
-            )
-        except Exception as error:  # noqa: BLE001 - parser errors are user input
-            return 400, {"error": f"cannot parse source: {error}"}
+            memo_key = source_key(handle.cell, source)
+        except UnicodeEncodeError as error:
+            return 400, {"error": f"source is not encodable as UTF-8: {error}"}
+        # A repeat of known bytes needs neither a parse nor an executor
+        # hop; the program is then parsed only if it must be scored.
+        program = None
+        fingerprint = self.digests.get(memo_key)
+        loop = asyncio.get_running_loop()
+        if fingerprint is None:
+            try:
+                program, fingerprint = await loop.run_in_executor(
+                    None, handle.fingerprinted, source
+                )
+            except ParseError as error:
+                return 400, {"error": f"cannot parse source: {error}"}
+            except Exception as error:  # noqa: BLE001 - our bug, not user input
+                return 500, {"error": f"fingerprinting failed: {error}"}
+            self.digests.put(memo_key, fingerprint)
 
         # The response key must carry everything that changes the answer:
         # the digest only covers program *structure*, so two sources that
@@ -407,7 +426,8 @@ class PredictionServer:
             task=spec.task,
             top=top,
             target_language=target_language,
-            # Scoring reuses the parse that produced the fingerprint.
+            # Scoring reuses the parse that produced the fingerprint (on a
+            # memo hit there was none, and scoring parses the source).
             program=program,
         )
         inflight = self._inflight.get(key)

@@ -11,12 +11,14 @@ errors, and come back healthy from a rolling reload that never drops
 below N-1 healthy replicas.
 """
 
+import contextlib
 import json
 import math
 import os
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -550,3 +552,224 @@ class TestFleetRouter:
         assert payload["retry_after_s"] >= 1
         assert headers["Retry-After"] == str(payload["retry_after_s"])
         assert router.admission.rejected == 1
+
+
+# ----------------------------------------------------------------------
+# The digest memo: a byte-identical repeat is routed without a parse
+# ----------------------------------------------------------------------
+
+#: Valid JSON whose string escape decodes to a lone surrogate inside a
+#: JS string literal: parseable source with no UTF-8 form.
+LONE_SURROGATE_BODY = b'{"source": "var lone = \\"\\ud800\\";"}'
+
+
+@pytest.fixture(scope="module")
+def method_model_path(tmp_path_factory, corpus_sources):
+    """A second JavaScript cell (method naming) for two-cell fleets."""
+    pipeline = Pipeline(
+        language="javascript", task="method_naming", training={"epochs": 1}
+    )
+    pipeline.train(corpus_sources[:8])
+    path = tmp_path_factory.mktemp("fleet") / "methods.bin"
+    pipeline.save(str(path))
+    return str(path)
+
+
+@pytest.fixture()
+def parse_calls(monkeypatch):
+    """Languages the router's ``_digest_source`` and sources the replicas'
+    ``ScoringHandle.fingerprinted`` were called with."""
+    import repro.fleet.router as router_module
+    from repro.api.pipeline import ScoringHandle
+
+    calls = {"router": [], "replica": []}
+    digest_source = router_module._digest_source
+    fingerprinted = ScoringHandle.fingerprinted
+
+    def counting_digest(language, source):
+        calls["router"].append(source)
+        return digest_source(language, source)
+
+    def counting_fingerprinted(self, source):
+        calls["replica"].append(source)
+        return fingerprinted(self, source)
+
+    monkeypatch.setattr(router_module, "_digest_source", counting_digest)
+    monkeypatch.setattr(ScoringHandle, "fingerprinted", counting_fingerprinted)
+    return calls
+
+
+@contextlib.contextmanager
+def _fleet(model_paths, count=3, **server_kwargs):
+    """A fresh in-process fleet (empty caches) and a client for its router."""
+    replicas = ReplicaSet.in_process(model_paths, count, **server_kwargs)
+    replicas.start()
+    try:
+        router = FleetRouter(replicas, port=0, retry_backoff_s=0.01)
+        runner = ServerThread(router)
+        url = runner.__enter__()
+        try:
+            with ServingClient(url) as client:
+                yield replicas, router, client
+        finally:
+            runner.kill()
+    finally:
+        replicas.stop()
+
+
+class TestFleetDigestMemo:
+    def test_repeats_skip_the_router_and_replica_parse(
+        self, model_path, direct, parse_calls
+    ):
+        repeats = 5
+        with _fleet([model_path]) as (_replicas, _router, client):
+            responses = [client.predict(PROGRAM) for _ in range(repeats)]
+            stats = client.fleet_stats()
+        assert parse_calls == {"router": [PROGRAM], "replica": [PROGRAM]}
+        assert [r["cached"] for r in responses] == [False] + [True] * (repeats - 1)
+        for response in responses:
+            assert response["predictions"] == direct.predict(PROGRAM)
+        router_memo = stats["router"]["digests"]
+        assert router_memo["hits"] == repeats - 1 and router_memo["size"] == 1
+        merged = stats["merged"]
+        assert merged["cache"]["hits"] + merged["cache"]["misses"] == repeats
+        assert merged["digests"]["hits"] == repeats - 1
+        assert merged["digests"]["misses"] == 1
+        assert merged["digests"]["capacity"] == 3 * 1024  # summed across replicas
+
+    def test_layout_variant_parses_once_and_hits_the_cache(self, model_path, parse_calls):
+        with _fleet([model_path]) as (_replicas, _router, client):
+            client.predict(PROGRAM)
+            variant = client.predict(PROGRAM_REFORMATTED)
+            again = client.predict(PROGRAM_REFORMATTED)
+            stats = client.fleet_stats()
+        both = [PROGRAM, PROGRAM_REFORMATTED]
+        assert parse_calls == {"router": both, "replica": both}
+        assert variant["cached"] is True and again["cached"] is True
+        assert stats["merged"]["cache"]["size"] == 1
+        assert len(stats["router"]["routed"]) == 1  # one owner for both
+
+    def test_unparseable_source_is_parsed_and_refused_every_time(
+        self, model_path, parse_calls
+    ):
+        body = json.dumps({"source": "var broken = ;"}).encode()
+        with _fleet([model_path]) as (_replicas, _router, client):
+            statuses = [client.request("POST", "/predict", body)[0] for _ in range(3)]
+            stats = client.fleet_stats()
+        assert statuses == [400, 400, 400]
+        assert len(parse_calls["router"]) == 3
+        assert parse_calls["replica"] == []  # refused before forwarding
+        assert stats["router"]["digests"]["size"] == 0
+        assert stats["router"]["errors"] == 3
+
+    def test_inflight_repeat_joins_without_a_parse(self, model_path, direct, parse_calls):
+        # A wide batch window parks the first copy in its owner's queue.
+        with _fleet([model_path], batch_size=64, batch_wait_ms=1000.0) as (
+            replicas,
+            router,
+            client,
+        ):
+            results = {}
+
+            def first():
+                with ServingClient(router.url) as other:
+                    results["first"] = other.predict(PROGRAM)
+
+            thread = threading.Thread(target=first)
+            thread.start()
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline and not any(
+                replica.server._inflight for replica in replicas
+            ):
+                time.sleep(0.005)
+            assert any(replica.server._inflight for replica in replicas)
+            results["second"] = client.predict(PROGRAM)
+            thread.join(timeout=30)
+            stats = client.fleet_stats()
+        assert parse_calls == {"router": [PROGRAM], "replica": [PROGRAM]}
+        assert stats["merged"]["coalesced"] == 1
+        assert results["first"]["predictions"] == direct.predict(PROGRAM)
+        assert results["second"]["predictions"] == results["first"]["predictions"]
+
+    def test_router_memo_evicts_lru_at_capacity(
+        self, model_path, parse_calls, monkeypatch
+    ):
+        import repro.fleet.router as router_module
+
+        monkeypatch.setattr(router_module, "DIGEST_MEMO_SIZE", 2)
+        sources = _workload(3)
+        with _fleet([model_path]) as (_replicas, _router, client):
+            for source in sources:
+                client.predict(source)
+            client.predict(sources[2])  # still memoized: no parse
+            assert len(parse_calls["router"]) == 3
+            client.predict(sources[0])  # evicted: parsed again
+            memo = client.fleet_stats()["router"]["digests"]
+        assert parse_calls["router"] == sources + [sources[0]]
+        assert memo["size"] == 2 and memo["capacity"] == 2
+        assert memo["evictions"] == 2
+
+    def test_cache_size_zero_turns_off_both_replica_caches(
+        self, model_path, parse_calls
+    ):
+        with _fleet([model_path], cache_size=0) as (_replicas, _router, client):
+            responses = [client.predict(PROGRAM) for _ in range(3)]
+            merged = client.fleet_stats()["merged"]
+        assert [r["cached"] for r in responses] == [False] * 3
+        assert len(parse_calls["replica"]) == 3
+        for block in ("cache", "digests"):
+            assert merged[block]["size"] == 0 and merged[block]["hits"] == 0
+
+    def test_one_source_two_cells_never_share_a_memo_entry(
+        self, model_path, method_model_path, parse_calls
+    ):
+        source = "function memoCells(a) { var b = a + 1; return b; }"
+        with _fleet([model_path, method_model_path]) as (_replicas, _router, client):
+            for _ in range(2):
+                variables = client.predict(source, task="variable_naming")
+                methods = client.predict(source, task="method_naming")
+            stats = client.fleet_stats()
+        assert parse_calls["router"] == [source, source]  # once per cell
+        assert variables["cell"].split("/")[1] == "variable_naming"
+        assert methods["cell"].split("/")[1] == "method_naming"
+        assert variables["cached"] is True and methods["cached"] is True
+        assert stats["router"]["digests"]["size"] == 2
+        assert stats["router"]["digests"]["hits"] == 2
+
+
+class TestRouterParseStatusCodes:
+    def test_parse_error_is_400(self, model_path):
+        with _fleet([model_path], count=1) as (_replicas, _router, client):
+            with pytest.raises(ServingError) as caught:
+                client.predict("var broken = ;")
+        assert caught.value.status == 400
+        assert "cannot parse" in str(caught.value)
+
+    def test_source_without_utf8_form_is_400_before_parsing(
+        self, model_path, parse_calls
+    ):
+        with _fleet([model_path], count=1) as (_replicas, _router, client):
+            status, payload = client.request("POST", "/predict", LONE_SURROGATE_BODY)
+            stats = client.fleet_stats()
+        assert status == 400
+        assert "UTF-8" in payload["error"]
+        assert parse_calls == {"router": [], "replica": []}
+        assert stats["router"]["digests"]["misses"] == 0  # refused before hashing
+
+    def test_other_digest_failures_are_counted_500s(self, model_path, monkeypatch):
+        import repro.fleet.router as router_module
+
+        def broken(language, source):
+            raise RuntimeError("frontend bug")
+
+        monkeypatch.setattr(router_module, "_digest_source", broken)
+        with _fleet([model_path], count=1) as (_replicas, _router, client):
+            status, payload = client.request(
+                "POST", "/predict", json.dumps({"source": "var a = b;"}).encode()
+            )
+            stats = client.fleet_stats()
+        assert status == 500
+        assert "frontend bug" in payload["error"]
+        assert stats["router"]["errors"] == 1
+        assert stats["router"]["digests"]["size"] == 0
+        assert "/predict" not in stats["merged"]["latency"]  # never forwarded

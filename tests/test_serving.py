@@ -6,6 +6,7 @@ loopback socket through :class:`ServingClient`.
 """
 
 import asyncio
+import contextlib
 import json
 import threading
 import time
@@ -476,6 +477,213 @@ class TestMalformedRequests:
         assert "413" in status_line
         with ServingClient(url) as client:  # the server survived
             assert client.healthz()["status"] == "ok"
+
+
+# ----------------------------------------------------------------------
+# The digest memo: byte-identical repeats skip the parse
+# ----------------------------------------------------------------------
+
+#: A raw /predict body whose JSON string escape decodes to a lone
+#: surrogate inside a JS string literal: valid JSON, parseable source,
+#: but no UTF-8 form.
+LONE_SURROGATE_BODY = b'{"source": "var lone = \\"\\ud800\\";"}'
+
+
+@pytest.fixture(scope="module")
+def method_model_path(tmp_path_factory, corpus_sources):
+    """A second JavaScript cell (method naming) for two-cell servers."""
+    pipeline = Pipeline(
+        language="javascript", task="method_naming", training={"epochs": 1}
+    )
+    pipeline.train(corpus_sources[:8])
+    path = tmp_path_factory.mktemp("serving") / "methods.bin"
+    pipeline.save(str(path))
+    return str(path)
+
+
+@pytest.fixture()
+def parse_calls(monkeypatch):
+    """Sources passed to ``ScoringHandle.fingerprinted`` (the pre-cache parse)."""
+    from repro.api.pipeline import ScoringHandle
+
+    calls = []
+    original = ScoringHandle.fingerprinted
+
+    def counting(self, source):
+        calls.append(source)
+        return original(self, source)
+
+    monkeypatch.setattr(ScoringHandle, "fingerprinted", counting)
+    return calls
+
+
+@contextlib.contextmanager
+def _serving(model_paths, **server_kwargs):
+    """A fresh server (empty caches, zeroed counters) and a client for it."""
+    server = PredictionServer(ModelHost(model_paths), port=0, **server_kwargs)
+    with ServerThread(server) as url, ServingClient(url) as client:
+        yield server, client
+
+
+class TestDigestMemo:
+    def test_repeats_are_answered_without_a_parse(self, model_path, direct, parse_calls):
+        repeats = 5
+        with _serving([model_path]) as (_server, client):
+            responses = [client.predict(NOVEL_JS) for _ in range(repeats)]
+            stats = client.stats()
+        assert len(parse_calls) == 1
+        assert [r["cached"] for r in responses] == [False] + [True] * (repeats - 1)
+        for response in responses:
+            assert response["predictions"] == direct.predict(NOVEL_JS)
+        cache, digests = stats["cache"], stats["digests"]
+        assert cache["hits"] + cache["misses"] == repeats  # one lookup each
+        assert digests["hits"] == repeats - 1
+        assert digests["misses"] == 1
+        assert digests["size"] == 1 and digests["capacity"] == 1024
+
+    def test_memo_hit_with_evicted_response_counts_one_miss(
+        self, model_path, direct, parse_calls
+    ):
+        # ``top`` is in the response key but not the memo key: one memo
+        # entry fronts three responses, and a two-entry response cache
+        # evicts the first while its memo entry stays.
+        with _serving([model_path], cache_size=2) as (_server, client):
+            for top in (0, 3, 5):
+                client.predict(NOVEL_JS, top=top)
+            again = client.predict(NOVEL_JS)
+            stats = client.stats()
+        assert again["cached"] is False
+        assert again["predictions"] == direct.predict(NOVEL_JS)
+        assert len(parse_calls) == 1
+        assert stats["cache"]["misses"] == 4 and stats["cache"]["hits"] == 0
+        assert stats["digests"]["hits"] == 3
+
+    def test_layout_variant_parses_once_and_hits_the_cache(self, model_path, parse_calls):
+        compact = "var memoLayout = x + 2;"
+        spaced = "var memoLayout   =  x +\n2;"
+        with _serving([model_path]) as (_server, client):
+            first = client.predict(compact)
+            variant = client.predict(spaced)
+            again = client.predict(spaced)
+            stats = client.stats()
+        assert parse_calls == [compact, spaced]
+        assert variant["cached"] is True and again["cached"] is True
+        assert variant["fingerprint"] == first["fingerprint"]
+        assert stats["digests"]["size"] == 2
+
+    def test_unparseable_source_is_parsed_and_refused_every_time(
+        self, model_path, parse_calls
+    ):
+        body = json.dumps({"source": "var @@@ not javascript"}).encode()
+        with _serving([model_path]) as (_server, client):
+            statuses = [client.request("POST", "/predict", body)[0] for _ in range(3)]
+            stats = client.stats()
+        assert statuses == [400, 400, 400]
+        assert len(parse_calls) == 3
+        assert stats["digests"]["size"] == 0  # failures are never memoized
+
+    def test_inflight_repeat_joins_without_a_parse(self, model_path, direct, parse_calls):
+        # A wide batch window parks the first copy in the queue.
+        with _serving([model_path], batch_size=64, batch_wait_ms=1000.0) as (
+            server,
+            client,
+        ):
+            results = {}
+
+            def first():
+                with ServingClient(server.url) as other:
+                    results["first"] = other.predict(NOVEL_JS)
+
+            thread = threading.Thread(target=first)
+            thread.start()
+            deadline = time.monotonic() + 30
+            while not server._inflight and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert server._inflight, "the first copy never reached the batcher"
+            results["second"] = client.predict(NOVEL_JS)
+            thread.join(timeout=30)
+            stats = client.stats()
+        assert len(parse_calls) == 1
+        assert stats["coalesced"] == 1
+        assert stats["digests"]["hits"] == 1
+        assert results["first"]["predictions"] == direct.predict(NOVEL_JS)
+        assert results["second"]["predictions"] == results["first"]["predictions"]
+
+    def test_lru_eviction_at_capacity(self, model_path, parse_calls):
+        sources = [f"var memoEvict{i} = v + {i};" for i in range(3)]
+        with _serving([model_path], cache_size=2) as (_server, client):
+            for source in sources:
+                client.predict(source)
+            client.predict(sources[2])  # still memoized: no parse
+            assert len(parse_calls) == 3
+            client.predict(sources[0])  # evicted: parsed again
+            stats = client.stats()
+        assert parse_calls == sources + [sources[0]]
+        digests = stats["digests"]
+        assert digests["size"] == 2 and digests["capacity"] == 2
+        assert digests["evictions"] == 2
+
+    def test_cache_size_zero_turns_off_both_caches(self, model_path, parse_calls):
+        with _serving([model_path], cache_size=0) as (_server, client):
+            responses = [client.predict(NOVEL_JS) for _ in range(3)]
+            stats = client.stats()
+        assert [r["cached"] for r in responses] == [False] * 3
+        assert len(parse_calls) == 3
+        for block in ("cache", "digests"):
+            assert stats[block]["size"] == 0 and stats[block]["hits"] == 0
+
+    def test_one_source_two_cells_never_share_a_memo_entry(
+        self, model_path, method_model_path, parse_calls
+    ):
+        source = "function memoCells(a) { var b = a + 1; return b; }"
+        with _serving([model_path, method_model_path]) as (_server, client):
+            for _ in range(2):
+                variables = client.predict(source, task="variable_naming")
+                methods = client.predict(source, task="method_naming")
+            stats = client.stats()
+        assert parse_calls == [source, source]  # once per cell, then memoized
+        assert variables["cell"].split("/")[1] == "variable_naming"
+        assert methods["cell"].split("/")[1] == "method_naming"
+        assert variables["cached"] is True and methods["cached"] is True
+        assert stats["digests"]["size"] == 2
+        assert stats["digests"]["hits"] == 2
+
+
+class TestParseStatusCodes:
+    def test_parse_error_is_400(self, model_path):
+        with _serving([model_path]) as (_server, client):
+            with pytest.raises(ServingError) as caught:
+                client.predict("var broken = ;")
+        assert caught.value.status == 400
+        assert "cannot parse" in str(caught.value)
+
+    def test_source_without_utf8_form_is_400_before_parsing(
+        self, model_path, parse_calls
+    ):
+        with _serving([model_path]) as (server, client):
+            status, payload = client.request("POST", "/predict", LONE_SURROGATE_BODY)
+            stats = client.stats()
+        assert status == 400
+        assert "UTF-8" in payload["error"]
+        assert parse_calls == []
+        assert stats["digests"]["misses"] == 0  # refused before hashing
+
+    def test_other_fingerprint_failures_are_counted_500s(self, model_path, monkeypatch):
+        from repro.api.pipeline import ScoringHandle
+
+        def broken(self, source):
+            raise RuntimeError("frontend bug")
+
+        monkeypatch.setattr(ScoringHandle, "fingerprinted", broken)
+        with _serving([model_path]) as (_server, client):
+            status, payload = client.request(
+                "POST", "/predict", json.dumps({"source": "var a = b;"}).encode()
+            )
+            stats = client.stats()
+        assert status == 500
+        assert "frontend bug" in payload["error"]
+        assert stats["errors"] == 1
+        assert stats["digests"]["size"] == 0
 
 
 class TestGracefulShutdown:
