@@ -10,8 +10,8 @@ learner.  Restoring never rebuilds the dict-of-floats representation:
   the artifact's sorted key/weight arrays (compiled at save time, scored
   through :meth:`CompiledCrfModel.from_buffers
   <repro.learning.crf.compiled.CompiledCrfModel.from_buffers>`), whose
-  candidate index serves ``most_common`` prefixes straight from packed
-  count arrays, and whose vocab is a
+  candidate tables index the packed ``most_common``-ordered count
+  arrays in place, and whose vocab is a
   :class:`~repro.core.interning.PackedVocab` over the mmapped string
   tables;
 * the word2vec learner gets an :class:`~repro.learning.word2vec.SgnsModel`
@@ -103,9 +103,14 @@ class PackedCounts:
 
 
 class PackedCandidateIndex:
-    """``(rel, other) -> PackedCounts`` over flat packed arrays."""
+    """``(rel, other) -> PackedCounts`` over flat packed arrays.
 
-    __slots__ = ("_row_of", "_offsets", "_labels", "_counts", "_cache")
+    Inference reads the compiled candidate tables, not this mapping, so
+    its ``(rel, other) -> row`` dict is built on first use (inspection,
+    pruning, the oracle), never at load.
+    """
+
+    __slots__ = ("_contexts", "_rows", "_offsets", "_labels", "_counts", "_cache")
 
     def __init__(
         self,
@@ -114,15 +119,23 @@ class PackedCandidateIndex:
         labels: np.ndarray,
         counts: np.ndarray,
     ) -> None:
-        if contexts.ndim == 2:
-            keys = zip(*contexts.T.tolist())
-        else:
-            keys = contexts.tolist()
-        self._row_of: Dict[Any, int] = dict(zip(keys, range(len(contexts))))
+        self._contexts = contexts
+        self._rows: Optional[Dict[Any, int]] = None
         self._offsets = offsets
         self._labels = labels
         self._counts = counts
         self._cache: Dict[int, PackedCounts] = {}
+
+    @property
+    def _row_of(self) -> Dict[Any, int]:
+        if self._rows is None:
+            contexts = self._contexts
+            if contexts.ndim == 2:
+                keys = zip(*contexts.T.tolist())
+            else:
+                keys = contexts.tolist()
+            self._rows = dict(zip(keys, range(len(contexts))))
+        return self._rows
 
     def get(self, key) -> Optional[PackedCounts]:
         row = self._row_of.get(key)
@@ -145,7 +158,7 @@ class PackedCandidateIndex:
         return key in self._row_of
 
     def __len__(self) -> int:
-        return len(self._row_of)
+        return len(self._contexts)
 
     def __iter__(self):
         return iter(self._row_of)
@@ -297,7 +310,12 @@ def _packed_crf_model(artifact: ModelArtifact):
             compiled = self._compiled_view
             if compiled is None:
                 compiled = CompiledCrfModel.from_buffers(
-                    self, pack.group_of, pack.keys, pack.weights, pack.label_base
+                    self,
+                    pack.group_of,
+                    pack.keys,
+                    pack.weights,
+                    pack.label_base,
+                    _candidate_tables(artifact, space, pack.label_base),
                 )
                 self._compiled_view = compiled
             return compiled
@@ -334,6 +352,45 @@ def _packed_crf_model(artifact: ModelArtifact):
         artifact.array("crf/label_ids"), artifact.array("crf/label_freqs")
     )
     return model
+
+
+def _candidate_tables(artifact: ModelArtifact, space: FeatureSpace, base: int):
+    """The compiled candidate index over the artifact's candidate sections.
+
+    The label and count sections are stored in ``most_common`` order, so
+    the tables index them in place; only the sorted context keys and
+    their row bounds are new arrays.
+    """
+    from ..learning.crf.compiled import (
+        GLOBAL_FALLBACK,
+        UNARY_OTHER,
+        CandidateTable,
+        CandidateTables,
+        group_keys,
+    )
+
+    contexts = artifact.array("crf/cand_ctx").astype(np.int64).reshape(-1, 2)
+    unary_rels = artifact.array("crf/ucand_rel").astype(np.int64)
+    return CandidateTables.build(
+        space.values,
+        base,
+        CandidateTable.from_csr(
+            group_keys(contexts[:, 0], contexts[:, 1], base),
+            artifact.array("crf/cand_off"),
+            artifact.array("crf/cand_labels"),
+            artifact.array("crf/cand_counts"),
+        ),
+        CandidateTable.from_csr(
+            group_keys(unary_rels, UNARY_OTHER, base),
+            artifact.array("crf/ucand_off"),
+            artifact.array("crf/ucand_labels"),
+            artifact.array("crf/ucand_counts"),
+        ),
+        zip(
+            artifact.array("crf/label_ids")[:GLOBAL_FALLBACK].tolist(),
+            artifact.array("crf/label_freqs")[:GLOBAL_FALLBACK].tolist(),
+        ),
+    )
 
 
 def _most_common_order(items: List[List[int]]) -> List[Tuple[int, int]]:

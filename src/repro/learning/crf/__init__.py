@@ -25,16 +25,21 @@ runs on a parallel **columnar** representation:
   (:class:`~repro.learning.crf.compiled.CompiledCrfModel`), so one
   ``searchsorted`` gathers a whole ``live factors x candidates`` weight
   matrix and a factor-ordered reduction scores the beam (factors whose
-  group holds no weight are dropped when the graph is compiled).
+  group holds no weight are dropped when the graph is compiled); it
+  freezes the candidate index into sorted tables the same way, so a
+  node's beam is ranked from per-graph context counts plus one lookup
+  of its edges.
 
 Inference has one engine, the compiled one.  The scalar scorer it
-replaced (one dict lookup per factor, a string-based ICM sweep) lives
-in ``tests/oracles/crf.py`` as the **bit-identity oracle**: the compiled
-engine must reproduce its output exactly -- scores, tie-breaks,
-fallbacks -- and the oracle suite (``tests/test_crf_compiled.py``) holds
-that gate.  This mirrors how the single-pass path extractor is gated on
-the all-pairs extractor in ``tests/oracles/extraction.py``: the fast
-path may only ever be a faster spelling of the slow one.
+replaced (one dict lookup per factor, a dict merge per candidate beam,
+a string-based ICM sweep) lives in ``tests/oracles/crf.py`` as the
+**bit-identity oracle**: the compiled engine must reproduce its output
+exactly -- candidate lists, scores, tie-breaks, fallbacks -- and the
+oracle suites (``tests/test_crf_compiled.py``,
+``tests/test_crf_candidates.py``) hold that gate.  This mirrors how the
+single-pass path extractor is gated on the all-pairs extractor in
+``tests/oracles/extraction.py``: the fast path may only ever be a
+faster spelling of the slow one.
 """
 
 from .compiled import CompiledCrfModel

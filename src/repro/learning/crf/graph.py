@@ -93,8 +93,6 @@ class ColumnarGraph:
     #: numpy scalars.
     known_rel_list: List[int]
     known_label_list: List[int]
-    edge_rel_list: List[int]
-    edge_other_list: List[int]
     unary_rel_list: List[int]
 
 
@@ -226,8 +224,6 @@ class CrfGraph:
             unary_off=unary_off,
             known_rel_list=known_rel,
             known_label_list=known_label,
-            edge_rel_list=edge_rel,
-            edge_other_list=edge_other,
             unary_rel_list=unary_rel,
         )
         self._columnar = (self._version, view)

@@ -12,13 +12,17 @@ of the graph, rank the candidate labels of one node.
 
 Both run on a :class:`~repro.learning.crf.compiled.CompiledCrfModel`
 (``CrfModel.compile()``): ids end-to-end (labels decode only at the
-return boundary), whole beams scored per numpy call over only the
-node's *live* factors (those whose group holds any weight; the rest add
-``+0.0`` to every candidate, so dropping them is exact), and nodes whose
-neighbourhood has not changed since they were last scored skipped
-outright (their candidates and best label are pure functions of the
-neighbour ids, so skipping is exact, not approximate).  The trainer's
-loss-augmented inference and serving share this one scoring path.
+return boundary); one graph compile per call, which also merges every
+node's known and unary candidate counts; per node and sweep, candidate
+beams ranked from the compiled candidate table with only the edges
+resolved (``CrfModel.candidate_ids_for``), and whole beams scored per
+numpy call over only the node's *live* factors (those whose group holds
+any weight; the rest add ``+0.0`` to every candidate, so dropping them
+is exact).  Nodes whose neighbourhood has not changed since they were
+last scored are skipped outright (their candidates and best label are
+pure functions of the neighbour ids, so skipping is exact, not
+approximate).  The trainer's loss-augmented inference and serving share
+this one path.
 
 The results are bit-identical -- tie-breaks included -- to the scalar
 string-based sweep kept in ``tests/oracles/crf.py``;
@@ -69,9 +73,6 @@ def map_inference(
     unknown_id = values.id_of(UNKNOWN_LABEL)
     fill = unknown_id if unknown_id is not None else -1
     assignment = np.full(n, fill, dtype=np.int64)
-    # Plain-int shadow of the assignment for the candidate index (python
-    # dict lookups hash plain ints faster than numpy scalars).
-    assignment_list: List[int] = [fill] * n
 
     gold_ids: Optional[List[int]] = None
     if loss_augmented:
@@ -107,14 +108,11 @@ def map_inference(
         ),
     )
     for i in order:
-        node = graph.unknowns[i]
-        candidates = model.candidate_ids_for(node, assignment_list, beam=beam)
+        candidates = model.candidate_ids_for(cg, i, assignment, beam=beam)
         candidate_cache[i] = candidates
-        best = _best_id(
+        assignment[i] = _best_id(
             compiled, cg, i, candidates, assignment, loss_augmented, gold_ids, fill
         )
-        assignment[i] = best
-        assignment_list[i] = best
         last_key[i] = neighbor_key(i)
 
     for _ in range(max_sweeps):
@@ -123,8 +121,7 @@ def map_inference(
             key = neighbor_key(i)
             if key == last_key[i]:
                 continue
-            node = graph.unknowns[i]
-            candidates = model.candidate_ids_for(node, assignment_list, beam=beam)
+            candidates = model.candidate_ids_for(cg, i, assignment, beam=beam)
             merged = list(dict.fromkeys(candidate_cache[i] + candidates))[:beam]
             candidate_cache[i] = merged
             best = _best_id(
@@ -133,7 +130,6 @@ def map_inference(
             last_key[i] = key
             if best != assignment[i]:
                 assignment[i] = best
-                assignment_list[i] = best
                 changed = True
         if not changed:
             break
@@ -190,9 +186,7 @@ def topk_for_node(
             assignment = map_inference(compiled, graph)
         assignment_ids = label_ids(compiled, assignment)
     cg = compiled.compile_graph(graph)
-    candidate_ids = model.candidate_ids_for(
-        graph.unknowns[index], assignment_ids.tolist(), beam=beam
-    )
+    candidate_ids = model.candidate_ids_for(cg, index, assignment_ids, beam=beam)
     if not candidate_ids:
         return []
     candidates = np.asarray(candidate_ids, dtype=np.int64)

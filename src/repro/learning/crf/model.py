@@ -22,21 +22,25 @@ bit-identically.
 
 The *candidate index* maps observed ``(rel, neighbour-label)`` contexts to
 the gold labels seen with them in training -- the mechanism Nice2Predict
-uses to keep inference over a tractable beam of candidate names.
+uses to keep inference over a tractable beam of candidate names.  Its
+counters grow only while the trainer observes gold nodes, before it
+compiles; :meth:`compile` freezes them, with the weights, into sorted
+tables (:class:`~repro.learning.crf.compiled.CandidateTables`), and
+:meth:`candidate_ids_for` ranks a node's beam from those tables.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ...core.interning import FeatureSpace
 from .graph import CrfGraph, UnknownNode
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .compiled import CompiledCrfModel
+    from .compiled import CompiledCrfModel, CompiledGraph
 
 PairKey = Tuple[int, int, int]  # (label_id, rel_id, other_value_id)
 UnaryKey = Tuple[int, int]  # (label_id, rel_id)
@@ -61,19 +65,6 @@ class CrfModel:
         #: Global label-id frequencies (fallback candidates).
         self.label_counts: Counter = Counter()
         self.use_unary = use_unary
-        # Memoized ``most_common(limit)`` prefixes of the candidate
-        # counters.  The counters only grow in observe_training_node
-        # (which bumps the version and so drops the cache); during
-        # inference they are static, and re-running heapq.nlargest per
-        # node per sweep dominated the whole MAP pass before this memo.
-        self._cand_cache: Dict[tuple, List[Tuple[int, int]]] = {}
-        self._cand_array_cache: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
-        self._cand_version = 0
-        self._cand_cache_version = 0
-        # Label ids ranked by their *string* (the candidate tie-break
-        # key), rebuilt lazily whenever the value vocab has grown.
-        self._label_rank: Optional[np.ndarray] = None
-        self._label_rank_size = -1
 
     # ------------------------------------------------------------------
     # Label interning boundary
@@ -102,7 +93,6 @@ class CrfModel:
     # ------------------------------------------------------------------
     def observe_training_node(self, node: UnknownNode, graph: CrfGraph) -> None:
         """Record a gold-labelled node into the candidate index."""
-        self._cand_version += 1
         gold = self.label_id(node.gold)
         self.label_counts[gold] += 1
         for factor in node.known:
@@ -113,129 +103,38 @@ class CrfModel:
         for rel in node.unary:
             self.unary_candidate_index[rel][gold] += 1
 
-    def _sync_cand_caches(self) -> None:
-        if self._cand_cache_version != self._cand_version:
-            self._cand_cache.clear()
-            self._cand_array_cache.clear()
-            self._cand_cache_version = self._cand_version
-
-    def _top_candidates(
-        self, key: tuple, counter: Counter, limit: int
-    ) -> List[Tuple[int, int]]:
-        """``counter.most_common(limit)``, memoized until the next observe.
-
-        Returns the *identical* list ``most_common`` would produce (same
-        call on the same counter state), so candidate ranking -- ties
-        included -- is unchanged; callers must not mutate the result.
-        """
-        self._sync_cand_caches()
-        cached = self._cand_cache.get((key, limit))
-        if cached is None:
-            cached = counter.most_common(limit)
-            self._cand_cache[(key, limit)] = cached
-        return cached
-
-    def _top_candidate_arrays(
-        self, key: tuple, counter: Counter, limit: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The memoized ``most_common`` prefix as ``(ids, counts)`` arrays."""
-        cached = self._cand_array_cache.get((key, limit))
-        if cached is None:
-            top = self._top_candidates(key, counter, limit)
-            cached = (
-                np.fromiter((l for l, _ in top), dtype=np.int64, count=len(top)),
-                np.fromiter((c for _, c in top), dtype=np.int64, count=len(top)),
-            )
-            self._cand_array_cache[(key, limit)] = cached
-        return cached
-
-    def _label_ranks(self) -> np.ndarray:
-        """``rank[label_id]`` = position of the label's string in sorted
-        string order -- a proxy for the string tie-break that compares as
-        plain int64.  Rebuilt whenever the value vocab has grown."""
-        values = self.space.values
-        size = len(values)
-        if self._label_rank_size != size:
-            order = sorted(range(size), key=values.value)
-            rank = np.empty(size, dtype=np.int64)
-            rank[np.asarray(order, dtype=np.int64)] = np.arange(
-                size, dtype=np.int64
-            )
-            self._label_rank = rank
-            self._label_rank_size = size
-        return self._label_rank
-
     def candidate_ids_for(
         self,
-        node: UnknownNode,
-        assignment_ids: Sequence[int],
+        cg: "CompiledGraph",
+        index: int,
+        assignment_ids: np.ndarray,
         beam: int = 48,
-        per_context: int = 12,
-        global_fallback: int = 8,
     ) -> List[int]:
-        """Candidate label ids for one node given its neighbourhood.
+        """Candidate label ids for node ``index`` of a compiled graph.
 
-        ``assignment_ids`` maps node index -> current label id, with any
-        negative value standing for "outside the model vocabulary" (the
-        id-space equivalent of an unseen label string).
+        The beam of Sec. 5.1: every context of the node proposes its
+        ``PER_CONTEXT`` most frequent gold labels; a label's counts are
+        summed (exact ints) over the contexts proposing it; the
+        ``GLOBAL_FALLBACK`` most frequent labels join with their global
+        counts unless a context proposed them; the ranking is by
+        ``(-count, label string)``, cut to ``beam``.  ``assignment_ids``
+        maps node index -> current label id, with a negative id (or an
+        overlay id beyond the model's vocabulary) standing for a label no
+        context holds.
+
+        The known and unary contexts were merged when the graph was
+        compiled (:class:`~repro.learning.crf.compiled.StaticCandidates`);
+        only the edge contexts, which follow the neighbours' current
+        labels, resolve here, against the compiled model's candidate
+        table.
         """
-        # The merge is vectorised but order-identical to summing counts
-        # into a dict and ranking with sorted(key=(-count, label string)):
-        # counts stay int64 (exact sums in any order), and ties break on
-        # the precomputed string rank -- so candidate order is a function
-        # of the corpus, never of interning or context order.
-        self._sync_cand_caches()
-        arrays = self._top_candidate_arrays
-        parts_ids: List[np.ndarray] = []
-        parts_counts: List[np.ndarray] = []
-
-        for factor in node.known:
-            counter = self.candidate_index.get((factor.rel, factor.label))
-            if counter:
-                ids, counts = arrays(
-                    ("p", factor.rel, factor.label), counter, per_context
-                )
-                parts_ids.append(ids)
-                parts_counts.append(counts)
-        for edge in node.edges:
-            other_id = assignment_ids[edge.other]
-            if other_id < 0:
-                continue
-            counter = self.candidate_index.get((edge.rel, other_id))
-            if counter:
-                ids, counts = arrays(("p", edge.rel, other_id), counter, per_context)
-                parts_ids.append(ids)
-                parts_counts.append(counts)
-        if self.use_unary:
-            for rel in node.unary:
-                counter = self.unary_candidate_index.get(rel)
-                if counter:
-                    ids, counts = arrays(("u", rel), counter, per_context)
-                    parts_ids.append(ids)
-                    parts_counts.append(counts)
-
-        fallback = self._top_candidates(("g",), self.label_counts, global_fallback)
-        if parts_ids:
-            uniq, inverse = np.unique(np.concatenate(parts_ids), return_inverse=True)
-            sums = np.zeros(len(uniq), dtype=np.int64)
-            np.add.at(sums, inverse, np.concatenate(parts_counts))
-            present = set(uniq.tolist())
-            extra = [(lid, c) for lid, c in fallback if lid not in present]
-        else:
-            uniq = np.empty(0, dtype=np.int64)
-            sums = np.empty(0, dtype=np.int64)
-            extra = list(fallback)
-        if extra:
-            uniq = np.concatenate(
-                [uniq, np.fromiter((l for l, _ in extra), np.int64, len(extra))]
-            )
-            sums = np.concatenate(
-                [sums, np.fromiter((c for _, c in extra), np.int64, len(extra))]
-            )
-        if not len(uniq):
-            return []
-        order = np.lexsort((self._label_ranks()[uniq], -sums))
-        return uniq[order[:beam]].tolist()
+        start, end = cg.edge_off[index], cg.edge_off[index + 1]
+        return cg.candidates.for_node(
+            index,
+            cg.edge_keys[start:end],
+            assignment_ids[cg.cols.edge_other[start:end]],
+            beam,
+        )
 
     # ------------------------------------------------------------------
     # Compilation
@@ -243,9 +142,9 @@ class CrfModel:
     def compile(self) -> "CompiledCrfModel":
         """Freeze the current weights into a vectorised scoring pack.
 
-        The compiled model keeps a reference to this model (candidate
-        generation and vocabularies stay here); see
-        :mod:`repro.learning.crf.compiled`.
+        The compiled model keeps a reference to this model (the
+        vocabularies stay here) and freezes the candidate index next to
+        the weights; see :mod:`repro.learning.crf.compiled`.
         """
         from .compiled import CompiledCrfModel
 

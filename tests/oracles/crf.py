@@ -1,41 +1,32 @@
 """The scalar CRF engine: the bit-identity oracle for compiled inference.
 
-Weights are resolved one dict lookup per ``(label, factor)`` pair and
+Weights are resolved one dict lookup per ``(label, factor)`` pair,
+candidates are merged one context at a time into a dict of counts, and
 the ICM sweep runs on label strings -- deliberately simple, so the
 vectorised :class:`~repro.learning.crf.compiled.CompiledCrfModel` path
 in :mod:`repro.learning.crf.inference` can be checked against it
-exactly: assignments, top-k scores, tie-breaks and fallbacks, float-equal.
+exactly: candidate lists, assignments, top-k scores, tie-breaks and
+fallbacks, float-equal.
 
 Every function takes the :class:`~repro.learning.crf.model.CrfModel`
-(or a packed, memory-mapped one) as its first argument; candidate
-generation defers to the model's own ``candidate_ids_for``, which both
-engines share.
+(or a packed, memory-mapped one) as its first argument and reads only
+its dict-style state: the weight mappings, the candidate counters
+(``get(key).most_common(n)``), ``label_counts`` and the vocabulary.
+Nothing here calls the compiled engine.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.learning.crf.graph import CrfGraph, UnknownNode
 from repro.learning.crf.inference import UNKNOWN_LABEL
 from repro.learning.crf.model import CrfModel
 
 
-class _AssignmentIdView:
-    """Lazy id view of a string assignment (unseen labels read as ``-1``)."""
-
-    __slots__ = ("_values", "_assignment")
-
-    def __init__(self, values, assignment: Sequence[str]) -> None:
-        self._values = values
-        self._assignment = assignment
-
-    def __getitem__(self, index: int) -> int:
-        label_id = self._values.id_of(self._assignment[index])
-        return -1 if label_id is None else label_id
-
-    def __len__(self) -> int:
-        return len(self._assignment)
+#: Labels one context proposes, and global fallback labels per beam.
+PER_CONTEXT = 12
+GLOBAL_FALLBACK = 8
 
 
 # ----------------------------------------------------------------------
@@ -89,19 +80,37 @@ def candidates_for(
     node: UnknownNode,
     assignment: Sequence[str],
     beam: int = 48,
-    per_context: int = 12,
-    global_fallback: int = 8,
 ) -> List[str]:
-    """Candidate labels for one node given its neighbourhood."""
+    """Candidate labels for one node given its neighbourhood.
+
+    Every context of the node (each known factor, each edge whose
+    neighbour's label the model knows, and with unary factors on each
+    unary factor) adds the counts of its counter's ``most_common(12)``;
+    the global ``most_common(8)`` labels join with their global counts
+    unless a context proposed them; labels rank by ``(-count, label
+    string)`` and the first ``beam`` are kept.
+    """
     values = model.space.values
-    ranked = model.candidate_ids_for(
-        node,
-        _AssignmentIdView(values, assignment),
-        beam=beam,
-        per_context=per_context,
-        global_fallback=global_fallback,
-    )
-    return [values.value(label_id) for label_id in ranked]
+    counts: Dict[int, int] = {}
+
+    def propose(counter) -> None:
+        if counter:
+            for label, count in counter.most_common(PER_CONTEXT):
+                counts[int(label)] = counts.get(int(label), 0) + int(count)
+
+    for factor in node.known:
+        propose(model.candidate_index.get((factor.rel, factor.label)))
+    for edge in node.edges:
+        other = values.id_of(assignment[edge.other])
+        if other is not None:
+            propose(model.candidate_index.get((edge.rel, other)))
+    if model.use_unary:
+        for rel in node.unary:
+            propose(model.unary_candidate_index.get(rel))
+    for label, count in model.label_counts.most_common(GLOBAL_FALLBACK):
+        counts.setdefault(int(label), int(count))
+    ranked = sorted(counts, key=lambda label: (-counts[label], values.value(label)))
+    return [values.value(label) for label in ranked[:beam]]
 
 
 # ----------------------------------------------------------------------

@@ -415,7 +415,7 @@ class TestEdgeCases:
             if (factor.rel, factor.label) not in compiled._group_of
         )
         node = graph.unknowns[index]
-        label = model.candidate_ids_for(node, assignment_ids.tolist(), beam=96)[0]
+        label = model.candidate_ids_for(cg, index, assignment_ids, beam=96)[0]
         name = space.values.value(label)
         before = oracle.node_score(model, node, name, assignment)
         key = (label, factor.rel, factor.label)
