@@ -68,12 +68,6 @@ TRACKED: Dict[str, List[str]] = {
         "fleet.cache_hit_rate",
         "speedup_fleet_vs_single",
     ],
-    "BENCH_translate.json": [
-        "roundtrip.java_to_python",
-        "roundtrip.python_to_java",
-        "naming.crf_named_rate",
-        "serving.bit_identical",
-    ],
 }
 
 

@@ -19,7 +19,6 @@ from ..core.extraction import PathExtractor
 from ..learning.crf.graph import CrfGraph
 from ..registry import Registry
 from ..tasks.method_naming import build_method_graph
-from ..tasks.translate import build_translate_graph
 from ..tasks.type_prediction import build_type_graph
 from ..tasks.variable_naming import build_crf_graph, element_contexts
 from .protocols import GRAPH_VIEW, CONTEXTS_VIEW, ContextMap, ParsedProgram, UnsupportedSpecError
@@ -37,10 +36,6 @@ DEFAULT_PARAMS: Dict[Tuple[str, str], Tuple[int, int]] = {
     ("java", "method_naming"): (6, 2),
     ("python", "method_naming"): (10, 6),
     ("java", "type_prediction"): (4, 1),
-    ("javascript", "translate"): (7, 3),
-    ("java", "translate"): (6, 3),
-    ("python", "translate"): (7, 4),
-    ("csharp", "translate"): (7, 4),
 }
 
 #: Fallback when a (language, task) cell has no tuned entry.
@@ -85,24 +80,6 @@ class MethodNamingTask(_TaskBase):
 
     def build_graph(self, program: ParsedProgram, extractor: PathExtractor, name: str = "") -> CrfGraph:
         return build_method_graph(program.ast, extractor, name or program.name)
-
-
-@tasks.register("translate")
-class TranslateTask(_TaskBase):
-    """Cross-language translation: variable + method unknowns together.
-
-    The translation workload (:mod:`repro.translate`) lifts a source file
-    into the corpus IR and renders it in another language; this task owns
-    the CRF side -- one graph predicting idiomatic names for every
-    renameable binding *and* every method declaration, keyed exactly as
-    the lifters key the symbol table.  Serving requests for this task
-    carry ``target_language`` and answer with translated source.
-    """
-
-    name = "translate"
-
-    def build_graph(self, program: ParsedProgram, extractor: PathExtractor, name: str = "") -> CrfGraph:
-        return build_translate_graph(program.ast, extractor, name or program.name)
 
 
 @tasks.register("type_prediction")

@@ -733,45 +733,6 @@ def cmd_rename(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_translate(args: argparse.Namespace) -> int:
-    from .translate import Translator
-
-    if args.server and args.model:
-        raise SystemExit("pass either --model (local) or --server (remote), not both")
-    source = _read(args.file)
-    if args.server:
-        from .serving.client import ServingClient, ServingError
-
-        language = args.language or _EXTENSION_LANGUAGES.get(
-            os.path.splitext(args.file)[1]
-        )
-        with ServingClient(args.server) as client:
-            try:
-                result = client.translate(source, args.to, language=language)
-            except ServingError as error:
-                raise SystemExit(f"error: {error}") from error
-    else:
-        language = _guess_language(args.file, args.language)
-        model = None
-        if args.model:
-            model = Pipeline.load(args.model)
-            if model.spec.language != language:
-                raise SystemExit(
-                    f"error: model {args.model!r} is trained on "
-                    f"{model.spec.language!r}, but {args.file!r} is {language!r}"
-                )
-        result = Translator(model).translate(source, args.to, language=language)
-    translated = result["translated_source"]
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(translated)
-    if args.json:
-        print(json.dumps(dict({"file": args.file}, **result), indent=2))
-    elif not args.out:
-        print(translated, end="" if translated.endswith("\n") else "\n")
-    return 0
-
-
 def cmd_experiment(args: argparse.Namespace) -> int:
     data = prepare_language_data(
         args.language,
@@ -1196,43 +1157,6 @@ def build_parser() -> argparse.ArgumentParser:
     rename.add_argument("--epochs", type=int, default=5)
     rename.add_argument("--seed", type=int, default=8)
     rename.set_defaults(func=cmd_rename)
-
-    translate = sub.add_parser(
-        "translate",
-        help="translate a source file into another language through the IR",
-    )
-    translate.add_argument("file")
-    translate.add_argument(
-        "--to",
-        required=True,
-        choices=supported_languages(),
-        help="target language the translation is rendered in",
-    )
-    translate.add_argument(
-        "--language",
-        default=None,
-        help="source language (default: inferred from the file extension)",
-    )
-    translate.add_argument(
-        "--model",
-        default=None,
-        help="saved translate-task model that names the translated identifiers "
-        "(omitted: structural translation, original names carry over)",
-    )
-    translate.add_argument(
-        "--server",
-        default=None,
-        help="translate via a running prediction server instead of locally",
-    )
-    translate.add_argument(
-        "--out", default=None, help="write the translated source to this file"
-    )
-    translate.add_argument(
-        "--json",
-        action="store_true",
-        help="print the full payload (predictions, identifier counts) as JSON",
-    )
-    translate.set_defaults(func=cmd_translate)
 
     experiment = sub.add_parser("experiment", help="run a mini variable-naming experiment")
     experiment.add_argument("language", choices=supported_languages())

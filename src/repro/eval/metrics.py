@@ -74,9 +74,9 @@ def subtoken_f1(predicted: Optional[str], gold: str) -> Tuple[float, float, floa
             overlap += 1
     precision = overlap / len(pred_tokens)
     recall = overlap / len(gold_tokens)
-    if precision + recall == 0:
-        return (0.0, 0.0, 0.0)
-    f1 = 2 * precision * recall / (precision + recall)
+    # 2pr / (p + r) in integers: one correctly rounded division, so F1
+    # never rounds outside [min(p, r), max(p, r)] as the float form can.
+    f1 = 2 * overlap / (len(pred_tokens) + len(gold_tokens))
     return (precision, recall, f1)
 
 

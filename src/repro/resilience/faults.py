@@ -22,12 +22,9 @@ few-nanosecond no-op, so production paths pay nothing.  Every firing is
 recorded in memory and, when ``PIGEON_FAULT_LOG`` is set, appended as a
 JSONL line -- CI uploads those logs when a chaos job fails.
 
-Known sites: ``atomic.commit``, ``shard.write``, ``pipeline.save``,
-``checkpoint.save``, ``train.epoch``, ``replica.accept``,
-``replica.respond``, ``router.forward``, ``translate`` (the entry of
-:meth:`repro.translate.Translator.translate`: ``timeout`` stalls the
-translation, ``unavail``/``error`` raise :class:`FaultInjected`, which
-serving surfaces as a 500).
+The known sites are listed in :data:`SITES`; a rule naming any other
+site is refused at parse time, so a typo cannot arm a rule that never
+fires.
 """
 
 from __future__ import annotations
@@ -49,6 +46,18 @@ ENV_SEED = "PIGEON_FAULTS_SEED"
 ENV_LOG = "PIGEON_FAULT_LOG"
 
 _KINDS = ("crash", "error", "timeout", "unavail")
+
+#: The sites the program fires; :meth:`FaultPlan.parse` refuses any other.
+SITES = (
+    "atomic.commit",
+    "shard.write",
+    "pipeline.save",
+    "checkpoint.save",
+    "train.epoch",
+    "replica.accept",
+    "replica.respond",
+    "router.forward",
+)
 
 
 class FaultInjected(RuntimeError):
@@ -114,6 +123,11 @@ class FaultPlan:
             if kind in ("timeout", "unavail") and not 0.0 <= value <= 1.0:
                 raise ValueError(
                     f"bad fault rule {chunk!r}: {kind} takes a probability in [0, 1]"
+                )
+            if site not in SITES:
+                raise ValueError(
+                    f"bad fault rule {chunk!r}: unknown site {site!r} "
+                    f"(expected one of {', '.join(SITES)})"
                 )
             rules.append(FaultRule(site, kind, value))
         return cls(rules=rules, seed=seed, log_path=log_path)

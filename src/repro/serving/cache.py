@@ -1,15 +1,13 @@
 """The serving caches: source memo and response cache.
 
-Responses are cached under ``(cell, language, target_language, top,
-ast_digest)``: the digest (:func:`repro.core.extraction.ast_digest`)
-covers the full tree structure, so two submissions share an entry
-exactly when their parsed ASTs are identical -- byte-identical sources
-and layout-only variants hit, structurally different programs never do.
-The source language and (for ``translate`` requests) the target language
-are part of the key because the digest alone does not carry them: the
-same structure parsed from two languages, or one source translated into
-two targets, must neither share a cache entry nor coalesce onto the same
-in-flight scoring future.
+Responses are cached under ``(cell, language, top, ast_digest)``: the
+digest (:func:`repro.core.extraction.ast_digest`) covers the full tree
+structure, so two submissions share an entry exactly when their parsed
+ASTs are identical -- byte-identical sources and layout-only variants
+hit, structurally different programs never do.  The source language is
+part of the key because the digest alone does not carry it: the same
+structure parsed from two languages must neither share a cache entry nor
+coalesce onto the same in-flight scoring future.
 
 Finding the digest takes a parse, so a second :class:`LruCache` in front
 of the response cache memoizes it under :func:`source_key` -- the cell

@@ -163,14 +163,8 @@ class ServingClient:
         language: Optional[str] = None,
         task: Optional[str] = None,
         top: int = 0,
-        target_language: Optional[str] = None,
     ) -> dict:
-        """POST /predict; returns the server's JSON response.
-
-        ``target_language`` is the ``translate``-task knob: the response
-        then carries ``translated_source`` and the applied name
-        predictions instead of bare predictions.
-        """
+        """POST /predict; returns the server's JSON response."""
         payload: Dict[str, Any] = {"source": source}
         if language is not None:
             payload["language"] = language
@@ -178,20 +172,7 @@ class ServingClient:
             payload["task"] = task
         if top:
             payload["top"] = top
-        if target_language is not None:
-            payload["target_language"] = target_language
         return self._json("POST", "/predict", payload)
-
-    def translate(
-        self,
-        source: str,
-        target_language: str,
-        language: Optional[str] = None,
-    ) -> dict:
-        """POST /predict against the ``translate`` task."""
-        return self.predict(
-            source, language=language, task="translate", target_language=target_language
-        )
 
     def healthz(self) -> dict:
         return self._json("GET", "/healthz")

@@ -33,9 +33,6 @@ class PredictRequest:
     task: str
     #: 0 -> MAP predictions; k > 0 -> top-k suggestions.
     top: int = 0
-    #: Set (only) on ``translate``-task requests: the language the
-    #: response's ``translated_source`` is rendered in.
-    target_language: Optional[str] = None
     #: The already-parsed source, when the caller fingerprinted it
     #: (scoring reuses it instead of parsing the source again).
     program: Optional[ParsedProgram] = field(default=None, compare=False, repr=False)
@@ -129,8 +126,6 @@ class ModelHost:
 
 def score_one(handle: ScoringHandle, request: PredictRequest) -> dict:
     """Score one request against one handle."""
-    if request.target_language is not None:
-        return _translate_one(handle, request)
     if request.top > 0:
         suggestions = handle.suggest(
             request.source, k=request.top, program=request.program
@@ -146,35 +141,3 @@ def score_one(handle: ScoringHandle, request: PredictRequest) -> dict:
         "cell": handle.cell,
         "predictions": handle.predict(request.source, program=request.program),
     }
-
-
-def _translate_one(handle: ScoringHandle, request: PredictRequest) -> dict:
-    """Run the translation pipeline for one ``translate``-task request.
-
-    A lifter rejection is the *user's* input being out of vocabulary, not
-    a server failure: it comes back as a structured result with
-    ``status: 400`` and the offending node's kind and position, which the
-    server forwards verbatim instead of a 500.  Injected faults and real
-    bugs still raise and surface as 500s.
-    """
-    from ..translate import Translator, UnsupportedConstructError
-
-    translator = Translator(handle)
-    try:
-        payload = translator.translate(
-            request.source,
-            request.target_language,
-            language=handle.spec.language,
-            program=request.program,
-        )
-    except UnsupportedConstructError as error:
-        return {
-            "error": str(error),
-            "status": 400,
-            "unsupported": {
-                "language": error.language,
-                "node": error.node_kind,
-                "position": error.position,
-            },
-        }
-    return dict(payload, cell=handle.cell)

@@ -352,12 +352,7 @@ class PredictionServer:
         top = payload.get("top", 0)
         if not isinstance(top, int) or isinstance(top, bool) or top < 0:
             return 400, {"error": "field 'top' must be a non-negative integer"}
-        target_language = payload.get("target_language")
-        if target_language is not None and not isinstance(target_language, str):
-            return 400, {"error": "field 'target_language' must be a string"}
-        unknown = sorted(
-            set(payload) - {"source", "language", "task", "top", "target_language"}
-        )
+        unknown = sorted(set(payload) - {"source", "language", "task", "top"})
         if unknown:
             return 400, {"error": f"unknown fields: {', '.join(unknown)}"}
 
@@ -365,29 +360,6 @@ class PredictionServer:
             handle = self.host.resolve(language, task)
         except LookupError as error:
             return 404, {"error": str(error)}
-
-        if handle.spec.task == "translate":
-            from ..translate import RENDERERS
-
-            if target_language is None:
-                return 400, {
-                    "error": "task 'translate' requires field 'target_language'"
-                }
-            if target_language not in RENDERERS:
-                known = ", ".join(sorted(RENDERERS))
-                return 400, {
-                    "error": f"unknown target_language {target_language!r}; "
-                    f"known: {known}"
-                }
-            if top > 0:
-                return 400, {
-                    "error": "task 'translate' returns translated source, "
-                    "not top-k suggestions; drop 'top'"
-                }
-        elif target_language is not None:
-            return 400, {
-                "error": "field 'target_language' only applies to task 'translate'"
-            }
 
         try:
             memo_key = source_key(handle.cell, source)
@@ -412,10 +384,10 @@ class PredictionServer:
         # The response key must carry everything that changes the answer:
         # the digest only covers program *structure*, so two sources that
         # differ in source language (served by different cells) or in
-        # requested target language must not share an entry or coalesce
-        # onto each other's in-flight future.
+        # ``top`` must not share an entry or coalesce onto each other's
+        # in-flight future.
         spec = handle.spec
-        key = (handle.cell, spec.language, target_language, top, fingerprint)
+        key = (handle.cell, spec.language, top, fingerprint)
         cached = self.cache.get(key)
         if cached is not None:
             return 200, dict(cached, cached=True)
@@ -425,7 +397,6 @@ class PredictionServer:
             language=spec.language,
             task=spec.task,
             top=top,
-            target_language=target_language,
             # Scoring reuses the parse that produced the fingerprint (on a
             # memo hit there was none, and scoring parses the source).
             program=program,
@@ -442,7 +413,7 @@ class PredictionServer:
             except Exception as error:  # noqa: BLE001 - surfaced as HTTP 500
                 return 500, {"error": f"scoring failed: {error}"}
             if "error" in result:
-                return self._scoring_failure(result)
+                return 500, {"error": f"scoring failed: {result['error']}"}
             return 200, dict(result, cached=True)
         future: "asyncio.Future" = loop.create_future()
         self._inflight[key] = future
@@ -463,24 +434,10 @@ class PredictionServer:
         if "error" in result:
             # This item failed in isolation (its batchmates are fine);
             # nothing is cached for it so a retry scores fresh.
-            return self._scoring_failure(result)
+            return 500, {"error": f"scoring failed: {result['error']}"}
         self.cache.put(key, result)
         self._predictions += 1
         return 200, dict(result, cached=False)
-
-    @staticmethod
-    def _scoring_failure(result: dict) -> tuple:
-        """Map a failed scoring result to its HTTP response.
-
-        Scoring marks *user-input* failures (a translate request using a
-        construct the lifters reject) with an explicit 4xx ``status`` and
-        structured detail; those pass through so clients see what to fix.
-        Everything else is a server-side 500.  Neither is ever cached.
-        """
-        status = result.get("status", 500)
-        if isinstance(status, int) and 400 <= status < 500:
-            return status, {k: v for k, v in result.items() if k != "status"}
-        return 500, {"error": f"scoring failed: {result['error']}"}
 
 
 class ServerThread:

@@ -120,9 +120,9 @@ def add_method_factors(
 ) -> None:
     """Attach the method-naming factors for ``elements`` to ``graph``.
 
-    Shared between :func:`build_method_graph` and the combined
-    ``translate`` task graph (:mod:`repro.tasks.translate`), which mixes
-    method unknowns with variable unknowns in one graph.
+    Called by :func:`build_method_graph`; a separate function so the
+    reference view builder in the test oracles can attach the same
+    factors through its own extractor.
     """
     # Nodes that are method-name occurrences must never appear as "known"
     # neighbours of another method (their labels are being predicted).

@@ -6,12 +6,13 @@ width afterwards, and materialise one :class:`~repro.core.paths.AstPath`
 plus its full string context per path, eagerly.  The reversed relation
 of a path is ``alpha(path.reversed())``, computed per call.
 
-:func:`build_crf_graph`, :func:`element_contexts` and
-:func:`build_translate_graph` are the per-path view builders: one
-``_add_factor`` call per extracted path, relation ids taken from those
-string contexts.  The product's single bottom-up pass, its path table
-and its chain-keyed id resolution must reproduce these views exactly
-once ids are decoded back to strings.
+:func:`build_crf_graph` and :func:`element_contexts` are the per-path
+variable-naming view builders: one ``_add_factor`` call per extracted
+path, relation ids taken from those string contexts.
+:func:`build_method_graph` attaches the method-naming factors through
+the reference extractor's ``paths_from``.  The product's single
+bottom-up pass, its path table and its chain-keyed id resolution must
+reproduce these views exactly once ids are decoded back to strings.
 """
 
 from __future__ import annotations
@@ -166,18 +167,14 @@ def build_crf_graph(ast: Ast, extractor: ReferencePathExtractor, name: str = "")
     return graph
 
 
-def build_translate_graph(
+def build_method_graph(
     ast: Ast, extractor: ReferencePathExtractor, name: str = ""
 ) -> CrfGraph:
-    """The translate graph: variable unknowns, then method unknowns."""
+    """The method-naming CRF graph, its paths from the reference extractor."""
     graph = CrfGraph(name=name, space=extractor.space)
-    for binding, occurrences in element_groups(ast).items():
-        graph.add_unknown(binding, gold=occurrences[0].value or "")
     methods = method_elements(ast)
     for key, info in methods.items():
         graph.add_unknown(key, gold=str(info["gold"]))
-    for extracted in extractor.extract(ast):
-        _add_factor(graph, extractor, extracted)
     add_method_factors(graph, ast, extractor, methods)
     return graph
 

@@ -284,7 +284,6 @@ class TestCellEnumeration:
             "variable_naming",
             "method_naming",
             "type_prediction",
-            "translate",
         }
         assert {"ast-paths", "no-paths", "token-context"} <= set(representations.names())
         assert {"crf", "word2vec"} <= set(learners.names())

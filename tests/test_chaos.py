@@ -382,89 +382,3 @@ class TestFleetUnderFaults:
             reset()
         direct = Pipeline.load(chaos_model)
         assert response["predictions"] == direct.predict(PROBES[0])
-
-
-# ----------------------------------------------------------------------
-# Translation under faults: structured 4xx or clean 500, never partial
-# ----------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def translate_chaos_model(tmp_path_factory):
-    pipeline = Pipeline(
-        RunSpec(language="javascript", task="translate", training={"epochs": 2})
-    )
-    pipeline.train(TRAIN)
-    path = tmp_path_factory.mktemp("chaos-translate") / "model.bin"
-    pipeline.save(str(path))
-    return str(path)
-
-
-class TestTranslateUnderFaults:
-    def _server(self, model_path):
-        host = ModelHost([model_path])
-        return PredictionServer(host, port=0, cache_size=16)
-
-    def test_injected_translate_fault_is_a_clean_500_then_recovery(
-        self, translate_chaos_model
-    ):
-        from repro.translate import Translator
-
-        direct = Translator(Pipeline.load(translate_chaos_model)).translate(
-            PROBES[0], "python"
-        )
-        with ServerThread(self._server(translate_chaos_model)) as url:
-            install(FaultPlan.parse("translate:error@1", seed=CHAOS_SEED))
-            client = ServingClient(url, timeout_s=10.0, retries=0)
-            with pytest.raises(ServingError) as caught:
-                client.translate(PROBES[0], "python")
-            # A clean 500 with no partial translation riding along...
-            assert caught.value.status == 500
-            assert "translated_source" not in caught.value.payload
-            # ...and (the failure was not cached) the retry answers
-            # exactly what the unfaulted translator produces.
-            response = client.translate(PROBES[0], "python")
-            client.close()
-            reset()
-        assert response["cached"] is False
-        for key, value in direct.items():
-            assert response[key] == value
-
-    def test_injected_translate_timeout_still_answers_correctly(
-        self, translate_chaos_model
-    ):
-        from repro.translate import Translator
-
-        direct = Translator(Pipeline.load(translate_chaos_model)).translate(
-            PROBES[1], "csharp"
-        )
-        with ServerThread(self._server(translate_chaos_model)) as url:
-            install(FaultPlan.parse("translate:timeout@1", seed=CHAOS_SEED))
-            client = ServingClient(url, timeout_s=30.0, retries=0)
-            response = client.translate(PROBES[1], "csharp")
-            client.close()
-            reset()
-        assert response["translated_source"] == direct["translated_source"]
-
-    def test_lifter_rejection_is_a_structured_4xx_never_a_500(
-        self, translate_chaos_model
-    ):
-        unliftable = "function f(a) { return a ? 1 : 2; }"
-        with ServerThread(self._server(translate_chaos_model)) as url:
-            client = ServingClient(url, timeout_s=10.0, retries=0)
-            with pytest.raises(ServingError) as caught:
-                client.translate(unliftable, "python")
-            error = caught.value
-            # The rejection is the user's input, not a server failure:
-            # a 4xx carrying the offending node's kind and position, with
-            # no partial output.
-            assert error.status == 400
-            detail = error.payload["unsupported"]
-            assert detail["language"] == "javascript"
-            assert detail["node"] == "Conditional"
-            assert "/" in detail["position"]
-            assert "translated_source" not in error.payload
-            # The replica is unharmed: the next liftable request answers.
-            response = client.translate(PROBES[2], "python")
-            client.close()
-        assert "translated_source" in response

@@ -36,6 +36,7 @@ from repro.resilience import (
     write_stamped_json,
 )
 from repro.resilience.atomicio import atomic_write_bytes, stamped_json_bytes
+from repro.resilience.faults import SITES
 from repro.serving import ServingClient, ServingError
 
 TRAIN = [
@@ -176,20 +177,27 @@ class TestFaultPlan:
         with pytest.raises(ValueError, match="bad fault rule"):
             FaultPlan.parse(text)
 
+    @pytest.mark.parametrize("site", ["replica.respnd", "translate"])
+    def test_parse_rejects_unknown_site(self, site):
+        with pytest.raises(ValueError, match=f"unknown site '{site}'") as caught:
+            FaultPlan.parse(f"{site}:error@1")
+        for known in SITES:
+            assert known in str(caught.value)
+
     def test_error_fires_on_exact_hit(self):
-        plan = FaultPlan.parse("a.b:error@2")
-        assert plan.fire("a.b") is None
-        assert plan.fire("other.site") is None  # sites are independent
+        plan = FaultPlan.parse("shard.write:error@2")
+        assert plan.fire("shard.write") is None
+        assert plan.fire("router.forward") is None  # sites are independent
         with pytest.raises(FaultInjected) as excinfo:
-            plan.fire("a.b")
-        assert excinfo.value.site == "a.b"
-        assert plan.fire("a.b") is None  # only the Nth hit, not every later one
-        assert plan.hits["a.b"] == 3
+            plan.fire("shard.write")
+        assert excinfo.value.site == "shard.write"
+        assert plan.fire("shard.write") is None  # only the Nth hit, not every later one
+        assert plan.hits["shard.write"] == 3
 
     def test_probability_rules_are_seed_deterministic(self):
         def sequence(seed):
-            plan = FaultPlan.parse("a.b:unavail@0.5", seed=seed)
-            return [plan.fire("a.b") for _ in range(64)]
+            plan = FaultPlan.parse("shard.write:unavail@0.5", seed=seed)
+            return [plan.fire("shard.write") for _ in range(64)]
 
         first = sequence(11)
         assert sequence(11) == first  # same seed, same faults
@@ -199,29 +207,31 @@ class TestFaultPlan:
 
     def test_fired_events_are_logged(self, tmp_path):
         log = str(tmp_path / "faults.jsonl")
-        plan = FaultPlan.parse("a.b:error@1", seed=5, log_path=log)
+        plan = FaultPlan.parse("shard.write:error@1", seed=5, log_path=log)
         with pytest.raises(FaultInjected):
-            plan.fire("a.b")
+            plan.fire("shard.write")
         events = [json.loads(line) for line in open(log, encoding="utf-8")]
-        assert events == [{"site": "a.b", "kind": "error", "hit": 1, "seed": 5}]
+        assert events == [
+            {"site": "shard.write", "kind": "error", "hit": 1, "seed": 5}
+        ]
         assert plan.fired == events
 
     def test_module_singleton_install_and_reset(self):
-        assert fire("a.b") is None  # no plan installed: free no-op
-        install(FaultPlan.parse("a.b:error@1"))
+        assert fire("shard.write") is None  # no plan installed: free no-op
+        install(FaultPlan.parse("shard.write:error@1"))
         with pytest.raises(FaultInjected):
-            fire("a.b")
+            fire("shard.write")
         reset()
-        assert fire("a.b") is None
+        assert fire("shard.write") is None
 
     def test_plan_loads_from_environment(self, monkeypatch, tmp_path):
         log = str(tmp_path / "faults.jsonl")
-        monkeypatch.setenv("PIGEON_FAULTS", "a.b:error@1")
+        monkeypatch.setenv("PIGEON_FAULTS", "shard.write:error@1")
         monkeypatch.setenv("PIGEON_FAULTS_SEED", "42")
         monkeypatch.setenv("PIGEON_FAULT_LOG", log)
         reset()  # re-arm the (once-only) environment lookup
         with pytest.raises(FaultInjected):
-            fire("a.b")
+            fire("shard.write")
         assert json.loads(open(log, encoding="utf-8").read())["seed"] == 42
 
 

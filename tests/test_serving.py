@@ -414,16 +414,18 @@ class TestMalformedRequests:
         assert "top" in payload["error"]
 
     def test_unknown_fields_rejected(self, client):
-        body = json.dumps({"source": "var a;", "mode": "yolo"}).encode()
-        status, payload = client.request("POST", "/predict", body)
-        assert status == 400
-        assert "mode" in payload["error"]
+        for field_name, value in (("mode", "yolo"), ("target_language", "python")):
+            body = json.dumps({"source": "var a;", field_name: value}).encode()
+            status, payload = client.request("POST", "/predict", body)
+            assert status == 400
+            assert field_name in payload["error"]
 
     def test_unknown_task_is_404(self, client):
-        body = json.dumps({"source": "var a;", "task": "poetry"}).encode()
-        status, payload = client.request("POST", "/predict", body)
-        assert status == 404
-        assert "no model serves" in payload["error"]
+        for task in ("poetry", "translate"):
+            body = json.dumps({"source": "var a;", "task": task}).encode()
+            status, payload = client.request("POST", "/predict", body)
+            assert status == 404
+            assert "no model serves" in payload["error"]
 
     def test_unknown_language_is_404(self, client):
         body = json.dumps({"source": "var a;", "language": "cobol"}).encode()
@@ -684,6 +686,35 @@ class TestParseStatusCodes:
         assert "frontend bug" in payload["error"]
         assert stats["errors"] == 1
         assert stats["digests"]["size"] == 0
+
+    def test_scoring_failure_is_an_uncached_500_then_a_fresh_retry(
+        self, model_path, direct, monkeypatch
+    ):
+        with _serving([model_path]) as (server, client):
+            handle = server.host.resolve("javascript", "variable_naming")
+            original = handle.predict
+            calls = []
+
+            def fails_once(source, program=None):
+                calls.append(source)
+                if len(calls) == 1:
+                    raise RuntimeError("scorer bug")
+                return original(source, program=program)
+
+            monkeypatch.setattr(handle, "predict", fails_once)
+            body = json.dumps({"source": NOVEL_JS}).encode()
+            before = client.stats()
+            status, payload = client.request("POST", "/predict", body)
+            failed = client.stats()
+            retry = client.predict(NOVEL_JS)
+        assert status == 500
+        assert "scoring failed" in payload["error"]
+        assert "scorer bug" in payload["error"]
+        assert failed["cache"]["size"] == 0
+        assert failed["predictions"] == before["predictions"]
+        assert retry["cached"] is False
+        assert retry["predictions"] == direct.predict(NOVEL_JS)
+        assert len(calls) == 2
 
 
 class TestGracefulShutdown:

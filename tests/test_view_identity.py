@@ -9,7 +9,9 @@ string context eagerly, reverses relations through
 different *sets* of strings (the product never interns a relation seen
 only between two non-element terminals), so ids differ; every view
 compared here is decoded back to strings first, node by node and in
-factor order.
+factor order.  The method-naming graph shares its factor builder
+(``add_method_factors``) with the oracle and differs only in the
+extractor behind ``paths_from``.
 
 Corpora: generated programs in all four languages and top-level
 definitions from pinned stdlib modules present in CPython 3.10-3.13.
@@ -27,7 +29,7 @@ from repro.corpus.generator import CorpusConfig
 from repro.lang.base import parse_source
 from repro.learning.crf import CrfTrainer, TrainingConfig
 from repro.learning.crf.inference import map_inference, topk_for_node
-from repro.tasks import translate, variable_naming
+from repro.tasks import method_naming, variable_naming
 
 from fixtures import STDLIB_MODULES, stdlib_definitions
 from oracles import extraction as oracle
@@ -107,8 +109,8 @@ def assert_views_identical(asts, **settings):
         assert decoded_contexts(
             variable_naming.element_contexts(ast, product), product.space
         ) == decoded_contexts(oracle.element_contexts(ast, reference), reference.space)
-        assert decoded_graph(translate.build_translate_graph(ast, product)) == decoded_graph(
-            oracle.build_translate_graph(ast, reference)
+        assert decoded_graph(method_naming.build_method_graph(ast, product)) == decoded_graph(
+            oracle.build_method_graph(ast, reference)
         )
 
 
