@@ -255,8 +255,8 @@ class Pipeline:
         if spec_dict is None:
             raise ShardMismatchError(
                 f"shards of kind {shard_set.kind!r} carry no spec; training "
-                f"needs view shards from 'pigeon shard build' (not raw "
-                f"extraction shards)"
+                f"needs shards from 'pigeon shard build', whose headers "
+                f"record the spec they were built for"
             )
         for axis in ("language", "task", "representation", "learner"):
             ours = getattr(self.spec, axis)

@@ -5,8 +5,8 @@ Usage::
     python -m repro.cli languages [--json]        # supported languages
     python -m repro.cli cells [--json]            # valid registry cells
     python -m repro.cli extract [files...]        # corpus-scale extraction
-                                                  # stats (optionally --workers N;
-                                                  # --show prints every context)
+                                                  # stats (--show prints every
+                                                  # context)
     python -m repro.cli shard build --out DIR ... # persist a corpus as shards
     python -m repro.cli shard build --out DIR --partition 2/4 ...
                                                   # build one machine's slice
@@ -57,6 +57,7 @@ from typing import List, Optional
 
 from . import ExtractionConfig, supported_languages
 from .core.service import ExtractionService
+from .lang.base import parse_source
 from .api import Pipeline, RunSpec
 from .corpus import deduplicate, generate_corpus
 from .corpus.generator import CorpusConfig
@@ -120,56 +121,28 @@ def cmd_cells(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_extract(args: argparse.Namespace) -> int:
-    if args.files:
-        language = _guess_language(args.files[0], args.language)
-        sources = [_read(path) for path in args.files]
-    else:
-        if not args.language:
-            raise SystemExit("pass files or --language to generate a corpus")
-        language = args.language
-        print(f"Extracting a generated {language} corpus...", file=sys.stderr)
-        files = generate_corpus(
-            CorpusConfig(language=language, n_projects=args.projects, seed=args.seed)
-        )
-        kept, _removed = deduplicate(files)
-        sources = [f.source for f in kept]
+def _corpus_language(args: argparse.Namespace) -> str:
+    """The one language ``args.files`` (or the generated corpus) is in.
 
-    service = ExtractionService(
-        config=ExtractionConfig(
-            max_length=args.max_length,
-            max_width=args.max_width,
-            include_semi_paths=args.semi_paths,
+    ``--language`` wins.  Otherwise every file's extension must name the
+    same language: one run parses all its files with one frontend.
+    """
+    if args.language:
+        return args.language
+    if not args.files:
+        raise SystemExit("pass files or --language to generate a corpus")
+    by_file = {path: _guess_language(path, None) for path in args.files}
+    languages = sorted(set(by_file.values()))
+    if len(languages) > 1:
+        listing = ", ".join(f"{path} ({language})" for path, language in by_file.items())
+        raise SystemExit(
+            f"files mix languages: {listing}; pass files of one language "
+            f"(or --language to parse them all as one)"
         )
-    )
-    result = service.index_sources(sources, language, workers=args.workers)
-    if args.show:
-        space = result.space
-        for file_contexts in result.contexts:
-            for start_id, rel_id, end_id in file_contexts:
-                print(
-                    f"⟨{space.values.value(start_id)}, "
-                    f"{space.paths.value(rel_id)}, "
-                    f"{space.values.value(end_id)}⟩"
-                )
-    summary = dict(result.summary(), language=language)
-    if args.json:
-        print(json.dumps(summary))
-    else:
-        print(
-            f"{summary['files']} files, {summary['paths']} path-contexts, "
-            f"{summary['unique_paths']} unique paths, "
-            f"{summary['unique_values']} unique values"
-        )
-        print(
-            f"{summary['nodes']} nodes in {summary['seconds']:.2f}s "
-            f"({summary['nodes_per_second']:.0f} nodes/s, "
-            f"workers={summary['workers']})"
-        )
-    return 0
+    return languages[0]
 
 
-def _training_sources(
+def _corpus_sources(
     args: argparse.Namespace, language: str, action: str = "Training on"
 ) -> List[str]:
     if args.files:
@@ -182,51 +155,80 @@ def _training_sources(
     return [f.source for f in kept]
 
 
+def cmd_extract(args: argparse.Namespace) -> int:
+    language = _corpus_language(args)
+    sources = _corpus_sources(args, language, action="Extracting")
+    service = ExtractionService(
+        config=ExtractionConfig(
+            max_length=args.max_length,
+            max_width=args.max_width,
+            include_semi_paths=args.semi_paths,
+        )
+    )
+    space = service.space
+    for source in sources:
+        # triples() resolves every row: the table interns lazily, so the
+        # unique path/value counts below need every file resolved.
+        triples = service.extract(parse_source(language, source)).triples()
+        if args.show:
+            for start_id, rel_id, end_id in triples:
+                print(
+                    f"⟨{space.values.value(start_id)}, "
+                    f"{space.paths.value(rel_id)}, "
+                    f"{space.values.value(end_id)}⟩"
+                )
+    stats = service.stats
+    summary = {
+        "files": len(sources),
+        "paths": stats.paths,
+        "nodes": stats.nodes,
+        "seconds": round(stats.seconds, 4),
+        "nodes_per_second": round(stats.nodes_per_second, 1),
+        "unique_paths": len(space.paths),
+        "unique_values": len(space.values),
+        "language": language,
+    }
+    if args.json:
+        print(json.dumps(summary))
+    else:
+        print(
+            f"{summary['files']} files, {summary['paths']} path-contexts, "
+            f"{summary['unique_paths']} unique paths, "
+            f"{summary['unique_values']} unique values"
+        )
+        print(
+            f"{summary['nodes']} nodes extracted in {summary['seconds']:.2f}s "
+            f"({summary['nodes_per_second']:.0f} nodes/s)"
+        )
+    return 0
+
+
 def cmd_shard_build(args: argparse.Namespace) -> int:
     from .shards import build_spec_shards, parse_partition
 
     partition = parse_partition(args.partition) if args.partition else None
-    if args.files:
-        language = _guess_language(args.files[0], args.language)
-    elif args.language:
-        language = args.language
-    else:
-        raise SystemExit("pass files or --language to generate a corpus")
+    language = _corpus_language(args)
     # The same corpus-sourcing policy as 'pigeon train': anything else
     # would break the bit-identity between the two commands' models.
-    sources = _training_sources(args, language, action="Sharding")
-
-    if args.kind == "triples":
-        config_kwargs = {}
-        if args.max_length is not None:
-            config_kwargs["max_length"] = args.max_length
-        if args.max_width is not None:
-            config_kwargs["max_width"] = args.max_width
-        service = ExtractionService(config=ExtractionConfig(**config_kwargs))
-        result = service.index_to_shards(
-            sources, language, args.out,
-            shard_size=args.shard_size, workers=args.workers,
-            partition=partition, resume=args.resume,
-        )
-    else:
-        extraction = {}
-        if args.max_length is not None:
-            extraction["max_length"] = args.max_length
-        if args.max_width is not None:
-            extraction["max_width"] = args.max_width
-        spec = RunSpec(
-            language=language,
-            task=args.task,
-            representation=args.representation,
-            learner=args.learner,
-            extraction=extraction,
-        )
-        result = build_spec_shards(
-            spec, sources, args.out,
-            shard_size=args.shard_size, workers=args.workers,
-            partition=partition, resume=args.resume,
-        )
-    summary = dict(result.summary(), language=language, kind=args.kind)
+    sources = _corpus_sources(args, language, action="Sharding")
+    extraction = {}
+    if args.max_length is not None:
+        extraction["max_length"] = args.max_length
+    if args.max_width is not None:
+        extraction["max_width"] = args.max_width
+    spec = RunSpec(
+        language=language,
+        task=args.task,
+        representation=args.representation,
+        learner=args.learner,
+        extraction=extraction,
+    )
+    result = build_spec_shards(
+        spec, sources, args.out,
+        shard_size=args.shard_size, workers=args.workers,
+        partition=partition, resume=args.resume,
+    )
+    summary = dict(result.summary(), language=language)
     if args.json:
         print(json.dumps(summary))
     else:
@@ -290,7 +292,7 @@ def cmd_shard_info(args: argparse.Namespace) -> int:
         cell = (
             f"{spec['language']}/{spec['task']}/{spec['representation']}/{spec['learner']}"
             if spec
-            else f"{summary['language']} (raw extraction)"
+            else f"{summary['language']} (no spec recorded)"
         )
         verified = " (digests verified)" if args.verify else ""
         print(
@@ -366,7 +368,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     checkpoint, resume = _checkpoint_args(args)
     pipeline = Pipeline(spec)
     stats = pipeline.train(
-        _training_sources(args, args.language),
+        _corpus_sources(args, args.language),
         checkpoint=checkpoint,
         resume=resume,
     )
@@ -393,9 +395,8 @@ def _train_from_shards(args: argparse.Namespace) -> int:
     spec_dict = shard_set.spec_dict
     if spec_dict is None:
         raise SystemExit(
-            f"error: shards in {args.shards!r} are raw extraction shards "
-            f"(kind {shard_set.kind!r}); training needs view shards from "
-            f"'pigeon shard build'"
+            f"error: shards in {args.shards!r} carry no spec; training "
+            f"needs shards from 'pigeon shard build'"
         )
     spec_dict["training"] = {"epochs": args.epochs}
     spec_dict["sgns"] = {"epochs": args.epochs}
@@ -781,7 +782,6 @@ def build_parser() -> argparse.ArgumentParser:
     extract.add_argument("--semi-paths", action="store_true")
     extract.add_argument("--projects", type=int, default=16)
     extract.add_argument("--seed", type=int, default=8)
-    extract.add_argument("--workers", type=int, default=1, help="process-pool fan-out")
     extract.add_argument("--json", action="store_true", help="emit stats as JSON")
     extract.add_argument("--show", action="store_true", help="also print every context")
     extract.set_defaults(func=cmd_extract)
@@ -816,13 +816,6 @@ def build_parser() -> argparse.ArgumentParser:
     shard_build.add_argument("--task", default="variable_naming")
     shard_build.add_argument("--representation", default="ast-paths")
     shard_build.add_argument("--learner", default="crf")
-    shard_build.add_argument(
-        "--kind",
-        choices=("view", "triples"),
-        default="view",
-        help="view = training-ready feature views (default); "
-        "triples = raw extraction output",
-    )
     shard_build.add_argument("--shard-size", type=int, default=32, help="files per shard")
     shard_build.add_argument("--workers", type=int, default=1, help="one process per shard")
     shard_build.add_argument("--max-length", type=int, default=None)

@@ -21,7 +21,7 @@ from .interning import (
 )
 from .path_context import PathContext, make_path_context
 from .paths import DOWN, UP, AstPath, NWisePath, path_between, semi_path
-from .service import CorpusExtraction, ExtractionService, ExtractionStats
+from .service import ExtractionService, ExtractionStats
 
 __all__ = [
     "ABSTRACTIONS",
@@ -29,7 +29,6 @@ __all__ = [
     "Ast",
     "AstPath",
     "ContextVocab",
-    "CorpusExtraction",
     "DOWN",
     "ExtractedPath",
     "ExtractionConfig",

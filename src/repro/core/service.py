@@ -1,7 +1,7 @@
-"""Corpus-level extraction: memoization, a shared vocab, optional fan-out.
+"""Corpus-level extraction: memoization and a shared vocab.
 
 :class:`ExtractionService` wraps a :class:`~repro.core.extraction.PathExtractor`
-with the three things every corpus-scale caller needs:
+with the two things every corpus-scale caller needs:
 
 * **per-AST memoization** -- a program whose graph view and contexts view
   are both built (or that appears in several sweeps) is extracted once.
@@ -9,25 +9,20 @@ with the three things every corpus-scale caller needs:
   whose ids resolve on demand into the service's space, so it is
   dropped whenever the space is rebound;
 * **a shared feature space** -- every AST that flows through one service
-  interns into the same vocabularies, so ids are corpus-consistent;
-* **batched / parallel source extraction** -- :meth:`index_sources`
-  parses and extracts many source texts, optionally fanning out over a
-  ``multiprocessing`` pool.  Workers return plain string triples (node
-  objects never cross process boundaries); the parent interns them into
-  the shared space, so the resulting ids are identical to a sequential
-  run.
+  interns into the same vocabularies, so ids are corpus-consistent.
 
 The service duck-types as an extractor (``extract`` / ``paths_from`` /
 ``context_for`` / ``config`` / ``space``), so task graph builders accept
-either.
+either.  Corpora scale out through view shards (:mod:`repro.shards`),
+not through the service.
 """
 
 from __future__ import annotations
 
 import time
 import weakref
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 from .ast_model import Ast
 from .extraction import ExtractionConfig, PathExtractor, PathTable
@@ -60,46 +55,14 @@ class ExtractionStats:
         }
 
 
-@dataclass
-class CorpusExtraction:
-    """Result of :meth:`ExtractionService.index_sources` over one corpus."""
-
-    files: int = 0
-    paths: int = 0
-    nodes: int = 0
-    seconds: float = 0.0
-    workers: int = 1
-    #: interned (start_value_id, rel_id, end_value_id) triples per file.
-    contexts: List[List[Tuple[int, int, int]]] = field(default_factory=list)
-    space: Optional[FeatureSpace] = None
-
-    @property
-    def nodes_per_second(self) -> float:
-        return self.nodes / self.seconds if self.seconds > 0 else 0.0
-
-    def summary(self) -> dict:
-        """JSON-ready stats (what ``pigeon extract`` prints)."""
-        return {
-            "files": self.files,
-            "paths": self.paths,
-            "nodes": self.nodes,
-            "seconds": round(self.seconds, 4),
-            "nodes_per_second": round(self.nodes_per_second, 1),
-            "workers": self.workers,
-            "unique_paths": len(self.space.paths) if self.space else 0,
-            "unique_values": len(self.space.values) if self.space else 0,
-        }
-
-
 class ExtractionService:
-    """Batched, memoized extraction over many ASTs with one shared vocab."""
+    """Memoized extraction over many ASTs with one shared vocab."""
 
     def __init__(
         self,
         extractor: Optional[PathExtractor] = None,
         config: Optional[ExtractionConfig] = None,
         space: Optional[FeatureSpace] = None,
-        workers: int = 1,
     ) -> None:
         if extractor is None:
             # A private vocab unless one is given, as for any extractor:
@@ -110,7 +73,6 @@ class ExtractionService:
         elif space is not None:
             extractor.bind_space(space)
         self.extractor = extractor
-        self.workers = max(1, int(workers))
         self.stats = ExtractionStats()
         self._memo: "weakref.WeakKeyDictionary[Ast, PathTable]" = (
             weakref.WeakKeyDictionary()
@@ -165,148 +127,3 @@ class ExtractionService:
         self.stats.nodes += ast.size()
         self._memo[ast] = extracted
         return extracted
-
-    def extract_many(self, asts: Iterable[Ast]) -> List[PathTable]:
-        """Extraction for a batch of ASTs (memoized, shared vocab)."""
-        return [self.extract(ast) for ast in asts]
-
-    # ------------------------------------------------------------------
-    # Corpus-level source extraction (optionally parallel)
-    # ------------------------------------------------------------------
-    def index_sources(
-        self,
-        sources: Sequence[str],
-        language: str,
-        workers: Optional[int] = None,
-    ) -> CorpusExtraction:
-        """Parse + extract many source texts into interned context triples.
-
-        With ``workers > 1`` (and a picklable configuration) the parse and
-        extraction fan out over a process pool; interning always happens
-        in the parent, so ids are identical to a sequential run.  Any
-        failure to set up the pool falls back to sequential extraction.
-        """
-        n_workers = self.workers if workers is None else max(1, int(workers))
-        started = time.perf_counter()
-        per_file = None
-        if n_workers > 1 and _config_is_picklable(self.extractor.config):
-            per_file = self._map_parallel(sources, language, n_workers)
-
-        result = CorpusExtraction(workers=n_workers, space=self.space)
-        if per_file is not None:
-            # Parallel: workers shipped string triples; intern them here
-            # so ids are assigned in the same first-seen order as a
-            # sequential run.
-            values = self.space.values
-            paths = self.space.paths
-            for triples, node_count in per_file:
-                interned = [
-                    (values.intern(start), paths.intern(rel), values.intern(end))
-                    for start, rel, end in triples
-                ]
-                result.contexts.append(interned)
-                result.files += 1
-                result.paths += len(interned)
-                result.nodes += node_count
-            # Lifetime counters stay mode-independent.
-            self.stats.asts += result.files
-            self.stats.paths += result.paths
-            self.stats.nodes += result.nodes
-            self.stats.seconds += time.perf_counter() - started
-        else:
-            # Sequential: go through our own extractor -- ids come out
-            # already interned (shared shape/flip caches, stats updated),
-            # with no string materialisation at all.
-            from ..lang.base import parse_source  # local import: avoid a cycle
-
-            result.workers = 1
-            for source in sources:
-                ast = parse_source(language, source)
-                table = self.extract(ast)
-                result.contexts.append(table.triples())
-                result.files += 1
-                result.paths += len(table)
-                result.nodes += ast.size()
-        result.seconds = time.perf_counter() - started
-        return result
-
-    def index_to_shards(
-        self,
-        sources: Sequence[str],
-        language: str,
-        out_dir: str,
-        shard_size: int = 32,
-        workers: Optional[int] = None,
-        partition: Optional[Tuple[int, int]] = None,
-        resume: bool = False,
-    ):
-        """Persist a corpus's extraction output as on-disk shards.
-
-        The multi-machine sibling of :meth:`index_sources`: instead of
-        interning everything into this service's space, the corpus is
-        cut into ``shard_size``-file slices and each slice is extracted
-        against its own shard-local vocab and written as one shard file
-        (``workers > 1`` builds shards on a process pool; nothing
-        corpus-sized crosses a process boundary).  Merge the shards back
-        into one global space with
-        :func:`repro.shards.merge_shards` -- the result is id-identical
-        to what :meth:`index_sources` would have built in this process.
-
-        Returns a :class:`repro.shards.ShardBuildResult`.
-        """
-        from ..shards.build import build_triples_shards  # local: avoid a cycle
-
-        n_workers = self.workers if workers is None else max(1, int(workers))
-        if not _config_is_picklable(self.extractor.config):
-            n_workers = 1  # callables cannot ship to a pool; build inline
-        return build_triples_shards(
-            sources,
-            language,
-            self.extractor.config,
-            out_dir,
-            shard_size=shard_size,
-            workers=n_workers,
-            partition=partition,
-            resume=resume,
-        )
-
-    def _map_parallel(
-        self, sources: Sequence[str], language: str, n_workers: int
-    ) -> Optional[List[Tuple[List[Tuple[str, str, str]], int]]]:
-        try:
-            import multiprocessing
-
-            context = multiprocessing.get_context()
-            with context.Pool(
-                processes=n_workers,
-                initializer=_init_worker,
-                initargs=(language, self.extractor.config),
-            ) as pool:
-                return pool.map(_extract_in_worker, sources)
-        except Exception:
-            return None  # pool unavailable (sandbox, pickling, ...) -> sequential
-
-
-def _config_is_picklable(config: ExtractionConfig) -> bool:
-    """Workers rebuild the extractor from its config; callables may not ship."""
-    return isinstance(config.abstraction, str) and config.leaf_filter is None
-
-
-#: Per-worker state: (language, extractor), built once per process.
-_WORKER: Dict[str, object] = {}
-
-
-def _init_worker(language: str, config: ExtractionConfig) -> None:
-    _WORKER["language"] = language
-    _WORKER["extractor"] = PathExtractor(config)
-
-
-def _extract_in_worker(source: str) -> Tuple[List[Tuple[str, str, str]], int]:
-    """Parse one source text and return its context triples as strings."""
-    from ..lang.base import parse_source  # local import: avoid a cycle
-
-    extractor: PathExtractor = _WORKER["extractor"]  # type: ignore[assignment]
-    ast = parse_source(_WORKER["language"], source)  # type: ignore[arg-type]
-    decode = extractor.space.decode_context
-    triples = [decode(triple) for triple in extractor.extract(ast).triples()]
-    return triples, ast.size()

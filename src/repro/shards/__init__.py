@@ -14,16 +14,17 @@ while producing **bit-identical models and predictions** to an in-memory
     payload is needed; sets validate index completeness and that every
     shard was built under one kind/spec/extraction.
 :mod:`repro.shards.build`
-    shard builders.  Each shard is its slice of the corpus processed
-    exactly as a sequential run would -- same Pipeline view code, fresh
+    the shard builder (:func:`build_spec_shards`).  A shard holds one
+    learner view per file, in one of two kinds: ``graph`` records for
+    the ``crf`` learner or ``contexts`` records for ``word2vec``.  Each
+    shard is its slice of the corpus processed exactly as a sequential
+    run would -- same Pipeline view code, fresh
     private :class:`~repro.core.interning.FeatureSpace` -- so shards are
     embarrassingly parallel (``workers > 1`` builds one shard per
     process) yet fully deterministic.  ``partition=(i, n)`` builds only
     the i-th round-robin slice of the full plan -- with *global* shard
     indices -- so n machines can each build one partition and
     :func:`gather_shards` reassembles (and validates) the complete set.
-    :meth:`~repro.core.service.ExtractionService.index_to_shards`
-    delegates here for raw extraction-output shards.
 :mod:`repro.shards.merge`
     :class:`VocabMerger`: replays the shard-local vocabs in shard-index
     order into one global first-seen :class:`FeatureSpace` -- the exact
@@ -58,7 +59,6 @@ halves: prediction equality and bounded peak memory per shard pass.
 from .build import (
     ShardBuildResult,
     build_spec_shards,
-    build_triples_shards,
     gather_shards,
     parse_partition,
     partition_plan,
@@ -69,7 +69,6 @@ from .format import (
     CONTEXTS_KIND,
     GRAPH_KIND,
     SHARD_FORMAT,
-    TRIPLES_KIND,
     ShardError,
     ShardFormatError,
     ShardIntegrityError,
@@ -102,10 +101,8 @@ __all__ = [
     "ShardSet",
     "ShardWriter",
     "ShardedCorpus",
-    "TRIPLES_KIND",
     "VocabMerger",
     "build_spec_shards",
-    "build_triples_shards",
     "gather_shards",
     "load_manifest",
     "merge_shards",

@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.extraction import ExtractionConfig, PathExtractor
+from ..core.extraction import ExtractionConfig
 from ..learning.crf.graph import CrfGraph
 from ..resilience.atomicio import (
     fsync_directory,
@@ -41,7 +41,6 @@ from .format import (
     _SET_KEYS,
     CONTEXTS_KIND,
     GRAPH_KIND,
-    TRIPLES_KIND,
     ShardError,
     ShardMismatchError,
     ShardReader,
@@ -336,120 +335,12 @@ def build_spec_shards(
         )
         for shard_index, (start, end) in enumerate(plan_shards(len(sources), shard_size))
     ]
-    tasks, planned = _partition_tasks(tasks, partition, index_position=3)
+    tasks, planned = _partition_tasks(tasks, partition)
     skipped: List[dict] = []
     if resume:
         _clean_temp_files(out_dir)
-        tasks, skipped = _filter_completed(
-            tasks, base_meta, index_position=3, sources_position=1, path_position=4
-        )
-    summaries, used_workers = _run_shard_tasks(_build_view_shard, tasks, workers)
-    result = _collect(
-        out_dir,
-        sorted(skipped + summaries, key=lambda s: s["path"]),
-        started,
-        used_workers,
-        partition,
-        planned,
-    )
-    result.resumed = resume
-    result.skipped = len(skipped)
-    return result
-
-
-# ----------------------------------------------------------------------
-# Raw extraction-output shards (ExtractionService.index_to_shards)
-# ----------------------------------------------------------------------
-
-
-def _build_triples_shard(
-    config: ExtractionConfig,
-    language: str,
-    sources: Sequence[str],
-    start_index: int,
-    shard_index: int,
-    out_path: str,
-    base_meta: dict,
-) -> dict:
-    """Build + write one raw-triples shard (worker or inline)."""
-    from ..lang.base import parse_source  # local import: avoid a cycle
-
-    extractor = PathExtractor(config)
-    writer = ShardWriter(
-        out_path, dict(base_meta, shard_index=shard_index, start_file=start_index)
-    )
-    record_paths = 0
-    nodes = 0
-    for offset, source in enumerate(sources):
-        ast = parse_source(language, source)
-        triples = [list(triple) for triple in extractor.extract(ast).triples()]
-        nodes += ast.size()
-        record_paths += len(triples)
-        writer.add_record(
-            {"name": f"file:{start_index + offset}", "nodes": ast.size(), "triples": triples}
-        )
-    writer.meta["paths"] = record_paths
-    writer.meta["nodes"] = nodes
-    writer.finish(extractor.space)
-    return {"path": out_path, "files": len(sources), "elements": 0, "paths": record_paths}
-
-
-def build_triples_shards(
-    sources: Sequence[str],
-    language: str,
-    config: ExtractionConfig,
-    out_dir: str,
-    shard_size: int = 32,
-    workers: int = 1,
-    prefix: str = "extract",
-    partition: Optional[Tuple[int, int]] = None,
-    resume: bool = False,
-) -> ShardBuildResult:
-    """Shard raw extraction output (the service-level entry point)."""
-    base_meta = {
-        "kind": TRIPLES_KIND,
-        "language": language,
-        "spec": None,
-        "extraction": extraction_meta(config),
-    }
-    os.makedirs(out_dir, exist_ok=True)
-    started = time.perf_counter()
-    _prepare_journal(
-        out_dir,
-        {
-            "format": JOURNAL_FORMAT,
-            "kind": TRIPLES_KIND,
-            "language": language,
-            "spec": None,
-            "extraction": base_meta["extraction"],
-            "corpus": corpus_fingerprint(sources),
-            "files": len(sources),
-            "shard_size": shard_size,
-            "prefix": prefix,
-            "partition": None if partition is None else f"{partition[0]}/{partition[1]}",
-        },
-        resume,
-    )
-    tasks = [
-        (
-            config,
-            language,
-            list(sources[start:end]),
-            start,
-            shard_index,
-            os.path.join(out_dir, SHARD_NAME.format(prefix=prefix, index=shard_index)),
-            base_meta,
-        )
-        for shard_index, (start, end) in enumerate(plan_shards(len(sources), shard_size))
-    ]
-    tasks, planned = _partition_tasks(tasks, partition, index_position=4)
-    skipped: List[dict] = []
-    if resume:
-        _clean_temp_files(out_dir)
-        tasks, skipped = _filter_completed(
-            tasks, base_meta, index_position=4, sources_position=2, path_position=5
-        )
-    summaries, used_workers = _run_shard_tasks(_build_triples_shard, tasks, workers)
+        tasks, skipped = _filter_completed(tasks, base_meta)
+    summaries, used_workers = _run_shard_tasks(tasks, workers)
     result = _collect(
         out_dir,
         sorted(skipped + summaries, key=lambda s: s["path"]),
@@ -537,23 +428,16 @@ def _verify_completed_shard(
 
 
 def _filter_completed(
-    tasks: List[tuple],
-    base_meta: dict,
-    *,
-    index_position: int,
-    sources_position: int,
-    path_position: int,
+    tasks: List[tuple], base_meta: dict
 ) -> Tuple[List[tuple], List[dict]]:
     """Partition tasks into (still to build, verified-complete summaries)."""
     expected_meta = json.loads(json.dumps(base_meta))
     remaining: List[tuple] = []
     skipped: List[dict] = []
     for task in tasks:
+        _spec, sources, _start, shard_index, path, _kind, _meta = task
         summary = _verify_completed_shard(
-            task[path_position],
-            task[index_position],
-            len(task[sources_position]),
-            expected_meta,
+            path, shard_index, len(sources), expected_meta
         )
         if summary is None:
             remaining.append(task)
@@ -563,12 +447,12 @@ def _filter_completed(
 
 
 # ----------------------------------------------------------------------
-# Shared fan-out machinery
+# Fan-out machinery
 # ----------------------------------------------------------------------
 
 
 def _partition_tasks(
-    tasks: List[tuple], partition: Optional[Tuple[int, int]], index_position: int
+    tasks: List[tuple], partition: Optional[Tuple[int, int]]
 ) -> Tuple[List[tuple], int]:
     """Keep only this partition's shard tasks; returns (tasks, full-plan size)."""
     planned = len(tasks)
@@ -577,13 +461,10 @@ def _partition_tasks(
     index, total = partition
     if not (1 <= index <= total):
         raise ShardError(f"bad partition ({index}, {total}); need 1 <= i <= n")
-    mine = set(partition_plan(planned, partition))
-    return [task for task in tasks if task[index_position] in mine], planned
+    return [tasks[s] for s in partition_plan(planned, partition)], planned
 
 
-def _run_shard_tasks(
-    build_fn, tasks: List[tuple], workers: int
-) -> Tuple[List[dict], int]:
+def _run_shard_tasks(tasks: List[tuple], workers: int) -> Tuple[List[dict], int]:
     """One task per shard, over a process pool when asked (and possible).
 
     Only *pool availability* problems (sandboxed environment, task
@@ -606,7 +487,7 @@ def _run_shard_tasks(
         if pool is not None:
             with pool:
                 try:
-                    return pool.starmap(build_fn, tasks), n_workers
+                    return pool.starmap(_build_view_shard, tasks), n_workers
                 except (pickle.PicklingError, AttributeError, TypeError):
                     # Unpicklable task payloads surface as any of these
                     # (PicklingError, "Can't pickle local object", ...).
@@ -615,7 +496,7 @@ def _run_shard_tasks(
                     # error there; other exception types (parse errors,
                     # OSError, ShardError) propagate immediately.
                     pass
-    return [build_fn(*task) for task in tasks], 1
+    return [_build_view_shard(*task) for task in tasks], 1
 
 
 def _collect(

@@ -35,7 +35,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..core.interning import FeatureSpace
 from ..learning.crf.graph import CrfGraph, KnownNeighbor, UnknownEdge
-from .format import CONTEXTS_KIND, GRAPH_KIND, ShardError, ShardSet, TRIPLES_KIND
+from .format import CONTEXTS_KIND, GRAPH_KIND, ShardError, ShardSet
 from .merge import MergedSpace, ShardRemap, VocabMerger
 
 
@@ -69,22 +69,9 @@ def decode_contexts_record(
     }
 
 
-def decode_triples_record(
-    record: dict, remap: ShardRemap, space: FeatureSpace
-) -> List[Tuple[int, int, int]]:
-    """Rebuild one file's raw context triples in global-id form."""
-    paths = remap.paths
-    values = remap.values
-    return [
-        (values[start], paths[rel], values[end])
-        for start, rel, end in record["triples"]
-    ]
-
-
 _DECODERS = {
     GRAPH_KIND: decode_graph_record,
     CONTEXTS_KIND: decode_contexts_record,
-    TRIPLES_KIND: decode_triples_record,
 }
 
 
@@ -104,10 +91,7 @@ class ShardedCorpus:
                 f"merge covers {len(self.merged.remaps)} shards but the set "
                 f"has {len(shards)}; merge and set are from different builds"
             )
-        decoder = _DECODERS.get(shards.kind)
-        if decoder is None:
-            raise ShardError(f"cannot stream views of kind {shards.kind!r}")
-        self._decode = decoder
+        self._decode = _DECODERS[shards.kind]
         self.cache_shards = max(1, int(cache_shards))
         # shard_index -> records list, in LRU order (most recent last).
         self._cache: "OrderedDict[int, list]" = OrderedDict()

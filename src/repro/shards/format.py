@@ -20,17 +20,15 @@ thousand-shard corpus without touching a payload, and the
 :class:`~repro.shards.corpus.ShardedCorpus` keeps at most a few loaded
 payloads resident at a time.
 
-Records come in three kinds (``meta["kind"]``):
+Records come in two kinds (``meta["kind"]``), one per learner view:
 
 ``graph``
     one serialized CRF factor graph per file (the ``crf`` learner view);
 ``contexts``
     one element->(gold, context tokens) map per file (the ``word2vec``
-    learner view);
-``triples``
-    the raw extraction output -- one ``(start, rel, end)`` id-triple
-    list per file (what :meth:`ExtractionService.index_to_shards`
-    writes).
+    learner view).
+
+Writer and reader both refuse any other kind.
 """
 
 from __future__ import annotations
@@ -51,8 +49,7 @@ SHARD_FORMAT = "pigeon-shard/1"
 #: Known record kinds (``meta["kind"]``).
 GRAPH_KIND = "graph"
 CONTEXTS_KIND = "contexts"
-TRIPLES_KIND = "triples"
-SHARD_KINDS = (GRAPH_KIND, CONTEXTS_KIND, TRIPLES_KIND)
+SHARD_KINDS = (GRAPH_KIND, CONTEXTS_KIND)
 
 
 class ShardError(ValueError):
@@ -103,9 +100,9 @@ def shard_digest(meta: Dict[str, object], payload_bytes: bytes) -> str:
 class ShardWriter:
     """Accumulates one shard's records and writes the two-line file.
 
-    The writer is index-aware but otherwise dumb: callers (the builders
-    in :mod:`repro.shards.build`) decide what a record is and own the
-    shard-local feature space the records' ids reference.
+    The writer is index-aware but otherwise dumb: its caller (the
+    builder in :mod:`repro.shards.build`) decides what a record is and
+    owns the shard-local feature space the records' ids reference.
     """
 
     def __init__(self, path: str, meta: Dict[str, object]) -> None:
@@ -180,6 +177,13 @@ class ShardReader:
             )
         self.digest: str = str(header.get("digest", ""))
         self.meta: Dict[str, object] = dict(header.get("meta", {}))
+        kind = self.meta.get("kind")
+        if kind not in SHARD_KINDS:
+            raise ShardFormatError(
+                f"{path!r} holds records of unknown kind {kind!r}; this "
+                f"version reads {SHARD_KINDS} -- rebuild the shard with "
+                f"'pigeon shard build'"
+            )
         self._payload: Optional[dict] = None
         self._verified = False
 

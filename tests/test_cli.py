@@ -84,6 +84,22 @@ class TestExtractCommand:
         with pytest.raises(SystemExit):
             main(["extract"])
 
+    def test_mixed_language_files_exit_naming_them(self, tmp_path, capsys):
+        # Every file's extension counts, not just the first one's: a
+        # Python file must not be parsed as JavaScript behind a .js file.
+        js = tmp_path / "a.js"
+        js.write_text(FIG1_JS)
+        py = tmp_path / "c.py"
+        py.write_text("x = 1\ny = x\n")
+        files = [str(js), str(py)]
+        with pytest.raises(SystemExit, match=r"mix languages.*a\.js.*c\.py"):
+            main(["extract", *files])
+        with pytest.raises(SystemExit, match=r"mix languages.*a\.js.*c\.py"):
+            main(["shard", "build", "--out", str(tmp_path / "s"), *files])
+        # An explicit --language still decides for every file.
+        assert main(["extract", "--language", "javascript", "--json", *files]) == 0
+        assert json.loads(capsys.readouterr().out)["files"] == 2
+
 
 class TestExperimentCommand:
     def test_mini_experiment(self, capsys):
@@ -237,7 +253,6 @@ class TestShardCommands:
         stats = json.loads(capsys.readouterr().out)
         assert stats["files"] == len(files)
         assert stats["shards"] == 3
-        assert stats["kind"] == "view"
         return shards, files
 
     def test_build_info_merge(self, tmp_path, capsys):
@@ -296,20 +311,6 @@ class TestShardCommands:
             outputs.append(json.loads(capsys.readouterr().out)["predictions"])
         assert outputs[0] == outputs[1]
         assert list(outputs[0].values()) == ["done"]
-
-    def test_triples_kind_builds_and_informs(self, tmp_path, capsys):
-        files = self._write_files(tmp_path)
-        shards = tmp_path / "tshards"
-        assert main(
-            ["shard", "build", "--out", str(shards), "--kind", "triples",
-             "--shard-size", "4", "--json", *files]
-        ) == 0
-        stats = json.loads(capsys.readouterr().out)
-        assert stats["kind"] == "triples"
-        assert main(["shard", "info", str(shards)]) == 0
-        out = capsys.readouterr().out
-        assert "triples shards" in out
-        assert "raw extraction" in out
 
     def test_clean_errors(self, tmp_path, capsys):
         shards, files = self._build(tmp_path, capsys)

@@ -44,56 +44,13 @@ class TestMemoization:
         sources = corpus_sources(n_projects=1)
         service = ExtractionService(config=ExtractionConfig(), space=FeatureSpace())
         asts = [parse_source("javascript", s) for s in sources]
-        service.extract_many(asts)
-        # Every emitted id decodes through the one shared space.
-        for ast in asts:
-            for e in service.extract(ast):
+        tables = [service.extract(ast) for ast in asts]
+        assert service.stats.asts == len(asts) > 1
+        # Every emitted id, from every AST, decodes through the one
+        # shared space.
+        for table in tables:
+            for e in table:
                 assert service.space.paths.value(e.rel_id) == e.context.path
-
-
-class TestIndexSources:
-    def test_sequential_stats(self):
-        sources = corpus_sources()
-        service = ExtractionService(config=ExtractionConfig(), space=FeatureSpace())
-        result = service.index_sources(sources, "javascript")
-        assert result.files == len(sources)
-        assert result.paths == sum(len(c) for c in result.contexts)
-        assert result.paths > 0
-        assert result.nodes > 0
-        summary = result.summary()
-        assert summary["unique_paths"] == len(service.space.paths)
-        assert summary["files"] == len(sources)
-
-    def test_triples_decode(self):
-        sources = corpus_sources(n_projects=1)
-        service = ExtractionService(config=ExtractionConfig(), space=FeatureSpace())
-        result = service.index_sources(sources, "javascript")
-        space = result.space
-        for start_id, rel_id, end_id in result.contexts[0]:
-            assert space.values.value(start_id)
-            assert space.paths.value(rel_id)
-
-    def test_parallel_matches_sequential(self):
-        """Workers return strings; parent interning keeps ids identical."""
-        sources = corpus_sources()
-        sequential = ExtractionService(
-            config=ExtractionConfig(), space=FeatureSpace()
-        ).index_sources(sources, "javascript", workers=1)
-        parallel = ExtractionService(
-            config=ExtractionConfig(), space=FeatureSpace()
-        ).index_sources(sources, "javascript", workers=2)
-        assert parallel.contexts == sequential.contexts
-        assert parallel.space.to_dict() == sequential.space.to_dict()
-
-    def test_unpicklable_config_falls_back_to_sequential(self):
-        sources = corpus_sources(n_projects=1)
-        service = ExtractionService(
-            config=ExtractionConfig(leaf_filter=lambda leaf: True),
-            space=FeatureSpace(),
-        )
-        result = service.index_sources(sources, "javascript", workers=4)
-        assert result.workers == 1
-        assert result.files == len(sources)
 
 
 class TestExtractorFacade:

@@ -14,8 +14,7 @@ import os
 import pytest
 
 from repro.api import Pipeline, RunSpec
-from repro.core.extraction import ExtractionConfig
-from repro.core.service import ExtractionService
+from repro.core.interning import FeatureSpace
 from repro.corpus import deduplicate, generate_corpus
 from repro.corpus.generator import CorpusConfig
 from repro.shards import (
@@ -37,11 +36,26 @@ from repro.shards import (
     plan_shards,
     save_manifest,
 )
+from repro.shards.format import SHARD_FORMAT, shard_digest
 
 
 def shard_names(directory):
     """The directory's shard files (the build journal rides alongside)."""
     return sorted(n for n in os.listdir(directory) if n.endswith(".shard.json"))
+
+
+def write_foreign_shard(path, meta):
+    """A record-less shard with an arbitrary header and a valid digest,
+    as a program other than the builder (or an older version) could
+    have left on disk."""
+    payload = json.dumps(
+        {"space": FeatureSpace().to_dict(), "records": []}, separators=(",", ":")
+    ).encode("utf-8")
+    meta = dict(meta, shard_index=0, files=0)
+    header = {"format": SHARD_FORMAT, "digest": shard_digest(meta, payload), "meta": meta}
+    path.write_bytes(
+        json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n" + payload + b"\n"
+    )
 
 
 @pytest.fixture(scope="module")
@@ -141,8 +155,18 @@ class TestShardFileFormat:
             ShardReader(str(garbage))
 
     def test_writer_rejects_unknown_kind(self, tmp_path):
-        with pytest.raises(ShardFormatError, match="unknown shard kind"):
-            ShardWriter(str(tmp_path / "x.shard.json"), {"kind": "nonsense"})
+        for kind in ("nonsense", "triples"):
+            with pytest.raises(ShardFormatError, match="unknown shard kind"):
+                ShardWriter(str(tmp_path / "x.shard.json"), {"kind": kind})
+
+    def test_reader_rejects_unknown_kind(self, tmp_path):
+        # An intact (digest-valid) shard of a kind this version cannot
+        # decode is refused when opened, not later, at training.
+        write_foreign_shard(tmp_path / "old-00000.shard.json", {"kind": "triples"})
+        with pytest.raises(
+            ShardFormatError, match=r"unknown kind 'triples'.*'pigeon shard build'"
+        ):
+            ShardSet.open(str(tmp_path))
 
 
 class TestShardSet:
@@ -253,27 +277,6 @@ class TestPartitionedBuild:
         with pytest.raises(ShardError, match="at least one"):
             gather_shards([], str(tmp_path / "out"))
 
-    def test_triples_build_supports_partitions(self, corpus_sources, tmp_path):
-        service = ExtractionService(config=ExtractionConfig())
-        full = tmp_path / "full"
-        service.index_to_shards(corpus_sources[:8], "javascript", str(full), shard_size=3)
-        parts = []
-        for index in (1, 2):
-            out = tmp_path / f"p{index}"
-            service.index_to_shards(
-                corpus_sources[:8],
-                "javascript",
-                str(out),
-                shard_size=3,
-                partition=(index, 2),
-            )
-            parts.append(str(out))
-        gathered = tmp_path / "g"
-        gather_shards(parts, str(gathered))
-        for name in shard_names(str(full)):
-            with open(str(full / name), "rb") as a, open(str(gathered / name), "rb") as b:
-                assert a.read() == b.read()
-
     def test_gather_rejects_nonempty_output_directory(self, shard_dir, tmp_path):
         out = tmp_path / "occupied"
         out.mkdir()
@@ -350,17 +353,22 @@ class TestDeterministicBuild:
     def test_parallel_build_equals_sequential_bytes(
         self, crf_spec, corpus_sources, tmp_path
     ):
-        sequential = tmp_path / "seq"
-        parallel = tmp_path / "par"
-        r1 = build_spec_shards(
-            crf_spec, corpus_sources, str(sequential), shard_size=6, workers=1
-        )
-        r2 = build_spec_shards(
-            crf_spec, corpus_sources, str(parallel), shard_size=6, workers=4
-        )
-        assert r1.shards == r2.shards > 1
-        for a, b in zip(sorted(r1.paths), sorted(r2.paths)):
-            assert open(a, "rb").read() == open(b, "rb").read()
+        # Both shard kinds: graph records (crf) and contexts (word2vec).
+        w2v_spec = RunSpec(language="javascript", learner="word2vec")
+        for spec in (crf_spec, w2v_spec):
+            sequential = tmp_path / spec.learner / "seq"
+            parallel = tmp_path / spec.learner / "par"
+            r1 = build_spec_shards(
+                spec, corpus_sources, str(sequential), shard_size=6, workers=1
+            )
+            r2 = build_spec_shards(
+                spec, corpus_sources, str(parallel), shard_size=6, workers=4
+            )
+            # The pool really ran: a silent sequential fallback reports 1.
+            assert r2.workers > 1
+            assert r1.shards == r2.shards > 1
+            for a, b in zip(sorted(r1.paths), sorted(r2.paths)):
+                assert open(a, "rb").read() == open(b, "rb").read()
 
     def test_merge_ignores_discovery_order(self, shard_dir):
         paths = [os.path.join(shard_dir, name) for name in shard_names(shard_dir)]
@@ -434,41 +442,6 @@ class TestShardedCorpus:
         for _view in corpus:
             assert corpus.resident_shards() <= 1
 
-    def test_triples_kind_cannot_stream_views(self, corpus_sources, tmp_path):
-        service = ExtractionService(config=ExtractionConfig())
-        service.index_to_shards(
-            corpus_sources[:4], "javascript", str(tmp_path), shard_size=2
-        )
-        corpus = ShardedCorpus(ShardSet.open(str(tmp_path)))
-        # triples shards stream id-triples (not trainable views) ...
-        triples = corpus[0]
-        assert all(len(t) == 3 for t in triples)
-        # ... and refuse to train.
-        pipeline = Pipeline(RunSpec(language="javascript"))
-        with pytest.raises(ShardMismatchError, match="carry no spec"):
-            pipeline.train(shards=str(tmp_path))
-
-
-class TestIndexToShards:
-    def test_round_trips_index_sources_ids(self, corpus_sources, tmp_path):
-        sources = corpus_sources[:6]
-        reference = ExtractionService(config=ExtractionConfig())
-        expected = reference.index_sources(sources, "javascript")
-
-        service = ExtractionService(config=ExtractionConfig())
-        result = service.index_to_shards(
-            sources, "javascript", str(tmp_path), shard_size=2
-        )
-        assert result.shards == 3
-        assert result.files == len(sources)
-
-        corpus = ShardedCorpus(ShardSet.open(str(tmp_path)))
-        # Merged global ids equal the one-process interning ids, so the
-        # decoded triples match index_sources exactly, file by file.
-        assert corpus.space.to_dict() == expected.space.to_dict()
-        for i, contexts in enumerate(expected.contexts):
-            assert corpus[i] == contexts
-
 
 class TestTrainFromShards:
     def test_crf_training_is_bit_identical(
@@ -536,6 +509,17 @@ class TestTrainFromShards:
         pipeline = Pipeline(crf_spec)
         with pytest.raises(ShardMismatchError, match="different\\s+shards"):
             pipeline.train(shards=shard_dir, merged=str(manifest))
+
+    def test_specless_shards_are_rejected(self, tmp_path):
+        # A graph shard whose header records no spec did not come from
+        # the builder; training refuses it instead of guessing the cell.
+        write_foreign_shard(
+            tmp_path / "foreign-00000.shard.json",
+            {"kind": "graph", "language": "javascript", "spec": None},
+        )
+        pipeline = Pipeline(RunSpec(language="javascript"))
+        with pytest.raises(ShardMismatchError, match="carry no spec"):
+            pipeline.train(shards=str(tmp_path))
 
     def test_merged_without_shards_is_rejected(self, crf_spec):
         with pytest.raises(TypeError, match="merged= only applies"):
