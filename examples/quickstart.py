@@ -7,7 +7,7 @@ how the abstraction ladder of Sec. 5.6 coarsens them.
 Run:  python examples/quickstart.py
 """
 
-from repro import ExtractionConfig, PathExtractor, parse_source
+from repro import extract_path_contexts, parse_source
 from repro.core.abstractions import ABSTRACTION_LADDER, get_abstraction
 from repro.core.paths import path_between
 
@@ -38,11 +38,8 @@ def main() -> None:
     print(f"p4 (d -> true):                          {p4.encode()}")
 
     print("\n=== All path-contexts with max_length=7, max_width=3 ===")
-    extractor = PathExtractor(
-        ExtractionConfig(max_length=7, max_width=3, include_semi_paths=False)
-    )
-    for extracted in extractor.extract(ast):
-        print(f"  {extracted.context}")
+    for context in extract_path_contexts(ast, max_length=7, max_width=3):
+        print(f"  {context}")
 
     print("\n=== The abstraction ladder on p1 (Sec. 5.6) ===")
     for name in ABSTRACTION_LADDER:

@@ -24,7 +24,7 @@ from .core.abstractions import ABSTRACTIONS, get_abstraction
 from .core.ast_model import Ast, Node
 from .core.extraction import ExtractionConfig, PathExtractor, extract_path_contexts
 from .core.path_context import PathContext
-from .core.paths import AstPath, NWisePath, path_between, semi_path
+from .core.paths import AstPath, path_between
 from .api import Pipeline, RunSpec, UnknownPluginError, UnsupportedSpecError
 from .lang.base import parse_source, supported_languages
 
@@ -35,7 +35,6 @@ __all__ = [
     "Ast",
     "AstPath",
     "ExtractionConfig",
-    "NWisePath",
     "Node",
     "PathContext",
     "PathExtractor",
@@ -47,7 +46,6 @@ __all__ = [
     "get_abstraction",
     "parse_source",
     "path_between",
-    "semi_path",
     "supported_languages",
     "__version__",
 ]

@@ -14,8 +14,7 @@ model.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional
 
 from ..core.ast_model import Ast
 from ..core.interning import FeatureSpace
@@ -35,9 +34,9 @@ _KEYWORDS = {
 
 def _tokenize(source: str, language: str) -> List[lexing.Token]:
     if language == "python":
-        # Python sources tokenize acceptably with the C-family lexer for
-        # the constructs our corpus emits (no indentation sensitivity is
-        # needed for *context windows*).
+        # The lexer's Python mode: ``#`` comments, triple-quoted strings,
+        # ``//`` as an operator (no indentation sensitivity is needed for
+        # *context windows*).
         keywords = frozenset({"def", "return", "if", "else", "while", "for", "in",
                               "not", "and", "or", "raise", "break", "continue",
                               "True", "False", "None", "pass"})

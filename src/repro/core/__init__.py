@@ -3,7 +3,6 @@
 from .abstractions import ABSTRACTIONS, ABSTRACTION_LADDER, get_abstraction
 from .ast_model import Ast, Node, lowest_common_ancestor
 from .extraction import (
-    ExtractedPath,
     ExtractionConfig,
     PathExtractor,
     PathTable,
@@ -19,8 +18,8 @@ from .interning import (
     PathVocab,
     Vocab,
 )
-from .path_context import PathContext, make_path_context
-from .paths import DOWN, UP, AstPath, NWisePath, path_between, semi_path
+from .path_context import PathContext
+from .paths import DOWN, UP, AstPath, path_between
 from .service import ExtractionService, ExtractionStats
 
 __all__ = [
@@ -30,13 +29,11 @@ __all__ = [
     "AstPath",
     "ContextVocab",
     "DOWN",
-    "ExtractedPath",
     "ExtractionConfig",
     "ExtractionService",
     "ExtractionStats",
     "FeatureSpace",
     "FrozenVocabError",
-    "NWisePath",
     "OverlayVocab",
     "Node",
     "PathContext",
@@ -50,7 +47,5 @@ __all__ = [
     "extract_path_contexts",
     "get_abstraction",
     "lowest_common_ancestor",
-    "make_path_context",
     "path_between",
-    "semi_path",
 ]

@@ -1,11 +1,17 @@
 """Path-context extraction with the paper's hyper-parameters (Sec. 4.2, 5.5).
 
-:class:`PathExtractor` walks an :class:`repro.core.ast_model.Ast` and
-returns a :class:`PathTable` with one row per
+:class:`PathExtractor` returns every path as a row of a
+:class:`PathTable`, by one of two routes:
 
-* pair of terminals whose connecting path respects ``max_length`` and
-  ``max_width`` (leafwise paths), and, optionally,
-* (terminal, ancestor) semi-path within ``max_length``.
+* :meth:`PathExtractor.extract` walks an
+  :class:`~repro.core.ast_model.Ast` for every pair of terminals whose
+  connecting path respects ``max_length`` and ``max_width`` (leafwise
+  paths), and, optionally, every (terminal, ancestor) semi-path within
+  ``max_length``.  Variable naming reads these rows;
+* :meth:`PathExtractor.extract_between` gives *anchored* rows: the path
+  from each of some source nodes to each of some targets, terminals or
+  not, with the limits optional.  Method naming and type prediction
+  read these rows.
 
 Leafwise extraction is a **single bottom-up pass**: one post-order
 traversal merges per-child leaf lists bucketed by depth, so a pair of
@@ -21,17 +27,17 @@ up steps, down steps, top) and carries no ids until a consumer asks:
 
 * a relation id comes from a shape cache keyed ``(chain_start, top kind,
   chain_end)``, where a chain is the interned id of the node kinds below
-  the top on one side, listed upward.  Every leaf carries its chain ids
-  for depths ``1..max_length``, so a key costs three lookups.  The
+  the top on one side, listed upward.  Every endpoint carries its chain
+  ids for the depths its rows need, so a key costs three lookups.  The
   reversed relation is the swapped key in the same cache.  An
   :class:`~repro.core.paths.AstPath` is built only on a cache miss, or
   for a callable abstraction, which has no cache;
 * endpoint value ids are interned once per node.
 
-The variable-naming view builders resolve only the rows they keep.
-String consumers iterate the table, which materialises rows in order as
-:class:`ExtractedPath`, so they intern exactly what a path-by-path
-extractor would, in the same order.
+The view builders resolve only the rows they keep.  A string consumer
+reads :meth:`PathTable.triples`, which resolves every row in order, so
+it interns exactly what a path-by-path extractor would, in the same
+order; :func:`extract_path_contexts` decodes those triples.
 
 It also implements the *downsampling* of Sec. 5.5 / Fig. 11: each
 extracted path-context occurrence is kept with probability ``p`` using a
@@ -45,84 +51,19 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .abstractions import ABSTRACTIONS, Abstraction, alpha_id, get_abstraction
+from .abstractions import ABSTRACTIONS, Abstraction, get_abstraction
 from .ast_model import Ast, Node
 from .interning import FeatureSpace, OverlayVocab, Vocab
-from .path_context import PathContext, endpoint_value, make_path_context
-from .paths import DOWN, UP, AstPath, path_between
+from .path_context import PathContext, endpoint_value
+from .paths import DOWN, UP, AstPath
 
 #: A path's shape: (kind-chain id of the nodes below the top on the start
 #: side, listed upward; the top's kind; the same for the end side).  Chain
 #: id 0 is the empty chain (a semi-path has no end side).  Swapping the
 #: two chain ids gives the shape of the same path read from its end.
 ShapeKey = Tuple[int, str, int]
-
-
-class ExtractedPath:
-    """One extracted path occurrence: concrete endpoints + abstract context.
-
-    ``rel_id`` / ``start_value_id`` / ``end_value_id`` are the interned
-    ids of the abstract path encoding and the endpoint values in the
-    extractor's feature space -- the integer features downstream layers
-    key on.  The string-level :attr:`context` triple is *lazy*: it is
-    reconstructed from the feature space on first access, so extraction
-    never pays for strings nobody reads.
-    """
-
-    __slots__ = (
-        "start",
-        "end",
-        "path",
-        "rel_id",
-        "start_value_id",
-        "end_value_id",
-        "_context",
-        "_space",
-    )
-
-    def __init__(
-        self,
-        start: Node,
-        end: Node,
-        path: AstPath,
-        context: Optional[PathContext] = None,
-        rel_id: int = -1,
-        start_value_id: int = -1,
-        end_value_id: int = -1,
-        space: Optional[FeatureSpace] = None,
-    ) -> None:
-        self.start = start
-        self.end = end
-        self.path = path
-        self.rel_id = rel_id
-        self.start_value_id = start_value_id
-        self.end_value_id = end_value_id
-        self._context = context
-        self._space = space
-
-    @property
-    def context(self) -> PathContext:
-        """The ``<xs, alpha(p), xf>`` triple, decoded from the vocab."""
-        if self._context is None:
-            space = self._space
-            if space is None:
-                raise ValueError("ExtractedPath built without context or space")
-            self._context = PathContext(
-                space.values.value(self.start_value_id),
-                space.paths.value(self.rel_id),
-                space.values.value(self.end_value_id),
-            )
-        return self._context
-
-    @property
-    def is_semi(self) -> bool:
-        """True when one endpoint is an ancestor of the other."""
-        return not (self.start.is_terminal and self.end.is_terminal)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ExtractedPath({self.context!s})"
 
 
 @dataclass
@@ -212,20 +153,21 @@ def ast_digest(ast: Ast) -> str:
 
 
 class PathTable:
-    """One AST's extracted paths as columns, with ids resolved on demand.
+    """Extracted paths as columns, with ids resolved on demand.
 
     Row ``i`` is the path that climbs ``ups[i]`` steps from ``starts[i]``
-    to ``tops[i]`` and descends ``downs[i]`` steps to ``ends[i]``; a
-    semi-path has ``downs[i] == 0`` and ends at its top.  Leafwise rows
-    come first, in leaf order ``(i, j)``, then the semi-paths of each
-    terminal, nearest ancestor first.
+    to ``tops[i]`` and descends ``downs[i]`` steps to ``ends[i]``; a row
+    with ``downs[i] == 0`` ends at its top, one with ``ups[i] == 0``
+    starts there.  In a table from :meth:`PathExtractor.extract`,
+    leafwise rows come first, in leaf order ``(i, j)``, then the
+    semi-paths of each terminal, nearest ancestor first.  A table from
+    :meth:`PathExtractor.extract_between` holds its rows in (source,
+    target) order.
 
     Building the table interns nothing.  :meth:`rel_id`,
     :meth:`reversed_rel_id` and :meth:`value_id` intern on first use, so
-    a view builder pays only for the rows it keeps.  Iterating (or
-    indexing) the table materialises rows as :class:`ExtractedPath`,
-    and :meth:`triples` yields their id triples; either way rows are
-    resolved in order, so a consumer that reads every row interns the
+    a view builder pays only for the rows it keeps.  :meth:`triples`
+    resolves every row in order, so a consumer that reads it interns the
     same strings, in the same order, as a path-by-path extractor would.
 
     Ids reference :attr:`space`, the extractor's space when the table
@@ -242,13 +184,13 @@ class PathTable:
         self,
         extractor: "PathExtractor",
         rows: List[Tuple[Node, Node, int, int, Node]],
-        chains: List[Optional[List[int]]],
+        chains: Dict[Node, List[int]],
     ) -> None:
         columns = tuple(zip(*rows)) if rows else ((), (), (), (), ())
         self.starts, self.ends, self.ups, self.downs, self.tops = columns
         self.space = extractor.space
         self._extractor = extractor
-        #: leaf index -> kind-chain ids of the leaf's first d nodes upward.
+        #: endpoint -> kind-chain ids of its first d nodes upward.
         self._chains = chains
         self._value_ids: Dict[Node, int] = {}
 
@@ -259,9 +201,9 @@ class PathTable:
         chains = self._chains
         down = self.downs[i]
         return (
-            chains[self.starts[i]._leaf_index][self.ups[i]],  # type: ignore[index]
+            chains[self.starts[i]][self.ups[i]],
             self.tops[i].kind,
-            chains[self.ends[i]._leaf_index][down] if down else 0,  # type: ignore[index]
+            chains[self.ends[i]][down] if down else 0,
         )
 
     def rel_id(self, i: int) -> int:
@@ -297,24 +239,6 @@ class PathTable:
             (value_id(start), self.rel_id(i), value_id(end))
             for i, (start, end) in enumerate(zip(self.starts, self.ends))
         ]
-
-    def __getitem__(self, i: int) -> ExtractedPath:
-        start, end, up, down = self.starts[i], self.ends[i], self.ups[i], self.downs[i]
-        path = _row_path(start, end, up, down)
-        rel_id = self._extractor._rel(self.space, self._key(i), start, end, up, down, path)
-        return ExtractedPath(
-            start,
-            end,
-            path,
-            rel_id=rel_id,
-            start_value_id=self.value_id(start),
-            end_value_id=self.value_id(end),
-            space=self.space,
-        )
-
-    def __iter__(self) -> Iterator[ExtractedPath]:
-        for i in range(len(self.starts)):
-            yield self[i]
 
 
 class PathExtractor:
@@ -451,8 +375,9 @@ class PathExtractor:
         leaves = ast.leaves
         if cfg.leaf_filter is not None:
             leaves = [leaf for leaf in leaves if cfg.leaf_filter(leaf)]
+        max_length = cfg.max_length
         if cfg.include_semi_paths:
-            max_length, min_length = cfg.max_length, cfg.semi_path_min_length
+            min_length = cfg.semi_path_min_length
             for leaf in leaves:
                 node = leaf.parent
                 length = 1
@@ -461,69 +386,67 @@ class PathExtractor:
                         rows.append((leaf, node, length, 0, node))
                     node = node.parent
                     length += 1
-        return PathTable(self, rows, self._leaf_chains(ast, leaves))
+        return PathTable(self, rows, {leaf: self._chains_of(leaf, max_length) for leaf in leaves})
 
-    def paths_from(
+    def extract_between(
         self,
         sources: Sequence[Node],
         targets: Iterable[Node],
         enforce_limits: bool = True,
-    ) -> List[ExtractedPath]:
-        """Paths from each source node to each target node.
+    ) -> PathTable:
+        """Anchored rows: the path from each source node to each target.
 
         Used by the tasks to connect the occurrences of a program element
         to its surrounding terminals (pairwise factors) and to each other
-        (unary factors).  ``enforce_limits`` applies max_length/max_width.
+        (unary factors).  Rows follow (source, target) order, and a node
+        is never paired with itself.  Endpoints may be nonterminals, and
+        one may be an ancestor of the other (``ups`` or ``downs`` is 0).
+        ``enforce_limits`` applies max_length and max_width; ``False``
+        applies neither.
 
-        Unlike :meth:`extract`, this method has no AST-level identity to
-        re-seed from, so downsampling (when enabled) draws from the
-        extractor-lifetime RNG.
+        Each pair costs one climb from the target to its lowest common
+        ancestor with the source; the width is read off the top's two
+        children on the path.  Unlike :meth:`extract`, this method has no
+        AST-level identity to re-seed from, so downsampling draws from
+        the extractor-lifetime RNG, once per admissible pair.
         """
         cfg = self.config
-        space = self._space
-        out: List[ExtractedPath] = []
+        rows: List[Tuple[Node, Node, int, int, Node]] = []
+        depths: Dict[Node, int] = {}
         target_list = list(targets)
         for src in sources:
+            above = [src]  # src and its ancestors, bottom-up
+            while above[-1].parent is not None:
+                above.append(above[-1].parent)  # type: ignore[arg-type]
+            position = {node: i for i, node in enumerate(above)}
             for dst in target_list:
-                if src is dst:
+                if dst is src:
                     continue
-                path = path_between(src, dst)
+                node, below, down = dst, dst, 0
+                while node not in position:
+                    below, node = node, node.parent  # type: ignore[assignment]
+                    down += 1
+                    if node is None:
+                        raise ValueError("nodes do not belong to the same tree")
+                up = position[node]
                 if enforce_limits:
-                    if path.length > cfg.max_length or path.width > cfg.max_width:
+                    if up + down > cfg.max_length:
+                        continue
+                    # The width: how far apart the top's two children on
+                    # the path are (none when one endpoint is the top).
+                    if up and down and (
+                        abs(below.child_index() - above[up - 1].child_index()) > cfg.max_width
+                    ):
                         continue
                 if not self._keep(self._rng):
                     continue
-                nodes = path.nodes
-                top = path.top_index
-                # Up side listed upward from the start, down side upward
-                # from the end: the key a table row of this shape gets.
-                key = (
-                    self._chain_id(nodes[:top]),
-                    nodes[top].kind,
-                    self._chain_id(nodes[:top:-1]),
-                )
-                rel_id = self._rel(space, key, src, dst, top, len(nodes) - 1 - top, path)
-                out.append(
-                    ExtractedPath(
-                        src,
-                        dst,
-                        path,
-                        rel_id=rel_id,
-                        start_value_id=space.values.intern(endpoint_value(src)),
-                        end_value_id=space.values.intern(endpoint_value(dst)),
-                        space=space,
-                    )
-                )
-        return out
-
-    def context_for(
-        self,
-        path: AstPath,
-        start_value: Optional[str] = None,
-        end_value: Optional[str] = None,
-    ) -> PathContext:
-        """Abstract a single concrete path into a context triple."""
-        return make_path_context(path, self._alpha, start_value, end_value)
+                rows.append((src, dst, up, down, node))
+                if depths.get(src, -1) < up:
+                    depths[src] = up
+                if depths.get(dst, -1) < down:
+                    depths[dst] = down
+        chains = {node: self._chains_of(node, depth) for node, depth in depths.items()}
+        return PathTable(self, rows, chains)
 
     # ------------------------------------------------------------------
     # Internals
@@ -536,7 +459,6 @@ class PathExtractor:
         end: Node,
         up: int,
         down: int,
-        path: Optional[AstPath] = None,
     ) -> int:
         """The interned relation of one path, by shape key.
 
@@ -557,9 +479,7 @@ class PathExtractor:
             rel_id = shape_cache.get(key)
             if rel_id is not None:
                 return rel_id
-        if path is None:
-            path = _row_path(start, end, up, down)
-        rel_id = space.paths.intern(self._alpha(path))
+        rel_id = space.paths.intern(self._alpha(_row_path(start, end, up, down)))
         if shape_cache is not None:
             base_len = self._cache_base_len
             if base_len is not None and rel_id < base_len:
@@ -568,32 +488,19 @@ class PathExtractor:
                 shape_cache[key] = rel_id
         return rel_id
 
-    def _chain_id(self, nodes: Sequence[Node]) -> int:
-        """The interned kind chain of ``nodes``, listed bottom-up."""
+    def _chains_of(self, node: Node, depth: int) -> List[int]:
+        """``[0, c1, .., cd]``: ``ci`` is the interned kind chain of
+        ``node`` and its first ``i - 1`` ancestors (fewer at the root)."""
         chain_ids = self._chain_ids
+        ids = [0]
         chain = 0
-        for node in nodes:
-            step = (chain, node.kind)
+        current: Optional[Node] = node
+        while current is not None and len(ids) <= depth:
+            step = (chain, current.kind)
             chain = chain_ids.get(step) or chain_ids.setdefault(step, len(chain_ids) + 1)
-        return chain
-
-    def _leaf_chains(self, ast: Ast, leaves: Sequence[Node]) -> List[Optional[List[int]]]:
-        """leaf index -> ``[0, c1, .., cL]``: ``cd`` is the chain id of the
-        leaf and its first ``d - 1`` ancestors, for ``d`` up to max_length."""
-        chain_ids = self._chain_ids
-        depth = self.config.max_length
-        chains: List[Optional[List[int]]] = [None] * len(ast.leaves)
-        for leaf in leaves:
-            ids = [0]
-            chain = 0
-            node: Optional[Node] = leaf
-            while node is not None and len(ids) <= depth:
-                step = (chain, node.kind)
-                chain = chain_ids.get(step) or chain_ids.setdefault(step, len(chain_ids) + 1)
-                ids.append(chain)
-                node = node.parent
-            chains[leaf._leaf_index] = ids  # type: ignore[index]
-        return chains
+            ids.append(chain)
+            current = current.parent
+        return ids
 
     def _leafwise_pairs(self, ast: Ast) -> List[Tuple[Node, Node, int, int, Node]]:
         """All (a, b, up_steps, down_steps, top) admissible leaf pairs.
@@ -729,9 +636,9 @@ def extract_path_contexts(
             include_semi_paths=include_semi_paths,
         )
     )
-    return [e.context for e in extractor.extract(ast)]
-
-
-def leaf_value_of(node: Node) -> str:
-    """Endpoint value helper re-exported for tasks."""
-    return endpoint_value(node)
+    triples = extractor.extract(ast).triples()
+    paths, values = extractor.space.paths, extractor.space.values
+    return [
+        PathContext(values.value(start), paths.value(rel), values.value(end))
+        for start, rel, end in triples
+    ]

@@ -14,9 +14,7 @@ that produced it).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
-
-from .paths import AstPath
+from typing import Tuple
 
 
 @dataclass(frozen=True)
@@ -38,14 +36,6 @@ class PathContext:
     path: str
     end_value: str
 
-    def flipped(self) -> "PathContext":
-        """The same context read from the other endpoint.
-
-        Only meaningful for abstractions that keep arrows; callers that
-        need symmetric treatment should canonicalise instead.
-        """
-        return PathContext(self.end_value, _flip_encoding(self.path), self.start_value)
-
     def as_tuple(self) -> Tuple[str, str, str]:
         return (self.start_value, self.path, self.end_value)
 
@@ -53,51 +43,8 @@ class PathContext:
         return f"⟨{self.start_value}, {self.path}, {self.end_value}⟩"
 
 
-def _flip_encoding(encoded: str) -> str:
-    """Reverse an arrow-bearing path encoding."""
-    # Tokenise on arrows, keeping them.
-    tokens = []
-    current = []
-    for ch in encoded:
-        if ch in ("↑", "↓"):
-            tokens.append("".join(current))
-            tokens.append(ch)
-            current = []
-        else:
-            current.append(ch)
-    tokens.append("".join(current))
-    flipped = []
-    for tok in reversed(tokens):
-        if tok == "↑":
-            flipped.append("↓")
-        elif tok == "↓":
-            flipped.append("↑")
-        else:
-            flipped.append(tok)
-    return "".join(flipped)
-
-
 def endpoint_value(node) -> str:
     """The value used for a path endpoint in a path-context."""
     if node.is_terminal and node.value is not None:
         return node.value
     return node.kind
-
-
-def make_path_context(
-    path: AstPath,
-    abstraction: Optional[Callable[[AstPath], str]] = None,
-    start_value: Optional[str] = None,
-    end_value: Optional[str] = None,
-) -> PathContext:
-    """Build a :class:`PathContext` from a concrete path.
-
-    ``abstraction`` defaults to the identity abstraction (full encoding).
-    ``start_value`` / ``end_value`` allow callers to override endpoint
-    values, e.g. to substitute the placeholder ``"?"`` for the element
-    being predicted.
-    """
-    encoded = path.encode() if abstraction is None else abstraction(path)
-    xs = endpoint_value(path.start) if start_value is None else start_value
-    xf = endpoint_value(path.end) if end_value is None else end_value
-    return PathContext(xs, encoded, xf)

@@ -11,14 +11,12 @@ path changes direction at most once, at the *top* node; the paper's width
 parameter is the distance between the two children of the top node the path
 passes through (Fig. 5).
 
-Three shapes are used in the paper and implemented here:
-
-* **leafwise paths** -- both endpoints are terminals (most experiments);
-* **semi-paths** -- one endpoint is a terminal and the other one of its
-  ancestors (used for extra generalisation);
-* **n-wise paths** -- a bundle of pairwise paths sharing a pivot node
-  (mentioned as part of the representation family; provided for
-  completeness and exercised by tests).
+:func:`path_between` builds that path for any two nodes of one tree:
+two terminals (a leafwise path), a terminal and one of its ancestors (a
+semi-path), or a terminal and an expression nonterminal (the full-type
+task).  Extraction itself never builds these objects per path: it keeps
+columnar rows and builds an :class:`AstPath` only to abstract a path
+shape it has not seen (see :mod:`repro.core.extraction`).
 """
 
 from __future__ import annotations
@@ -177,52 +175,3 @@ def path_between(a: Node, b: Node) -> AstPath:
         nodes.append(down_node)
         directions.append(DOWN)
     return AstPath(nodes, directions)
-
-
-def semi_path(leaf: Node, ancestor: Node) -> AstPath:
-    """A semi-path: from a terminal up to one of its ancestors.
-
-    Raises ``ValueError`` when ``ancestor`` is not actually an ancestor of
-    ``leaf``.
-    """
-    nodes: List[Node] = [leaf]
-    node: Optional[Node] = leaf
-    while node is not None and node is not ancestor:
-        node = node.parent
-        if node is not None:
-            nodes.append(node)
-    if node is not ancestor:
-        raise ValueError("second node is not an ancestor of the first")
-    return AstPath(nodes, [UP] * (len(nodes) - 1))
-
-
-class NWisePath:
-    """An n-wise path: pairwise paths from ``n`` endpoint nodes to a pivot.
-
-    The paper's representation family includes paths with more than two
-    ends.  We model an n-wise path as a pivot node together with the
-    ordered bundle of paths from each endpoint to the pivot.
-    """
-
-    __slots__ = ("pivot", "branches")
-
-    def __init__(self, pivot: Node, endpoints: Sequence[Node]) -> None:
-        if len(endpoints) < 2:
-            raise ValueError("an n-wise path needs at least two endpoints")
-        self.pivot = pivot
-        self.branches: Tuple[AstPath, ...] = tuple(
-            path_between(e, pivot) for e in endpoints
-        )
-
-    @property
-    def arity(self) -> int:
-        return len(self.branches)
-
-    def endpoints(self) -> Tuple[Node, ...]:
-        return tuple(p.start for p in self.branches)
-
-    def encode(self) -> str:
-        return " | ".join(p.encode() for p in self.branches)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"NWisePath(arity={self.arity}, pivot={self.pivot.kind})"

@@ -11,10 +11,12 @@ with the two things every corpus-scale caller needs:
 * **a shared feature space** -- every AST that flows through one service
   interns into the same vocabularies, so ids are corpus-consistent.
 
-The service duck-types as an extractor (``extract`` / ``paths_from`` /
-``context_for`` / ``config`` / ``space``), so task graph builders accept
-either.  Corpora scale out through view shards (:mod:`repro.shards`),
-not through the service.
+The service duck-types as an extractor (``extract`` /
+``extract_between`` / ``config`` / ``space``), so task graph builders
+accept either.  Anchored rows (``extract_between``) are forwarded, not
+memoized: they depend on the caller's sources and targets, and they draw
+from the extractor's lifetime RNG when downsampling.  Corpora scale out
+through view shards (:mod:`repro.shards`), not through the service.
 """
 
 from __future__ import annotations
@@ -104,11 +106,8 @@ class ExtractionService:
         """
         return dict(self.stats.to_dict(), memoized_asts=len(self._memo))
 
-    def context_for(self, path, start_value=None, end_value=None):
-        return self.extractor.context_for(path, start_value, end_value)
-
-    def paths_from(self, sources, targets, enforce_limits: bool = True):
-        return self.extractor.paths_from(sources, targets, enforce_limits)
+    def extract_between(self, sources, targets, enforce_limits: bool = True) -> PathTable:
+        return self.extractor.extract_between(sources, targets, enforce_limits)
 
     # ------------------------------------------------------------------
     # Memoized extraction

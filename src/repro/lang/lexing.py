@@ -1,8 +1,11 @@
-"""Shared hand-written lexer infrastructure for the C-family frontends.
+"""Shared hand-written lexer infrastructure.
 
 The JavaScript, Java and C# frontends all tokenise with :class:`Lexer`,
-parameterised by a keyword set and an operator table.  Python source is
-handled by the stdlib parser and does not use this module.
+parameterised by a keyword set and an operator table.  The Python
+frontend parses with the stdlib parser instead, but the token-stream
+baselines (:mod:`repro.baselines.ngram_crf`,
+:mod:`repro.baselines.token_context`) lex Python source with
+:class:`Lexer` too, in its Python mode.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ _OPERATORS: Sequence[str] = (
     "!==",
     "<<=",
     ">>=",
+    "//=",
     "=>",
     "==",
     "!=",
@@ -74,6 +78,7 @@ _OPERATORS: Sequence[str] = (
     ">>",
     "::",
     "->",
+    "//",
     "?.",
     "+",
     "-",
@@ -109,6 +114,14 @@ class Lexer:
     Supports ``//`` and ``/* */`` comments, single/double-quoted strings
     with escapes, decimal/hex/float numbers, identifiers (with ``$`` and
     ``_``), and the shared operator table.
+
+    With ``language="python"`` comments start with ``#`` instead, ``//``
+    is the floor-division operator, triple-quoted strings may span
+    lines, and a backslash at the end of a line joins it to the next.
+    Indentation is not tokenised: the token-stream baselines only need
+    local context windows.  A string prefix (``r``, ``b``, ``f``) lexes
+    as an identifier before its string, and an f-string that nests its
+    own quote character (legal from Python 3.12) splits in two.
     """
 
     def __init__(self, source: str, keywords: FrozenSet[str], language: str) -> None:
@@ -127,6 +140,8 @@ class Lexer:
         def error(message: str) -> ParseError:
             return ParseError(f"[{self.language}] {message}", line, col)
 
+        python = self.language == "python"
+
         while i < n:
             ch = src[i]
             # -- whitespace ------------------------------------------------
@@ -140,11 +155,21 @@ class Lexer:
                 col = 1
                 continue
             # -- comments --------------------------------------------------
-            if ch == "/" and i + 1 < n and src[i + 1] == "/":
+            if python:
+                if ch == "#":
+                    while i < n and src[i] != "\n":
+                        i += 1
+                    continue
+                if ch == "\\" and i + 1 < n and src[i + 1] == "\n":
+                    i += 2
+                    line += 1
+                    col = 1
+                    continue
+            elif ch == "/" and i + 1 < n and src[i + 1] == "/":
                 while i < n and src[i] != "\n":
                     i += 1
                 continue
-            if ch == "/" and i + 1 < n and src[i + 1] == "*":
+            elif ch == "/" and i + 1 < n and src[i + 1] == "*":
                 i += 2
                 col += 2
                 while i + 1 < n and not (src[i] == "*" and src[i + 1] == "/"):
@@ -163,6 +188,22 @@ class Lexer:
             if ch in "\"'":
                 quote = ch
                 start_line, start_col = line, col
+                if python and src.startswith(quote * 3, i):
+                    j = i + 3
+                    while j < n and not src.startswith(quote * 3, j):
+                        j += 2 if src[j] == "\\" else 1
+                    if j >= n:
+                        raise error("unterminated string literal")
+                    end = j + 3
+                    newlines = src.count("\n", i, end)
+                    if newlines:
+                        line += newlines
+                        col = end - src.rfind("\n", i, end)
+                    else:
+                        col += end - i
+                    tokens.append(Token(STRING, src[i + 3 : j], start_line, start_col))
+                    i = end
+                    continue
                 i += 1
                 col += 1
                 buf: List[str] = []

@@ -14,12 +14,10 @@ identifier values.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List
 
 from ..core.ast_model import Ast, Node
-from ..core.extraction import PathExtractor
-from ..core.path_context import endpoint_value
+from ..core.extraction import PathExtractor, PathTable
 from ..learning.crf.graph import CrfGraph
 
 #: Per-language: node kind of a method *declaration* name terminal, and a
@@ -38,6 +36,15 @@ _METHOD_OWNER_KINDS = {
     "csharp": ("MethodDeclaration",),
 }
 
+#: Per-language: (invocation node kind, kind of its first child when that
+#: child names the callee).
+_CALL_KINDS = {
+    "javascript": ("Call", "SymbolRef"),
+    "java": ("MethodCallExpr", "SimpleName"),
+    "python": ("Call", "Name"),
+    "csharp": ("InvocationExpression", "IdentifierName"),
+}
+
 
 def _declaration_names(ast: Ast) -> List[Node]:
     """Declaration-site name terminals of the file's methods."""
@@ -53,44 +60,31 @@ def _declaration_names(ast: Ast) -> List[Node]:
     return out
 
 
-def _invocation_names(ast: Ast, method_name: str) -> List[Node]:
-    """Same-file invocation-site name nodes matching a method name."""
-    language = ast.language
-    matches: List[Node] = []
+def _invocation_names(ast: Ast) -> Dict[str, List[Node]]:
+    """Callee name -> same-file invocation-site name nodes, in walk order."""
+    calls: Dict[str, List[Node]] = {}
+    kinds = _CALL_KINDS.get(ast.language)
+    if kinds is None:
+        return calls
+    call_kind, callee_kind = kinds
     for node in ast.root.walk():
-        if language == "javascript":
-            if node.kind == "Call" and node.children:
-                callee = node.children[0]
-                if callee.kind == "SymbolRef" and callee.value == method_name:
-                    matches.append(callee)
-        elif language == "java":
-            if node.kind == "MethodCallExpr" and node.children:
-                first = node.children[0]
-                if first.kind == "SimpleName" and first.value == method_name:
-                    matches.append(first)
-        elif language == "python":
-            if node.kind == "Call" and node.children:
-                callee = node.children[0]
-                if callee.kind == "Name" and callee.value == method_name:
-                    matches.append(callee)
-        elif language == "csharp":
-            if node.kind == "InvocationExpression" and node.children:
-                callee = node.children[0]
-                if callee.kind == "IdentifierName" and callee.value == method_name:
-                    matches.append(callee)
-    return matches
+        if node.kind == call_kind and node.children:
+            callee = node.children[0]
+            if callee.kind == callee_kind:
+                calls.setdefault(callee.value, []).append(callee)
+    return calls
 
 
 def method_elements(ast: Ast) -> Dict[str, Dict[str, object]]:
     """key -> {gold, decl_node, occurrences, body_root} for each method."""
+    calls = _invocation_names(ast)
     out: Dict[str, Dict[str, object]] = {}
     for i, decl in enumerate(_declaration_names(ast)):
         gold = decl.value or ""
-        occurrences = [decl] + _invocation_names(ast, gold)
         out[f"method:{i}:{gold}"] = {
             "gold": gold,
             "decl_node": decl,
-            "occurrences": occurrences,
+            "occurrences": [decl] + calls.get(gold, []),
             "body_root": decl.parent,
         }
     return out
@@ -107,26 +101,15 @@ def build_method_graph(
     elements = method_elements(ast)
     for key, info in elements.items():
         graph.add_unknown(key, gold=str(info["gold"]))
-    add_method_factors(graph, ast, extractor, elements, use_external=use_external)
-    return graph
 
-
-def add_method_factors(
-    graph: CrfGraph,
-    ast: Ast,
-    extractor: PathExtractor,
-    elements: Dict[str, Dict[str, object]],
-    use_external: bool = True,
-) -> None:
-    """Attach the method-naming factors for ``elements`` to ``graph``.
-
-    Called by :func:`build_method_graph`; a separate function so the
-    reference view builder in the test oracles can attach the same
-    factors through its own extractor.
-    """
     # Nodes that are method-name occurrences must never appear as "known"
     # neighbours of another method (their labels are being predicted).
     occupied = {id(n) for info in elements.values() for n in info["occurrences"]}
+
+    def add_known(index: int, table: PathTable) -> None:
+        for i, end in enumerate(table.ends):
+            if id(end) not in occupied:
+                graph.add_known_factor(index, table.rel_id(i), table.value_id(end))
 
     for key, info in elements.items():
         index = graph.index_of(key)
@@ -139,32 +122,22 @@ def add_method_factors(
         internal_targets = [
             leaf for leaf in body_root.leaves() if leaf is not decl
         ] if body_root is not None else []
-        for extracted in extractor.paths_from([decl], internal_targets):
-            if id(extracted.end) in occupied:
-                continue
-            graph.add_known_factor(index, extracted.rel_id, extracted.end_value_id)
+        add_known(index, extractor.extract_between([decl], internal_targets))
 
         if use_external:
             for call_site in occurrences[1:]:
                 # External paths: invocation name -> surrounding leaves of
                 # the *calling* context (outside the method body).
-                surrounding = _surrounding_leaves(ast, call_site, extractor)
-                for extracted in extractor.paths_from([call_site], surrounding):
-                    if id(extracted.end) in occupied:
-                        continue
-                    graph.add_known_factor(
-                        index, extracted.rel_id, extracted.end_value_id
-                    )
+                surrounding = _surrounding_leaves(ast, call_site)
+                add_known(index, extractor.extract_between([call_site], surrounding))
                 # Unary factors between occurrences of the method name.
-                for extracted in extractor.paths_from(
-                    [decl], [call_site], enforce_limits=False
-                ):
-                    graph.add_unary_factor(index, extracted.rel_id)
+                unary = extractor.extract_between([decl], [call_site], enforce_limits=False)
+                for i in range(len(unary)):
+                    graph.add_unary_factor(index, unary.rel_id(i))
+    return graph
 
 
-def _surrounding_leaves(
-    ast: Ast, node: Node, extractor: PathExtractor, window: int = 12
-) -> List[Node]:
+def _surrounding_leaves(ast: Ast, node: Node, window: int = 12) -> List[Node]:
     """Leaves near an invocation site, by leaf order."""
     try:
         center = ast.leaf_index(node)

@@ -14,7 +14,7 @@ single element; other expressions are one element per occurrence.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List
 
 from ..core.ast_model import Ast, Node
 from ..core.extraction import PathExtractor
@@ -37,9 +37,6 @@ _EXCLUDED_KINDS = frozenset(
     }
 )
 
-#: All literal kinds are excluded -- their types are lexically trivial.
-_INCLUDED_LITERALS = frozenset()
-
 #: Primitive types are excluded from the task: the paper predicts *full*
 #: (package-qualified) types, which only reference types have.
 _PRIMITIVE_TYPES = frozenset(
@@ -58,7 +55,7 @@ def typed_targets(ast: Ast) -> List[Node]:
         node_type = node.meta.get("type")
         if node_type is None or node_type in _PRIMITIVE_TYPES:
             continue
-        if node.kind in _EXCLUDED_KINDS and node.kind not in _INCLUDED_LITERALS:
+        if node.kind in _EXCLUDED_KINDS:
             continue
         targets.append(node)
     return targets
@@ -90,26 +87,22 @@ def build_type_graph(
     for key, nodes in occurrences.items():
         graph.add_unknown(key, gold=golds[key])
 
-    all_leaves = ast.leaves
     for key, nodes in occurrences.items():
         index = graph.index_of(key)
         assert index is not None
         for node in nodes:
-            targets = _nearby_leaves(ast, node, extractor)
-            for extracted in extractor.paths_from([node], targets):
-                graph.add_known_factor(
-                    index, extracted.rel_id, extracted.end_value_id
-                )
+            table = extractor.extract_between([node], _nearby_leaves(ast, node))
+            for i, end in enumerate(table.ends):
+                graph.add_known_factor(index, table.rel_id(i), table.value_id(end))
         # Unary factors between occurrences of the same variable.
         if len(nodes) > 1:
-            for extracted in extractor.paths_from(nodes[:1], nodes[1:], enforce_limits=False):
-                graph.add_unary_factor(index, extracted.rel_id)
+            unary = extractor.extract_between(nodes[:1], nodes[1:], enforce_limits=False)
+            for i in range(len(unary)):
+                graph.add_unary_factor(index, unary.rel_id(i))
     return graph
 
 
-def _nearby_leaves(
-    ast: Ast, node: Node, extractor: PathExtractor, window: int = 16
-) -> List[Node]:
+def _nearby_leaves(ast: Ast, node: Node, window: int = 16) -> List[Node]:
     """Candidate far-endpoints for one expression node.
 
     For a terminal target we use the leaf-order window; for a nonterminal

@@ -10,6 +10,7 @@ from repro.core.extraction import (
 from repro.lang.javascript import parse_js
 
 from fixtures import FIG1_JS, FIG5_JS
+from oracles.extraction import table_rows
 
 
 class TestLimits:
@@ -18,7 +19,7 @@ class TestLimits:
             extractor = PathExtractor(
                 ExtractionConfig(max_length=max_length, include_semi_paths=False)
             )
-            for extracted in extractor.extract(fig1_ast):
+            for extracted in table_rows(extractor.extract(fig1_ast)):
                 assert extracted.path.length <= max_length
 
     def test_max_width_respected(self, fig1_ast):
@@ -26,7 +27,7 @@ class TestLimits:
             extractor = PathExtractor(
                 ExtractionConfig(max_width=max_width, include_semi_paths=False)
             )
-            for extracted in extractor.extract(fig1_ast):
+            for extracted in table_rows(extractor.extract(fig1_ast)):
                 assert extracted.path.width <= max_width
 
     def test_wider_limits_extract_supersets(self, fig1_ast):
@@ -35,7 +36,7 @@ class TestLimits:
                 ExtractionConfig(max_length=length, max_width=width, include_semi_paths=False)
             )
             return {
-                (id(e.start), id(e.end)) for e in extractor.extract(fig1_ast)
+                (id(e.start), id(e.end)) for e in table_rows(extractor.extract(fig1_ast))
             }
 
         narrow = contexts(3, 1)
@@ -50,7 +51,7 @@ class TestLimits:
                 ExtractionConfig(max_length=4, max_width=width, include_semi_paths=False)
             )
             return {
-                (e.start.value, e.end.value) for e in extractor.extract(ast)
+                (e.start.value, e.end.value) for e in table_rows(extractor.extract(ast))
             }
         assert ("a", "d") not in pairs(2)
         assert ("a", "d") in pairs(3)
@@ -69,7 +70,7 @@ class TestLimits:
 class TestSemiPaths:
     def test_semi_paths_flagged(self, fig1_ast):
         extractor = PathExtractor(ExtractionConfig(include_semi_paths=True))
-        semis = [e for e in extractor.extract(fig1_ast) if e.is_semi]
+        semis = [e for e in table_rows(extractor.extract(fig1_ast)) if e.is_semi]
         assert semis
         for extracted in semis:
             assert extracted.start.is_terminal
@@ -78,7 +79,7 @@ class TestSemiPaths:
 
     def test_semi_paths_can_be_disabled(self, fig1_ast):
         extractor = PathExtractor(ExtractionConfig(include_semi_paths=False))
-        assert all(not e.is_semi for e in extractor.extract(fig1_ast))
+        assert all(not e.is_semi for e in table_rows(extractor.extract(fig1_ast)))
 
 
 class TestDownsampling:
@@ -102,7 +103,7 @@ class TestDownsampling:
             )
             return [
                 (e.context.start_value, e.context.path, e.context.end_value)
-                for e in extractor.extract(fig1_ast)
+                for e in table_rows(extractor.extract(fig1_ast))
             ]
 
         assert run(7) == run(7)
@@ -117,7 +118,7 @@ class TestLeafFilter:
                 include_semi_paths=False,
             )
         )
-        for extracted in extractor.extract(fig1_ast):
+        for extracted in table_rows(extractor.extract(fig1_ast)):
             assert extracted.start.value == "d"
             assert extracted.end.value == "d"
 

@@ -10,13 +10,13 @@ each tree's sample independent of processing order.
 
 import pytest
 
-from repro.core.extraction import ExtractionConfig, PathExtractor, ast_fingerprint
+from repro.core.extraction import ExtractionConfig, PathExtractor, PathTable, ast_fingerprint
 from repro.core.interning import FeatureSpace
 from repro.corpus import generate_corpus
 from repro.corpus.generator import CorpusConfig
 from repro.lang.base import parse_source
 
-from oracles.extraction import ReferencePathExtractor
+from oracles.extraction import ReferencePathExtractor, table_rows
 
 LANGUAGES = ("javascript", "java", "python", "csharp")
 
@@ -36,6 +36,9 @@ def corpus_asts(language, n_projects=3, seed=11):
 
 
 def signature(extracted):
+    """Per row: endpoints, context strings, geometry and interned ids."""
+    if isinstance(extracted, PathTable):
+        extracted = table_rows(extracted)
     return [
         (
             id(e.start),
@@ -133,15 +136,14 @@ class TestReversedRelations:
         """The swapped shape key must agree with computing alpha(reversed(p))."""
         asts = corpus_asts("javascript", n_projects=2)
         for abstraction in ("full", "no-arrows", "forget-order", "first-last"):
-            extractor = PathExtractor(
-                ExtractionConfig(abstraction=abstraction), space=FeatureSpace()
-            )
+            config = ExtractionConfig(abstraction=abstraction)
+            alpha = config.resolve_abstraction()
+            extractor = PathExtractor(config, space=FeatureSpace())
             for ast in asts:
                 table = extractor.extract(ast)
-                for i, extracted in enumerate(table):
+                for i, extracted in enumerate(table_rows(table)):
                     rid = table.reversed_rel_id(i)
-                    expected = extractor.context_for(extracted.path.reversed()).path
-                    assert extractor.space.paths.value(rid) == expected
+                    assert extractor.space.paths.value(rid) == alpha(extracted.path.reversed())
                     assert table.rel_id(i) == extracted.rel_id
 
     def test_callable_abstraction_not_cached_but_correct(self, fig1_ast):
@@ -149,7 +151,94 @@ class TestReversedRelations:
             ExtractionConfig(abstraction=lambda p: p.encode()), space=FeatureSpace()
         )
         table = extractor.extract(fig1_ast)
-        for i, extracted in enumerate(table):
+        for i, extracted in enumerate(table_rows(table)):
             rid = table.reversed_rel_id(i)
             assert extractor.space.paths.value(rid) == extracted.path.reversed().encode()
         assert extractor.cache_stats()["shape_entries"] == 0
+
+
+class TestAnchoredRows:
+    """``extract_between`` against the reference ``paths_from``: same
+    pairs, in (source, target) order, with the same ids once every row is
+    resolved in order."""
+
+    @staticmethod
+    def both(config=None, **settings):
+        config = config or ExtractionConfig(**settings)
+        return (
+            PathExtractor(config, space=FeatureSpace()),
+            ReferencePathExtractor(config, space=FeatureSpace()),
+        )
+
+    def test_mixed_endpoints_match_oracle(self):
+        asts = corpus_asts("java", n_projects=1)[:3]
+        engine, oracle = self.both()
+        for ast in asts:
+            nodes = list(ast.root.walk())
+            sources = nodes[::7]
+            targets = nodes[::3]
+            for enforce in (True, False):
+                table = engine.extract_between(sources, targets, enforce)
+                assert signature(table) == signature(oracle.paths_from(sources, targets, enforce))
+
+    def test_source_ancestor_of_target(self, fig1_ast):
+        engine, oracle = self.both()
+        source = next(n for n in fig1_ast.root.walk() if n.kind == "If")
+        targets = list(source.leaves())
+        table = engine.extract_between([source], targets)
+        assert len(table) == len(targets) and set(table.ups) == {0}
+        assert set(table.tops) == {source}
+        assert signature(table) == signature(oracle.paths_from([source], targets))
+
+    def test_target_ancestor_of_source(self, fig1_ast):
+        engine, oracle = self.both(max_length=3)
+        leaf = max(fig1_ast.leaves, key=lambda node: node.depth())
+        ancestors = list(leaf.ancestors())
+        assert len(ancestors) > 3
+        table = engine.extract_between([leaf], ancestors)
+        assert list(table.ends) == ancestors[:3]
+        assert set(table.downs) == {0}
+        assert signature(table) == signature(oracle.paths_from([leaf], ancestors))
+
+    def test_node_never_paired_with_itself(self, fig1_ast):
+        engine, oracle = self.both()
+        leaves = fig1_ast.leaves
+        table = engine.extract_between(leaves[:3], leaves[:3])
+        assert len(table) == 6
+        assert all(start is not end for start, end in zip(table.starts, table.ends))
+        assert signature(table) == signature(oracle.paths_from(leaves[:3], leaves[:3]))
+
+    def test_limits_off_keeps_long_and_wide_paths(self, fig1_ast):
+        engine, oracle = self.both(max_length=2, max_width=1)
+        leaves = fig1_ast.leaves
+        limited = engine.extract_between(leaves[:1], leaves)
+        unlimited = engine.extract_between(leaves[:1], leaves, enforce_limits=False)
+        assert len(limited) < len(unlimited) == len(leaves) - 1
+        assert max(u + d for u, d in zip(unlimited.ups, unlimited.downs)) > 2
+        assert signature(unlimited) == signature(
+            oracle.paths_from(leaves[:1], leaves, enforce_limits=False)
+        )
+
+    def test_width_pruning(self):
+        """var a,b,c,d: the a--d path has width 3."""
+        ast = parse_source("javascript", "var a, b, c, d;")
+        a = next(leaf for leaf in ast.leaves if leaf.value == "a")
+        for width in (2, 3):
+            engine, oracle = self.both(max_length=4, max_width=width)
+            table = engine.extract_between([a], ast.leaves)
+            reached = {end.value for end in table.ends}
+            assert ("d" in reached) == (width >= 3)
+            assert signature(table) == signature(oracle.paths_from([a], ast.leaves))
+
+    def test_downsampling_draws_in_pair_order(self):
+        asts = corpus_asts("javascript", n_projects=1)[:4]
+        engine, oracle = self.both(downsample_p=0.5, seed=9)
+        kept = total = 0
+        for ast in asts:
+            for source in ast.leaves[::5]:
+                table = engine.extract_between([source], ast.leaves)
+                expected = oracle.paths_from([source], ast.leaves)
+                assert signature(table) == signature(expected)
+                kept += len(table)
+                total += len(PathExtractor().extract_between([source], ast.leaves))
+        assert 0 < kept < total

@@ -22,6 +22,7 @@ from repro.tasks.variable_naming import build_crf_graph, element_contexts
 from repro.lang.base import parse_source
 
 from fixtures import crf_artifact_round_trip
+from oracles.extraction import ReferencePathExtractor, table_rows
 
 
 class TestVocab:
@@ -73,20 +74,22 @@ class TestExtractionInterning:
     def test_ids_decode_to_context_strings(self, fig1_ast):
         space = FeatureSpace()
         extractor = PathExtractor(ExtractionConfig(), space=space)
-        for extracted in extractor.extract(fig1_ast):
-            assert space.paths.value(extracted.rel_id) == extracted.context.path
-            assert space.values.value(extracted.start_value_id) == extracted.context.start_value
-            assert space.values.value(extracted.end_value_id) == extracted.context.end_value
+        decoded = [
+            (space.values.value(start), space.paths.value(rel), space.values.value(end))
+            for start, rel, end in extractor.extract(fig1_ast).triples()
+        ]
+        reference = ReferencePathExtractor(ExtractionConfig(), space=FeatureSpace())
+        assert decoded == [e.context.as_tuple() for e in reference.extract(fig1_ast)]
 
     def test_independent_extractors_get_private_spaces(self, fig1_ast):
         a = PathExtractor(ExtractionConfig())
         b = PathExtractor(ExtractionConfig())
         assert a.space is not b.space
-        rel_a = {e.rel_id: e.context.path for e in a.extract(fig1_ast)}
+        rel_a = {e.rel_id: e.context.path for e in table_rows(a.extract(fig1_ast))}
         assert rel_a
         # Interning through one extractor never grows the other's vocab.
         assert len(b.space.paths) == 0 and len(b.space.values) == 0
-        rel_b = {e.rel_id: e.context.path for e in b.extract(fig1_ast)}
+        rel_b = {e.rel_id: e.context.path for e in table_rows(b.extract(fig1_ast))}
         assert rel_a == rel_b  # same program, same first-seen ids
 
     def test_unbound_components_get_private_spaces(self):

@@ -1,4 +1,9 @@
-"""Unit tests for the shared C-family lexer."""
+"""Unit tests for the shared lexer: C-family syntax and its Python mode."""
+
+import io
+import os
+import sysconfig
+import tokenize
 
 import pytest
 
@@ -15,6 +20,8 @@ from repro.lang.lexing import (
     Token,
     TokenStream,
 )
+
+from fixtures import STDLIB_MODULES
 
 KW = frozenset({"if", "while", "return", "true"})
 
@@ -85,6 +92,77 @@ class TestComments:
     def test_unterminated_block_comment(self):
         with pytest.raises(ParseError):
             lex("a /* nope")
+
+
+class TestPythonMode:
+    def test_hash_comment(self):
+        tokens = lex("x = 1  # not // a token\ny", "python")
+        assert [t.text for t in tokens[:-1]] == ["x", "=", "1", "y"]
+        assert tokens[-2].line == 2
+
+    def test_floor_division_is_an_operator(self):
+        tokens = lex("a // b\na //= 2", "python")
+        assert [(t.kind, t.text) for t in tokens[:-1]] == [
+            (IDENT, "a"), (OP, "//"), (IDENT, "b"), (IDENT, "a"), (OP, "//="), (NUMBER, "2"),
+        ]
+
+    def test_slashes_still_comment_in_c_family(self):
+        assert [t.text for t in lex("a // b\nc")[:-1]] == ["a", "c"]
+        with pytest.raises(ParseError):
+            lex("# x")
+
+    def test_triple_quoted_strings_span_lines(self):
+        source = 'x = """one\n\\"""two\n"""\ny = \'\'\'it\'s\'\'\''
+        tokens = lex(source, "python")
+        assert [(t.kind, t.text) for t in tokens[:-1]] == [
+            (IDENT, "x"), (OP, "="), (STRING, 'one\n\\"""two\n'),
+            (IDENT, "y"), (OP, "="), (STRING, "it's"),
+        ]
+        assert (tokens[3].line, tokens[3].column) == (4, 1)
+        assert (tokens[4].line, tokens[4].column) == (4, 3)
+
+    def test_unterminated_triple_quoted_string(self):
+        with pytest.raises(ParseError):
+            lex('x = """never closed', "python")
+
+    def test_backslash_joins_lines(self):
+        tokens = lex("x = 1 + \\\n    2", "python")
+        assert [t.text for t in tokens[:-1]] == ["x", "=", "1", "+", "2"]
+        assert tokens[-2].line == 2
+
+    def test_pinned_stdlib_modules_lex(self):
+        """Every pinned fixture module lexes, with stdlib tokenize's strings."""
+        from repro.baselines.ngram_crf import _tokenize
+
+        root = sysconfig.get_paths()["stdlib"]
+        lexed = 0
+        for module in STDLIB_MODULES:
+            path = os.path.join(root, module + ".py")
+            if not os.path.exists(path):
+                continue
+            with open(path, encoding="utf-8") as handle:
+                source = handle.read()
+            strings = sum(1 for t in _tokenize(source, "python") if t.kind == STRING)
+            assert strings == _outer_string_count(source), module
+            lexed += 1
+        assert lexed >= 10
+
+
+def _outer_string_count(source):
+    """String literals per stdlib ``tokenize``; from Python 3.12 an
+    f-string is a run of tokens, counted once at its outermost level."""
+    fstring_start = getattr(tokenize, "FSTRING_START", None)
+    fstring_end = getattr(tokenize, "FSTRING_END", None)
+    depth = count = 0
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == fstring_start:
+            count += depth == 0
+            depth += 1
+        elif token.type == fstring_end:
+            depth -= 1
+        elif token.type == tokenize.STRING:
+            count += depth == 0
+    return count
 
 
 class TestErrors:

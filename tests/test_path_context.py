@@ -3,14 +3,11 @@
 import pytest
 
 from repro.core.ast_model import Node
-from repro.core.path_context import (
-    PathContext,
-    _flip_encoding,
-    endpoint_value,
-    make_path_context,
-)
+from repro.core.path_context import PathContext, endpoint_value
 from repro.core.paths import path_between
 from repro.core.abstractions import alpha_forget_order
+
+from oracles.extraction import make_path_context
 
 
 def small_tree():
@@ -37,17 +34,6 @@ class TestPathContext:
         context = PathContext("a", "p", "b")
         assert context.as_tuple() == ("a", "p", "b")
         assert len({context, PathContext("a", "p", "b")}) == 1
-
-    def test_flipped(self):
-        context = PathContext("a", "A↑B↓C", "c")
-        flipped = context.flipped()
-        assert flipped.start_value == "c"
-        assert flipped.end_value == "a"
-        assert flipped.path == "C↑B↓A"
-        assert flipped.flipped() == context
-
-    def test_flip_encoding_pure_ascent(self):
-        assert _flip_encoding("A↑B↑C") == "C↓B↓A"
 
     def test_custom_endpoint_values(self):
         _top, x, y = small_tree()

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.core.ast_model import Node
-from repro.core.paths import DOWN, UP, AstPath, NWisePath, path_between, semi_path
+from repro.core.paths import DOWN, UP, AstPath, path_between
 from repro.lang.javascript import parse_js
 
 from fixtures import FIG1_JS, FIG4_JS, FIG5_JS
+from oracles.extraction import semi_path
 
 
 class TestAstPathBasics:
@@ -146,21 +147,3 @@ class TestPathBetween:
         assert path.encode() == "X↑M↑T"
         path_down = path_between(top, x)
         assert path_down.encode() == "T↓M↓X"
-
-
-class TestNWisePath:
-    def test_three_way_bundle(self):
-        x = Node("X", value="x")
-        y = Node("Y", value="y")
-        z = Node("Z", value="z")
-        p = Node("P", children=[x, y, z])
-        nwise = NWisePath(p, [x, y, z])
-        assert nwise.arity == 3
-        assert nwise.endpoints() == (x, y, z)
-        assert nwise.encode().count("|") == 2
-
-    def test_requires_two_endpoints(self):
-        x = Node("X", value="x")
-        p = Node("P", children=[x])
-        with pytest.raises(ValueError):
-            NWisePath(p, [x])

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from repro.core.abstractions import ABSTRACTIONS
 from repro.core.ast_model import Ast, Node, lowest_common_ancestor
 from repro.core.extraction import ExtractionConfig, PathExtractor
-from repro.core.paths import DOWN, UP, path_between, semi_path
+from repro.core.paths import DOWN, UP, path_between
 from repro.eval.metrics import exact_match, normalize_name, subtoken_f1, subtokens
 from repro.lang.lexing import EOF, Lexer
 from repro.learning.crf import CrfGraph, CrfModel
 
 from oracles.crf import node_score
+from oracles.extraction import table_rows
 
 
 # ----------------------------------------------------------------------
@@ -120,7 +121,7 @@ class TestExtractionProperties:
                 max_length=max_length, max_width=max_width, include_semi_paths=False
             )
         )
-        for extracted in extractor.extract(ast):
+        for extracted in table_rows(extractor.extract(ast)):
             assert extracted.path.length <= max_length
             assert extracted.path.width <= max_width
 
@@ -143,7 +144,7 @@ class TestExtractionProperties:
     @settings(max_examples=30, deadline=None)
     def test_semi_paths_all_ascending(self, ast):
         extractor = PathExtractor(ExtractionConfig(include_semi_paths=True))
-        for extracted in extractor.extract(ast):
+        for extracted in table_rows(extractor.extract(ast)):
             if extracted.is_semi:
                 assert all(d == UP for d in extracted.path.directions)
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.extraction import ExtractionConfig, PathExtractor
 from repro.core.interning import FeatureSpace
+from repro.core.paths import path_between
 from repro.core.service import ExtractionService
 from repro.corpus import generate_corpus
 from repro.corpus.generator import CorpusConfig
@@ -28,8 +29,8 @@ class TestMemoization:
         space = FeatureSpace()
         service = ExtractionService(config=ExtractionConfig(), space=space)
         bare = PathExtractor(ExtractionConfig(), space=space)
-        a = [(e.rel_id, e.start_value_id, e.end_value_id) for e in service.extract(fig1_ast)]
-        b = [(e.rel_id, e.start_value_id, e.end_value_id) for e in bare.extract(fig1_ast)]
+        a = service.extract(fig1_ast).triples()
+        b = bare.extract(fig1_ast).triples()
         assert a == b
 
     def test_bind_space_drops_memo(self, fig1_ast):
@@ -49,8 +50,10 @@ class TestMemoization:
         # Every emitted id, from every AST, decodes through the one
         # shared space.
         for table in tables:
-            for e in table:
-                assert service.space.paths.value(e.rel_id) == e.context.path
+            for start, end, (_start_id, rel_id, _end_id) in zip(
+                table.starts, table.ends, table.triples()
+            ):
+                assert service.space.paths.value(rel_id) == path_between(start, end).encode()
 
 
 class TestExtractorFacade:
@@ -61,6 +64,15 @@ class TestExtractorFacade:
         graph = build_crf_graph(fig1_ast, service)
         assert graph.space is service.space
         assert len(graph) == 1
+
+    def test_extract_between_forwards_without_memo(self, fig1_ast):
+        space = FeatureSpace()
+        service = ExtractionService(config=ExtractionConfig(), space=space)
+        bare = PathExtractor(ExtractionConfig(), space=space)
+        leaves = fig1_ast.leaves
+        table = service.extract_between(leaves[:2], leaves)
+        assert table.triples() == bare.extract_between(leaves[:2], leaves).triples()
+        assert service.stats.asts == 0 and service.memo_stats()["memoized_asts"] == 0
 
     def test_config_and_space_exposed(self):
         service = ExtractionService(config=ExtractionConfig(max_length=5))

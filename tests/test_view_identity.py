@@ -9,9 +9,10 @@ string context eagerly, reverses relations through
 different *sets* of strings (the product never interns a relation seen
 only between two non-element terminals), so ids differ; every view
 compared here is decoded back to strings first, node by node and in
-factor order.  The method-naming graph shares its factor builder
-(``add_method_factors``) with the oracle and differs only in the
-extractor behind ``paths_from``.
+factor order.  The method-naming and type-prediction graphs read the
+product's anchored rows (``extract_between``); their oracles connect the
+same elements path by path through the reference ``paths_from``, with
+the method oracle also finding call sites by one walk per method.
 
 Corpora: generated programs in all four languages and top-level
 definitions from pinned stdlib modules present in CPython 3.10-3.13.
@@ -29,7 +30,7 @@ from repro.corpus.generator import CorpusConfig
 from repro.lang.base import parse_source
 from repro.learning.crf import CrfTrainer, TrainingConfig
 from repro.learning.crf.inference import map_inference, topk_for_node
-from repro.tasks import method_naming, variable_naming
+from repro.tasks import method_naming, type_prediction, variable_naming
 
 from fixtures import STDLIB_MODULES, stdlib_definitions
 from oracles import extraction as oracle
@@ -109,8 +110,19 @@ def assert_views_identical(asts, **settings):
         assert decoded_contexts(
             variable_naming.element_contexts(ast, product), product.space
         ) == decoded_contexts(oracle.element_contexts(ast, reference), reference.space)
-        assert decoded_graph(method_naming.build_method_graph(ast, product)) == decoded_graph(
-            oracle.build_method_graph(ast, reference)
+        for use_external in (True, False):
+            assert decoded_graph(
+                method_naming.build_method_graph(ast, product, use_external=use_external)
+            ) == decoded_graph(
+                oracle.build_method_graph(ast, reference, use_external=use_external)
+            )
+
+
+def assert_type_views_identical(asts, **settings):
+    product, reference = _extractors(**settings)
+    for ast in asts:
+        assert decoded_graph(type_prediction.build_type_graph(ast, product)) == decoded_graph(
+            oracle.build_type_graph(ast, reference)
         )
 
 
@@ -129,6 +141,18 @@ def test_views_identical_at_default_limits(corpora, corpus):
 @pytest.mark.parametrize("setting", sorted(SETTINGS))
 def test_views_identical_under_setting(corpora, setting):
     assert_views_identical(corpora["javascript"] + corpora["stdlib"][:12], **SETTINGS[setting])
+    assert_type_views_identical(corpora["java"], **SETTINGS[setting])
+
+
+def test_type_views_identical_at_default_limits(corpora):
+    graphs = [type_prediction.build_type_graph(ast, PathExtractor()) for ast in corpora["java"]]
+    assert sum(len(graph) for graph in graphs) > 0
+    assert any(node.unary for graph in graphs for node in graph.unknowns)
+    assert_type_views_identical(corpora["java"])
+    # The tuned cell of Table 2: paths of length 1 from each expression.
+    assert_type_views_identical(
+        corpora["java"], max_length=1, max_width=0, include_semi_paths=False
+    )
 
 
 def test_table_rows_materialise_like_the_oracle(corpora):
@@ -137,7 +161,7 @@ def test_table_rows_materialise_like_the_oracle(corpora):
         product, reference = _extractors()
         rows = [
             (id(e.start), id(e.end), e.rel_id, e.start_value_id, e.end_value_id, e.context)
-            for e in product.extract(ast)
+            for e in oracle.table_rows(product.extract(ast))
         ]
         expected = [
             (id(e.start), id(e.end), e.rel_id, e.start_value_id, e.end_value_id, e.context)
