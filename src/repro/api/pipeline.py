@@ -29,7 +29,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..lang.base import languages, parse_source
 from ..resilience import faults

@@ -323,12 +323,6 @@ def _packed_crf_model(artifact: ModelArtifact):
         def observe_training_node(self, node, graph):
             raise PackedModelError("observing a training node")
 
-        def add_pair(self, key, delta):
-            raise PackedModelError("updating a pair weight")
-
-        def add_unary(self, key, delta):
-            raise PackedModelError("updating a unary weight")
-
         def l2_decay(self, factor):
             raise PackedModelError("decaying weights")
 

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.ast_model import Ast, Node
+from ..core.ast_model import Ast
 from ..tasks.method_naming import method_elements
 
 _PAD = "<pad>"

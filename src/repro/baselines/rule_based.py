@@ -12,8 +12,7 @@ training-corpus statistics:
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
 from ..core.ast_model import Ast, Node
 from ..tasks.variable_naming import element_groups

@@ -15,7 +15,7 @@ paths distinguish them.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional
 
 from ..core.ast_model import Ast, Node
 from ..core.paths import path_between

@@ -11,7 +11,7 @@ paper's duplicate-filtering effort.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .ir import CallLocal, ExprStmt, FileSpec, Function, VOID, default_value

@@ -11,7 +11,7 @@ builders, handlers).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 # ----------------------------------------------------------------------
 # Types

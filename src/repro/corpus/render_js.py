@@ -6,10 +6,6 @@ from typing import List
 
 from .ir import (
     BOOL,
-    DOUBLE,
-    INT,
-    LIST_INT,
-    LIST_STRING,
     MAP_STR_INT,
     STRING,
     Append,
@@ -42,7 +38,6 @@ from .ir import (
     Throw,
     Var,
     While,
-    expr_type,
 )
 
 _INDENT = "  "

@@ -6,7 +6,6 @@ from typing import List
 
 from .ir import (
     BOOL,
-    DOUBLE,
     MAP_STR_INT,
     STRING,
     Append,

@@ -11,8 +11,8 @@ models never predict UNK.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 #: The reserved unknown-label token.
 UNK = "UNK"

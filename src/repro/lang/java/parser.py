@@ -19,10 +19,9 @@ ground-truth oracle for the full-type prediction task of Sec. 5.3.3).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ...core.ast_model import Ast, Node
-from ..base import ParseError
 from ..lexing import CHAR, EOF, IDENT, KEYWORD, NUMBER, OP, STRING, Lexer, TokenStream, expect_close_angle
 
 _KEYWORDS = frozenset(

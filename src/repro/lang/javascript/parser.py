@@ -24,10 +24,9 @@ element (the CRF merges them into a single node, Sec. 5.1).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional
 
 from ...core.ast_model import Ast, Node
-from ..base import ParseError
 from ..lexing import CHAR, EOF, IDENT, KEYWORD, NUMBER, OP, STRING, Lexer, TokenStream
 
 _KEYWORDS = frozenset(

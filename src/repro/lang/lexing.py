@@ -108,6 +108,66 @@ _OPERATORS: Sequence[str] = (
 )
 
 
+def _is_fstring(src: str, quote_at: int) -> bool:
+    """Whether the string opening at ``quote_at`` has an ``f`` prefix."""
+    start = quote_at
+    while start > 0 and src[start - 1].isalpha():
+        start -= 1
+    return src[start:quote_at].lower() in ("f", "rf", "fr")
+
+
+def _string_end(src: str, i: int, closing: str, fmt: bool) -> int:
+    """Where the string body starting at ``i`` meets ``closing``; -1 if never.
+
+    A backslash escapes the next character, and a single-quoted body
+    ends at a newline (unterminated).  In an f-string (``fmt``) ``{{``
+    is a literal brace and ``{`` opens a replacement field.
+    """
+    n = len(src)
+    while i < n:
+        c = src[i]
+        if c == "\\":
+            i += 2
+        elif c == closing[0] and src.startswith(closing, i):
+            return i
+        elif c == "\n" and len(closing) == 1:
+            return -1
+        elif fmt and c == "{":
+            i = i + 2 if src.startswith("{{", i) else _field_end(src, i + 1)
+            if i < 0:
+                return -1
+        else:
+            i += 1
+    return -1
+
+
+def _field_end(src: str, i: int) -> int:
+    """Index just past the ``}`` closing the replacement field at ``i``; -1 if none.
+
+    Brackets nest and a quote opens a nested string (maybe an f-string).
+    A ``:`` outside brackets starts the format spec: literal text up to
+    the closing ``}``, where a ``{`` opens a nested field.
+    """
+    n = len(src)
+    depth = 0
+    while 0 <= i < n:
+        c = src[i]
+        if c in "\"'":
+            width = 3 if src.startswith(c * 3, i) else 1
+            end = _string_end(src, i + width, c * width, _is_fstring(src, i))
+            i = end + width if end >= 0 else -1
+        elif c == "}" and not depth:
+            return i + 1
+        elif c == ":" and not depth:
+            i += 1
+            while 0 <= i < n and src[i] != "}":
+                i = _field_end(src, i + 1) if src[i] == "{" else i + 1
+        else:
+            depth += (c in "([{") - (c in ")]}")
+            i += 1
+    return -1
+
+
 class Lexer:
     """A maximal-munch lexer for C-family syntax.
 
@@ -120,8 +180,10 @@ class Lexer:
     lines, and a backslash at the end of a line joins it to the next.
     Indentation is not tokenised: the token-stream baselines only need
     local context windows.  A string prefix (``r``, ``b``, ``f``) lexes
-    as an identifier before its string, and an f-string that nests its
-    own quote character (legal from Python 3.12) splits in two.
+    as an identifier before its string.  An f-string is one string
+    token: its ``{...}`` replacement fields are skipped whole, nested
+    strings (even in the f-string's own quote, legal from Python 3.12)
+    and format specs included, while ``{{`` is a literal brace.
     """
 
     def __init__(self, source: str, keywords: FrozenSet[str], language: str) -> None:
@@ -186,45 +248,20 @@ class Lexer:
                 continue
             # -- strings ---------------------------------------------------
             if ch in "\"'":
-                quote = ch
-                start_line, start_col = line, col
-                if python and src.startswith(quote * 3, i):
-                    j = i + 3
-                    while j < n and not src.startswith(quote * 3, j):
-                        j += 2 if src[j] == "\\" else 1
-                    if j >= n:
-                        raise error("unterminated string literal")
-                    end = j + 3
-                    newlines = src.count("\n", i, end)
-                    if newlines:
-                        line += newlines
-                        col = end - src.rfind("\n", i, end)
-                    else:
-                        col += end - i
-                    tokens.append(Token(STRING, src[i + 3 : j], start_line, start_col))
-                    i = end
-                    continue
-                i += 1
-                col += 1
-                buf: List[str] = []
-                while i < n and src[i] != quote:
-                    c = src[i]
-                    if c == "\n":
-                        raise error("unterminated string literal")
-                    if c == "\\" and i + 1 < n:
-                        buf.append(src[i : i + 2])
-                        i += 2
-                        col += 2
-                        continue
-                    buf.append(c)
-                    i += 1
-                    col += 1
-                if i >= n:
+                width = 3 if python and src.startswith(ch * 3, i) else 1
+                j = _string_end(src, i + width, ch * width, python and _is_fstring(src, i))
+                if j < 0:
                     raise error("unterminated string literal")
-                i += 1
-                col += 1
-                kind = CHAR if quote == "'" and self.language in ("java", "csharp") else STRING
-                tokens.append(Token(kind, "".join(buf), start_line, start_col))
+                kind = CHAR if ch == "'" and self.language in ("java", "csharp") else STRING
+                tokens.append(Token(kind, src[i + width : j], line, col))
+                end = j + width
+                newlines = src.count("\n", i, end)
+                if newlines:
+                    line += newlines
+                    col = end - src.rfind("\n", i, end)
+                else:
+                    col += end - i
+                i = end
                 continue
             # -- numbers ---------------------------------------------------
             if ch.isdigit() or (ch == "." and i + 1 < n and src[i + 1].isdigit()):

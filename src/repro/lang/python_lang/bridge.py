@@ -14,7 +14,7 @@ frontends.
 from __future__ import annotations
 
 import ast as pyast
-from typing import Dict, List, Optional, Set, Union
+from typing import List, Set
 
 from ...core.ast_model import Ast, Node
 from ..base import ParseError

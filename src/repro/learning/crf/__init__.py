@@ -16,9 +16,12 @@ right for sparse subgradient updates but wrong for inference, where ICM
 re-scores whole candidate beams per node per sweep.  Inference therefore
 runs on a parallel **columnar** representation:
 
-* :meth:`CrfGraph.columnar() <repro.learning.crf.graph.CrfGraph.columnar>`
-  re-lays a graph's per-node factor lists as flat CSR-style id arrays
-  (structure-of-arrays, cached per graph);
+* a :class:`~repro.learning.crf.graph.CrfGraph` stores its factors once,
+  as flat integer rows appended in any order, and
+  :meth:`CrfGraph.columnar() <repro.learning.crf.graph.CrfGraph.columnar>`
+  groups them per node into CSR-style id arrays (structure-of-arrays,
+  cached per graph) -- the one form builders, the trainer, the shard
+  codec and inference read;
 * :meth:`CrfModel.compile() <repro.learning.crf.model.CrfModel.compile>`
   packs the weight dicts into sorted parallel numpy arrays keyed on the
   ``(factor-group, label)`` plane
@@ -43,7 +46,7 @@ faster spelling of the slow one.
 """
 
 from .compiled import CompiledCrfModel
-from .graph import ColumnarGraph, CrfGraph, KnownNeighbor, UnknownNode
+from .graph import ColumnarGraph, CrfGraph, UnknownNode
 from .model import CrfModel
 from .inference import map_inference, topk_for_node
 from .training import CrfTrainer, TrainingConfig
@@ -52,7 +55,6 @@ __all__ = [
     "ColumnarGraph",
     "CompiledCrfModel",
     "CrfGraph",
-    "KnownNeighbor",
     "UnknownNode",
     "CrfModel",
     "map_inference",

@@ -23,9 +23,11 @@ each cost a handful of numpy ops:
   sections are already in that order, so its tables index them in place.
 * At *graph-compile* time (:meth:`compile_graph`, once per inference
   call), the graph's :meth:`~repro.learning.crf.graph.CrfGraph.columnar`
-  view is resolved against the pack: each known/unary factor's group row
-  is looked up once, and the factors whose group holds no weight at all
-  (no row: neither packed nor in the overflow) are dropped.  What
+  view (its factor rows grouped per node) is resolved against the pack:
+  one ``searchsorted`` over the sorted group keys finds every
+  known/unary factor's group row, and the factors whose group holds no
+  weight at all (no row: neither packed nor in the overflow) are
+  dropped.  What
   remains are the graph's **live rows**.  The known and unary contexts'
   candidate counts -- fixed for the whole graph, unlike an edge's, which
   follows the neighbour's current label -- are merged per node into
@@ -88,7 +90,7 @@ one resolved against an older pack.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -389,12 +391,10 @@ class LiveFactors:
 class CompiledGraph:
     """One graph resolved against one weight pack.
 
-    ``known_rows`` / ``unary_rows`` are flat arrays parallel with the
-    :class:`~repro.learning.crf.graph.ColumnarGraph` factor columns:
-    each entry is the group row of that factor (or ``-1`` when the pack
-    holds no row for its group).  ``live_known`` / ``live_unary``
-    are the subsets scoring reads; the rest hold no weight and would add
-    ``+0.0``.  Edge rows and liveness depend on the evolving assignment,
+    ``live_known`` / ``live_unary`` are the known and unary factors of
+    the :class:`~repro.learning.crf.graph.ColumnarGraph` whose group has
+    a row in the pack, the ones scoring reads; the rest hold no weight
+    and would add ``+0.0``.  Edge rows and liveness depend on the evolving assignment,
     so they resolve per call instead, from ``edge_keys``: each edge's
     :func:`group_keys` less the neighbour id, in the pack's label base,
     which keys both the candidate table and the weight groups.  ``known_off`` /
@@ -410,8 +410,6 @@ class CompiledGraph:
     """
 
     cols: ColumnarGraph
-    known_rows: np.ndarray
-    unary_rows: np.ndarray
     pack_version: int
     overflow_groups: int
     known_off: List[int]
@@ -424,7 +422,7 @@ class CompiledGraph:
 
 
 def _live(
-    groups: List[Tuple[int, int]], rows: np.ndarray, off: np.ndarray
+    rel: np.ndarray, other: np.ndarray, rows: np.ndarray, off: np.ndarray
 ) -> LiveFactors:
     """Keep the factors whose group has a row, split per node.
 
@@ -434,7 +432,7 @@ def _live(
     kept = np.flatnonzero(rows >= 0)
     return LiveFactors(
         rows=rows[kept],
-        groups=[groups[i] for i in kept.tolist()],
+        groups=list(zip(rel[kept].tolist(), other[kept].tolist())),
         off=np.searchsorted(kept, off).tolist(),
     )
 
@@ -655,12 +653,12 @@ class CompiledCrfModel:
         """Resolve one graph's columnar factors to live rows of this pack.
 
         Also merges every node's known and unary candidate counts.  The
-        group-row lookups here are the only per-factor python work the
-        vectorized engine performs.  The last resolution is reused
-        while the graph's columnar view (cached until the graph changes),
-        the pack and the overflow's group count are the same: a suggest
-        request ranks every node of one graph against one pack, and
-        compiles it once.
+        group rows resolve with one ``searchsorted`` against the sorted
+        group keys that edge scoring uses too.  The last resolution is
+        reused while the graph's columnar view (cached until the graph
+        changes), the pack and the overflow's group count are the same:
+        a suggest request ranks every node of one graph against one
+        pack, and compiles it once.
         """
         self._refresh()
         cols = graph.columnar()
@@ -672,36 +670,32 @@ class CompiledCrfModel:
             and memo.overflow_groups == len(self._overflow)
         ):
             return memo
-        known_groups = list(zip(cols.known_rel_list, cols.known_label_list))
-        unary_groups = list(zip(cols.unary_rel_list, repeat(UNARY_OTHER)))
-        known_rows = self._rows_of(known_groups)
-        unary_rows = self._rows_of(unary_groups)
+        base = self._label_base
+        k = len(cols.known_rel)
+        rel = np.concatenate((cols.known_rel, cols.unary_rel))
+        other = np.concatenate((cols.known_label, np.full(len(cols.unary_rel), UNARY_OTHER)))
+        sorted_keys, group_rows = self._group_index()
+        found = _find(sorted_keys, group_keys(rel, other, base))
+        # A neighbour label outside [0, label_base) is in no group; a
+        # missing group (found == -1) reads the appended row -1.
+        found[:k][(other[:k] < 0) | (other[:k] >= base)] = -1
+        rows = np.append(group_rows, -1)[found]
         compiled = CompiledGraph(
             cols=cols,
-            known_rows=known_rows,
-            unary_rows=unary_rows,
             pack_version=self._pack_version,
             overflow_groups=len(self._overflow),
             known_off=cols.known_off.tolist(),
             edge_off=cols.edge_off.tolist(),
             unary_off=cols.unary_off.tolist(),
-            live_known=_live(known_groups, known_rows, cols.known_off),
-            live_unary=_live(unary_groups, unary_rows, cols.unary_off),
-            edge_keys=group_keys(cols.edge_rel, 0, self._label_base),
+            live_known=_live(rel[:k], other[:k], rows[:k], cols.known_off),
+            live_unary=_live(rel[k:], other[k:], rows[k:], cols.unary_off),
+            edge_keys=group_keys(cols.edge_rel, 0, base),
             candidates=StaticCandidates.of_graph(
                 self._candidates, cols, self.model.use_unary
             ),
         )
         self._last_compiled = compiled
         return compiled
-
-    def _rows_of(self, groups: List[Tuple[int, int]]) -> np.ndarray:
-        """The row of every group (``-1`` for a group holding no weight)."""
-        return np.fromiter(
-            map(self._group_of.get, groups, repeat(-1)),
-            dtype=np.int64,
-            count=len(groups),
-        )
 
     # ------------------------------------------------------------------
     # Scoring

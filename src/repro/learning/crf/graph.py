@@ -24,7 +24,7 @@ into one id, which is exactly the "bag of near identifiers" baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -36,46 +36,19 @@ Feature = Union[int, str]
 
 
 @dataclass(frozen=True)
-class KnownNeighbor:
-    """A pairwise factor between an unknown node and a fixed-label value.
-
-    ``rel`` is the path-vocab id of the relation, directional *from* the
-    unknown element *to* the neighbour; ``label`` is the value-vocab id
-    of the neighbour's label.
-    """
-
-    rel: int
-    label: int
-
-
-@dataclass(frozen=True)
-class UnknownEdge:
-    """A pairwise factor between two unknown nodes.
-
-    Stored on the side of node ``owner``; ``other`` is the peer's index in
-    the graph.  ``rel`` is the path-vocab id, directional owner -> peer.
-    """
-
-    rel: int
-    other: int
-
-
-@dataclass(frozen=True)
 class ColumnarGraph:
     """Structure-of-arrays view of a :class:`CrfGraph`'s factors.
 
-    Every per-node python list of dataclass factors is re-laid as flat
-    ``int64`` arrays with CSR-style ``*_off`` offset arrays (length
+    Flat ``int64`` columns with CSR-style ``*_off`` offset arrays (length
     ``n_nodes + 1``): node ``i``'s known factors live at
     ``known_rel[known_off[i]:known_off[i+1]]`` (parallel with
-    ``known_label``), and likewise for edges and unary factors.  The
-    vectorised inference engine walks these arrays instead of python
-    tuples -- one contiguous gather per node instead of one attribute
-    lookup per factor -- and :class:`~repro.learning.crf.compiled.
-    CompiledCrfModel` resolves them against its packed weight rows.
+    ``known_label``), in the order they were added, and likewise for
+    edges and unary factors.  This is the form everything reads:
+    training, the shard codec, and :class:`~repro.learning.crf.compiled.
+    CompiledCrfModel`, which resolves it against its packed weight rows.
 
     The view is immutable and model-independent; :meth:`CrfGraph.columnar`
-    caches it per graph until another factor is added.
+    caches it per graph until another node or factor is added.
     """
 
     n_nodes: int
@@ -87,32 +60,42 @@ class ColumnarGraph:
     edge_off: np.ndarray
     unary_rel: np.ndarray
     unary_off: np.ndarray
-    #: Plain-int copies of the factor columns (``ndarray.tolist()``), kept
-    #: because the compiled model resolves group rows through python dict
-    #: lookups and iterating a list of ints is ~3x faster than iterating
-    #: numpy scalars.
-    known_rel_list: List[int]
-    known_label_list: List[int]
-    unary_rel_list: List[int]
 
 
 @dataclass
 class UnknownNode:
-    """One predictable program element and its factors."""
+    """One predictable program element; its factors live in its graph."""
 
     #: Gold label (the original, stripped name); empty at pure inference.
     gold: str = ""
     #: Opaque element key for reporting (e.g. the frontend binding).
     key: str = ""
-    #: Pairwise factors to known neighbours.
-    known: List[KnownNeighbor] = field(default_factory=list)
-    #: Pairwise factors to other unknown nodes (directional, this side).
-    edges: List[UnknownEdge] = field(default_factory=list)
-    #: Unary factors: relation ids between occurrences of this element.
-    unary: List[int] = field(default_factory=list)
+    #: The graph that stores this node's factors, and the node's index.
+    graph: Optional["CrfGraph"] = field(default=None, repr=False, compare=False)
+    index: int = 0
 
     def degree(self) -> int:
-        return len(self.known) + len(self.edges) + len(self.unary)
+        """How many factors this node owns (known, edge and unary)."""
+        cols = self.graph.columnar()
+        i = self.index
+        return int(
+            cols.known_off[i + 1] - cols.known_off[i]
+            + cols.edge_off[i + 1] - cols.edge_off[i]
+            + cols.unary_off[i + 1] - cols.unary_off[i]
+        )
+
+
+def _by_owner(rows: List[int], width: int, n_nodes: int) -> List[np.ndarray]:
+    """Group flat ``width``-int rows by their first int (the owner node).
+
+    Returns the CSR offsets, then each remaining column.  The sort is
+    stable, so every node keeps its rows in append order.
+    """
+    table = np.array(rows, dtype=np.int64).reshape(-1, width).T
+    off = np.zeros(n_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(table[0], minlength=n_nodes), out=off[1:])
+    order = np.argsort(table[0], kind="stable")
+    return [off, *table[1:, order]]
 
 
 class CrfGraph:
@@ -121,6 +104,12 @@ class CrfGraph:
     ``space`` is the feature space the factor ids reference; graphs built
     by one extractor (or one pipeline) share its space, and a hand-built
     graph without one gets a private space.
+
+    The graph's one factor store is three flat int lists, appended in
+    any owner order: ``known_factors`` holds ``owner, rel, label`` rows,
+    ``edge_factors`` ``owner, rel, other`` rows (one per direction) and
+    ``unary_factors`` ``owner, rel`` rows.  The ``add_*_factor`` methods
+    are the checked way in; task builders extend the lists directly.
     """
 
     def __init__(self, name: str = "", space: Optional[FeatureSpace] = None) -> None:
@@ -128,11 +117,10 @@ class CrfGraph:
         self.space = space if space is not None else FeatureSpace()
         self.unknowns: List[UnknownNode] = []
         self._key_to_index: Dict[str, int] = {}
-        #: Bumped on every structural mutation; invalidates the cached
-        #: columnar view (factor lists may also be appended to directly
-        #: by task builders -- those run before the first columnar() call).
-        self._version = 0
-        self._columnar: Optional[Tuple[int, "ColumnarGraph"]] = None
+        self.known_factors: List[int] = []
+        self.edge_factors: List[int] = []
+        self.unary_factors: List[int] = []
+        self._columnar: Optional[Tuple[Tuple[int, ...], ColumnarGraph]] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -142,9 +130,8 @@ class CrfGraph:
         if key in self._key_to_index:
             return self._key_to_index[key]
         index = len(self.unknowns)
-        self.unknowns.append(UnknownNode(gold=gold, key=key))
+        self.unknowns.append(UnknownNode(gold=gold, key=key, graph=self, index=index))
         self._key_to_index[key] = index
-        self._version += 1
         return index
 
     def index_of(self, key: str) -> Optional[int]:
@@ -158,11 +145,13 @@ class CrfGraph:
         """Normalise a label (string or id) to its value-vocab id."""
         return self.space.values.intern(label) if isinstance(label, str) else label
 
+    def _node(self, index: int) -> int:
+        if not 0 <= index < len(self.unknowns):
+            raise IndexError(f"no unknown node {index} in a graph of {len(self)}")
+        return index
+
     def add_known_factor(self, index: int, rel: Feature, label: Feature) -> None:
-        self.unknowns[index].known.append(
-            KnownNeighbor(self.rel_id(rel), self.value_id(label))
-        )
-        self._version += 1
+        self.known_factors += (self._node(index), self.rel_id(rel), self.value_id(label))
 
     def add_unknown_factor(
         self, a: int, b: int, rel: Feature, rel_reverse: Feature
@@ -170,63 +159,47 @@ class CrfGraph:
         """Connect two unknowns; each side stores its directional relation."""
         if a == b:
             raise ValueError("use add_unary_factor for self relations")
-        self.unknowns[a].edges.append(UnknownEdge(self.rel_id(rel), b))
-        self.unknowns[b].edges.append(UnknownEdge(self.rel_id(rel_reverse), a))
-        self._version += 1
+        a, b = self._node(a), self._node(b)
+        self.edge_factors += (a, self.rel_id(rel), b, b, self.rel_id(rel_reverse), a)
 
     def add_unary_factor(self, index: int, rel: Feature) -> None:
-        self.unknowns[index].unary.append(self.rel_id(rel))
-        self._version += 1
+        self.unary_factors += (self._node(index), self.rel_id(rel))
 
     # ------------------------------------------------------------------
     # Columnar view
     # ------------------------------------------------------------------
     def columnar(self) -> ColumnarGraph:
-        """The structure-of-arrays view of this graph's factors.
+        """The factor rows grouped per node, as CSR arrays.
 
-        Built once and cached; any later ``add_*`` call invalidates the
-        cache.  (Builders that extend the per-node factor lists directly
-        -- the shard decoder -- finish before the first ``columnar()``
-        call, so the snapshot always sees the complete graph.)
+        Built once and cached.  The row lists only grow, so their
+        lengths (and the node count) version the cache: any later node
+        or factor, however it was appended, rebuilds the view.
         """
+        version = (
+            len(self.unknowns),
+            len(self.known_factors),
+            len(self.edge_factors),
+            len(self.unary_factors),
+        )
         cached = self._columnar
-        if cached is not None and cached[0] == self._version:
+        if cached is not None and cached[0] == version:
             return cached[1]
         n = len(self.unknowns)
-        known_rel: List[int] = []
-        known_label: List[int] = []
-        known_off = np.zeros(n + 1, dtype=np.int64)
-        edge_rel: List[int] = []
-        edge_other: List[int] = []
-        edge_off = np.zeros(n + 1, dtype=np.int64)
-        unary_rel: List[int] = []
-        unary_off = np.zeros(n + 1, dtype=np.int64)
-        for i, node in enumerate(self.unknowns):
-            for factor in node.known:
-                known_rel.append(factor.rel)
-                known_label.append(factor.label)
-            for edge in node.edges:
-                edge_rel.append(edge.rel)
-                edge_other.append(edge.other)
-            unary_rel.extend(node.unary)
-            known_off[i + 1] = len(known_rel)
-            edge_off[i + 1] = len(edge_rel)
-            unary_off[i + 1] = len(unary_rel)
+        known_off, known_rel, known_label = _by_owner(self.known_factors, 3, n)
+        edge_off, edge_rel, edge_other = _by_owner(self.edge_factors, 3, n)
+        unary_off, unary_rel = _by_owner(self.unary_factors, 2, n)
         view = ColumnarGraph(
             n_nodes=n,
-            known_rel=np.asarray(known_rel, dtype=np.int64),
-            known_label=np.asarray(known_label, dtype=np.int64),
+            known_rel=known_rel,
+            known_label=known_label,
             known_off=known_off,
-            edge_rel=np.asarray(edge_rel, dtype=np.int64),
-            edge_other=np.asarray(edge_other, dtype=np.int64),
+            edge_rel=edge_rel,
+            edge_other=edge_other,
             edge_off=edge_off,
-            unary_rel=np.asarray(unary_rel, dtype=np.int64),
+            unary_rel=unary_rel,
             unary_off=unary_off,
-            known_rel_list=known_rel,
-            known_label_list=known_label,
-            unary_rel_list=unary_rel,
         )
-        self._columnar = (self._version, view)
+        self._columnar = (version, view)
         return view
 
     # ------------------------------------------------------------------
@@ -247,7 +220,9 @@ class CrfGraph:
         return [node.gold for node in self.unknowns]
 
     def factor_count(self) -> int:
-        return sum(node.degree() for node in self.unknowns)
+        return (
+            len(self.known_factors) // 3 + len(self.edge_factors) // 3 + len(self.unary_factors) // 2
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

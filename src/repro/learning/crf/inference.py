@@ -210,8 +210,3 @@ def label_ids(compiled: CompiledCrfModel, assignment: Sequence[str]) -> np.ndarr
         dtype=np.int64,
         count=len(assignment),
     )
-
-
-def predict(compiled: CompiledCrfModel, graph: CrfGraph) -> List[str]:
-    """Convenience wrapper: the MAP assignment."""
-    return map_inference(compiled, graph)

@@ -93,14 +93,18 @@ class CrfModel:
     # ------------------------------------------------------------------
     def observe_training_node(self, node: UnknownNode, graph: CrfGraph) -> None:
         """Record a gold-labelled node into the candidate index."""
+        cols = graph.columnar()
+        i = node.index
         gold = self.label_id(node.gold)
         self.label_counts[gold] += 1
-        for factor in node.known:
-            self.candidate_index[(factor.rel, factor.label)][gold] += 1
-        for edge in node.edges:
-            other_gold = self.label_id(graph.unknowns[edge.other].gold)
-            self.candidate_index[(edge.rel, other_gold)][gold] += 1
-        for rel in node.unary:
+        ks, ke = cols.known_off[i], cols.known_off[i + 1]
+        for context in zip(cols.known_rel[ks:ke].tolist(), cols.known_label[ks:ke].tolist()):
+            self.candidate_index[context][gold] += 1
+        es, ee = cols.edge_off[i], cols.edge_off[i + 1]
+        for rel, other in zip(cols.edge_rel[es:ee].tolist(), cols.edge_other[es:ee].tolist()):
+            other_gold = self.label_id(graph.unknowns[other].gold)
+            self.candidate_index[(rel, other_gold)][gold] += 1
+        for rel in cols.unary_rel[cols.unary_off[i]:cols.unary_off[i + 1]].tolist():
             self.unary_candidate_index[rel][gold] += 1
 
     def candidate_ids_for(
@@ -153,12 +157,6 @@ class CrfModel:
     # ------------------------------------------------------------------
     # Updates (used by the trainer)
     # ------------------------------------------------------------------
-    def add_pair(self, key: PairKey, delta: float) -> None:
-        self.pair_weights[key] += delta
-
-    def add_unary(self, key: UnaryKey, delta: float) -> None:
-        self.unary_weights[key] += delta
-
     def l2_decay(self, factor: float) -> None:
         """Multiplicative weight decay (L2 regularisation step)."""
         for key in self.pair_weights:

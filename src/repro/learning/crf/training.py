@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ...resilience import faults
 from ...resilience.checkpoint import CheckpointMismatchError, TrainerCheckpoint
@@ -248,23 +248,26 @@ class CrfTrainer:
         intern = model.label_id
         gold_ids = [intern(label) for label in gold]
         pred_ids = [intern(label) for label in predicted]
-        for i, node in enumerate(graph.unknowns):
-            for factor in node.known:
-                gold_key = (gold_ids[i], factor.rel, factor.label)
-                pred_key = (pred_ids[i], factor.rel, factor.label)
+        cols = graph.columnar()
+        known = list(zip(cols.known_rel.tolist(), cols.known_label.tolist()))
+        edges = list(zip(cols.edge_rel.tolist(), cols.edge_other.tolist()))
+        unary = cols.unary_rel.tolist() if cfg.use_unary else []
+        ko, eo, uo = cols.known_off.tolist(), cols.edge_off.tolist(), cols.unary_off.tolist()
+        # Node by node, known then edges then unary: the bump order fixes
+        # the weight dicts' insertion order.  A known or unary key differs
+        # between gold and prediction exactly when the node's label does.
+        for i, (g, p) in enumerate(zip(gold_ids, pred_ids)):
+            if g != p:
+                for rel, label in known[ko[i]:ko[i + 1]]:
+                    bump_pair((g, rel, label), lr)
+                    bump_pair((p, rel, label), -lr)
+            for rel, other in edges[eo[i]:eo[i + 1]]:
+                gold_key = (g, rel, gold_ids[other])
+                pred_key = (p, rel, pred_ids[other])
                 if gold_key != pred_key:
                     bump_pair(gold_key, lr)
                     bump_pair(pred_key, -lr)
-            for edge in node.edges:
-                gold_key = (gold_ids[i], edge.rel, gold_ids[edge.other])
-                pred_key = (pred_ids[i], edge.rel, pred_ids[edge.other])
-                if gold_key != pred_key:
-                    bump_pair(gold_key, lr)
-                    bump_pair(pred_key, -lr)
-            if cfg.use_unary:
-                for rel in node.unary:
-                    gold_key = (gold_ids[i], rel)
-                    pred_key = (pred_ids[i], rel)
-                    if gold_key != pred_key:
-                        bump_unary(gold_key, lr)
-                        bump_unary(pred_key, -lr)
+            if g != p:
+                for rel in unary[uo[i]:uo[i + 1]]:
+                    bump_unary((g, rel), lr)
+                    bump_unary((p, rel), -lr)

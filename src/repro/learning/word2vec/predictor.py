@@ -12,7 +12,7 @@ all words by ``W @ s`` -- a single matrix-vector product.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 

@@ -10,7 +10,7 @@ sampling exactly as in Mikolov et al.'s implementation.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 

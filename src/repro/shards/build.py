@@ -174,17 +174,22 @@ class ShardBuildResult:
 
 def encode_graph(graph: CrfGraph) -> dict:
     """Serialize one CRF graph with its (shard-local) integer ids."""
+    cols = graph.columnar()
+    known = list(map(list, zip(cols.known_rel.tolist(), cols.known_label.tolist())))
+    edges = list(map(list, zip(cols.edge_rel.tolist(), cols.edge_other.tolist())))
+    unary = cols.unary_rel.tolist()
+    ko, eo, uo = cols.known_off.tolist(), cols.edge_off.tolist(), cols.unary_off.tolist()
     return {
         "name": graph.name,
         "nodes": [
             [
                 node.key,
                 node.gold,
-                [[f.rel, f.label] for f in node.known],
-                [[e.rel, e.other] for e in node.edges],
-                list(node.unary),
+                known[ko[i]:ko[i + 1]],
+                edges[eo[i]:eo[i + 1]],
+                unary[uo[i]:uo[i + 1]],
             ]
-            for node in graph.unknowns
+            for i, node in enumerate(graph.unknowns)
         ],
     }
 

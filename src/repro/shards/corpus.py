@@ -34,7 +34,7 @@ from collections import OrderedDict
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..core.interning import FeatureSpace
-from ..learning.crf.graph import CrfGraph, KnownNeighbor, UnknownEdge
+from ..learning.crf.graph import CrfGraph
 from .format import CONTEXTS_KIND, GRAPH_KIND, ShardError, ShardSet
 from .merge import MergedSpace, ShardRemap, VocabMerger
 
@@ -48,12 +48,12 @@ def decode_graph_record(
     values = remap.values
     for key, gold, known, edges, unary in record["nodes"]:
         index = graph.add_unknown(key, gold=gold)
-        node = graph.unknowns[index]
-        node.known.extend(
-            KnownNeighbor(paths[rel], values[label]) for rel, label in known
-        )
-        node.edges.extend(UnknownEdge(paths[rel], other) for rel, other in edges)
-        node.unary.extend(paths[rel] for rel in unary)
+        for rel, label in known:
+            graph.known_factors += (index, paths[rel], values[label])
+        for rel, other in edges:
+            graph.edge_factors += (index, paths[rel], other)
+        for rel in unary:
+            graph.unary_factors += (index, paths[rel])
     return graph
 
 

@@ -134,6 +134,7 @@ def build_method_graph(
                 unary = extractor.extract_between([decl], [call_site], enforce_limits=False)
                 for i in range(len(unary)):
                     graph.add_unary_factor(index, unary.rel_id(i))
+    graph.columnar()  # group the factor rows per node while building
     return graph
 
 

@@ -99,6 +99,7 @@ def build_type_graph(
             unary = extractor.extract_between(nodes[:1], nodes[1:], enforce_limits=False)
             for i in range(len(unary)):
                 graph.add_unary_factor(index, unary.rel_id(i))
+    graph.columnar()  # group the factor rows per node while building
     return graph
 
 

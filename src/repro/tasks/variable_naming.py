@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 from ..core.ast_model import Ast, Node
 from ..core.extraction import PathExtractor, PathTable
 from ..core.interning import FeatureSpace
-from ..learning.crf.graph import CrfGraph, KnownNeighbor, UnknownEdge
+from ..learning.crf.graph import CrfGraph
 
 #: ``meta["id_kind"]`` values that are prediction targets.
 RENAMEABLE_KINDS = frozenset({"local", "param"})
@@ -73,6 +73,7 @@ def build_crf_graph(
     for binding, occurrences in groups.items():
         graph.add_unknown(binding, gold=occurrences[0].value or "")
     add_path_factors(graph, extractor.extract(ast), groups)
+    graph.columnar()  # group the factor rows per node while building
     return graph
 
 
@@ -84,9 +85,10 @@ def add_path_factors(
     ``groups`` are the elements (see :func:`element_groups`), each
     already an unknown of ``graph``.  Rows with no element endpoint are
     skipped before any id is resolved, and a reversed relation is
-    resolved only for the rows that need one.  Factors are appended to
-    the node lists in row order, before the graph's first
-    :meth:`~repro.learning.crf.graph.CrfGraph.columnar` call.
+    resolved only for the rows that need one.  Factor rows are appended
+    to the graph's row lists in table order; the graph's
+    :meth:`~repro.learning.crf.graph.CrfGraph.columnar` view groups them
+    per node, keeping that order.
     """
     node_index = {
         leaf: graph.index_of(binding)
@@ -94,22 +96,19 @@ def add_path_factors(
         for leaf in occurrences
     }
     get = node_index.get
-    unknowns = graph.unknowns
+    known, edges, unary = graph.known_factors, graph.edge_factors, graph.unary_factors
     for i, (start, end) in enumerate(zip(table.starts, table.ends)):
         a = get(start)
         b = get(end)
         if a is None:
             if b is not None:
-                unknowns[b].known.append(
-                    KnownNeighbor(table.reversed_rel_id(i), table.value_id(start))
-                )
+                known += (b, table.reversed_rel_id(i), table.value_id(start))
         elif b is None:
-            unknowns[a].known.append(KnownNeighbor(table.rel_id(i), table.value_id(end)))
+            known += (a, table.rel_id(i), table.value_id(end))
         elif a == b:
-            unknowns[a].unary.append(table.rel_id(i))
+            unary += (a, table.rel_id(i))
         else:
-            unknowns[a].edges.append(UnknownEdge(table.rel_id(i), b))
-            unknowns[b].edges.append(UnknownEdge(table.reversed_rel_id(i), a))
+            edges += (a, table.rel_id(i), b, b, table.reversed_rel_id(i), a)
 
 
 # ----------------------------------------------------------------------

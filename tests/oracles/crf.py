@@ -17,7 +17,7 @@ Nothing here calls the compiled engine.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.learning.crf.graph import CrfGraph, UnknownNode
 from repro.learning.crf.inference import UNKNOWN_LABEL
@@ -27,6 +27,46 @@ from repro.learning.crf.model import CrfModel
 #: Labels one context proposes, and global fallback labels per beam.
 PER_CONTEXT = 12
 GLOBAL_FALLBACK = 8
+
+
+# ----------------------------------------------------------------------
+# Factors per node
+# ----------------------------------------------------------------------
+class Known(NamedTuple):
+    """A pairwise factor to a fixed-label neighbour (value id ``label``)."""
+
+    rel: int
+    label: int
+
+
+class Edge(NamedTuple):
+    """A pairwise factor to unknown node ``other``, directional owner -> other."""
+
+    rel: int
+    other: int
+
+
+class NodeFactors(NamedTuple):
+    """One node's factors, each kind in the order it was added."""
+
+    known: List[Known]
+    edges: List[Edge]
+    unary: List[int]
+
+
+def factors_of(graph: CrfGraph, index: int) -> NodeFactors:
+    """Node ``index``'s known, edge and unary factors, from ``graph.columnar()``."""
+    cols = graph.columnar()
+    ks, ke = cols.known_off[index], cols.known_off[index + 1]
+    es, ee = cols.edge_off[index], cols.edge_off[index + 1]
+    us, ue = cols.unary_off[index], cols.unary_off[index + 1]
+    known = zip(cols.known_rel[ks:ke].tolist(), cols.known_label[ks:ke].tolist())
+    edges = zip(cols.edge_rel[es:ee].tolist(), cols.edge_other[es:ee].tolist())
+    return NodeFactors(
+        [Known(*row) for row in known],
+        [Edge(*row) for row in edges],
+        cols.unary_rel[us:ue].tolist(),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -45,11 +85,12 @@ def node_score(
         return 0.0  # a label never seen in training matches no feature
     score = 0.0
     pair = model.pair_weights
-    for factor in node.known:
+    factors = factors_of(node.graph, node.index)
+    for factor in factors.known:
         key = (lid, factor.rel, factor.label)
         if key in pair:
             score += pair[key]
-    for edge in node.edges:
+    for edge in factors.edges:
         other_id = values.id_of(assignment[edge.other])
         if other_id is None:
             continue
@@ -58,7 +99,7 @@ def node_score(
             score += pair[key]
     if model.use_unary:
         unary = model.unary_weights
-        for rel in node.unary:
+        for rel in factors.unary:
             key = (lid, rel)
             if key in unary:
                 score += unary[key]
@@ -98,14 +139,15 @@ def candidates_for(
             for label, count in counter.most_common(PER_CONTEXT):
                 counts[int(label)] = counts.get(int(label), 0) + int(count)
 
-    for factor in node.known:
+    factors = factors_of(node.graph, node.index)
+    for factor in factors.known:
         propose(model.candidate_index.get((factor.rel, factor.label)))
-    for edge in node.edges:
+    for edge in factors.edges:
         other = values.id_of(assignment[edge.other])
         if other is not None:
             propose(model.candidate_index.get((edge.rel, other)))
     if model.use_unary:
-        for rel in node.unary:
+        for rel in factors.unary:
             propose(model.unary_candidate_index.get(rel))
     for label, count in model.label_counts.most_common(GLOBAL_FALLBACK):
         counts.setdefault(int(label), int(count))
@@ -135,7 +177,7 @@ def map_inference(
     # constrained nodes anchor their neighbours.
     order = sorted(
         range(len(graph)),
-        key=lambda i: -(len(graph.unknowns[i].known) + len(graph.unknowns[i].unary)),
+        key=lambda i: -(len(factors_of(graph, i).known) + len(factors_of(graph, i).unary)),
     )
     for i in order:
         node = graph.unknowns[i]

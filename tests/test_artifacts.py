@@ -156,10 +156,6 @@ class TestPackedModelSemantics:
         pipeline, _held_out = _train(request, "javascript")
         model = Pipeline.load(_save(pipeline, tmp_path)).learner.model
         with pytest.raises(PackedModelError, match="read-only"):
-            model.add_pair((0, 0, 0), 1.0)
-        with pytest.raises(PackedModelError):
-            model.add_unary((0, 0), 1.0)
-        with pytest.raises(PackedModelError):
             model.l2_decay(0.5)
         with pytest.raises(PackedModelError):
             model.observe_training_node(None, None)

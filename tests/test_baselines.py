@@ -16,6 +16,7 @@ from repro.lang.base import parse_source
 from repro.tasks.variable_naming import decode_w2v_token, element_groups
 
 from fixtures import COUNT_JAVA, FIG1_JS
+from oracles.crf import factors_of
 
 
 def fig1_view(fig1_ast, representation, learner="crf"):
@@ -35,8 +36,9 @@ def w2v_pairs(view):
 class TestNoPaths:
     def test_all_relations_collapse(self, fig1_ast):
         _pipeline, graph = fig1_view(fig1_ast, "no-paths")
-        rels = {graph.decode_rel(f.rel) for n in graph.unknowns for f in n.known}
-        rels |= {graph.decode_rel(r) for n in graph.unknowns for r in n.unary}
+        factors = [factors_of(graph, n.index) for n in graph.unknowns]
+        rels = {graph.decode_rel(f.rel) for node in factors for f in node.known}
+        rels |= {graph.decode_rel(r) for node in factors for r in node.unary}
         assert rels == {"*"}
 
     def test_same_elements_as_paths(self, fig1_ast):
@@ -47,7 +49,11 @@ class TestNoPaths:
 class TestNgram:
     def test_graph_relations_are_offsets(self, count_java_ast):
         graph = build_ngram_graph(COUNT_JAVA, count_java_ast, "java", n=4)
-        rels = {graph.decode_rel(f.rel) for n in graph.unknowns for f in n.known}
+        rels = {
+            graph.decode_rel(f.rel)
+            for n in graph.unknowns
+            for f in factors_of(graph, n.index).known
+        }
         assert rels and all(r.startswith("g") for r in rels)
         offsets = {int(r[1:]) for r in rels}
         assert offsets <= set(range(-3, 4)) - {0}
@@ -57,13 +63,13 @@ class TestNgram:
         offsets = {
             int(graph.decode_rel(f.rel)[1:])
             for node in graph.unknowns
-            for f in node.known
+            for f in factors_of(graph, node.index).known
         }
         assert offsets <= {-1, 1}
 
     def test_unknown_edges_between_variables(self, count_java_ast):
         graph = build_ngram_graph(COUNT_JAVA, count_java_ast, "java", n=4)
-        assert any(n.edges for n in graph.unknowns)
+        assert any(factors_of(graph, n.index).edges for n in graph.unknowns)
 
     def test_gold_labels_match_task(self, count_java_ast):
         graph = build_ngram_graph(COUNT_JAVA, count_java_ast, "java", n=4)
@@ -97,8 +103,9 @@ d = true;
             ast = parse_source("javascript", source)
             graph = build_unuglify_graph(ast, space=space)
             node = next(n for n in graph.unknowns if n.gold == "d")
-            known = sorted((f.rel, f.label) for f in node.known)
-            unary = sorted(node.unary)
+            factors = factors_of(graph, node.index)
+            known = sorted((f.rel, f.label) for f in factors.known)
+            unary = sorted(factors.unary)
             return known, unary
 
         assert d_relations(loop_src) == d_relations(straight_src)
@@ -112,7 +119,7 @@ d = true;
             ast = parse_source("javascript", source)
             graph = build_crf_graph(ast, extractor)
             node = next(n for n in graph.unknowns if n.gold == "d")
-            return sorted(node.unary)
+            return sorted(factors_of(graph, node.index).unary)
 
         assert d_paths(loop_src) != d_paths(straight_src)
 
@@ -121,12 +128,13 @@ d = true;
         node = graph.unknowns[0]
         # No relation may span from the while-condition to the assignment;
         # the longest possible in-statement path here is within Assign=.
-        assert all("While" not in graph.decode_rel(f.rel) for f in node.known)
-        assert all("While" not in graph.decode_rel(r) for r in node.unary)
+        factors = factors_of(graph, node.index)
+        assert all("While" not in graph.decode_rel(f.rel) for f in factors.known)
+        assert all("While" not in graph.decode_rel(r) for r in factors.unary)
 
     def test_in_statement_relations_exist(self, count_java_ast):
         graph = build_unuglify_graph(count_java_ast)
-        assert any(n.known or n.edges or n.unary for n in graph.unknowns)
+        assert any(any(factors_of(graph, n.index)) for n in graph.unknowns)
 
 
 class TestRuleBased:

@@ -11,7 +11,6 @@ from repro.learning.crf import (
     map_inference,
     topk_for_node,
 )
-from repro.learning.crf.inference import predict
 
 from fixtures import crf_artifact_round_trip
 from oracles import crf as oracle
@@ -47,10 +46,12 @@ class TestGraph:
 
     def test_unknown_factor_stores_both_directions(self):
         graph = tiny_graph()
-        assert graph.decode_rel(graph.unknowns[0].edges[0].rel) == "relAB"
-        assert graph.unknowns[0].edges[0].other == 1
-        assert graph.decode_rel(graph.unknowns[1].edges[0].rel) == "relBA"
-        assert graph.unknowns[1].edges[0].other == 0
+        edge_ab = oracle.factors_of(graph, 0).edges[0]
+        edge_ba = oracle.factors_of(graph, 1).edges[0]
+        assert graph.decode_rel(edge_ab.rel) == "relAB"
+        assert edge_ab.other == 1
+        assert graph.decode_rel(edge_ba.rel) == "relBA"
+        assert edge_ba.other == 0
 
     def test_self_edge_rejected(self):
         graph = tiny_graph()
@@ -61,6 +62,51 @@ class TestGraph:
         graph = tiny_graph()
         assert graph.factor_count() == 5  # 2 known + 2 directional + 1 unary
         assert graph.gold_assignment() == ["done", "count"]
+
+    def test_interleaved_factors_come_back_per_node_in_append_order(self):
+        graph = CrfGraph(space=SPACE)
+        a, b, c = (graph.add_unknown(key) for key in ("a", "b", "c"))
+        graph.add_known_factor(b, "r1", "x")
+        graph.add_unary_factor(c, "u1")
+        graph.add_known_factor(a, "r2", "y")
+        graph.add_unknown_factor(c, a, "ca", "ac")
+        graph.add_known_factor(b, "r3", "z")
+        graph.add_unary_factor(a, "u2")
+        graph.add_known_factor(a, "r4", "x")
+        graph.add_unknown_factor(b, c, "bc", "cb")
+        graph.add_unary_factor(c, "u3")
+
+        def decoded(index):
+            factors = oracle.factors_of(graph, index)
+            return (
+                [
+                    (graph.decode_rel(f.rel), graph.decode_value(f.label))
+                    for f in factors.known
+                ],
+                [(graph.decode_rel(e.rel), e.other) for e in factors.edges],
+                [graph.decode_rel(rel) for rel in factors.unary],
+            )
+
+        assert decoded(a) == ([("r2", "y"), ("r4", "x")], [("ac", c)], ["u2"])
+        assert decoded(b) == ([("r1", "x"), ("r3", "z")], [("bc", c)], [])
+        assert decoded(c) == ([], [("ca", a), ("cb", b)], ["u1", "u3"])
+
+    def test_degrees_sum_to_the_row_count(self):
+        graph = tiny_graph()
+        graph.add_unknown("lonely")
+        cols = graph.columnar()
+        rows = len(cols.known_rel) + len(cols.edge_rel) + len(cols.unary_rel)
+        assert [node.degree() for node in graph.unknowns] == [3, 2, 0]
+        assert sum(node.degree() for node in graph.unknowns) == rows == 5
+        assert graph.factor_count() == rows
+
+    def test_factor_on_a_missing_node_rejected(self):
+        graph = tiny_graph()
+        with pytest.raises(IndexError):
+            graph.add_known_factor(2, "r", "x")
+        with pytest.raises(IndexError):
+            graph.add_unknown_factor(0, -1, "r", "r")
+        assert graph.factor_count() == 5
 
 
 class TestModelScoring:
@@ -171,7 +217,7 @@ class TestInference:
         model = CrfModel(space=SPACE)
         for node in graph.unknowns:
             model.observe_training_node(node, graph)
-        assert len(predict(model.compile(), graph)) == 2
+        assert len(map_inference(model.compile(), graph)) == 2
 
 
 def synthetic_graphs(n=30):

@@ -149,7 +149,9 @@ class TestRandomGraphs:
         graph.add_known_factor(index, "request-local-rel", "request-local-name")
         graph.add_known_factor(index, RELS[0], "request-local-name")
         graph.add_unknown_factor(index, 0, "request-local-rel", RELS[1])
-        known_labels = [f.label for node in graph.unknowns for f in node.known]
+        known_labels = [
+            f.label for i in range(len(graph)) for f in oracle.factors_of(graph, i).known
+        ]
         assert max(known_labels) >= compiled.label_base
         assignment = np.random.default_rng(5).integers(
             -1, compiled.label_base + 3, size=len(graph)
@@ -403,7 +405,7 @@ class TestLookupRegressions:
         missing = [
             (index, edge.rel, ids[edge.other])
             for index, node in enumerate(graph.unknowns)
-            for edge in node.edges
+            for edge in oracle.factors_of(graph, node.index).edges
             if ids[edge.other] >= 0
             and (edge.rel, ids[edge.other]) not in compiled._group_of
         ]
@@ -436,8 +438,8 @@ class TestLookupRegressions:
         graph = _random_graph(space, seed=73)
         late = model.label_id("late-label")
         assert late == base
-        index = next(i for i, node in enumerate(graph.unknowns) if node.edges)
-        edge = graph.unknowns[index].edges[0]
+        index = next(i for i in range(len(graph)) if oracle.factors_of(graph, i).edges)
+        edge = oracle.factors_of(graph, index).edges[0]
         key = (late, edge.rel, late)
         model.pair_weights[key] = 2.5
         compiled.set_pair(key, 2.5)

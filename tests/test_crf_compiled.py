@@ -162,7 +162,7 @@ class TestRealCode:
         known = live = 0
         for _, graph in graphs:
             cg = compiled.compile_graph(graph)
-            known += len(cg.known_rows)
+            known += len(cg.cols.known_rel)
             live += len(cg.live_known.rows)
         assert 0 < live <= known // 2
 
@@ -411,7 +411,7 @@ class TestEdgeCases:
         index, factor = next(
             (i, factor)
             for i, node in enumerate(graph.unknowns)
-            for factor in node.known
+            for factor in oracle.factors_of(graph, node.index).known
             if (factor.rel, factor.label) not in compiled._group_of
         )
         node = graph.unknowns[index]
@@ -452,7 +452,7 @@ class TestEdgeCases:
         graph.add_unary_factor(0, "fresh-relation")
         changed = compiled.compile_graph(graph)
         assert changed is not again
-        assert len(changed.unary_rows) == len(again.unary_rows) + 1
+        assert len(changed.cols.unary_rel) == len(again.cols.unary_rel) + 1
         compiled.invalidate()
         assert compiled.compile_graph(graph).pack_version != changed.pack_version
 
@@ -462,7 +462,9 @@ class TestEdgeCases:
         first = graph.columnar()
         assert graph.columnar() is first  # cached
         assert first.n_nodes == len(graph)
-        assert len(first.known_rel) == sum(len(n.known) for n in graph.unknowns)
+        assert len(first.known_rel) == sum(
+            len(oracle.factors_of(graph, i).known) for i in range(len(graph))
+        )
         graph.add_unary_factor(0, "another-rel")
         second = graph.columnar()
         assert second is not first  # mutation invalidated the cache

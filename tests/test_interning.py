@@ -22,6 +22,7 @@ from repro.tasks.variable_naming import build_crf_graph, element_contexts
 from repro.lang.base import parse_source
 
 from fixtures import crf_artifact_round_trip
+from oracles.crf import factors_of
 from oracles.extraction import ReferencePathExtractor, table_rows
 
 
@@ -118,7 +119,7 @@ class TestExtractionInterning:
         index = graph.add_unknown("e", gold="x")
         graph.add_known_factor(index, "rel", "label")
         graph.add_known_factor(index, space.paths.intern("rel"), space.values.intern("label"))
-        assert graph.unknowns[0].known[0] == graph.unknowns[0].known[1]
+        assert factors_of(graph, 0).known[0] == factors_of(graph, 0).known[1]
 
 
 class TestIdKeyedModelPersistence:

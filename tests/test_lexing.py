@@ -130,6 +130,40 @@ class TestPythonMode:
         assert [t.text for t in tokens[:-1]] == ["x", "=", "1", "+", "2"]
         assert tokens[-2].line == 2
 
+    def test_fstring_nesting_its_own_quote_is_one_string(self):
+        tokens = lex("y = f'{d['k']}!'", "python")
+        assert [(t.kind, t.text) for t in tokens[:-1]] == [
+            (IDENT, "y"), (OP, "="), (IDENT, "f"), (STRING, "{d['k']}!"),
+        ]
+
+    def test_fstring_fields_format_specs_and_doubled_braces(self):
+        source = "a = F\"{{lit}} {x:{w}.{p}} {y!r:>{n}}\" + rf'{z}\\d' + f'}}'"
+        tokens = lex(source, "python")
+        assert [(t.kind, t.text) for t in tokens[:-1]] == [
+            (IDENT, "a"), (OP, "="), (IDENT, "F"),
+            (STRING, "{{lit}} {x:{w}.{p}} {y!r:>{n}}"), (OP, "+"),
+            (IDENT, "rf"), (STRING, "{z}\\d"), (OP, "+"), (IDENT, "f"), (STRING, "}}"),
+        ]
+
+    def test_fstring_nested_fstring_and_multiline_field(self):
+        source = "s = f'{f\"{a['b']}\"}' + f'''{\n  c}'''\nt"
+        tokens = lex(source, "python")
+        assert [(t.kind, t.text) for t in tokens[:-1]] == [
+            (IDENT, "s"), (OP, "="), (IDENT, "f"), (STRING, "{f\"{a['b']}\"}"),
+            (OP, "+"), (IDENT, "f"), (STRING, "{\n  c}"), (IDENT, "t"),
+        ]
+        assert (tokens[-2].line, tokens[-2].column) == (3, 1)
+
+    def test_braces_only_matter_after_an_f_prefix(self):
+        tokens = lex("x = '{' + b'{' + elf'}'", "python")
+        assert [t.text for t in tokens if t.kind == STRING] == ["{", "{", "}"]
+
+    def test_unterminated_fstring_field(self):
+        with pytest.raises(ParseError):
+            lex("x = f'{a['", "python")
+        with pytest.raises(ParseError):
+            lex("x = f'{a}\nb'", "python")
+
     def test_pinned_stdlib_modules_lex(self):
         """Every pinned fixture module lexes, with stdlib tokenize's strings."""
         from repro.baselines.ngram_crf import _tokenize

@@ -13,7 +13,7 @@ from repro.eval.metrics import exact_match, normalize_name, subtoken_f1, subtoke
 from repro.lang.lexing import EOF, Lexer
 from repro.learning.crf import CrfGraph, CrfModel
 
-from oracles.crf import node_score
+from oracles.crf import factors_of, node_score
 from oracles.extraction import table_rows
 
 
@@ -227,6 +227,6 @@ class TestCrfScoreProperties:
         for label, rel, neighbor in factors:
             graph.add_known_factor(index, rel, neighbor)
             model.pair_weights[("g", rel, neighbor)] += 1.0
-        for factor in graph.unknowns[0].known:
+        for factor in factors_of(graph, 0).known:
             expected += model.pair_weights[("g", factor.rel, factor.label)]
         assert node_score(model, graph.unknowns[0], "g", ["g"]) == expected

@@ -29,6 +29,8 @@ from repro.serving import (
     ServingError,
 )
 
+from oracles.crf import factors_of
+
 #: A program whose identifiers never appear in the generated corpus, so
 #: predict-time interning must handle genuinely unseen strings.
 NOVEL_JS = """
@@ -61,15 +63,18 @@ function qzB(qzY) {
 def _decoded(graph):
     """A graph's factors as strings, node by node, in factor order."""
     paths, values = graph.space.paths, graph.space.values
-    return [
-        (
-            node.key,
-            [(paths.value(f.rel), values.value(f.label)) for f in node.known],
-            [(paths.value(e.rel), e.other) for e in node.edges],
-            [paths.value(rel) for rel in node.unary],
+    decoded = []
+    for i, node in enumerate(graph.unknowns):
+        factors = factors_of(graph, i)
+        decoded.append(
+            (
+                node.key,
+                [(paths.value(f.rel), values.value(f.label)) for f in factors.known],
+                [(paths.value(e.rel), e.other) for e in factors.edges],
+                [paths.value(rel) for rel in factors.unary],
+            )
         )
-        for node in graph.unknowns
-    ]
+    return decoded
 
 
 @pytest.fixture(scope="module")

@@ -38,6 +38,8 @@ from repro.shards import (
 )
 from repro.shards.format import SHARD_FORMAT, shard_digest
 
+from oracles.crf import factors_of
+
 
 def shard_names(directory):
     """The directory's shard files (the build journal rides alongside)."""
@@ -420,10 +422,10 @@ class TestShardedCorpus:
             assert [n.gold for n in decoded.unknowns] == [
                 n.gold for n in expected.unknowns
             ]
-            for got, want in zip(decoded.unknowns, expected.unknowns):
-                assert got.known == want.known
-                assert got.edges == want.edges
-                assert got.unary == want.unary
+            nodes = range(len(expected))
+            assert [factors_of(decoded, i) for i in nodes] == [
+                factors_of(expected, i) for i in nodes
+            ]
 
     def test_iteration_matches_random_access(self, shard_dir):
         corpus = ShardedCorpus(ShardSet.open(shard_dir))

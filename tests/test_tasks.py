@@ -16,6 +16,7 @@ from repro.tasks.variable_naming import (
 )
 
 from fixtures import COUNT_JAVA, FIG1_JS
+from oracles.crf import factors_of
 
 
 def extractor(**kw):
@@ -34,27 +35,30 @@ class TestVariableNamingGraph:
 
     def test_unary_factors_from_occurrences(self, fig1_ast):
         graph = build_crf_graph(fig1_ast, extractor())
-        node = graph.unknowns[0]
-        assert node.unary  # d occurs three times -> paths between them
-        decoded = {graph.decode_rel(rel) for rel in node.unary}
+        unary = factors_of(graph, 0).unary
+        assert unary  # d occurs three times -> paths between them
+        decoded = {graph.decode_rel(rel) for rel in unary}
         assert "SymbolRef↑UnaryPrefix!↑While↓If↓Assign=↓SymbolRef" in decoded
 
     def test_known_factors_exclude_own_name(self, fig1_ast):
         """The element's own value must never appear as a feature label of
         its own factors (no gold leakage)."""
         graph = build_crf_graph(fig1_ast, extractor())
-        node = graph.unknowns[0]
-        assert all(graph.decode_value(f.label) != "d" for f in node.known)
+        assert all(graph.decode_value(f.label) != "d" for f in factors_of(graph, 0).known)
 
     def test_unknown_unknown_edges(self):
         ast = parse_source("javascript", "function f(a, b) { return a + b; }")
         graph = build_crf_graph(ast, extractor())
         assert len(graph) == 2
-        assert any(node.edges for node in graph.unknowns)
+        assert any(factors_of(graph, i).edges for i in range(len(graph)))
 
     def test_no_paths_abstraction_collapses_relations(self, fig1_ast):
         graph = build_crf_graph(fig1_ast, extractor(abstraction="no-path"))
-        rels = {graph.decode_rel(f.rel) for n in graph.unknowns for f in n.known}
+        rels = {
+            graph.decode_rel(f.rel)
+            for i in range(len(graph))
+            for f in factors_of(graph, i).known
+        }
         assert rels == {"*"}
 
 
@@ -123,7 +127,7 @@ function run() {
         ast = parse_source("javascript", self.JS)
         graph = build_method_graph(ast, extractor(max_length=12, max_width=4))
         count_node = next(n for n in graph.unknowns if n.gold == "countItems")
-        assert count_node.known
+        assert factors_of(graph, count_node.index).known
 
     def test_external_ablation_reduces_factors(self):
         ast = parse_source("javascript", self.JS)
@@ -142,7 +146,7 @@ function run() {
     def test_method_names_never_known_neighbors(self):
         ast = parse_source("javascript", self.JS)
         graph = build_method_graph(ast, extractor(max_length=12, max_width=4))
-        labels = {f.label for n in graph.unknowns for f in n.known}
+        labels = {f.label for i in range(len(graph)) for f in factors_of(graph, i).known}
         assert "countItems" not in labels and "run" not in labels
 
     def test_java_methods(self, count_java_ast):
@@ -189,4 +193,4 @@ class TestTypePrediction:
 
     def test_graph_has_factors(self, count_java_ast):
         graph = build_type_graph(count_java_ast, extractor(max_length=4, max_width=1))
-        assert any(n.known for n in graph.unknowns)
+        assert any(factors_of(graph, i).known for i in range(len(graph)))

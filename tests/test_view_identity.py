@@ -34,6 +34,7 @@ from repro.tasks import method_naming, type_prediction, variable_naming
 
 from fixtures import STDLIB_MODULES, stdlib_definitions
 from oracles import extraction as oracle
+from oracles.crf import factors_of
 
 LANGUAGES = ("javascript", "java", "python", "csharp")
 
@@ -79,16 +80,19 @@ def _extractors(**settings):
 def decoded_graph(graph):
     """Per node, in factor order: known (rel, label), edges (rel, peer), unary rels."""
     paths, values = graph.space.paths, graph.space.values
-    return [
-        (
-            node.key,
-            node.gold,
-            [(paths.value(f.rel), values.value(f.label)) for f in node.known],
-            [(paths.value(e.rel), e.other) for e in node.edges],
-            [paths.value(rel) for rel in node.unary],
+    decoded = []
+    for i, node in enumerate(graph.unknowns):
+        factors = factors_of(graph, i)
+        decoded.append(
+            (
+                node.key,
+                node.gold,
+                [(paths.value(f.rel), values.value(f.label)) for f in factors.known],
+                [(paths.value(e.rel), e.other) for e in factors.edges],
+                [paths.value(rel) for rel in factors.unary],
+            )
         )
-        for node in graph.unknowns
-    ]
+    return decoded
 
 
 def decoded_contexts(contexts, space):
@@ -147,7 +151,9 @@ def test_views_identical_under_setting(corpora, setting):
 def test_type_views_identical_at_default_limits(corpora):
     graphs = [type_prediction.build_type_graph(ast, PathExtractor()) for ast in corpora["java"]]
     assert sum(len(graph) for graph in graphs) > 0
-    assert any(node.unary for graph in graphs for node in graph.unknowns)
+    assert any(
+        factors_of(graph, i).unary for graph in graphs for i in range(len(graph))
+    )
     assert_type_views_identical(corpora["java"])
     # The tuned cell of Table 2: paths of length 1 from each expression.
     assert_type_views_identical(
