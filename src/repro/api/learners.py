@@ -51,10 +51,10 @@ class _LearnerBase:
 class CrfLearner(_LearnerBase):
     """The structured CRF learner over factor graphs.
 
-    Inference (see :mod:`repro.learning.crf.inference`) freezes the
-    trained weights into a
+    Inference (see :mod:`repro.learning.crf.inference`) wraps the
+    trained weight plane in a
     :class:`~repro.learning.crf.compiled.CompiledCrfModel` once and
-    reuses the pack across predictions.
+    reuses it across predictions.
     """
 
     name = "crf"
@@ -76,13 +76,13 @@ class CrfLearner(_LearnerBase):
         return self.model.space if self.model is not None else None
 
     def _scorer(self):
-        """The scoring pack (compiled lazily on first use)."""
+        """The compiled scorer (built lazily on first use)."""
         if self._compiled is None or self._compiled.model is not self.model:
             self._compiled = self.model.compile()
         return self._compiled
 
     def ensure_compiled(self) -> None:
-        """Eagerly build the scoring pack (freeze time, serving path)."""
+        """Eagerly build the compiled scorer (freeze time, serving path)."""
         if self.trained:
             self._scorer()
 

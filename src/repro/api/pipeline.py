@@ -450,11 +450,11 @@ class ScoringHandle:
         self._base_space = pipeline.space
         if self._base_space is not None:
             self._base_space.freeze()
-        # Freeze-time compile: the CRF learner packs its weights against
-        # the now-frozen base vocab once, and every request (and every
-        # throwaway overlay -- overlay ids sit above the packed id range
-        # and score 0.0, like any label the model never saw) reuses that
-        # pack instead of re-freezing per call.
+        # Freeze-time compile: the CRF learner freezes its candidate
+        # tables against the now-frozen base vocab once, and every
+        # request (and every throwaway overlay -- overlay ids sit above
+        # the model's label base and score 0.0, like any label the model
+        # never saw) reuses that scorer instead of re-freezing per call.
         warm = getattr(pipeline.learner, "ensure_compiled", None)
         if warm is not None:
             warm()

@@ -19,11 +19,13 @@ decoding and rebuilding weight tables.  The package has three layers:
     digest, so a bit flip in the weights is refused at load.
 :mod:`repro.artifacts.codec`
     per-learner packing (state dict -> sections) and restoring
-    (sections -> a *packed*, read-only model).  The packed CRF model
-    scores through the same vectorised engine as the live model --
-    :meth:`CompiledCrfModel.from_buffers
-    <repro.learning.crf.compiled.CompiledCrfModel.from_buffers>` adopts
-    the mmapped planes without copying -- and its vocab tables are
+    (sections -> a *packed*, read-only model).  The CRF weights are one
+    :class:`~repro.learning.crf.weights.WeightPlane` on both sides:
+    saving lays the plane out with :meth:`WeightPlane.build
+    <repro.learning.crf.weights.WeightPlane.build>`, and loading adopts
+    the mmapped ``crf/groups`` / ``keys`` / ``weights`` sections as a
+    read-only plane without copying, which the same vectorised engine
+    as the live model scores.  Vocab tables are
     :class:`~repro.core.interning.PackedVocab` lazy views.  Unpruned
     artifacts predict **bit-identically** to the live pipeline that
     saved them.

@@ -4,14 +4,15 @@ One codec per built-in learner turns the plain-data
 ``learner.state_dict()`` into numpy sections for
 :class:`~repro.artifacts.format.ArtifactWriter`, and restores a loaded
 :class:`~repro.artifacts.format.ModelArtifact` back onto a fresh
-learner.  Restoring never rebuilds the dict-of-floats representation:
+learner.  Restoring never rebuilds python-side weight tables:
 
-* the CRF learner gets a :class:`PackedCrfModel` whose weight planes are
-  the artifact's sorted key/weight arrays (compiled at save time, scored
-  through :meth:`CompiledCrfModel.from_buffers
-  <repro.learning.crf.compiled.CompiledCrfModel.from_buffers>`), whose
-  candidate tables index the packed ``most_common``-ordered count
-  arrays in place, and whose vocab is a
+* the CRF learner gets a :class:`PackedCrfModel` whose weight plane is
+  a read-only :class:`~repro.learning.crf.weights.WeightPlane` over the
+  artifact's ``crf/groups`` / ``keys`` / ``weights`` sections -- the
+  same plane type training writes, laid out at save time by
+  :meth:`WeightPlane.build <repro.learning.crf.weights.WeightPlane.build>`
+  -- whose candidate tables index the packed ``most_common``-ordered
+  count arrays in place, and whose vocab is a
   :class:`~repro.core.interning.PackedVocab` over the mmapped string
   tables;
 * the word2vec learner gets an :class:`~repro.learning.word2vec.SgnsModel`
@@ -20,14 +21,13 @@ learner.  Restoring never rebuilds the dict-of-floats representation:
 **Bit-identity** with the live trained model is the contract: candidate
 counters are stored in ``most_common`` order (stable descending count --
 so any ``most_common(n)`` prefix is exactly what
-``Counter.most_common(n)`` returns, ties included), weights keep their
-exact float64 bits, and the packed combined keys use the same
-``row * label_base + label`` layout the live compiler builds.
+``Counter.most_common(n)`` returns, ties included), and weights keep
+their exact float64 bits.
 
-Packed models are **read-only**: training-path mutators raise.
-``state_dict()`` still works (``pigeon model pack`` prunes from it),
-materializing plain dicts on demand -- an offline operation, never the
-serving path.
+Packed models are **read-only**: mutating the plane or observing a
+training node raises :class:`PackedModelError`.  ``state_dict()`` still
+works (``pigeon model pack`` prunes from it), listing the plane's
+weights in key order -- an offline operation, never the serving path.
 """
 
 from __future__ import annotations
@@ -37,27 +37,19 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from ..core.interning import FeatureSpace, PackedVocab
-from .format import MODEL_FORMAT, ArtifactWriter, ModelArtifact, pack_strings
-
-#: Mirrors :data:`repro.learning.crf.compiled.UNARY_OTHER` without
-#: importing the learning stack at module import time.
-_UNARY_OTHER = -1
-
-_READ_ONLY_HINT = (
-    "models loaded from an artifact are read-only; re-train to modify "
-    "weights"
+from ..learning.crf.compiled import (
+    GLOBAL_FALLBACK,
+    CandidateTable,
+    CandidateTables,
+    CompiledCrfModel,
 )
-
-
-class PackedModelError(TypeError):
-    """A training-path mutation reached a packed (read-only) model."""
-
-    def __init__(self, operation: str) -> None:
-        super().__init__(f"{operation}: {_READ_ONLY_HINT}")
+from ..learning.crf.model import CrfModel
+from ..learning.crf.weights import UNARY_OTHER, PackedModelError, WeightPlane, group_keys
+from .format import MODEL_FORMAT, ArtifactWriter, ModelArtifact, pack_strings
 
 
 # ----------------------------------------------------------------------
-# Packed counter / index / weight views (CRF)
+# Packed counter / index views (CRF)
 # ----------------------------------------------------------------------
 
 
@@ -170,110 +162,6 @@ class PackedCandidateIndex:
         return ((key, self.get(key)) for key in self._row_of)
 
 
-class _PackedWeightView:
-    """Read-only mapping over the packed ``(group, label)`` weight plane.
-
-    Shares the sorted combined-key and weight arrays with the compiled
-    scorer; lookups run one dict probe plus one binary search.  ``items``
-    decodes keys back to tuples -- the path ``to_dict`` / ``top_features``
-    take, never the scoring path.
-    """
-
-    __slots__ = ("_pack", "_unary", "_size")
-
-    def __init__(self, pack: "_WeightPack", unary: bool) -> None:
-        self._pack = pack
-        self._unary = unary
-        self._size: Optional[int] = None
-
-    def _position(self, key) -> int:
-        pack = self._pack
-        if self._unary:
-            label, rel = key
-            group = (rel, _UNARY_OTHER)
-        else:
-            label, rel, other = key
-            group = (rel, other)
-        row = pack.group_of.get(group)
-        if row is None:
-            return -1
-        combined = row * pack.label_base + label
-        position = int(np.searchsorted(pack.keys, combined))
-        if position < len(pack.keys) and int(pack.keys[position]) == combined:
-            return position
-        return -1
-
-    def __contains__(self, key) -> bool:
-        return self._position(key) >= 0
-
-    def __getitem__(self, key) -> float:
-        position = self._position(key)
-        if position < 0:
-            raise KeyError(key)
-        return float(self._pack.weights[position])
-
-    def get(self, key, default=None):
-        position = self._position(key)
-        return default if position < 0 else float(self._pack.weights[position])
-
-    def _rows_mask(self) -> np.ndarray:
-        pack = self._pack
-        rows = pack.keys // pack.label_base
-        unary_rows = pack.groups[rows, 1] == _UNARY_OTHER
-        return unary_rows if self._unary else ~unary_rows
-
-    def __len__(self) -> int:
-        if self._size is None:
-            self._size = (
-                int(np.count_nonzero(self._rows_mask())) if len(self._pack.keys) else 0
-            )
-        return self._size
-
-    def items(self):
-        pack = self._pack
-        if not len(pack.keys):
-            return
-        mask = self._rows_mask()
-        for position in np.flatnonzero(mask).tolist():
-            combined = int(pack.keys[position])
-            label = combined % pack.label_base
-            rel, other = pack.groups[combined // pack.label_base]
-            weight = float(pack.weights[position])
-            if self._unary:
-                yield (label, int(rel)), weight
-            else:
-                yield (label, int(rel), int(other)), weight
-
-    def keys(self):
-        return (key for key, _weight in self.items())
-
-    def __iter__(self):
-        return self.keys()
-
-    def __setitem__(self, key, value):
-        raise PackedModelError("assigning a packed weight")
-
-
-class _WeightPack:
-    """The shared packed weight plane (groups, sorted keys, weights)."""
-
-    __slots__ = ("groups", "group_of", "keys", "weights", "label_base")
-
-    def __init__(
-        self, groups: np.ndarray, keys: np.ndarray, weights: np.ndarray, label_base: int
-    ) -> None:
-        self.groups = groups
-        self.keys = keys
-        self.weights = weights
-        self.label_base = int(label_base)
-        # Column lists zipped into row tuples: the fastest way from a
-        # numpy (n, 2) array to a dict of int pairs, and load time is
-        # dominated by building these two lookup dicts.
-        self.group_of: Dict[Tuple[int, int], int] = dict(
-            zip(zip(*groups.T.tolist()), range(len(groups)))
-        )
-
-
 # ----------------------------------------------------------------------
 # The packed CRF model
 # ----------------------------------------------------------------------
@@ -281,41 +169,33 @@ class _WeightPack:
 
 def _packed_crf_model(artifact: ModelArtifact):
     """Build a :class:`PackedCrfModel` from one opened artifact."""
-    from ..learning.crf.model import CrfModel
-
     meta = artifact.meta
     space = FeatureSpace(
         PackedVocab(*artifact.string_table("space/paths")),
         PackedVocab(*artifact.string_table("space/values")),
     )
-    pack = _WeightPack(
+    plane = WeightPlane(
         artifact.array("crf/groups"),
         artifact.array("crf/keys"),
         artifact.array("crf/weights"),
         meta["label_base"],
+        writable=False,
     )
 
     class PackedCrfModel(CrfModel):
         """A :class:`CrfModel` whose state are views over one artifact.
 
-        Candidate generation and scoring behave exactly like the
-        dict-backed model: :meth:`compile` reuses the packed weight
-        plane directly, and the weight views answer dict-style lookups
-        by binary search.  Mutation raises.
+        Candidate generation and scoring behave exactly like the live
+        model's: :meth:`compile` scores the read-only plane and freezes
+        the candidate tables over the artifact's sections.  Mutation
+        raises.
         """
 
         def compile(self):
-            from ..learning.crf.compiled import CompiledCrfModel
-
             compiled = self._compiled_view
             if compiled is None:
-                compiled = CompiledCrfModel.from_buffers(
-                    self,
-                    pack.group_of,
-                    pack.keys,
-                    pack.weights,
-                    pack.label_base,
-                    _candidate_tables(artifact, space, pack.label_base),
+                compiled = CompiledCrfModel(
+                    self, _candidate_tables(artifact, space, plane.base)
                 )
                 self._compiled_view = compiled
             return compiled
@@ -323,13 +203,9 @@ def _packed_crf_model(artifact: ModelArtifact):
         def observe_training_node(self, node, graph):
             raise PackedModelError("observing a training node")
 
-        def l2_decay(self, factor):
-            raise PackedModelError("decaying weights")
-
     model = PackedCrfModel(use_unary=bool(meta["use_unary"]), space=space)
     model._compiled_view = None
-    model.pair_weights = _PackedWeightView(pack, unary=False)
-    model.unary_weights = _PackedWeightView(pack, unary=True)
+    model.plane = plane
     model.candidate_index = PackedCandidateIndex(
         artifact.array("crf/cand_ctx"),
         artifact.array("crf/cand_off"),
@@ -355,14 +231,6 @@ def _candidate_tables(artifact: ModelArtifact, space: FeatureSpace, base: int):
     the tables index them in place; only the sorted context keys and
     their row bounds are new arrays.
     """
-    from ..learning.crf.compiled import (
-        GLOBAL_FALLBACK,
-        UNARY_OTHER,
-        CandidateTable,
-        CandidateTables,
-        group_keys,
-    )
-
     contexts = artifact.array("crf/cand_ctx").astype(np.int64).reshape(-1, 2)
     unary_rels = artifact.array("crf/ucand_rel").astype(np.int64)
     return CandidateTables.build(
@@ -436,35 +304,28 @@ def _pack_crf_state(writer: ArtifactWriter, state: Dict[str, Any]) -> None:
     _add_string_table(writer, "space/paths", paths)
     _add_string_table(writer, "space/values", values)
 
-    # Pack the weight planes exactly like the live compiler: group rows
-    # assigned first-seen over pair then unary entries, one sorted
-    # combined-key array over the (group, label) plane.
     label_base = max(1, len(values))
-    group_of: Dict[Tuple[int, int], int] = {}
-    combined: List[int] = []
-    weights: List[float] = []
-    for label, rel, other, weight in model.get("pair_weights", ()):
-        row = group_of.setdefault((int(rel), int(other)), len(group_of))
-        combined.append(row * label_base + int(label))
-        weights.append(float(weight))
-    for label, rel, weight in model.get("unary_weights", ()):
-        row = group_of.setdefault((int(rel), _UNARY_OTHER), len(group_of))
-        combined.append(row * label_base + int(label))
-        weights.append(float(weight))
-    order = np.argsort(np.asarray(combined, dtype=np.int64), kind="stable")
-    groups = np.asarray(list(group_of), dtype=np.int32).reshape(len(group_of), 2)
-    writer.add("crf/groups", groups)
-    keys = np.asarray(combined, dtype=np.int64)[order]
+    pair = model.get("pair_weights", ())
+    unary = model.get("unary_weights", ())
+    plane = WeightPlane.build(
+        [row[0] for row in pair] + [row[0] for row in unary],
+        [row[1] for row in pair] + [row[1] for row in unary],
+        [row[2] for row in pair] + [UNARY_OTHER] * len(unary),
+        [row[3] for row in pair] + [row[2] for row in unary],
+        label_base,
+    )
+    writer.add("crf/groups", plane.groups.astype(np.int32))
     # Keys narrow to int32 whenever the (group, label) plane fits; the
     # readers are dtype-driven (the section table records what was
     # written), so narrowing is pure size win.  Weights stay float64 --
     # the bit-identity contract -- except in *pruned* artifacts, which
     # trade exactness for size under the recorded accuracy budget.
+    keys = plane.keys
     if len(keys) and int(keys[-1]) < 2**31:
         keys = keys.astype(np.int32)
     writer.add("crf/keys", keys)
     weight_dtype = np.float32 if writer.prune is not None else np.float64
-    writer.add("crf/weights", np.asarray(weights, dtype=np.float64)[order].astype(weight_dtype))
+    writer.add("crf/weights", plane.weights.astype(weight_dtype))
     writer.meta["weight_dtype"] = np.dtype(weight_dtype).name
 
     cand = model.get("candidate_index", ())
@@ -496,8 +357,8 @@ def _pack_crf_state(writer: ArtifactWriter, state: Dict[str, Any]) -> None:
             "use_unary": bool(model.get("use_unary", True)),
             "paths": len(paths),
             "values": len(values),
-            "pair_weights": len(model.get("pair_weights", ())),
-            "unary_weights": len(model.get("unary_weights", ())),
+            "pair_weights": len(pair),
+            "unary_weights": len(unary),
             "contexts": len(cand),
         }
     )

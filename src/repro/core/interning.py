@@ -206,11 +206,6 @@ class PackedVocab(Vocab):
         self._values = [None] * self._packed
         self._indexed = self._packed == 0
 
-    @property
-    def packed_count(self) -> int:
-        """How many entries live in the packed (mmapped) table."""
-        return self._packed
-
     def _decode(self, index: int) -> str:
         value = self._values[index]
         if value is None:

@@ -40,7 +40,6 @@ O(replicas)).
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import socket
@@ -429,15 +428,3 @@ class ReplicaSet:
             except (ServingError, OSError):
                 continue
         return collected
-
-
-def models_signature(model_paths: Sequence[str]) -> str:
-    """A short provenance tag for /fleet/stats (paths + mtimes)."""
-    parts = []
-    for path in model_paths:
-        try:
-            mtime = int(os.stat(path).st_mtime)
-        except OSError:
-            mtime = -1
-        parts.append(f"{os.path.basename(path)}@{mtime}")
-    return json.dumps(parts)

@@ -9,12 +9,15 @@ paths into (Sec. 3.1, 5.1), including the paper's two extensions:
 Architecture -- columnar layout and oracle gating
 -------------------------------------------------
 
-Training state lives in python dicts (:class:`~repro.learning.crf.model.
-CrfModel`): sparse weight tables keyed by interned integer tuples, plus
-the candidate index that bounds each node's label beam.  That layout is
-right for sparse subgradient updates but wrong for inference, where ICM
-re-scores whole candidate beams per node per sweep.  Inference therefore
-runs on a parallel **columnar** representation:
+The model's weights live in one store from the first update to the
+mapped artifact: a sorted ``(group, label)`` plane
+(:class:`~repro.learning.crf.weights.WeightPlane`), where factors are
+grouped by ``(relation, neighbour value)`` and each weight sits at the
+combined key ``row * label_base + label``.  The trainer applies each
+update to it as one batch, the compiled scorer reads it in place, and a
+loaded artifact adopts its sections as a read-only plane.  The candidate
+index that bounds each node's label beam stays in python counters until
+it is frozen.  Inference then runs on a **columnar** representation:
 
 * a :class:`~repro.learning.crf.graph.CrfGraph` stores its factors once,
   as flat integer rows appended in any order, and
@@ -23,15 +26,13 @@ runs on a parallel **columnar** representation:
   cached per graph) -- the one form builders, the trainer, the shard
   codec and inference read;
 * :meth:`CrfModel.compile() <repro.learning.crf.model.CrfModel.compile>`
-  packs the weight dicts into sorted parallel numpy arrays keyed on the
-  ``(factor-group, label)`` plane
-  (:class:`~repro.learning.crf.compiled.CompiledCrfModel`), so one
+  wraps the plane in a
+  :class:`~repro.learning.crf.compiled.CompiledCrfModel`, so one
   ``searchsorted`` gathers a whole ``live factors x candidates`` weight
   matrix and a factor-ordered reduction scores the beam (factors whose
   group holds no weight are dropped when the graph is compiled); it
-  freezes the candidate index into sorted tables the same way, so a
-  node's beam is ranked from per-graph context counts plus one lookup
-  of its edges.
+  freezes the candidate index into sorted tables, so a node's beam is
+  ranked from per-graph context counts plus one lookup of its edges.
 
 Inference has one engine, the compiled one.  The scalar scorer it
 replaced (one dict lookup per factor, a dict merge per candidate beam,
@@ -50,6 +51,7 @@ from .graph import ColumnarGraph, CrfGraph, UnknownNode
 from .model import CrfModel
 from .inference import map_inference, topk_for_node
 from .training import CrfTrainer, TrainingConfig
+from .weights import WeightPlane
 
 __all__ = [
     "ColumnarGraph",
@@ -61,4 +63,5 @@ __all__ = [
     "topk_for_node",
     "CrfTrainer",
     "TrainingConfig",
+    "WeightPlane",
 ]

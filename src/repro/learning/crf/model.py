@@ -10,15 +10,18 @@ as the sum of factor weights (log-potentials):
 This corresponds to the (log of the) unnormalised product of factors in
 Eq. (1); MAP inference does not need the partition function ``Z``.
 
-All weight and index keys are **integer tuples** over the model's
-:class:`~repro.core.interning.FeatureSpace`: labels and neighbour values
-are value-vocab ids, relations are path-vocab ids; labels intern once at
-the boundary (:meth:`label_id`).  Scoring lives in the vectorised
-:class:`~repro.learning.crf.compiled.CompiledCrfModel` (:meth:`compile`).
-Snapshots are vocab-aware -- :meth:`to_dict` embeds the space, so a
-model packed into an artifact (:mod:`repro.artifacts.codec`) resolves
-the same ids to the same strings on load and predictions round-trip
-bit-identically.
+The weights live in one sorted ``(group, label)`` plane,
+:attr:`CrfModel.plane` (:class:`~repro.learning.crf.weights.WeightPlane`):
+the trainer updates it in batches, the compiled scorer
+(:meth:`compile`) reads it in place, and a model loaded from an artifact
+maps it read-only.  Weight and index keys are **integer tuples** over
+the model's :class:`~repro.core.interning.FeatureSpace`: labels and
+neighbour values are value-vocab ids, relations are path-vocab ids;
+labels intern once at the boundary (:meth:`label_id`).  Snapshots are
+vocab-aware -- :meth:`to_dict` embeds the space and lists the weights in
+insertion order, so a model packed into an artifact
+(:mod:`repro.artifacts.codec`) resolves the same ids to the same strings
+on load and predictions round-trip bit-identically.
 
 The *candidate index* maps observed ``(rel, neighbour-label)`` contexts to
 the gold labels seen with them in training -- the mechanism Nice2Predict
@@ -38,12 +41,10 @@ import numpy as np
 
 from ...core.interning import FeatureSpace
 from .graph import CrfGraph, UnknownNode
+from .weights import UNARY_OTHER, WeightKey, WeightPlane
 
 if TYPE_CHECKING:  # pragma: no cover
     from .compiled import CompiledCrfModel, CompiledGraph
-
-PairKey = Tuple[int, int, int]  # (label_id, rel_id, other_value_id)
-UnaryKey = Tuple[int, int]  # (label_id, rel_id)
 
 
 class CrfModel:
@@ -56,8 +57,7 @@ class CrfModel:
         # representation's) space; a hand-built model without one gets a
         # private space, so it shares ids only with graphs built in it.
         self.space = space if space is not None else FeatureSpace()
-        self.pair_weights: Dict[PairKey, float] = defaultdict(float)
-        self.unary_weights: Dict[UnaryKey, float] = defaultdict(float)
+        self.plane = WeightPlane()
         #: (rel_id, other_value_id) -> Counter of gold label ids.
         self.candidate_index: Dict[Tuple[int, int], Counter] = defaultdict(Counter)
         #: rel_id -> Counter of gold label ids (for unary-only nodes).
@@ -80,13 +80,13 @@ class CrfModel:
         """Intern a relation string into the shared path vocabulary."""
         return self.space.paths.intern(rel)
 
-    def pair_key(self, label: str, rel: str, other: str) -> PairKey:
-        """Build a :data:`PairKey` from strings (tests, inspection)."""
+    def pair_key(self, label: str, rel: str, other: str) -> WeightKey:
+        """A pairwise weight's key from strings (tests, inspection)."""
         return (self.label_id(label), self.rel_id(rel), self.label_id(other))
 
-    def unary_key(self, label: str, rel: str) -> UnaryKey:
-        """Build a :data:`UnaryKey` from strings (tests, inspection)."""
-        return (self.label_id(label), self.rel_id(rel))
+    def unary_key(self, label: str, rel: str) -> WeightKey:
+        """A unary weight's key from strings (tests, inspection)."""
+        return (self.label_id(label), self.rel_id(rel), UNARY_OTHER)
 
     # ------------------------------------------------------------------
     # Candidates
@@ -144,38 +144,29 @@ class CrfModel:
     # Compilation
     # ------------------------------------------------------------------
     def compile(self) -> "CompiledCrfModel":
-        """Freeze the current weights into a vectorised scoring pack.
+        """The vectorised scorer over this model's weight plane.
 
-        The compiled model keeps a reference to this model (the
-        vocabularies stay here) and freezes the candidate index next to
-        the weights; see :mod:`repro.learning.crf.compiled`.
+        The compiled model reads the plane (and the vocabularies) in
+        place and freezes the candidate index next to it; see
+        :mod:`repro.learning.crf.compiled`.
         """
         from .compiled import CompiledCrfModel
 
         return CompiledCrfModel(self)
 
     # ------------------------------------------------------------------
-    # Updates (used by the trainer)
-    # ------------------------------------------------------------------
-    def l2_decay(self, factor: float) -> None:
-        """Multiplicative weight decay (L2 regularisation step)."""
-        for key in self.pair_weights:
-            self.pair_weights[key] *= factor
-        for key in self.unary_weights:
-            self.unary_weights[key] *= factor
-
-    # ------------------------------------------------------------------
     # Introspection / persistence
     # ------------------------------------------------------------------
     def num_parameters(self) -> int:
-        return len(self.pair_weights) + len(self.unary_weights)
+        return len(self.plane)
 
     def top_features(self, n: int = 20) -> List[Tuple[str, float]]:
         """Highest-weight features -- CRFs are interpretable (Sec. 5.3)."""
         values = self.space.values
         paths = self.space.paths
         items: List[Tuple[str, float]] = []
-        for (label, rel, other), w in self.pair_weights.items():
+        pair, unary = self.plane.to_rows()
+        for label, rel, other, w in pair:
             items.append(
                 (
                     f"pair: {values.value(label)} --[{paths.value(rel)}]--> "
@@ -183,7 +174,7 @@ class CrfModel:
                     w,
                 )
             )
-        for (label, rel), w in self.unary_weights.items():
+        for label, rel, w in unary:
             items.append(
                 (f"unary: {values.value(label)} --[{paths.value(rel)}]--> (self)", w)
             )
@@ -193,13 +184,15 @@ class CrfModel:
     def to_dict(self) -> dict:
         """Vocab-aware plain-data snapshot (what the artifact codec packs).
 
-        Int-tuple keys flatten to rows; the feature space rides along so
-        the ids stay meaningful in any process.
+        Weights flatten to rows in insertion order (each kind on its own);
+        the feature space rides along so the ids stay meaningful in any
+        process.
         """
+        pair, unary = self.plane.to_rows()
         return {
             "space": self.space.to_dict(),
-            "pair_weights": [[l, r, o, w] for (l, r, o), w in self.pair_weights.items()],
-            "unary_weights": [[l, r, w] for (l, r), w in self.unary_weights.items()],
+            "pair_weights": pair,
+            "unary_weights": unary,
             # Candidate indexes are part of inference (they bound the label
             # beam), so they persist too -- a reloaded model must propose
             # the same candidates in the same tie-break order.  Counter

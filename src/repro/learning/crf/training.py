@@ -7,6 +7,14 @@ violator penalised.  Averaged weights (the usual polyak-style trick,
 implemented with lazy timestamps) give the stability of an SVM at
 perceptron cost -- appropriate here because the paper treats the learning
 engine as an off-the-shelf component and varies only the representation.
+
+The weights, and the lazy averages while training, live in the model's
+one :class:`~repro.learning.crf.weights.WeightPlane`.  Each update is one
+batch of ``+1`` (gold) and ``-1`` (violator) deltas, listed in the order
+a key-by-key update would apply them, so batching changes no bit; the
+compiled scorer reads the same plane, so the next inference call sees
+the update with nothing rebuilt.  Weight decay banks every key's average
+before it scales the weights.
 """
 
 from __future__ import annotations
@@ -14,25 +22,29 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
+
+import numpy as np
 
 from ...resilience import faults
 from ...resilience.checkpoint import CheckpointMismatchError, TrainerCheckpoint
 from .graph import CrfGraph
 from .inference import map_inference
-from .model import CrfModel, PairKey, UnaryKey
+from .model import CrfModel
+from .weights import UNARY_OTHER, WeightPlane
 
 
 @dataclass
 class TrainingConfig:
-    """Knobs of the trainer; defaults work for corpus-scale experiments."""
+    """Knobs of the trainer; defaults work for corpus-scale experiments.
+
+    The graphs are shuffled before every epoch, by a generator seeded
+    with ``seed``.
+    """
 
     epochs: int = 5
-    learning_rate: float = 1.0
     #: Multiplicative decay applied once per epoch (L2-style shrinkage).
     weight_decay: float = 1.0
-    #: Shuffle graphs between epochs.
-    shuffle: bool = True
     seed: int = 13
     #: ICM beam during training inference.
     beam: int = 32
@@ -89,40 +101,15 @@ class CrfTrainer:
             for node in graph.unknowns:
                 model.observe_training_node(node, graph)
 
-        # Averaging accumulators (lazy timestamp trick).
-        pair_totals: Dict[PairKey, float] = {}
-        pair_stamp: Dict[PairKey, int] = {}
-        unary_totals: Dict[UnaryKey, float] = {}
-        unary_stamp: Dict[UnaryKey, int] = {}
         step = 0
-
-        def bump_pair(key: PairKey, delta: float) -> None:
-            if cfg.average:
-                pair_totals[key] = pair_totals.get(key, 0.0) + model.pair_weights[
-                    key
-                ] * (step - pair_stamp.get(key, 0))
-                pair_stamp[key] = step
-            model.pair_weights[key] += delta
-            compiled.set_pair(key, model.pair_weights[key])
-
-        def bump_unary(key: UnaryKey, delta: float) -> None:
-            if cfg.average:
-                unary_totals[key] = unary_totals.get(key, 0.0) + model.unary_weights[
-                    key
-                ] * (step - unary_stamp.get(key, 0))
-                unary_stamp[key] = step
-            model.unary_weights[key] += delta
-            compiled.set_unary(key, model.unary_weights[key])
-
         rng = random.Random(cfg.seed)
         order = list(range(len(graphs)))
 
         # Resume: the checkpoint snapshot is the complete mid-training
-        # state -- weights, lazy-average accumulators, the shuffle RNG
-        # *and* the order list it permutes in place (epoch N+1's
-        # permutation depends on epoch N's) -- restored in saved
-        # insertion order so finishing the remaining epochs writes a
-        # model bit-identical to the uninterrupted run.
+        # state -- the weight plane with its lazy averages, the shuffle
+        # RNG *and* the order list it permutes in place (epoch N+1's
+        # permutation depends on epoch N's) -- so finishing the remaining
+        # epochs writes a model bit-identical to the uninterrupted run.
         start_epoch = 0
         if checkpoint is not None and checkpoint.state is not None:
             state = checkpoint.state
@@ -131,24 +118,19 @@ class CrfTrainer:
                     f"checkpoint {checkpoint.path!r} holds "
                     f"{state.get('kind')!r} trainer state, not 'crf'"
                 )
+            if "plane" not in state:
+                raise CheckpointMismatchError(
+                    f"checkpoint {checkpoint.path!r} holds CRF weights as "
+                    f"dicts, not as a weight plane; delete it and restart "
+                    f"the run"
+                )
             step = int(state["step"])
             stats.updates = int(state["updates"])
             stats.epochs = start_epoch = int(state["epochs_done"])
             saved_rng = state["rng"]
             rng.setstate((saved_rng[0], tuple(saved_rng[1]), saved_rng[2]))
             order = [int(i) for i in state["order"]]
-            for l, r, o, w in state["pair_weights"]:
-                model.pair_weights[(l, r, o)] = w
-            for l, r, w in state["unary_weights"]:
-                model.unary_weights[(l, r)] = w
-            for l, r, o, v in state["pair_totals"]:
-                pair_totals[(l, r, o)] = v
-            for l, r, o, v in state["pair_stamp"]:
-                pair_stamp[(l, r, o)] = int(v)
-            for l, r, v in state["unary_totals"]:
-                unary_totals[(l, r)] = v
-            for l, r, v in state["unary_stamp"]:
-                unary_stamp[(l, r)] = int(v)
+            model.plane = WeightPlane.from_state(state["plane"])
 
         def snapshot(epochs_done: int) -> dict:
             rng_state = rng.getstate()
@@ -159,32 +141,17 @@ class CrfTrainer:
                 "updates": stats.updates,
                 "rng": [rng_state[0], list(rng_state[1]), rng_state[2]],
                 "order": list(order),
-                "pair_weights": [
-                    [k[0], k[1], k[2], w] for k, w in model.pair_weights.items()
-                ],
-                "unary_weights": [
-                    [k[0], k[1], w] for k, w in model.unary_weights.items()
-                ],
-                "pair_totals": [
-                    [k[0], k[1], k[2], v] for k, v in pair_totals.items()
-                ],
-                "pair_stamp": [
-                    [k[0], k[1], k[2], v] for k, v in pair_stamp.items()
-                ],
-                "unary_totals": [[k[0], k[1], v] for k, v in unary_totals.items()],
-                "unary_stamp": [[k[0], k[1], v] for k, v in unary_stamp.items()],
+                "plane": model.plane.state(),
             }
 
-        # Vectorised scoring pack; built after pass 0 / checkpoint restore
-        # (when the vocab and any restored weights are in place) and kept
-        # in sync by write-through from the bump closures, so each
-        # loss-augmented inference call reuses the pack instead of
-        # re-freezing the whole model.
+        # The scorer, built after pass 0 / checkpoint restore (when the
+        # vocab and any restored weights are in place), reads the plane
+        # every update writes, so each loss-augmented inference call
+        # scores the current weights.
         compiled = model.compile()
 
         for epoch in range(start_epoch, cfg.epochs):
-            if cfg.shuffle:
-                rng.shuffle(order)
+            rng.shuffle(order)
             for graph_index in order:
                 graph = graphs[graph_index]
                 if not len(graph):
@@ -202,31 +169,16 @@ class CrfTrainer:
                 if predicted == gold:
                     continue
                 stats.updates += 1
-                lr = cfg.learning_rate
-                self._apply_update(
-                    model, graph, gold, predicted, lr, bump_pair, bump_unary, cfg
-                )
+                self._apply_update(model, graph, gold, predicted, step, cfg.use_unary)
             if cfg.weight_decay < 1.0:
-                model.l2_decay(cfg.weight_decay)
-                # Bulk mutation: repack lazily at the next inference.
-                compiled.invalidate()
+                model.plane.decay(cfg.weight_decay, step)
             stats.epochs += 1
             if checkpoint is not None:
                 checkpoint.save_epoch(epoch + 1, snapshot(epoch + 1))
             faults.fire("train.epoch")
 
         if cfg.average and step > 0:
-            # Flush accumulators and replace weights with their averages.
-            for key, weight in list(model.pair_weights.items()):
-                total = pair_totals.get(key, 0.0) + weight * (
-                    step - pair_stamp.get(key, 0)
-                )
-                model.pair_weights[key] = total / step
-            for key, weight in list(model.unary_weights.items()):
-                total = unary_totals.get(key, 0.0) + weight * (
-                    step - unary_stamp.get(key, 0)
-                )
-                model.unary_weights[key] = total / step
+            model.plane.average(step)
 
         stats.train_seconds = time.perf_counter() - started
         stats.parameters = model.num_parameters()
@@ -239,35 +191,50 @@ class CrfTrainer:
         graph: CrfGraph,
         gold: Sequence[str],
         predicted: Sequence[str],
-        lr: float,
-        bump_pair,
-        bump_unary,
-        cfg: TrainingConfig,
+        step: int,
+        use_unary: bool,
     ) -> None:
-        """Subgradient step: phi(gold) - phi(predicted), on interned ids."""
+        """Subgradient step: phi(gold) - phi(predicted), as one batch.
+
+        Keys are listed node by node -- known factors, then edges, then
+        unary factors -- each gold key right before its predicted twin:
+        the order a key-by-key update bumps them in, which fixes the
+        plane's insertion order and every weight's addition sequence.  A
+        known or unary key differs between gold and prediction exactly
+        when the node's label does; an edge key also when its
+        neighbour's does.
+        """
         intern = model.label_id
-        gold_ids = [intern(label) for label in gold]
-        pred_ids = [intern(label) for label in predicted]
+        g = np.array([intern(label) for label in gold], dtype=np.int64)
+        p = np.array([intern(label) for label in predicted], dtype=np.int64)
         cols = graph.columnar()
-        known = list(zip(cols.known_rel.tolist(), cols.known_label.tolist()))
-        edges = list(zip(cols.edge_rel.tolist(), cols.edge_other.tolist()))
-        unary = cols.unary_rel.tolist() if cfg.use_unary else []
-        ko, eo, uo = cols.known_off.tolist(), cols.edge_off.tolist(), cols.unary_off.tolist()
-        # Node by node, known then edges then unary: the bump order fixes
-        # the weight dicts' insertion order.  A known or unary key differs
-        # between gold and prediction exactly when the node's label does.
-        for i, (g, p) in enumerate(zip(gold_ids, pred_ids)):
-            if g != p:
-                for rel, label in known[ko[i]:ko[i + 1]]:
-                    bump_pair((g, rel, label), lr)
-                    bump_pair((p, rel, label), -lr)
-            for rel, other in edges[eo[i]:eo[i + 1]]:
-                gold_key = (g, rel, gold_ids[other])
-                pred_key = (p, rel, pred_ids[other])
-                if gold_key != pred_key:
-                    bump_pair(gold_key, lr)
-                    bump_pair(pred_key, -lr)
-            if g != p:
-                for rel in unary[uo[i]:uo[i + 1]]:
-                    bump_unary((g, rel), lr)
-                    bump_unary((p, rel), -lr)
+        nodes = np.arange(cols.n_nodes)
+        differs = g != p
+        known_owner = np.repeat(nodes, np.diff(cols.known_off))
+        edge_owner = np.repeat(nodes, np.diff(cols.edge_off))
+        gold_other, pred_other = g[cols.edge_other], p[cols.edge_other]
+        known = np.flatnonzero(differs[known_owner])
+        edges = np.flatnonzero(differs[edge_owner] | (gold_other != pred_other))
+        # Per kind: owner, relation, and the gold and predicted neighbour.
+        parts = [
+            (known_owner[known], cols.known_rel[known],
+             cols.known_label[known], cols.known_label[known]),
+            (edge_owner[edges], cols.edge_rel[edges],
+             gold_other[edges], pred_other[edges]),
+        ]
+        if use_unary:
+            unary_owner = np.repeat(nodes, np.diff(cols.unary_off))
+            unary = np.flatnonzero(differs[unary_owner])
+            sentinel = np.full(len(unary), UNARY_OTHER)
+            parts.append((unary_owner[unary], cols.unary_rel[unary], sentinel, sentinel))
+        owner, rel, gold_ctx, pred_ctx = (np.concatenate(column) for column in zip(*parts))
+        kind = np.repeat(np.arange(len(parts)), [len(part[0]) for part in parts])
+        order = np.argsort(owner * len(parts) + kind, kind="stable")
+        owner, rel = owner[order], rel[order]
+        model.plane.add(
+            np.stack((g[owner], p[owner]), axis=1).ravel(),
+            np.repeat(rel, 2),
+            np.stack((gold_ctx[order], pred_ctx[order]), axis=1).ravel(),
+            np.tile([1.0, -1.0], len(owner)),
+            step,
+        )

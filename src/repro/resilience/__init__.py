@@ -18,9 +18,10 @@ hand-rolled kills.
     actual digest, and a recovery hint -- quarantine, not a traceback.
 :mod:`repro.resilience.checkpoint`
     :class:`TrainerCheckpoint`: per-epoch, digest-stamped trainer state
-    (CRF accumulator dicts + shuffle rng/order, SGNS matrices + PCG64
-    state) bound to the RunSpec and a corpus fingerprint so a
-    checkpoint can never silently resume against different data.
+    (the CRF weight plane with its lazy averages + shuffle rng/order,
+    SGNS matrices + PCG64 state) bound to the RunSpec and a corpus
+    fingerprint so a checkpoint can never silently resume against
+    different data.
     ``pigeon train --resume`` continues an interrupted run and saves a
     model bit-identical to the uninterrupted one -- the same oracle
     discipline as the bit-identity oracles in ``tests/oracles/``.

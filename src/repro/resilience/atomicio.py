@@ -108,10 +108,6 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
     fsync_directory(parent)
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
-
-
 def stamped_json_bytes(payload: dict) -> bytes:
     """Serialize ``payload`` compactly with its digest appended as last key."""
     body = json.dumps(payload, separators=(",", ":"))

@@ -254,10 +254,6 @@ class ShardReader:
     def loaded(self) -> bool:
         return self._payload is not None
 
-    def local_space(self) -> FeatureSpace:
-        """The shard-local vocab as a :class:`FeatureSpace` (fresh object)."""
-        return FeatureSpace.from_dict(self.load()["space"])
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ShardReader({os.path.basename(self.path)!r}, "

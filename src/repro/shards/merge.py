@@ -52,9 +52,6 @@ class MergedSpace:
     space: FeatureSpace
     remaps: Sequence[ShardRemap]
 
-    def remap_for(self, shard_index: int) -> ShardRemap:
-        return self.remaps[shard_index]
-
     def summary(self) -> dict:
         return {
             "shards": len(self.remaps),

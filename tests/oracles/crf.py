@@ -10,7 +10,8 @@ fallbacks, float-equal.
 
 Every function takes the :class:`~repro.learning.crf.model.CrfModel`
 (or a packed, memory-mapped one) as its first argument and reads only
-its dict-style state: the weight mappings, the candidate counters
+its dict-style state: the weights as one dict per call
+(``model.plane.as_dict()``), the candidate counters
 (``get(key).most_common(n)``), ``label_counts`` and the vocabulary.
 Nothing here calls the compiled engine.
 """
@@ -22,6 +23,10 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from repro.learning.crf.graph import CrfGraph, UnknownNode
 from repro.learning.crf.inference import UNKNOWN_LABEL
 from repro.learning.crf.model import CrfModel
+from repro.learning.crf.weights import UNARY_OTHER, WeightKey
+
+#: Every weight of a model by key, read once per top-level call.
+Weights = Dict[WeightKey, float]
 
 
 #: Labels one context proposes, and global fallback labels per beam.
@@ -77,32 +82,33 @@ def node_score(
     node: UnknownNode,
     label: str,
     assignment: Sequence[str],
+    weights: Optional[Weights] = None,
 ) -> float:
     """Score of ``label`` for one node given the current assignment."""
     values = model.space.values
     lid = values.id_of(label)
     if lid is None:
         return 0.0  # a label never seen in training matches no feature
+    if weights is None:
+        weights = model.plane.as_dict()
     score = 0.0
-    pair = model.pair_weights
     factors = factors_of(node.graph, node.index)
     for factor in factors.known:
         key = (lid, factor.rel, factor.label)
-        if key in pair:
-            score += pair[key]
+        if key in weights:
+            score += weights[key]
     for edge in factors.edges:
         other_id = values.id_of(assignment[edge.other])
         if other_id is None:
             continue
         key = (lid, edge.rel, other_id)
-        if key in pair:
-            score += pair[key]
+        if key in weights:
+            score += weights[key]
     if model.use_unary:
-        unary = model.unary_weights
         for rel in factors.unary:
-            key = (lid, rel)
-            if key in unary:
-                score += unary[key]
+            key = (lid, rel, UNARY_OTHER)
+            if key in weights:
+                score += weights[key]
     return score
 
 
@@ -110,8 +116,9 @@ def assignment_score(
     model: CrfModel, graph: CrfGraph, assignment: Sequence[str]
 ) -> float:
     """Total (directionally double-counted, consistent) graph score."""
+    weights = model.plane.as_dict()
     return sum(
-        node_score(model, node, assignment[i], assignment)
+        node_score(model, node, assignment[i], assignment, weights)
         for i, node in enumerate(graph.unknowns)
     )
 
@@ -170,6 +177,7 @@ def map_inference(
     if loss_augmented and gold is None:
         raise ValueError("loss-augmented inference requires the gold assignment")
 
+    weights = model.plane.as_dict()
     assignment: List[str] = [UNKNOWN_LABEL] * len(graph)
     candidate_cache: List[List[str]] = [[] for _ in range(len(graph))]
 
@@ -184,7 +192,7 @@ def map_inference(
         candidates = candidates_for(model, node, assignment, beam=beam)
         candidate_cache[i] = candidates
         assignment[i] = _best_label(
-            model, graph, i, candidates, assignment, loss_augmented, gold
+            model, graph, i, candidates, assignment, loss_augmented, gold, weights
         )
 
     # ICM sweeps.
@@ -197,7 +205,8 @@ def map_inference(
             merged = list(dict.fromkeys(candidate_cache[i] + candidates))
             candidate_cache[i] = merged[:beam]
             best = _best_label(
-                model, graph, i, candidate_cache[i], assignment, loss_augmented, gold
+                model, graph, i, candidate_cache[i], assignment, loss_augmented,
+                gold, weights,
             )
             if best != assignment[i]:
                 assignment[i] = best
@@ -215,6 +224,7 @@ def _best_label(
     assignment: Sequence[str],
     loss_augmented: bool,
     gold: Optional[Sequence[str]],
+    weights: Optional[Weights] = None,
 ) -> str:
     node = graph.unknowns[index]
     if not candidates:
@@ -225,7 +235,7 @@ def _best_label(
     best_label = candidates[0]
     best_score = float("-inf")
     for label in candidates:
-        score = node_score(model, node, label, assignment)
+        score = node_score(model, node, label, assignment, weights)
         if loss_augmented and gold is not None and label != gold[index]:
             score += 1.0
         if score > best_score:
@@ -247,8 +257,10 @@ def topk_for_node(
         assignment = map_inference(model, graph)
     node = graph.unknowns[index]
     candidates = candidates_for(model, node, assignment, beam=beam)
+    weights = model.plane.as_dict()
     scored = [
-        (label, node_score(model, node, label, assignment)) for label in candidates
+        (label, node_score(model, node, label, assignment, weights))
+        for label in candidates
     ]
     scored.sort(key=lambda kv: (-kv[1], kv[0]))
     return scored[:k]

@@ -229,8 +229,9 @@ class TestPersistence:
         pipeline.save(path)
         reloaded = Pipeline.load(path)
         model = reloaded.learner.model
-        assert dict(model.pair_weights.items()) == pipeline.learner.model.pair_weights
-        for key in model.pair_weights:
+        weights = model.plane.as_dict()
+        assert weights == pipeline.learner.model.plane.as_dict()
+        for key in weights:
             assert all(isinstance(part, int) for part in key)
 
     def test_word2vec_save_load_identical_predictions(self, tmp_path):

@@ -155,24 +155,34 @@ class TestPackedModelSemantics:
     def test_mutation_raises(self, request, tmp_path):
         pipeline, _held_out = _train(request, "javascript")
         model = Pipeline.load(_save(pipeline, tmp_path)).learner.model
+        plane = model.plane
+        key = next(iter(plane.as_dict()))
         with pytest.raises(PackedModelError, match="read-only"):
-            model.l2_decay(0.5)
-        with pytest.raises(PackedModelError):
-            model.observe_training_node(None, None)
+            plane.decay(0.5, step=1)
+        for mutate in (
+            lambda: plane.assign(key, 1.0),
+            lambda: plane.add([key[0]], [key[1]], [key[2]], [1.0], step=1),
+            lambda: plane.average(step=1),
+            lambda: plane.reserve(plane.base + 1),
+            lambda: model.observe_training_node(None, None),
+        ):
+            with pytest.raises(PackedModelError):
+                mutate()
+        assert plane.as_dict()[key] == pipeline.learner.model.plane.as_dict()[key]
 
     def test_packed_weight_views_behave_like_dicts(self, request, tmp_path):
+        """The loaded plane holds the live plane's weights, listed by kind
+        in its key order."""
         pipeline, _held_out = _train(request, "javascript")
         reference = pipeline.learner.model
         packed = Pipeline.load(_save(pipeline, tmp_path)).learner.model
-        assert len(packed.pair_weights) == len(reference.pair_weights)
-        assert len(packed.unary_weights) == len(reference.unary_weights)
-        assert dict(packed.pair_weights.items()) == dict(reference.pair_weights)
-        assert dict(packed.unary_weights.items()) == dict(reference.unary_weights)
-        some_key = next(iter(reference.pair_weights))
-        assert some_key in packed.pair_weights
-        assert packed.pair_weights[some_key] == reference.pair_weights[some_key]
-        assert (10**6, 10**6, 10**6) not in packed.pair_weights
+        weights = packed.plane.as_dict()
+        assert weights == reference.plane.as_dict()
+        assert (10**6, 10**6, 10**6) not in weights
         assert packed.num_parameters() == reference.num_parameters()
+        pair, unary = packed.plane.to_rows()
+        live_pair, live_unary = reference.plane.to_rows()
+        assert sorted(pair) == sorted(live_pair) and sorted(unary) == sorted(live_unary)
 
 
 class TestPruning:

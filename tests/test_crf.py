@@ -113,8 +113,8 @@ class TestModelScoring:
     def test_node_score_sums_matching_weights(self):
         graph = tiny_graph()
         model = CrfModel(space=SPACE)
-        model.pair_weights[model.pair_key("done", "relA", "true")] = 2.0
-        model.unary_weights[model.unary_key("done", "selfA")] = 0.5
+        model.plane.assign(model.pair_key("done", "relA", "true"), 2.0)
+        model.plane.assign(model.unary_key("done", "selfA"), 0.5)
         score = oracle.node_score(model, graph.unknowns[0], "done", ["done", "count"])
         # pairwise known + unknown edge (weight 0) + unary
         assert score == pytest.approx(2.5)
@@ -122,15 +122,15 @@ class TestModelScoring:
     def test_unary_disabled(self):
         graph = tiny_graph()
         model = CrfModel(use_unary=False, space=SPACE)
-        model.unary_weights[model.unary_key("done", "selfA")] = 5.0
+        model.plane.assign(model.unary_key("done", "selfA"), 5.0)
         score = oracle.node_score(model, graph.unknowns[0], "done", ["done", "count"])
         assert score == 0.0
 
     def test_assignment_score(self):
         graph = tiny_graph()
         model = CrfModel(space=SPACE)
-        model.pair_weights[model.pair_key("done", "relA", "true")] = 1.0
-        model.pair_weights[model.pair_key("count", "relB", "0")] = 1.0
+        model.plane.assign(model.pair_key("done", "relA", "true"), 1.0)
+        model.plane.assign(model.pair_key("count", "relB", "0"), 1.0)
         assert oracle.assignment_score(model, graph, ["done", "count"]) == pytest.approx(
             2.0
         )
@@ -145,8 +145,8 @@ class TestModelScoring:
 
     def test_top_features_interpretability(self):
         model = CrfModel(space=SPACE)
-        model.pair_weights[model.pair_key("done", "rel", "true")] = 3.0
-        model.unary_weights[model.unary_key("done", "self")] = -1.0
+        model.plane.assign(model.pair_key("done", "rel", "true"), 3.0)
+        model.plane.assign(model.unary_key("done", "self"), -1.0)
         top = model.top_features(2)
         assert "done" in top[0][0]
         assert top[0][1] == 3.0
@@ -155,18 +155,19 @@ class TestModelScoring:
 class TestModelPersistence:
     def test_save_load_roundtrip(self, tmp_path):
         model = CrfModel(space=SPACE)
-        model.pair_weights[model.pair_key("a", "r", "b")] = 1.5
-        model.unary_weights[model.unary_key("a", "u")] = -0.5
+        model.plane.assign(model.pair_key("a", "r", "b"), 1.5)
+        model.plane.assign(model.unary_key("a", "u"), -0.5)
         model.label_counts[model.label_id("a")] = 3
         loaded = crf_artifact_round_trip(model, tmp_path / "model.bin")
-        assert loaded.pair_weights[loaded.pair_key("a", "r", "b")] == 1.5
-        assert loaded.unary_weights[loaded.unary_key("a", "u")] == -0.5
+        weights = loaded.plane.as_dict()
+        assert weights[loaded.pair_key("a", "r", "b")] == 1.5
+        assert weights[loaded.unary_key("a", "u")] == -0.5
         assert loaded.label_counts[loaded.label_id("a")] == 3
 
     def test_num_parameters(self):
         model = CrfModel(space=SPACE)
-        model.pair_weights[model.pair_key("a", "r", "b")] = 1.0
-        model.unary_weights[model.unary_key("a", "u")] = 1.0
+        model.plane.assign(model.pair_key("a", "r", "b"), 1.0)
+        model.plane.assign(model.unary_key("a", "u"), 1.0)
         assert model.num_parameters() == 2
 
 
@@ -176,8 +177,8 @@ class TestInference:
         model = CrfModel(space=SPACE)
         for node in graph.unknowns:
             model.observe_training_node(node, graph)
-        model.pair_weights[model.pair_key("done", "relA", "true")] = 2.0
-        model.pair_weights[model.pair_key("count", "relB", "0")] = 2.0
+        model.plane.assign(model.pair_key("done", "relA", "true"), 2.0)
+        model.plane.assign(model.pair_key("count", "relB", "0"), 2.0)
         assignment = map_inference(model.compile(), graph)
         assert assignment == ["done", "count"]
 
@@ -194,8 +195,8 @@ class TestInference:
         for node in graph.unknowns:
             model.observe_training_node(node, graph)
         # Strong coupling: 'done' with 'count' across the edge.
-        model.pair_weights[model.pair_key("done", "relAB", "count")] = 5.0
-        model.pair_weights[model.pair_key("count", "relBA", "done")] = 5.0
+        model.plane.assign(model.pair_key("done", "relAB", "count"), 5.0)
+        model.plane.assign(model.pair_key("count", "relBA", "done"), 5.0)
         assignment = map_inference(model.compile(), graph)
         assert assignment == ["done", "count"]
 
@@ -204,8 +205,8 @@ class TestInference:
         model = CrfModel(space=SPACE)
         for node in graph.unknowns:
             model.observe_training_node(node, graph)
-        model.pair_weights[model.pair_key("done", "relA", "true")] = 2.0
-        model.pair_weights[model.pair_key("flag", "relA", "true")] = 1.0
+        model.plane.assign(model.pair_key("done", "relA", "true"), 2.0)
+        model.plane.assign(model.pair_key("flag", "relA", "true"), 1.0)
         model.label_counts[model.label_id("flag")] = 1
         ranked = topk_for_node(model.compile(), graph, 0, k=3)
         scores = [s for _, s in ranked]
@@ -271,7 +272,7 @@ class TestTraining:
         graphs = synthetic_graphs()
         m1, _ = CrfTrainer(TrainingConfig(epochs=2, seed=5)).train(graphs)
         m2, _ = CrfTrainer(TrainingConfig(epochs=2, seed=5)).train(graphs)
-        assert m1.pair_weights == m2.pair_weights
+        assert m1.to_dict() == m2.to_dict()
 
     def test_weight_decay_shrinks(self):
         graphs = synthetic_graphs()
@@ -281,6 +282,6 @@ class TestTraining:
         plain, _ = CrfTrainer(
             TrainingConfig(epochs=2, weight_decay=1.0, average=False)
         ).train(graphs)
-        total_decayed = sum(abs(w) for w in decayed.pair_weights.values())
-        total_plain = sum(abs(w) for w in plain.pair_weights.values())
+        total_decayed = sum(abs(w) for w in decayed.plane.as_dict().values())
+        total_plain = sum(abs(w) for w in plain.plane.as_dict().values())
         assert total_decayed <= total_plain

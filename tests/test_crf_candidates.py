@@ -14,10 +14,11 @@ oracle's (``tests/oracles/crf.py``) bit for bit:
 * an in-memory model against the same model loaded from its artifact;
 * every candidate call the trainer's loss-augmented inference makes;
 * the key plane's dtype: no needle wraps, and none forces a conversion;
-* a repack that keeps the group count but renumbers the rows;
-* edge groups born in the overflow after the group keys were sorted;
-* a weight naming an id beyond the label base, which repacks at once
-  and re-freezes the candidate tables in the grown base;
+* two planes that number the same groups differently (the trainer's
+  first-insertion rows and an artifact's) score alike;
+* edge groups born after the graph was compiled;
+* a weight naming an id beyond the label base, which re-keys the plane
+  at once and re-freezes the candidate tables in the grown base;
 * the gather on a block with duplicate and descending rows and invalid
   candidates.
 """
@@ -29,7 +30,6 @@ import pytest
 
 from repro.core.interning import FeatureSpace
 from repro.learning.crf import (
-    CompiledCrfModel,
     CrfGraph,
     CrfModel,
     CrfTrainer,
@@ -39,6 +39,7 @@ from repro.learning.crf import (
 )
 from repro.learning.crf import training
 from repro.learning.crf.inference import label_ids
+from repro.learning.crf.weights import UNARY_OTHER, WeightPlane, group_keys
 
 from fixtures import crf_artifact_round_trip
 from oracles import crf as oracle
@@ -78,12 +79,16 @@ def _random_model(space, use_unary=True, seed=7):
     n_values, n_paths = len(space.values), len(space.paths)
     for _ in range(500):
         key = (rng.randrange(n_values), rng.randrange(n_paths), rng.randrange(n_values))
-        model.pair_weights[key] = rng.uniform(-2.0, 2.0)
+        model.plane.assign(key, rng.uniform(-2.0, 2.0))
     for _ in range(120):
-        model.unary_weights[(rng.randrange(n_values), rng.randrange(n_paths))] = (
-            rng.uniform(-2.0, 2.0)
-        )
+        weight = rng.uniform(-2.0, 2.0)
+        key = (rng.randrange(n_values), rng.randrange(n_paths), UNARY_OTHER)
+        model.plane.assign(key, weight)
     return model
+
+
+def _has_group(plane, rel, other):
+    return plane.group_rows(group_keys(np.array([rel]), other, plane.base))[0] >= 0
 
 
 def _strings(model, assignment_ids, base):
@@ -226,7 +231,7 @@ class TestLoadedModel:
         model = _random_model(space)
         loaded = crf_artifact_round_trip(model, tmp_path / "model.bin")
         compiled, reloaded = model.compile(), loaded.compile()
-        assert reloaded._keys.dtype == np.int32  # the narrow plane stays narrow
+        assert reloaded.plane.keys.dtype == np.int32  # the narrow plane stays narrow
         rng = np.random.default_rng(11)
         for seed in (40, 41, 42):
             graph = _random_graph(space, seed=seed)
@@ -255,7 +260,7 @@ class TestLoadedModel:
 class TestTraining:
     def test_mid_training_loss_augmented_calls(self, monkeypatch):
         """Every candidate list the trainer's inference asks for, with the
-        weights mid-update and the overflow in use, equals the oracle's."""
+        weights mid-update, equals the oracle's."""
         space = FeatureSpace()
         graphs = [_random_graph(space, n_nodes=15, seed=s) for s in range(6)]
         current = {}
@@ -292,10 +297,10 @@ class TestKeyPlaneDtype:
 
     def test_needles_share_the_narrow_planes_dtype(self, tmp_path, monkeypatch):
         model, loaded, reloaded = self._loaded(tmp_path)
-        keys = reloaded._keys
+        keys = reloaded.plane.keys
         assert keys.dtype == np.int32
         # The largest needle a scoring call can build fits the plane.
-        largest = len(reloaded._group_of) * reloaded.label_base - 1
+        largest = len(reloaded.plane.groups) * reloaded.label_base - 1
         assert largest <= np.iinfo(np.int32).max
         real = np.searchsorted
         seen = []
@@ -311,53 +316,48 @@ class TestKeyPlaneDtype:
         assert map_inference(reloaded, graph) == expected
         assert seen and set(seen) == {np.dtype(np.int32)}
 
-    def test_no_needle_wraps(self, tmp_path):
+    def test_no_needle_wraps(self):
         """A narrow plane whose largest possible needle overflows its dtype
         is widened at load: a wrapped needle would alias a real key."""
-        _, loaded, narrow = self._loaded(tmp_path)
-        label_base = 2**31
-        group_of = {(0, 0): 0, (1, 0): 1, (2, 0): 2}
+        groups = np.array([[0, 0], [1, 0], [2, 0]], dtype=np.int32)
         keys = np.array([5], dtype=np.int32)  # row 0, label 5
         weights = np.array([1.5])
-        wide = CompiledCrfModel.from_buffers(
-            loaded, group_of, keys, weights, label_base, narrow._candidates
-        )
-        assert wide._keys.dtype == np.int64
+        wide = WeightPlane(groups, keys, weights, 2**31, writable=False)
+        assert wide.keys.dtype == np.int64
         # Row 2, label 5 is 2 * 2**32 + 5 -- as int32 it would wrap to 5.
         rows = np.array([0, 2], dtype=np.int64)
-        gathered = wide._gather(rows, np.array([5], dtype=np.int64))
+        gathered = wide.gather(rows, np.array([5], dtype=np.int64))
         assert gathered.tolist() == [[1.5], [0.0]]
-        fits = CompiledCrfModel.from_buffers(
-            loaded, group_of, keys, weights, 2**29, narrow._candidates
-        )
-        assert fits._keys is keys  # 3 * 2**29 - 1 fits: no copy
+        fits = WeightPlane(groups, keys, weights, 2**29, writable=False)
+        assert fits.keys is keys  # 3 * 2**29 - 1 fits: no copy
 
 
 class TestLookupRegressions:
     def test_repack_renumbering_rows_keeps_scores_exact(self):
-        """Same group count, new row numbers: the sorted group keys must
-        follow the pack version, not the group count."""
+        """The same weights with every group row renumbered -- the trainer
+        numbers groups by first insertion, an artifact pair groups first
+        -- score exactly alike."""
         space = FeatureSpace()
         model = _random_model(space)
         compiled = model.compile()
         graph = _random_graph(space, seed=70)
-        assert map_inference(compiled, graph) == oracle.map_inference(model, graph)
-        before = dict(compiled._group_of)
-        # Move the first group's weights to the end: the repack numbers
-        # groups first-seen, so every row shifts by one.
-        first = next(iter(before))
-        for key in [k for k in model.pair_weights if (k[1], k[2]) == first]:
-            model.pair_weights[key] = model.pair_weights.pop(key)
-        compiled.invalidate()
-        assert map_inference(compiled, graph) == oracle.map_inference(model, graph)
-        assert len(compiled._group_of) == len(before)
-        assert compiled._group_of != before
+        pair, unary = model.plane.to_rows()
+        rows = pair + [[label, rel, UNARY_OTHER, w] for label, rel, w in unary]
+        renumbered = CrfModel(space=space)
+        renumbered.candidate_index = model.candidate_index
+        renumbered.unary_candidate_index = model.unary_candidate_index
+        renumbered.label_counts = model.label_counts
+        renumbered.plane = WeightPlane.build(*zip(*rows[::-1]), compiled.label_base)
+        assert renumbered.plane.as_dict() == model.plane.as_dict()
+        assert renumbered.plane.groups.tolist() != model.plane.groups.tolist()
+        other = renumbered.compile()
         assignment = oracle.map_inference(model, graph)
+        assert map_inference(other, graph) == assignment
         ids = label_ids(compiled, assignment)
-        cg = compiled.compile_graph(graph)
+        cg = other.compile_graph(graph)
         candidates = np.arange(-1, compiled.label_base + 1, dtype=np.int64)
         for index, node in enumerate(graph.unknowns):
-            scores = compiled.score_candidates(cg, index, candidates, ids)
+            scores = other.score_candidates(cg, index, candidates, ids)
             expected = [
                 oracle.node_score(model, node, model.label_of(c), assignment)
                 if 0 <= c < compiled.label_base
@@ -366,7 +366,7 @@ class TestLookupRegressions:
             ]
             assert scores.tolist() == expected
             assert topk_for_node(
-                compiled, graph, index, k=5, assignment=assignment
+                other, graph, index, k=5, assignment=assignment
             ) == oracle.topk_for_node(model, graph, index, k=5, assignment=assignment)
 
     def test_negative_zero_weights_score_positive_zero(self):
@@ -379,7 +379,7 @@ class TestLookupRegressions:
         graph.add_known_factor(a, "r2", "ctx")
         model = CrfModel(space=graph.space)
         for rel in ("r1", "r2"):
-            model.pair_weights[model.pair_key("x", rel, "ctx")] = -0.0
+            model.plane.assign(model.pair_key("x", rel, "ctx"), -0.0)
         compiled = model.compile()
         cg = compiled.compile_graph(graph)
         x = model.space.values.id_of("x")
@@ -389,10 +389,9 @@ class TestLookupRegressions:
         assert oracle.node_score(model, graph.unknowns[a], "x", ["?"]) == 0.0
         assert scores.tobytes() == np.zeros(1).tobytes()
 
-    def test_edge_groups_born_in_the_overflow(self):
-        """The sorted group keys follow the group count within a pack
-        version: an edge group stashed after they were built resolves on
-        the next call, as the oracle's dict lookup does."""
+    def test_edge_groups_born_after_compile(self):
+        """An edge group born after the graph was compiled resolves at the
+        next compile, as the oracle's dict lookup does."""
         space = FeatureSpace()
         model = _random_model(space)
         compiled = model.compile()
@@ -400,22 +399,19 @@ class TestLookupRegressions:
         assignment = oracle.map_inference(model, graph)
         ids = label_ids(compiled, assignment)
         cg = compiled.compile_graph(graph)
-        compiled.score_candidates(cg, 0, np.array([0]), ids)  # builds the keys
-        version = compiled.pack_version
+        compiled.score_candidates(cg, 0, np.array([0]), ids)
         missing = [
             (index, edge.rel, ids[edge.other])
             for index, node in enumerate(graph.unknowns)
             for edge in oracle.factors_of(graph, node.index).edges
             if ids[edge.other] >= 0
-            and (edge.rel, ids[edge.other]) not in compiled._group_of
+            and not _has_group(model.plane, edge.rel, ids[edge.other])
         ]
         assert len(missing) >= 2
         candidates = np.arange(-1, compiled.label_base + 1, dtype=np.int64)
         for step, (index, rel, other) in enumerate(missing[:2]):
             key = (int(candidates[step + 3]), rel, int(other))
-            model.pair_weights[key] = 3.0 + step
-            compiled.set_pair(key, model.pair_weights[key])
-            assert compiled.pack_version == version  # still in the overflow
+            model.plane.assign(key, 3.0 + step)
             cg = compiled.compile_graph(graph)
             node = graph.unknowns[index]
             scores = compiled.score_candidates(cg, index, candidates, ids)
@@ -427,28 +423,30 @@ class TestLookupRegressions:
             ]
         assert map_inference(compiled, graph) == oracle.map_inference(model, graph)
 
-    def test_weight_beyond_the_label_base_repacks(self):
-        """A weight naming an id interned after the pack repacks at once,
-        and the candidate tables follow the grown base: graphs key their
-        edges in one base for both lookups."""
+    def test_weight_beyond_the_label_base_rekeys(self):
+        """A weight naming an id interned after the compile re-keys the
+        plane at once, and the candidate tables follow the grown base:
+        graphs key their edges in one base for both lookups."""
         space = FeatureSpace()
         model = _random_model(space)
         compiled = model.compile()
-        version, base = compiled.pack_version, compiled.label_base
+        base = compiled.label_base
         graph = _random_graph(space, seed=73)
         late = model.label_id("late-label")
         assert late == base
         index = next(i for i in range(len(graph)) if oracle.factors_of(graph, i).edges)
         edge = oracle.factors_of(graph, index).edges[0]
         key = (late, edge.rel, late)
-        model.pair_weights[key] = 2.5
-        compiled.set_pair(key, 2.5)
-        assert compiled.pack_version == version + 1
-        assert compiled.label_base == compiled._candidates.base == base + 1
+        before = model.plane.as_dict()
+        model.plane.assign(key, 2.5)
+        assert compiled.label_base == base + 1
+        assert model.plane.as_dict() == {**before, key: 2.5}
+        assert np.all(np.diff(model.plane.keys) > 0)
         assignment = oracle.map_inference(model, graph)
         assignment[edge.other] = "late-label"
         ids = label_ids(compiled, assignment)
         _assert_candidates_match(model, compiled, graph, ids, 48)
+        assert compiled._candidates.base == base + 1
         cg = compiled.compile_graph(graph)
         node = graph.unknowns[index]
         scores = compiled.score_candidates(cg, index, np.array([late]), ids)
@@ -460,7 +458,7 @@ class TestLookupRegressions:
         model = _random_model(space)
         compiled = model.compile()
         base = compiled.label_base
-        n_rows = len(compiled._group_of)
+        n_rows = len(compiled.plane.groups)
         rng = np.random.default_rng(3)
         # Duplicate rows, a descending run, and invalid candidates.
         rows = np.concatenate(
@@ -475,12 +473,12 @@ class TestLookupRegressions:
         ).astype(np.int64)
         valid = (candidates >= 0) & (candidates < base)
         safe = np.where(valid, candidates, 0)
-        weight_of = dict(zip(compiled._keys.tolist(), compiled._weights.tolist()))
+        weight_of = dict(zip(compiled.plane.keys.tolist(), compiled.plane.weights.tolist()))
         expected = [
             [weight_of.get(row * base + c, 0.0) for c in safe.tolist()]
             for row in rows.tolist()
         ]
-        assert compiled._gather(rows, safe).tolist() == expected
+        assert compiled.plane.gather(rows, safe).tolist() == expected
 
         # End to end: every node's live rows with the same candidates.
         graph = _random_graph(space, seed=71)

@@ -16,8 +16,8 @@ approximately.  Covered here:
   parity (the trainer with the oracle swapped in for its inference
   trains the same weights, including weight decay and averaging);
 * edge cases: empty candidate beams, labels outside the trained vocab,
-  count-and-score ties, write-through after compile, stale packs, a
-  group entering the overflow after compile, all-dead graphs.
+  count-and-score ties, weights assigned and decayed after compile,
+  stale compiled graphs, a group born after compile, all-dead graphs.
 """
 
 import random
@@ -39,6 +39,7 @@ from repro.learning.crf import (
     topk_for_node,
 )
 from repro.learning.crf.inference import UNKNOWN_LABEL, _best_id, label_ids
+from repro.learning.crf.weights import UNARY_OTHER, group_keys
 
 from fixtures import stdlib_definitions
 from oracles import crf as oracle
@@ -189,8 +190,8 @@ class TestRealCode:
                 assert vector == scalar  # labels AND float scores, exactly
 
     def test_trainer_bit_identical(self, stdlib_texts, monkeypatch):
-        """Training scores through the same live rows, with the weights
-        born since the last repack in the overflow."""
+        """Training scores through the same live rows, on the plane each
+        update has just written."""
 
         def train():
             pipeline = Pipeline(language="python")
@@ -206,8 +207,7 @@ class TestRealCode:
         )
         scalar_model, scalar_stats = train()
         assert compiled_stats.updates == scalar_stats.updates > 0
-        assert dict(compiled_model.pair_weights) == dict(scalar_model.pair_weights)
-        assert dict(compiled_model.unary_weights) == dict(scalar_model.unary_weights)
+        assert compiled_model.to_dict() == scalar_model.to_dict()
 
     def test_scoring_handle_matches_oracle(self, stdlib_cell):
         handle, model, _, graphs = stdlib_cell
@@ -245,6 +245,10 @@ def _random_graph(space, n_nodes=30, seed=3):
     return graph
 
 
+def _has_group(plane, rel, other):
+    return plane.group_rows(group_keys(np.array([rel]), other, plane.base))[0] >= 0
+
+
 def _random_model(space, seed=7, use_unary=True):
     rng = random.Random(seed)
     model = CrfModel(space=space, use_unary=use_unary)
@@ -258,11 +262,11 @@ def _random_model(space, seed=7, use_unary=True):
             rng.randrange(n_paths),
             rng.randrange(n_values),
         )
-        model.pair_weights[key] = rng.uniform(-2.0, 2.0)
+        model.plane.assign(key, rng.uniform(-2.0, 2.0))
     for _ in range(150):
-        model.unary_weights[(rng.randrange(n_values), rng.randrange(n_paths))] = (
-            rng.uniform(-2.0, 2.0)
-        )
+        weight = rng.uniform(-2.0, 2.0)
+        key = (rng.randrange(n_values), rng.randrange(n_paths), UNARY_OTHER)
+        model.plane.assign(key, weight)
     return model
 
 
@@ -347,38 +351,37 @@ class TestEdgeCases:
         assert oracle.map_inference(model, graph) == ["aaa"]
         assert map_inference(compiled, graph) == ["aaa"]
 
-    def test_write_through_and_overflow(self):
-        """set_pair/set_unary keep the pack bit-identical to the dicts,
-        through in-place updates, overflow keys, and the repack."""
+    def test_plane_updates_between_calls(self):
+        """Weights assigned after compile -- existing keys, new keys, new
+        groups -- score like the oracle on the next call, with no rebuild."""
         space = FeatureSpace()
         model = _random_model(space)
         compiled = model.compile()
         rng = random.Random(5)
         n_values, n_paths = len(space.values), len(space.paths)
-        for step in range(600):  # well past the repack threshold
+        for step in range(600):
             key = (
                 rng.randrange(n_values),
                 rng.randrange(n_paths),
                 rng.randrange(n_values),
             )
-            model.pair_weights[key] = rng.uniform(-1.0, 1.0)
-            compiled.set_pair(key, model.pair_weights[key])
-            ukey = (rng.randrange(n_values), rng.randrange(n_paths))
-            model.unary_weights[ukey] = rng.uniform(-1.0, 1.0)
-            compiled.set_unary(ukey, model.unary_weights[ukey])
+            model.plane.assign(key, rng.uniform(-1.0, 1.0))
+            ukey = (rng.randrange(n_values), rng.randrange(n_paths), UNARY_OTHER)
+            model.plane.assign(ukey, rng.uniform(-1.0, 1.0))
             if step % 150 == 0:
                 graph = _random_graph(space, seed=step)
                 assert map_inference(compiled, graph) == oracle.map_inference(model, graph)
         graph = _random_graph(space, seed=999)
         assert map_inference(compiled, graph) == oracle.map_inference(model, graph)
 
-    def test_invalidate_repacks_after_bulk_mutation(self):
+    def test_decay_between_calls(self):
         space = FeatureSpace()
         model = _random_model(space)
         compiled = model.compile()
-        model.l2_decay(0.5)
-        compiled.invalidate()
         graph = _random_graph(space, seed=77)
+        cg = compiled.compile_graph(graph)
+        model.plane.decay(0.5, step=1)
+        assert compiled.compile_graph(graph) is cg  # no group moved
         assert map_inference(compiled, graph) == oracle.map_inference(model, graph)
 
     def test_stale_compiled_graph_raises(self):
@@ -387,20 +390,20 @@ class TestEdgeCases:
         compiled = model.compile()
         graph = _random_graph(space, seed=50)
         cg = compiled.compile_graph(graph)
-        compiled.invalidate()
-        fresh = compiled.compile_graph(graph)  # triggers the repack
-        assert fresh.pack_version != cg.pack_version
-        with pytest.raises(RuntimeError, match="repacked"):
+        model.plane.assign((0, model.rel_id("a-new-relation"), 0), 1.0)
+        fresh = compiled.compile_graph(graph)
+        assert fresh.groups == cg.groups + 1
+        with pytest.raises(RuntimeError, match="compile_graph"):
             compiled.score_candidates(
                 cg, 0, np.array([0], dtype=np.int64),
                 np.zeros(len(graph), dtype=np.int64),
             )
 
-    def test_overflow_group_born_after_compile(self):
-        """A weight in a group the pack lacks turns a dead factor live:
-        the old CompiledGraph refuses to score, and a recompile (which
-        takes liveness from the overflow as well as the packed rows)
-        scores that factor exactly as the oracle does."""
+    def test_group_born_after_compile(self):
+        """A weight in a group the plane lacked -- what an update does to
+        a group first seen mid-epoch -- turns a dead factor live: the old
+        CompiledGraph refuses to score, and a recompile scores that
+        factor exactly as the oracle does."""
         space = FeatureSpace()
         model = _random_model(space)
         compiled = model.compile()
@@ -412,23 +415,20 @@ class TestEdgeCases:
             (i, factor)
             for i, node in enumerate(graph.unknowns)
             for factor in oracle.factors_of(graph, node.index).known
-            if (factor.rel, factor.label) not in compiled._group_of
+            if not _has_group(model.plane, factor.rel, factor.label)
         )
         node = graph.unknowns[index]
         label = model.candidate_ids_for(cg, index, assignment_ids, beam=96)[0]
         name = space.values.value(label)
         before = oracle.node_score(model, node, name, assignment)
-        key = (label, factor.rel, factor.label)
-        model.pair_weights[key] = 5.0
-        compiled.set_pair(key, 5.0)
-        assert compiled.pack_version == cg.pack_version  # no repack
+        model.plane.assign((label, factor.rel, factor.label), 5.0)
         candidates = np.array([label], dtype=np.int64)
-        with pytest.raises(RuntimeError, match="overflow"):
+        with pytest.raises(RuntimeError, match="groups"):
             compiled.score_candidates(cg, index, candidates, assignment_ids)
 
         fresh = compiled.compile_graph(graph)
         assert fresh is not cg
-        assert (factor.rel, factor.label) in fresh.live_known.groups
+        assert len(fresh.live_known.rows) > len(cg.live_known.rows)
         expected = oracle.node_score(model, node, name, assignment)
         assert expected != before
         score = compiled.score_candidates(fresh, index, candidates, assignment_ids)
@@ -439,6 +439,8 @@ class TestEdgeCases:
         ) == oracle.topk_for_node(model, graph, index, k=8, assignment=assignment)
 
     def test_compile_graph_reused_until_graph_or_pack_changes(self):
+        """The resolution is reused until the graph changes or the plane
+        gains a group; weight changes in existing groups keep it."""
         space = FeatureSpace()
         model = _random_model(space)
         compiled = model.compile()
@@ -453,8 +455,10 @@ class TestEdgeCases:
         changed = compiled.compile_graph(graph)
         assert changed is not again
         assert len(changed.cols.unary_rel) == len(again.cols.unary_rel) + 1
-        compiled.invalidate()
-        assert compiled.compile_graph(graph).pack_version != changed.pack_version
+        model.plane.assign(next(iter(model.plane.as_dict())), 9.0)
+        assert compiled.compile_graph(graph) is changed
+        model.plane.assign((0, model.rel_id("fresh-relation"), UNARY_OTHER), 1.0)
+        assert compiled.compile_graph(graph).groups == changed.groups + 1
 
     def test_columnar_view_caches_and_invalidates(self):
         space = FeatureSpace()
@@ -484,9 +488,8 @@ class TestTrainerParity:
             return model, stats
 
         compiled_model, compiled_stats = train()
-        # The oracle scores the trainer's live model, which the update
-        # closures write through to, so it sees every weight change the
-        # compiled pack sees.
+        # The oracle scores the trainer's live model, whose plane every
+        # update writes, so it sees every weight the compiled scorer sees.
         oracle_calls = []
 
         def oracle_map(compiled, graph, **kwargs):
@@ -498,8 +501,7 @@ class TestTrainerParity:
         )
         scalar_model, scalar_stats = train()
         assert oracle_calls
-        assert dict(compiled_model.pair_weights) == dict(scalar_model.pair_weights)
-        assert dict(compiled_model.unary_weights) == dict(scalar_model.unary_weights)
+        assert compiled_model.to_dict() == scalar_model.to_dict()
         assert compiled_stats.updates == scalar_stats.updates
 
 
@@ -508,10 +510,10 @@ class TestCompiledModelShape:
         space = FeatureSpace()
         model = _random_model(space)
         compiled = model.compile()
-        keys = compiled._keys
+        keys = compiled.plane.keys
         assert keys.dtype == np.int64
-        assert compiled._weights.dtype == np.float64
-        assert len(keys) == len(compiled._weights)
+        assert compiled.plane.weights.dtype == np.float64
+        assert len(keys) == len(compiled.plane.weights)
         assert len(keys) == model.num_parameters()
         assert np.all(np.diff(keys) > 0)  # strictly sorted, unique
 
@@ -544,7 +546,7 @@ class TestCompiledModelShape:
         graph.add_unary_factor(b, "dead-unary")
         cg = compiled.compile_graph(graph)
         for live in (cg.live_known, cg.live_unary):
-            assert len(live.rows) == 0 and live.groups == []
+            assert len(live.rows) == 0
             assert live.off == [0, 0, 0]
         candidates = np.arange(-1, compiled.label_base + 2, dtype=np.int64)
         zeros = np.zeros(len(candidates), dtype=np.float64).tobytes()

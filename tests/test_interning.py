@@ -140,11 +140,12 @@ class TestIdKeyedModelPersistence:
 
     def test_keys_are_int_tuples(self):
         model, _graphs = self._trained_model()
-        assert model.pair_weights or model.unary_weights
-        for key in model.pair_weights:
-            assert len(key) == 3 and all(isinstance(part, int) for part in key)
-        for key in model.unary_weights:
-            assert len(key) == 2 and all(isinstance(part, int) for part in key)
+        pair, unary = model.plane.to_rows()
+        assert pair or unary
+        for row in pair:
+            assert len(row) == 4 and all(isinstance(part, int) for part in row[:3])
+        for row in unary:
+            assert len(row) == 3 and all(isinstance(part, int) for part in row[:2])
         for key in model.candidate_index:
             assert all(isinstance(part, int) for part in key)
         assert all(isinstance(label, int) for label in model.label_counts)
@@ -153,8 +154,7 @@ class TestIdKeyedModelPersistence:
         model, _graphs = self._trained_model()
         json.dumps(model.to_dict())  # plain data the codec and pruning read
         restored = crf_artifact_round_trip(model, tmp_path / "model.bin")
-        assert dict(restored.pair_weights.items()) == model.pair_weights
-        assert dict(restored.unary_weights.items()) == model.unary_weights
+        assert restored.plane.as_dict() == model.plane.as_dict()
 
     def test_save_load_predicts_identically(self, tmp_path):
         model, graphs = self._trained_model()

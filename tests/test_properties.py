@@ -222,11 +222,16 @@ class TestCrfScoreProperties:
     def test_score_is_sum_of_known_weights(self, factors):
         graph = CrfGraph()
         index = graph.add_unknown("e", gold="g")
-        model = CrfModel()
-        expected = 0.0
+        model = CrfModel(space=graph.space)
+        weights = {}
         for label, rel, neighbor in factors:
             graph.add_known_factor(index, rel, neighbor)
-            model.pair_weights[("g", rel, neighbor)] += 1.0
+            key = model.pair_key("g", rel, neighbor)
+            weights[key] = weights.get(key, 0.0) + 1.0
+        for key, weight in weights.items():
+            model.plane.assign(key, weight)
+        expected = 0.0
         for factor in factors_of(graph, 0).known:
-            expected += model.pair_weights[("g", factor.rel, factor.label)]
+            expected += weights[(model.label_id("g"), factor.rel, factor.label)]
+        assert expected >= len(factors)
         assert node_score(model, graph.unknowns[0], "g", ["g"]) == expected

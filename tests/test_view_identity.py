@@ -188,13 +188,14 @@ def test_view_vocab_holds_only_element_relations(corpora):
 
 def _decoded_weights(model):
     paths, values = model.space.paths, model.space.values
+    pair_rows, unary_rows = model.plane.to_rows()
     pairs = {
         (values.value(label), paths.value(rel), values.value(other)): weight
-        for (label, rel, other), weight in model.pair_weights.items()
+        for label, rel, other, weight in pair_rows
     }
     unary = {
         (values.value(label), paths.value(rel)): weight
-        for (label, rel), weight in model.unary_weights.items()
+        for label, rel, weight in unary_rows
     }
     return pairs, unary
 
