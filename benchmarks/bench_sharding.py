@@ -18,12 +18,12 @@ Emits ``BENCH_sharding.json`` (tracked by ``compare_bench.py`` against
 the committed baseline) and runs in the CI smoke job.
 """
 
-import json
 import os
 import tempfile
 import tracemalloc
 
 from conftest import emit, emit_json
+from fixtures import states_equal
 from repro.api import Pipeline, RunSpec
 from repro.corpus import deduplicate, generate_corpus
 from repro.corpus.generator import CorpusConfig
@@ -103,9 +103,9 @@ def _equality(sources, shard_dir, eval_sources):
     sharded = Pipeline(RunSpec(**SPEC))
     sharded.train(shards=shard_dir)
 
-    state_identical = json.dumps(
-        in_memory.learner.state_dict(), sort_keys=True
-    ) == json.dumps(sharded.learner.state_dict(), sort_keys=True)
+    state_identical = states_equal(
+        in_memory.learner.state_dict(), sharded.learner.state_dict()
+    )
 
     mismatches = 0
     predictions = 0

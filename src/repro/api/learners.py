@@ -1,8 +1,8 @@
 """The learner extension point and the two built-in learning engines.
 
 A learner consumes one feature view ("graph" or "contexts"), fits it,
-predicts labels for new programs, and snapshots its trained state as a
-plain dict (:meth:`state_dict`).  The artifact codec
+predicts labels for new programs, and snapshots its trained state as
+numpy arrays plus plain data (:meth:`state_dict`).  The artifact codec
 (:mod:`repro.artifacts.codec`) packs that snapshot into a
 ``pigeon-model/1`` file and restores it onto a fresh learner, so a whole
 :class:`~repro.api.Pipeline` persists to a single file and reloads with
@@ -17,6 +17,8 @@ bit-identical predictions.
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
+
+import numpy as np
 
 from ..core.interning import FeatureSpace
 from ..learning.crf import CrfModel, CrfTrainer, TrainingConfig
@@ -116,8 +118,21 @@ class CrfLearner(_LearnerBase):
         }
 
     def state_dict(self) -> dict:
+        """The model as numpy columns plus its feature space.
+
+        ``weights`` lists the plane's keys (``label``, ``rel``,
+        ``other``, ``value``) in insertion order, or in key order for a
+        loaded model; ``candidates`` maps each candidate-index column to
+        its artifact section name.
+        """
         self._require_trained()
-        return {"model": self.model.to_dict()}
+        model = self.model
+        return {
+            "space": model.space.to_dict(),
+            "use_unary": model.use_unary,
+            "weights": dict(zip(("label", "rel", "other", "value"), model.plane.columns())),
+            "candidates": model.candidates.columns(),
+        }
 
 
 @learners.register("word2vec")
@@ -179,14 +194,14 @@ class Word2vecLearner(_LearnerBase):
         return {
             "dim": model.dim,
             "words": list(model.words.id_to_token),
-            "word_counts": [int(c) for c in model.words.counts],
+            "word_counts": np.asarray(model.words.counts, dtype=np.int64),
             # Context tokens are strings (token-stream baselines) or
             # interned (rel_id, value_id) tuples; the codec packs tuples
             # as an int matrix and restores them as int tuples on load.
             "contexts": list(model.contexts.id_to_token),
-            "context_counts": [int(c) for c in model.contexts.counts],
-            "word_vectors": model.word_vectors.tolist(),
-            "context_vectors": model.context_vectors.tolist(),
+            "context_counts": np.asarray(model.contexts.counts, dtype=np.int64),
+            "word_vectors": model.word_vectors,
+            "context_vectors": model.context_vectors,
             "space": self._space.to_dict() if self._space is not None else None,
         }
 

@@ -107,8 +107,9 @@ class Learner(Protocol):
 
     ``fit`` consumes a list of views (one per training program);
     ``predict``/``suggest`` consume a single program's view.
-    ``state_dict`` snapshots a trained learner as plain data, which the
-    artifact codec (:mod:`repro.artifacts.codec`) packs for
+    ``state_dict`` snapshots a trained learner as numpy arrays plus
+    plain data (strings, ints, the feature space's string lists), which
+    the artifact codec (:mod:`repro.artifacts.codec`) packs for
     :meth:`repro.api.Pipeline.save`; loading restores packed state
     through the same codec, so predictions round-trip exactly.
     """

@@ -9,8 +9,26 @@ JSON files, CLI flags, experiment matrices and saved models alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict
+from dataclasses import dataclass, field, fields
+from typing import Any, Collection, Dict
+
+from ..core.extraction import ExtractionConfig
+from ..learning.crf.training import TrainingConfig
+from ..learning.word2vec.sgns import SgnsConfig
+
+#: The keys each option dictionary accepts: ``extraction`` takes the
+#: :class:`ExtractionConfig` fields plus the token-stream ``window``.
+OPTION_KEYS = {
+    "extraction": {f.name for f in fields(ExtractionConfig)} | {"window"},
+    "training": {f.name for f in fields(TrainingConfig)},
+    "sgns": {f.name for f in fields(SgnsConfig)},
+}
+
+
+def _check_keys(what: str, given: Collection[str], known: Collection[str]) -> None:
+    unknown = set(given) - set(known)
+    if unknown:
+        raise ValueError(f"unknown {what} {sorted(unknown)}; known: {sorted(known)}")
 
 
 @dataclass
@@ -24,7 +42,9 @@ class RunSpec:
     ``max_length``/``max_width`` default to the task's tuned values for
     the language (Table 2).  ``training`` and ``sgns`` override fields of
     :class:`~repro.learning.crf.training.TrainingConfig` and
-    :class:`~repro.learning.word2vec.sgns.SgnsConfig` respectively.
+    :class:`~repro.learning.word2vec.sgns.SgnsConfig` respectively.  An
+    unknown key in any of the three raises :class:`ValueError` naming
+    the known ones (:data:`OPTION_KEYS`).
     """
 
     language: str
@@ -34,6 +54,10 @@ class RunSpec:
     extraction: Dict[str, Any] = field(default_factory=dict)
     training: Dict[str, Any] = field(default_factory=dict)
     sgns: Dict[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for name, known in OPTION_KEYS.items():
+            _check_keys(f"{name} options", getattr(self, name), known)
 
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-ready dict; inverse of :meth:`from_dict`."""
@@ -51,12 +75,7 @@ class RunSpec:
     def from_dict(cls, data: Dict[str, Any]) -> "RunSpec":
         """Rebuild a spec from :meth:`to_dict` output (missing keys keep
         their defaults, so hand-written JSON can stay short)."""
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown RunSpec fields {sorted(unknown)}; known: {sorted(known)}"
-            )
+        _check_keys("RunSpec fields", data, [f.name for f in fields(cls)])
         return cls(**data)
 
     def cell(self) -> str:

@@ -25,7 +25,10 @@ decoding and rebuilding weight tables.  The package has three layers:
     <repro.learning.crf.weights.WeightPlane.build>`, and loading adopts
     the mmapped ``crf/groups`` / ``keys`` / ``weights`` sections as a
     read-only plane without copying, which the same vectorised engine
-    as the live model scores.  Vocab tables are
+    as the live model scores.  The candidate counts are one
+    :class:`~repro.learning.crf.candidates.CandidateIndex`, whose
+    columns are the ``crf/cand_*`` / ``ucand_*`` / ``label_*`` sections
+    on both sides.  Vocab tables are
     :class:`~repro.core.interning.PackedVocab` lazy views.  Unpruned
     artifacts predict **bit-identically** to the live pipeline that
     saved them.
@@ -43,7 +46,8 @@ from __future__ import annotations
 import os
 from typing import Any, Dict, Optional
 
-from .codec import PackedModelError, pack_learner_state, restore_learner
+from ..learning.crf.weights import PackedModelError
+from .codec import pack_learner_state, restore_learner
 from .format import MODEL_FORMAT, MODEL_MAGIC, ArtifactWriter, ModelArtifact
 from .prune import DEFAULT_ACCURACY_DELTA_BUDGET, prune_state
 

@@ -1,8 +1,10 @@
 """Offline model pruning: corpus-frequency floors + dense vocab re-pack.
 
-Operates on the plain ``learner.state_dict()`` snapshot (never on live
-models); :func:`repro.artifacts.pack_model` prunes a loaded artifact's
-state and packs the result into a new artifact.
+Operates on the ``learner.state_dict()`` snapshot (never on live
+models): masks over its numpy columns filter the weights and candidate
+rows, and ``np.unique`` / ``searchsorted`` renumber the ids that remain.
+:func:`repro.artifacts.pack_model` prunes a loaded artifact's state and
+packs the result into a new artifact.
 
 The floor is a **relation observation count**: a relation (abstract path
 id) observed fewer than ``min_rel_count`` times across the training
@@ -28,8 +30,11 @@ recorded in the returned provenance and thus in the artifact header;
 from __future__ import annotations
 
 import math
-from collections import Counter
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
+
+import numpy as np
+
+from ..learning.crf.weights import UNARY_OTHER
 
 #: Default declared ceiling on the pruned model's accuracy drop
 #: (absolute fraction of held-out predictions allowed to change for the
@@ -37,114 +42,116 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 DEFAULT_ACCURACY_DELTA_BUDGET = 0.05
 
 
-def _remap(ids: Sequence[int], strings: List[str]) -> Tuple[Dict[int, int], List[str]]:
-    """Dense old-id -> new-id map over ``ids``, ascending old-id order."""
-    kept = sorted(set(int(i) for i in ids))
-    return {old: new for new, old in enumerate(kept)}, [strings[old] for old in kept]
+def _remap(used: List[np.ndarray], strings: List[str]) -> Tuple[np.ndarray, List[str]]:
+    """The ids still used, ascending (the new id is the position), and their strings."""
+    kept = np.unique(np.concatenate(used).astype(np.int64))
+    return kept, [strings[old] for old in kept.tolist()]
+
+
+def _observed(n_paths: int, *observations: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Every relation's summed count over ``(rels, counts)`` column pairs."""
+    observed = np.zeros(n_paths, dtype=np.int64)
+    for rels, counts in observations:
+        np.add.at(observed, rels, counts)
+    return observed
+
+
+def _renumber(kept: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """``ids`` (each one in ``kept``) as new dense ids, in their own dtype."""
+    return np.searchsorted(kept, ids).astype(ids.dtype)
+
+
+def _prune_rows(
+    keep: np.ndarray, off: np.ndarray, *columns: np.ndarray
+) -> Tuple[np.ndarray, ...]:
+    """Keep the CSR rows where ``keep``; returns the new offsets and columns."""
+    lengths = np.diff(off)[keep]
+    entries = np.repeat(keep, np.diff(off))
+    new_off = np.zeros(len(lengths) + 1, dtype=off.dtype)
+    np.cumsum(lengths, out=new_off[1:])
+    return (new_off,) + tuple(column[entries] for column in columns)
 
 
 def _prune_crf(
     state: Dict[str, Any], min_rel_count: int, budget: float
 ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    model = state["model"]
-    space = model.get("space", {})
+    space = state["space"]
     old_paths: List[str] = list(space.get("paths", ()))
     old_values: List[str] = list(space.get("values", ()))
+    weights, cand = state["weights"], state["candidates"]
+    pair_rel = cand["cand_ctx"][:, 0]
+    unary_rel = cand["ucand_rel"]
 
-    rel_counts: Counter = Counter()
-    for rel, _other, items in model.get("candidate_index", ()):
-        rel_counts[int(rel)] += sum(int(count) for _label, count in items)
-    for rel, items in model.get("unary_candidate_index", ()):
-        rel_counts[int(rel)] += sum(int(count) for _label, count in items)
-    kept_rels = {rel for rel, count in rel_counts.items() if count >= min_rel_count}
+    observed = _observed(
+        len(old_paths),
+        (np.repeat(pair_rel, np.diff(cand["cand_off"])), cand["cand_counts"]),
+        (np.repeat(unary_rel, np.diff(cand["ucand_off"])), cand["ucand_counts"]),
+    )
+    kept_rels = observed >= min_rel_count
 
-    pair = [
-        entry for entry in model.get("pair_weights", ()) if int(entry[1]) in kept_rels
-    ]
-    unary = [
-        entry for entry in model.get("unary_weights", ()) if int(entry[1]) in kept_rels
-    ]
-    cand = [
-        entry
-        for entry in model.get("candidate_index", ())
-        if int(entry[0]) in kept_rels
-    ]
-    ucand = [
-        entry
-        for entry in model.get("unary_candidate_index", ())
-        if int(entry[0]) in kept_rels
-    ]
-    label_counts = model.get("label_counts", ())
+    keep = kept_rels[weights["rel"]]
+    label, rel, other, value = (
+        weights[name][keep] for name in ("label", "rel", "other", "value")
+    )
+    pair = other != UNARY_OTHER
+    keep_pair, keep_unary = kept_rels[pair_rel], kept_rels[unary_rel]
+    ctx = cand["cand_ctx"][keep_pair]
+    cand_off, cand_labels, cand_counts = _prune_rows(
+        keep_pair, cand["cand_off"], cand["cand_labels"], cand["cand_counts"]
+    )
+    ucand_rel = unary_rel[keep_unary]
+    ucand_off, ucand_labels, ucand_counts = _prune_rows(
+        keep_unary, cand["ucand_off"], cand["ucand_labels"], cand["ucand_counts"]
+    )
 
-    used_paths: set = set()
-    used_values: set = set()
-    for label, rel, other, _weight in pair:
-        used_paths.add(int(rel))
-        used_values.add(int(label))
-        used_values.add(int(other))
-    for label, rel, _weight in unary:
-        used_paths.add(int(rel))
-        used_values.add(int(label))
-    for rel, other, items in cand:
-        used_paths.add(int(rel))
-        used_values.add(int(other))
-        used_values.update(int(label) for label, _count in items)
-    for rel, items in ucand:
-        used_paths.add(int(rel))
-        used_values.update(int(label) for label, _count in items)
+    paths, new_paths = _remap([rel, ctx[:, 0], ucand_rel], old_paths)
     # The global label frequencies survive pruning in full: they are the
     # candidate fallback for nodes whose every context was pruned away.
-    used_values.update(int(label) for label, _count in label_counts)
-
-    path_map, new_paths = _remap(used_paths, old_paths)
-    value_map, new_values = _remap(used_values, old_values)
-
-    pruned_model = {
+    values, new_values = _remap(
+        [label, other[pair], ctx[:, 1], cand_labels, ucand_labels, cand["label_ids"]],
+        old_values,
+    )
+    pruned = {
         "space": {"paths": new_paths, "values": new_values},
-        "pair_weights": [
-            [value_map[int(l)], path_map[int(r)], value_map[int(o)], w]
-            for l, r, o, w in pair
-        ],
-        "unary_weights": [
-            [value_map[int(l)], path_map[int(r)], w] for l, r, w in unary
-        ],
-        "candidate_index": [
-            [
-                path_map[int(r)],
-                value_map[int(o)],
-                [[value_map[int(l)], int(c)] for l, c in items],
-            ]
-            for r, o, items in cand
-        ],
-        "unary_candidate_index": [
-            [path_map[int(r)], [[value_map[int(l)], int(c)] for l, c in items]]
-            for r, items in ucand
-        ],
-        "label_counts": [
-            [value_map[int(l)], int(c)] for l, c in label_counts
-        ],
-        "use_unary": model.get("use_unary", True),
+        "use_unary": state["use_unary"],
+        "weights": {
+            "label": _renumber(values, label),
+            "rel": _renumber(paths, rel),
+            "other": np.where(pair, _renumber(values, other), other),
+            "value": value,
+        },
+        "candidates": {
+            "cand_ctx": np.stack(
+                (_renumber(paths, ctx[:, 0]), _renumber(values, ctx[:, 1])), axis=1
+            ),
+            "cand_off": cand_off,
+            "cand_labels": _renumber(values, cand_labels),
+            "cand_counts": cand_counts,
+            "ucand_rel": _renumber(paths, ucand_rel),
+            "ucand_off": ucand_off,
+            "ucand_labels": _renumber(values, ucand_labels),
+            "ucand_counts": ucand_counts,
+            "label_ids": _renumber(values, cand["label_ids"]),
+            "label_freqs": cand["label_freqs"],
+        },
     }
+    n_pair = int(np.count_nonzero(weights["other"] != UNARY_OTHER))
     provenance = {
         "min_rel_count": int(min_rel_count),
         "accuracy_delta_budget": float(budget),
-        "pair_weights": {
-            "before": len(model.get("pair_weights", ())),
-            "after": len(pair),
-        },
+        "pair_weights": {"before": n_pair, "after": int(np.count_nonzero(pair))},
         "unary_weights": {
-            "before": len(model.get("unary_weights", ())),
-            "after": len(unary),
+            "before": len(weights["other"]) - n_pair,
+            "after": len(pair) - int(np.count_nonzero(pair)),
         },
         "contexts": {
-            "before": len(model.get("candidate_index", ()))
-            + len(model.get("unary_candidate_index", ())),
-            "after": len(cand) + len(ucand),
+            "before": len(pair_rel) + len(unary_rel),
+            "after": len(ctx) + len(ucand_rel),
         },
         "paths": {"before": len(old_paths), "after": len(new_paths)},
         "values": {"before": len(old_values), "after": len(new_values)},
     }
-    return {"model": pruned_model}, provenance
+    return pruned, provenance
 
 
 def _prune_word2vec(
@@ -163,32 +170,24 @@ def _prune_word2vec(
             "pruning a word2vec model requires its feature space (the "
             "model was saved without one)"
         )
-    context_counts = [int(count) for count in state["context_counts"]]
-
-    rel_counts: Counter = Counter()
-    for (rel, _value), count in zip(contexts, context_counts):
-        rel_counts[int(rel)] += count
-    kept_rows = [
-        i
-        for i, (rel, _value) in enumerate(contexts)
-        if rel_counts[int(rel)] >= min_rel_count
-    ]
-
-    used_paths = {int(contexts[i][0]) for i in kept_rows}
-    used_values = {int(contexts[i][1]) for i in kept_rows}
     old_paths = list(space.get("paths", ()))
     old_values = list(space.get("values", ()))
-    path_map, new_paths = _remap(used_paths, old_paths)
-    value_map, new_values = _remap(used_values, old_values)
+    pairs = np.asarray(contexts, dtype=np.int64).reshape(len(contexts), 2)
+    observed = _observed(len(old_paths), (pairs[:, 0], state["context_counts"]))
+    kept_rows = np.flatnonzero(observed[pairs[:, 0]] >= min_rel_count)
+    kept = pairs[kept_rows]
+    paths, new_paths = _remap([kept[:, 0]], old_paths)
+    values, new_values = _remap([kept[:, 1]], old_values)
 
-    context_vectors = state["context_vectors"]
     pruned = dict(state)
-    pruned["contexts"] = [
-        [path_map[int(contexts[i][0])], value_map[int(contexts[i][1])]]
-        for i in kept_rows
-    ]
-    pruned["context_counts"] = [context_counts[i] for i in kept_rows]
-    pruned["context_vectors"] = [context_vectors[i] for i in kept_rows]
+    pruned["contexts"] = list(
+        zip(
+            _renumber(paths, kept[:, 0]).tolist(),
+            _renumber(values, kept[:, 1]).tolist(),
+        )
+    )
+    pruned["context_counts"] = state["context_counts"][kept_rows]
+    pruned["context_vectors"] = state["context_vectors"][kept_rows]
     pruned["space"] = {"paths": new_paths, "values": new_values}
     provenance = {
         "min_rel_count": int(min_rel_count),

@@ -16,8 +16,10 @@ grouped by ``(relation, neighbour value)`` and each weight sits at the
 combined key ``row * label_base + label``.  The trainer applies each
 update to it as one batch, the compiled scorer reads it in place, and a
 loaded artifact adopts its sections as a read-only plane.  The candidate
-index that bounds each node's label beam stays in python counters until
-it is frozen.  Inference then runs on a **columnar** representation:
+index that bounds each node's label beam is one store too: count columns
+(:class:`~repro.learning.crf.candidates.CandidateIndex`) that the
+trainer builds once and the artifact stores as they are.  Inference
+then runs on a **columnar** representation:
 
 * a :class:`~repro.learning.crf.graph.CrfGraph` stores its factors once,
   as flat integer rows appended in any order, and

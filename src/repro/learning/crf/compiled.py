@@ -4,21 +4,22 @@ A :class:`~repro.learning.crf.model.CrfModel` keeps its weights in one
 sorted ``(group, label)`` plane
 (:class:`~repro.learning.crf.weights.WeightPlane`) -- the same plane the
 trainer updates and an artifact maps -- and its candidate index in
-python counters.  ICM ranks the candidate labels of every unknown node
-once per sweep, so this module reads the plane in place and freezes the
-candidate index into sorted arrays; one node's candidates and its whole
-beam's scores then each cost a handful of numpy ops:
+count columns (:class:`~repro.learning.crf.candidates.CandidateIndex`).
+ICM ranks the candidate labels of every unknown node once per sweep, so
+this module reads the plane in place and freezes the candidate index
+into sorted lookup tables; one node's candidates and its whole beam's
+scores then each cost a handful of numpy ops:
 
-* At *freeze* time (:meth:`CrfModel.compile`), :class:`CandidateTables`
-  maps every ``(rel, other)`` context key
+* At *freeze* time (:meth:`CrfModel.compile`),
+  :meth:`CandidateTables.freeze` maps every ``(rel, other)`` context key
   (:func:`~repro.learning.crf.weights.group_keys`) to the first
-  :data:`PER_CONTEXT` labels and counts of its counter in
-  ``most_common`` order, next to the global :data:`GLOBAL_FALLBACK`
-  labels and every label's string rank (the tie-break).  The tables
-  share the plane's label base: when an update re-keys the plane to a
-  larger base, the next graph compile re-freezes them.  A loaded
-  artifact's ``crf/cand_*`` / ``crf/ucand_*`` sections are already in
-  ``most_common`` order, so its tables index them in place.
+  :data:`PER_CONTEXT` labels and counts of its row, next to the global
+  :data:`GLOBAL_FALLBACK` labels and every label's string rank (the
+  tie-break).  The index's rows are already in ``most_common`` order,
+  so the tables index its columns in place -- a live model's and a
+  loaded artifact's sections alike.  The tables share the plane's label
+  base: when an update re-keys the plane to a larger base, the next
+  graph compile re-freezes them.
 * At *graph-compile* time (:meth:`compile_graph`, once per inference
   call), the graph's :meth:`~repro.learning.crf.graph.CrfGraph.columnar`
   view (its factor rows grouped per node) is resolved against the
@@ -78,7 +79,7 @@ Training and serving share this one path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
@@ -86,12 +87,11 @@ from .graph import ColumnarGraph, CrfGraph
 from .weights import UNARY_OTHER, find, group_keys
 
 if TYPE_CHECKING:  # pragma: no cover
-    from collections import Counter
-
+    from .candidates import CandidateIndex
     from .model import CrfModel
 
-#: How many labels one context proposes: its counter's ``most_common``
-#: prefix.
+#: How many labels one context proposes: the ``most_common`` prefix of its
+#: row.
 PER_CONTEXT = 12
 
 #: How many globally most frequent labels every beam falls back on.
@@ -177,60 +177,38 @@ class CandidateTables:
     rank: np.ndarray
 
     @classmethod
-    def build(
-        cls,
-        values,
-        base: int,
-        pair: CandidateTable,
-        unary: CandidateTable,
-        fallback: Iterable[Tuple[int, int]],
+    def freeze(
+        cls, index: "CandidateIndex", values, base: int
     ) -> "CandidateTables":
-        """Tables plus the ranks; ``fallback`` is ``label_counts.most_common(8)``."""
-        fallback = list(fallback)
-        fallback_ids = np.array([label for label, _ in fallback], dtype=np.int64)
-        fallback_counts = np.array([count for _, count in fallback], dtype=np.int64)
+        """The tables of a candidate index, keyed in label base ``base``.
+
+        The index's label and count columns are already in
+        ``most_common`` order, so the tables index them in place (a
+        loaded artifact's mmapped sections, too); only the sorted
+        context keys, their row bounds and the ranks are new arrays.
+        ``values`` names the labels, for the string tie-break.
+        """
+        contexts = index.cand_ctx.astype(np.int64).reshape(-1, 2)
+        pair = CandidateTable.from_csr(
+            group_keys(contexts[:, 0], contexts[:, 1], base),
+            index.cand_off,
+            index.cand_labels,
+            index.cand_counts,
+        )
+        unary = CandidateTable.from_csr(
+            group_keys(index.ucand_rel.astype(np.int64), UNARY_OTHER, base),
+            index.ucand_off,
+            index.ucand_labels,
+            index.ucand_counts,
+        )
+        fallback_ids = index.label_ids[:GLOBAL_FALLBACK].astype(np.int64)
+        fallback_counts = index.label_freqs[:GLOBAL_FALLBACK].astype(np.int64)
         proposed = np.unique(
             np.concatenate((pair.labels, unary.labels, fallback_ids), dtype=np.int64)
         )
         rank = np.zeros(base, dtype=np.int64)
         rank[sorted(proposed.tolist(), key=values.value)] = np.arange(len(proposed))
         return cls(base, pair, unary, fallback_ids, fallback_counts, rank)
-
-    @classmethod
-    def of_model(cls, model: "CrfModel", base: int) -> "CandidateTables":
-        """Freeze a model's candidate counters in label base ``base``."""
-
-        def table(contexts: Iterable[Tuple[int, "Counter"]]) -> CandidateTable:
-            keys: List[int] = []
-            offsets = [0]
-            labels: List[int] = []
-            counts: List[int] = []
-            for key, counter in contexts:
-                for label, count in counter.most_common(PER_CONTEXT):
-                    labels.append(label)
-                    counts.append(count)
-                keys.append(key)
-                offsets.append(len(labels))
-            return CandidateTable.from_csr(
-                np.array(keys, dtype=np.int64),
-                np.array(offsets, dtype=np.int64),
-                np.array(labels, dtype=np.int64),
-                np.array(counts, dtype=np.int64),
-            )
-
-        return cls.build(
-            model.space.values,
-            base,
-            table(
-                (group_keys(rel, other, base), counter)
-                for (rel, other), counter in model.candidate_index.items()
-            ),
-            table(
-                (group_keys(rel, UNARY_OTHER, base), counter)
-                for rel, counter in model.unary_candidate_index.items()
-            ),
-            model.label_counts.most_common(GLOBAL_FALLBACK),
-        )
 
 
 def _rank(
@@ -398,27 +376,30 @@ class CompiledCrfModel:
 
     Keeps a reference to the model, whose vocabularies and plane it
     reads: weight changes show in the next score, with no rebuild.
-    Build one with :meth:`CrfModel.compile`, which freezes the candidate
-    index: a node observed after that is not a candidate source for
-    this compiled model.  A loaded artifact passes ``candidates`` built
-    over its own sections.
+    Build one with :meth:`CrfModel.compile`, which freezes the model's
+    candidate index (:meth:`CandidateTables.freeze`), live or loaded
+    alike.
     """
 
-    def __init__(
-        self, model: "CrfModel", candidates: Optional[CandidateTables] = None
-    ) -> None:
+    def __init__(self, model: "CrfModel") -> None:
         self.model = model
         self.plane = model.plane
         self._last_compiled: Optional[CompiledGraph] = None
-        if candidates is None:
-            self._freeze_candidates()
-        else:
-            self._candidates = candidates
+        self._freeze_candidates()
 
     def _freeze_candidates(self) -> None:
-        """Freeze the candidate index in the plane's base, grown to the vocab."""
-        self.plane.reserve(max(1, len(self.model.space.values)))
-        self._candidates = CandidateTables.of_model(self.model, self.plane.base)
+        """Freeze the candidate index in the plane's base.
+
+        A writable plane first grows its base to the vocabulary; a
+        read-only (loaded) one keeps the base it was saved with, and ids
+        interned after loading match no context.
+        """
+        values = self.model.space.values
+        if self.plane.writable:
+            self.plane.reserve(max(1, len(values)))
+        self._candidates = CandidateTables.freeze(
+            self.model.candidates, values, self.plane.base
+        )
 
     @property
     def label_base(self) -> int:

@@ -1,4 +1,4 @@
-"""CRF model: sparse weights and the candidate index.
+"""CRF model: the weight plane and the candidate index.
 
 The model scores an assignment ``y`` of labels to a graph's unknown nodes
 as the sum of factor weights (log-potentials):
@@ -17,30 +17,31 @@ the trainer updates it in batches, the compiled scorer
 maps it read-only.  Weight and index keys are **integer tuples** over
 the model's :class:`~repro.core.interning.FeatureSpace`: labels and
 neighbour values are value-vocab ids, relations are path-vocab ids;
-labels intern once at the boundary (:meth:`label_id`).  Snapshots are
-vocab-aware -- :meth:`to_dict` embeds the space and lists the weights in
-insertion order, so a model packed into an artifact
-(:mod:`repro.artifacts.codec`) resolves the same ids to the same strings
-on load and predictions round-trip bit-identically.
+labels intern once at the boundary (:meth:`label_id`).  The space rides
+along whenever the model is saved (the learner's ``state_dict``), so a
+model packed into an artifact (:mod:`repro.artifacts.codec`) resolves
+the same ids to the same strings on load and predictions round-trip
+bit-identically.
 
 The *candidate index* maps observed ``(rel, neighbour-label)`` contexts to
 the gold labels seen with them in training -- the mechanism Nice2Predict
-uses to keep inference over a tractable beam of candidate names.  Its
-counters grow only while the trainer observes gold nodes, before it
-compiles; :meth:`compile` freezes them, with the weights, into sorted
-tables (:class:`~repro.learning.crf.compiled.CandidateTables`), and
+uses to keep inference over a tractable beam of candidate names.  It is
+one set of count columns, :attr:`CrfModel.candidates`
+(:class:`~repro.learning.crf.candidates.CandidateIndex`), built once by
+the trainer's pass 0 or mapped from a loaded artifact, and never changed
+after; :meth:`compile` freezes it, with the weights, into sorted tables
+(:class:`~repro.learning.crf.compiled.CandidateTables`), and
 :meth:`candidate_ids_for` ranks a node's beam from those tables.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
 from ...core.interning import FeatureSpace
-from .graph import CrfGraph, UnknownNode
+from .candidates import CandidateIndex
 from .weights import UNARY_OTHER, WeightKey, WeightPlane
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -51,19 +52,18 @@ class CrfModel:
     """Sparse log-linear model over pairwise and unary factors."""
 
     def __init__(
-        self, use_unary: bool = True, space: Optional[FeatureSpace] = None
+        self,
+        use_unary: bool = True,
+        space: Optional[FeatureSpace] = None,
+        candidates: Optional[CandidateIndex] = None,
     ) -> None:
         # The trainer and pipelines pass the graphs' (or the
         # representation's) space; a hand-built model without one gets a
         # private space, so it shares ids only with graphs built in it.
         self.space = space if space is not None else FeatureSpace()
         self.plane = WeightPlane()
-        #: (rel_id, other_value_id) -> Counter of gold label ids.
-        self.candidate_index: Dict[Tuple[int, int], Counter] = defaultdict(Counter)
-        #: rel_id -> Counter of gold label ids (for unary-only nodes).
-        self.unary_candidate_index: Dict[int, Counter] = defaultdict(Counter)
-        #: Global label-id frequencies (fallback candidates).
-        self.label_counts: Counter = Counter()
+        #: The candidate counts (empty for a model that observed nothing).
+        self.candidates = candidates if candidates is not None else CandidateIndex.empty()
         self.use_unary = use_unary
 
     # ------------------------------------------------------------------
@@ -91,22 +91,6 @@ class CrfModel:
     # ------------------------------------------------------------------
     # Candidates
     # ------------------------------------------------------------------
-    def observe_training_node(self, node: UnknownNode, graph: CrfGraph) -> None:
-        """Record a gold-labelled node into the candidate index."""
-        cols = graph.columnar()
-        i = node.index
-        gold = self.label_id(node.gold)
-        self.label_counts[gold] += 1
-        ks, ke = cols.known_off[i], cols.known_off[i + 1]
-        for context in zip(cols.known_rel[ks:ke].tolist(), cols.known_label[ks:ke].tolist()):
-            self.candidate_index[context][gold] += 1
-        es, ee = cols.edge_off[i], cols.edge_off[i + 1]
-        for rel, other in zip(cols.edge_rel[es:ee].tolist(), cols.edge_other[es:ee].tolist()):
-            other_gold = self.label_id(graph.unknowns[other].gold)
-            self.candidate_index[(rel, other_gold)][gold] += 1
-        for rel in cols.unary_rel[cols.unary_off[i]:cols.unary_off[i + 1]].tolist():
-            self.unary_candidate_index[rel][gold] += 1
-
     def candidate_ids_for(
         self,
         cg: "CompiledGraph",
@@ -164,48 +148,19 @@ class CrfModel:
         """Highest-weight features -- CRFs are interpretable (Sec. 5.3)."""
         values = self.space.values
         paths = self.space.paths
+        columns = self.plane.columns()
+        # Pair weights before unary ones, each kind in plane order; the
+        # sort below is stable.
+        order = np.argsort(columns[2] == UNARY_OTHER, kind="stable")
         items: List[Tuple[str, float]] = []
-        pair, unary = self.plane.to_rows()
-        for label, rel, other, w in pair:
-            items.append(
-                (
+        for label, rel, other, w in zip(*(c[order].tolist() for c in columns)):
+            if other == UNARY_OTHER:
+                feature = f"unary: {values.value(label)} --[{paths.value(rel)}]--> (self)"
+            else:
+                feature = (
                     f"pair: {values.value(label)} --[{paths.value(rel)}]--> "
-                    f"{values.value(other)}",
-                    w,
+                    f"{values.value(other)}"
                 )
-            )
-        for label, rel, w in unary:
-            items.append(
-                (f"unary: {values.value(label)} --[{paths.value(rel)}]--> (self)", w)
-            )
+            items.append((feature, w))
         items.sort(key=lambda kv: -abs(kv[1]))
         return items[:n]
-
-    def to_dict(self) -> dict:
-        """Vocab-aware plain-data snapshot (what the artifact codec packs).
-
-        Weights flatten to rows in insertion order (each kind on its own);
-        the feature space rides along so the ids stay meaningful in any
-        process.
-        """
-        pair, unary = self.plane.to_rows()
-        return {
-            "space": self.space.to_dict(),
-            "pair_weights": pair,
-            "unary_weights": unary,
-            # Candidate indexes are part of inference (they bound the label
-            # beam), so they persist too -- a reloaded model must propose
-            # the same candidates in the same tie-break order.  Counter
-            # entries keep their first-observed insertion order, which is
-            # what Counter.most_common uses to break count ties.
-            "candidate_index": [
-                [r, o, list(counter.items())]
-                for (r, o), counter in self.candidate_index.items()
-            ],
-            "unary_candidate_index": [
-                [r, list(counter.items())]
-                for r, counter in self.unary_candidate_index.items()
-            ],
-            "label_counts": list(self.label_counts.items()),
-            "use_unary": self.use_unary,
-        }

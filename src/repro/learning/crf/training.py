@@ -28,6 +28,7 @@ import numpy as np
 
 from ...resilience import faults
 from ...resilience.checkpoint import CheckpointMismatchError, TrainerCheckpoint
+from .candidates import CandidateIndex
 from .graph import CrfGraph
 from .inference import map_inference
 from .model import CrfModel
@@ -96,10 +97,8 @@ class CrfTrainer:
         stats = TrainingStats(graphs=len(graphs))
         started = time.perf_counter()
 
-        # Pass 0: populate the candidate index from gold labels.
-        for graph in graphs:
-            for node in graph.unknowns:
-                model.observe_training_node(node, graph)
+        # Pass 0: count the candidate index from the gold labels.
+        model.candidates = CandidateIndex.observe(graphs, model.space.values)
 
         step = 0
         rng = random.Random(cfg.seed)

@@ -19,21 +19,22 @@ The same plane serves every phase of a model's life:
   hold the lazy averages (the running ``totals`` and the ``stamp`` of
   each key's last change); :meth:`decay` flushes them before scaling,
   and :meth:`average` turns the weights into their means.  ``born``
-  records each key's insertion order, which :meth:`to_rows` (and so
-  ``CrfModel.to_dict`` and the artifact's group numbering) follows.
+  records each key's insertion order, which :meth:`columns` (and so the
+  learner's ``state_dict`` and the artifact's group numbering) follows.
 * **Scoring.**  :class:`~repro.learning.crf.compiled.CompiledCrfModel`
   reads the plane directly: :meth:`group_rows` resolves factor groups
   against the sorted group keys and :meth:`gather` reads the weights.
 * **Saving and loading.**  :meth:`WeightPlane.build` lays out the
-  artifact's plane from ``to_dict`` rows (groups numbered first-seen over
-  pair then unary rows); a loaded artifact's ``crf/groups`` / ``keys`` /
-  ``weights`` sections become a read-only plane without a copy, and
-  every mutation of it raises :class:`PackedModelError`.
+  artifact's plane from the :meth:`columns` of the saved state (groups
+  numbered first-seen over the pair keys, then the unary keys); a loaded
+  artifact's ``crf/groups`` / ``keys`` / ``weights`` sections become a
+  read-only plane without a copy, and every mutation of it raises
+  :class:`PackedModelError`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -75,7 +76,7 @@ def find(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
     return np.where(haystack[positions] == needles, positions, -1)
 
 
-def _first_seen(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def first_seen(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Where each distinct key first occurs, in order, and each key's rank among them."""
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
@@ -146,7 +147,7 @@ class WeightPlane:
         """
         label, rel, other = _int64(label), _int64(rel), _int64(other)
         base = max(1, int(base))
-        first, rows = _first_seen(group_keys(rel, other, base))
+        first, rows = first_seen(group_keys(rel, other, base))
         combined = rows * base + label
         order = np.argsort(combined, kind="stable")
         return cls(
@@ -197,29 +198,22 @@ class WeightPlane:
             shape
         )
 
-    def _columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Label, rel, other and weight of every key, in insertion order."""
+    def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Label, rel and other (int64) and weight of every key.
+
+        A writable plane lists its keys in insertion order, a read-only
+        one in key order.
+        """
         order = (
             np.arange(len(self.keys)) if self.born is None else np.argsort(self.born)
         )
         rows, labels = np.divmod(self.keys[order].astype(np.int64), self.base)
-        groups = self.groups[rows]
+        groups = self.groups[rows].astype(np.int64, copy=False)
         return labels, groups[:, 0], groups[:, 1], self.weights[order]
-
-    def to_rows(self) -> Tuple[List[list], List[list]]:
-        """``[label, rel, other, weight]`` pair rows and ``[label, rel,
-        weight]`` unary rows, each in insertion order."""
-        label, rel, other, weights = self._columns()
-        unary = other == UNARY_OTHER
-        pair = ~unary
-        return (
-            list(map(list, zip(*(c[pair].tolist() for c in (label, rel, other, weights))))),
-            list(map(list, zip(*(c[unary].tolist() for c in (label, rel, weights))))),
-        )
 
     def as_dict(self) -> Dict[WeightKey, float]:
         """Every weight by :data:`WeightKey` (inspection and the test oracle)."""
-        label, rel, other, weights = (c.tolist() for c in self._columns())
+        label, rel, other, weights = (c.tolist() for c in self.columns())
         return dict(zip(zip(label, rel, other), weights))
 
     # ------------------------------------------------------------------
@@ -252,7 +246,7 @@ class WeightPlane:
         rows = self.group_rows(gkeys)
         missing = np.flatnonzero(rows < 0)
         if len(missing):
-            first, rank = _first_seen(gkeys[missing])
+            first, rank = first_seen(gkeys[missing])
             new = missing[first]
             n_groups = len(self.groups)
             self.groups = np.concatenate(
@@ -266,7 +260,7 @@ class WeightPlane:
         combined = rows * base + label
         missing = np.flatnonzero(find(self.keys, combined) < 0)
         if len(missing):
-            first, _ = _first_seen(combined[missing])
+            first, _ = first_seen(combined[missing])
             new = combined[missing[first]]
             order = np.argsort(new)
             at = np.searchsorted(self.keys, new[order])

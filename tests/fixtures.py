@@ -68,12 +68,34 @@ namespace Demo.App {
 """
 
 
+def states_equal(a, b) -> bool:
+    """Whether two learner ``state_dict()`` snapshots are exactly equal.
+
+    Dicts need the same keys, lists and tuples the same length, arrays
+    the same dtype and shape and the same bytes (so ``-0.0 != 0.0``),
+    and every other value the same type and ``repr``.
+    """
+    import numpy as np
+
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(states_equal(a[key], b[key]) for key in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(states_equal(x, y) for x, y in zip(a, b))
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return repr(a) == repr(b)
+
+
 def crf_artifact_round_trip(model, path):
     """Pack a bare CRF model into a pigeon-model/1 artifact and load it back."""
     from repro.api import CrfLearner
     from repro.artifacts import ModelArtifact, restore_learner, write_state_artifact
 
-    write_state_artifact(str(path), {}, "crf", {"model": model.to_dict()})
+    learner = CrfLearner()
+    learner.model = model
+    write_state_artifact(str(path), {}, "crf", learner.state_dict())
     learner = CrfLearner()
     restore_learner(learner, ModelArtifact.open(str(path), verify_payload=True))
     return learner.model

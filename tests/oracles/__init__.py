@@ -7,6 +7,9 @@ reference:
 * :mod:`oracles.crf` -- the scalar CRF scorer and its string-based ICM
   sweep; the compiled engine must reproduce its assignments, scores,
   tie-breaks and fallbacks float-for-float;
+* :mod:`oracles.candidates` -- the candidate index as ``Counter`` objects:
+  the one-node-at-a-time pass 0, the ``most_common`` table layout and
+  the list-based pruner, which the count columns must match exactly;
 * :mod:`oracles.extraction` -- the all-pairs path extractor, whose path
   set and order the single-pass engine must emit exactly, and the
   per-path variable-naming view builders, whose decoded views the path

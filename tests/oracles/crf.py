@@ -11,9 +11,9 @@ fallbacks, float-equal.
 Every function takes the :class:`~repro.learning.crf.model.CrfModel`
 (or a packed, memory-mapped one) as its first argument and reads only
 its dict-style state: the weights as one dict per call
-(``model.plane.as_dict()``), the candidate counters
-(``get(key).most_common(n)``), ``label_counts`` and the vocabulary.
-Nothing here calls the compiled engine.
+(``model.plane.as_dict()``), the candidate index as counters
+(:func:`oracles.candidates.counters`, ranked by ``most_common(n)``) and
+the vocabulary.  Nothing here calls the compiled engine.
 """
 
 from __future__ import annotations
@@ -23,7 +23,9 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from repro.learning.crf.graph import CrfGraph, UnknownNode
 from repro.learning.crf.inference import UNKNOWN_LABEL
 from repro.learning.crf.model import CrfModel
-from repro.learning.crf.weights import UNARY_OTHER, WeightKey
+from repro.learning.crf.weights import UNARY_OTHER, WeightKey, WeightPlane
+
+from .candidates import counters
 
 #: Every weight of a model by key, read once per top-level call.
 Weights = Dict[WeightKey, float]
@@ -72,6 +74,29 @@ def factors_of(graph: CrfGraph, index: int) -> NodeFactors:
         [Edge(*row) for row in edges],
         cols.unary_rel[us:ue].tolist(),
     )
+
+
+def plane_rows(plane: WeightPlane) -> Tuple[List[list], List[list]]:
+    """``[label, rel, other, weight]`` pair rows and ``[label, rel,
+    weight]`` unary rows, each in the plane's order."""
+    label, rel, other, weights = (column.tolist() for column in plane.columns())
+    rows = list(zip(label, rel, other, weights))
+    return (
+        [[l, r, o, w] for l, r, o, w in rows if o != UNARY_OTHER],
+        [[l, r, w] for l, r, o, w in rows if o == UNARY_OTHER],
+    )
+
+
+def snapshot(model: CrfModel) -> dict:
+    """Everything a model holds, as plain lists (exact equality checks)."""
+    return {
+        "space": model.space.to_dict(),
+        "use_unary": model.use_unary,
+        "weights": [column.tolist() for column in model.plane.columns()],
+        "candidates": {
+            name: column.tolist() for name, column in model.candidates.columns().items()
+        },
+    }
 
 
 # ----------------------------------------------------------------------
@@ -139,6 +164,7 @@ def candidates_for(
     string)`` and the first ``beam`` are kept.
     """
     values = model.space.values
+    index = counters(model)
     counts: Dict[int, int] = {}
 
     def propose(counter) -> None:
@@ -148,15 +174,15 @@ def candidates_for(
 
     factors = factors_of(node.graph, node.index)
     for factor in factors.known:
-        propose(model.candidate_index.get((factor.rel, factor.label)))
+        propose(index.pair.get((factor.rel, factor.label)))
     for edge in factors.edges:
         other = values.id_of(assignment[edge.other])
         if other is not None:
-            propose(model.candidate_index.get((edge.rel, other)))
+            propose(index.pair.get((edge.rel, other)))
     if model.use_unary:
         for rel in factors.unary:
-            propose(model.unary_candidate_index.get(rel))
-    for label, count in model.label_counts.most_common(GLOBAL_FALLBACK):
+            propose(index.unary.get(rel))
+    for label, count in index.labels.most_common(GLOBAL_FALLBACK):
         counts.setdefault(int(label), int(count))
     ranked = sorted(counts, key=lambda label: (-counts[label], values.value(label)))
     return [values.value(label) for label in ranked[:beam]]

@@ -84,6 +84,23 @@ class TestRunSpec:
         with pytest.raises(ValueError, match="unknown RunSpec fields"):
             RunSpec.from_dict({"language": "java", "flavour": "mint"})
 
+    def test_unknown_extraction_key_names_the_known_ones(self):
+        message = r"unknown extraction options \['max_lenght'\]"
+        with pytest.raises(ValueError, match=message) as error:
+            Pipeline(language="javascript", extraction={"max_lenght": 3})
+        assert "'max_length'" in str(error.value) and "'window'" in str(error.value)
+
+    def test_unknown_training_key_names_the_known_ones(self):
+        message = r"unknown training options \['learning_rate'\]"
+        with pytest.raises(ValueError, match=message) as error:
+            Pipeline(language="javascript", training={"learning_rate": 0.5})
+        assert "'epochs'" in str(error.value)
+
+    def test_unknown_sgns_key_names_the_known_ones(self):
+        with pytest.raises(ValueError, match=r"unknown sgns options \['dims'\]") as error:
+            RunSpec.from_dict({"language": "java", "learner": "word2vec", "sgns": {"dims": 8}})
+        assert "'dim'" in str(error.value)
+
     def test_to_dict_is_json_ready(self):
         spec = RunSpec(language="python", training={"epochs": 2})
         assert json.loads(json.dumps(spec.to_dict())) == spec.to_dict()

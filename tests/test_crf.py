@@ -13,6 +13,7 @@ from repro.learning.crf import (
 )
 
 from fixtures import crf_artifact_round_trip
+from oracles import candidates as reference
 from oracles import crf as oracle
 
 #: One space for every hand-built graph and model here, so their ids agree.
@@ -138,8 +139,7 @@ class TestModelScoring:
     def test_candidates_come_from_observed_contexts(self):
         graph = tiny_graph()
         model = CrfModel(space=SPACE)
-        for node in graph.unknowns:
-            model.observe_training_node(node, graph)
+        model.candidates = reference.candidate_index(*reference.observe([graph]))
         candidates = oracle.candidates_for(model, graph.unknowns[0], ["?", "?"])
         assert "done" in candidates
 
@@ -157,12 +157,12 @@ class TestModelPersistence:
         model = CrfModel(space=SPACE)
         model.plane.assign(model.pair_key("a", "r", "b"), 1.5)
         model.plane.assign(model.unary_key("a", "u"), -0.5)
-        model.label_counts[model.label_id("a")] = 3
+        model.candidates = reference.candidate_index(labels={model.label_id("a"): 3})
         loaded = crf_artifact_round_trip(model, tmp_path / "model.bin")
         weights = loaded.plane.as_dict()
         assert weights[loaded.pair_key("a", "r", "b")] == 1.5
         assert weights[loaded.unary_key("a", "u")] == -0.5
-        assert loaded.label_counts[loaded.label_id("a")] == 3
+        assert reference.counters(loaded).labels[loaded.label_id("a")] == 3
 
     def test_num_parameters(self):
         model = CrfModel(space=SPACE)
@@ -175,8 +175,7 @@ class TestInference:
     def test_map_recovers_planted_signal(self):
         graph = tiny_graph()
         model = CrfModel(space=SPACE)
-        for node in graph.unknowns:
-            model.observe_training_node(node, graph)
+        model.candidates = reference.candidate_index(*reference.observe([graph]))
         model.plane.assign(model.pair_key("done", "relA", "true"), 2.0)
         model.plane.assign(model.pair_key("count", "relB", "0"), 2.0)
         assignment = map_inference(model.compile(), graph)
@@ -192,8 +191,7 @@ class TestInference:
         """Unknown-unknown factors couple the two predictions."""
         graph = tiny_graph()
         model = CrfModel(space=SPACE)
-        for node in graph.unknowns:
-            model.observe_training_node(node, graph)
+        model.candidates = reference.candidate_index(*reference.observe([graph]))
         # Strong coupling: 'done' with 'count' across the edge.
         model.plane.assign(model.pair_key("done", "relAB", "count"), 5.0)
         model.plane.assign(model.pair_key("count", "relBA", "done"), 5.0)
@@ -203,11 +201,11 @@ class TestInference:
     def test_topk_ranked_descending(self):
         graph = tiny_graph()
         model = CrfModel(space=SPACE)
-        for node in graph.unknowns:
-            model.observe_training_node(node, graph)
+        pair, unary, labels = reference.observe([graph])
         model.plane.assign(model.pair_key("done", "relA", "true"), 2.0)
         model.plane.assign(model.pair_key("flag", "relA", "true"), 1.0)
-        model.label_counts[model.label_id("flag")] = 1
+        labels[model.label_id("flag")] = 1
+        model.candidates = reference.candidate_index(pair, unary, labels)
         ranked = topk_for_node(model.compile(), graph, 0, k=3)
         scores = [s for _, s in ranked]
         assert scores == sorted(scores, reverse=True)
@@ -216,8 +214,7 @@ class TestInference:
     def test_predict_wrapper(self):
         graph = tiny_graph()
         model = CrfModel(space=SPACE)
-        for node in graph.unknowns:
-            model.observe_training_node(node, graph)
+        model.candidates = reference.candidate_index(*reference.observe([graph]))
         assert len(map_inference(model.compile(), graph)) == 2
 
 
@@ -272,7 +269,7 @@ class TestTraining:
         graphs = synthetic_graphs()
         m1, _ = CrfTrainer(TrainingConfig(epochs=2, seed=5)).train(graphs)
         m2, _ = CrfTrainer(TrainingConfig(epochs=2, seed=5)).train(graphs)
-        assert m1.to_dict() == m2.to_dict()
+        assert oracle.snapshot(m1) == oracle.snapshot(m2)
 
     def test_weight_decay_shrinks(self):
         graphs = synthetic_graphs()

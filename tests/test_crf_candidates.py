@@ -24,6 +24,7 @@ oracle's (``tests/oracles/crf.py``) bit for bit:
 """
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from repro.learning.crf.inference import label_ids
 from repro.learning.crf.weights import UNARY_OTHER, WeightPlane, group_keys
 
 from fixtures import crf_artifact_round_trip
+from oracles import candidates as reference
 from oracles import crf as oracle
 
 LABELS = [f"name{i:02d}" for i in range(30)]
@@ -73,9 +75,8 @@ def _random_model(space, use_unary=True, seed=7):
     between contexts and with the fallback are common."""
     rng = random.Random(seed)
     model = CrfModel(space=space, use_unary=use_unary)
-    for graph in [_random_graph(space, seed=s) for s in range(5)]:
-        for node in graph.unknowns:
-            model.observe_training_node(node, graph)
+    graphs = [_random_graph(space, seed=s) for s in range(5)]
+    model.candidates = reference.candidate_index(*reference.observe(graphs))
     n_values, n_paths = len(space.values), len(space.paths)
     for _ in range(500):
         key = (rng.randrange(n_values), rng.randrange(n_paths), rng.randrange(n_values))
@@ -170,17 +171,17 @@ class TestFallbackAndTies:
         model = CrfModel(space=space)
         rel, ctx = model.rel_id("rel"), model.label_id("ctx")
         # Insertion order differs from string order, and counts tie.
+        counter = Counter()
         for label, count in (("ddd", 3), ("bbb", 3), ("ccc", 2), ("aaa", 3)):
-            model.candidate_index[(rel, ctx)][model.label_id(label)] = count
+            counter[model.label_id(label)] = count
         # A fallback label ties with context counts; another is proposed
         # by the context too and must keep its summed count only.
-        model.label_counts.update(
-            {
-                model.label_id("eee"): 3,
-                model.label_id("bbb"): 9,
-                model.label_id("fff"): 1,
-            }
-        )
+        labels = {
+            model.label_id("eee"): 3,
+            model.label_id("bbb"): 9,
+            model.label_id("fff"): 1,
+        }
+        model.candidates = reference.candidate_index({(rel, ctx): counter}, labels=labels)
         return model
 
     def test_only_fallback_candidates(self):
@@ -341,12 +342,9 @@ class TestLookupRegressions:
         model = _random_model(space)
         compiled = model.compile()
         graph = _random_graph(space, seed=70)
-        pair, unary = model.plane.to_rows()
+        pair, unary = oracle.plane_rows(model.plane)
         rows = pair + [[label, rel, UNARY_OTHER, w] for label, rel, w in unary]
-        renumbered = CrfModel(space=space)
-        renumbered.candidate_index = model.candidate_index
-        renumbered.unary_candidate_index = model.unary_candidate_index
-        renumbered.label_counts = model.label_counts
+        renumbered = CrfModel(space=space, candidates=model.candidates)
         renumbered.plane = WeightPlane.build(*zip(*rows[::-1]), compiled.label_base)
         assert renumbered.plane.as_dict() == model.plane.as_dict()
         assert renumbered.plane.groups.tolist() != model.plane.groups.tolist()

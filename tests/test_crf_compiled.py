@@ -21,6 +21,7 @@ approximately.  Covered here:
 """
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from repro.learning.crf.inference import UNKNOWN_LABEL, _best_id, label_ids
 from repro.learning.crf.weights import UNARY_OTHER, group_keys
 
 from fixtures import stdlib_definitions
+from oracles import candidates as reference
 from oracles import crf as oracle
 
 #: One cell per language, both graph tasks, plus the Java-only task.
@@ -207,7 +209,7 @@ class TestRealCode:
         )
         scalar_model, scalar_stats = train()
         assert compiled_stats.updates == scalar_stats.updates > 0
-        assert compiled_model.to_dict() == scalar_model.to_dict()
+        assert oracle.snapshot(compiled_model) == oracle.snapshot(scalar_model)
 
     def test_scoring_handle_matches_oracle(self, stdlib_cell):
         handle, model, _, graphs = stdlib_cell
@@ -252,9 +254,8 @@ def _has_group(plane, rel, other):
 def _random_model(space, seed=7, use_unary=True):
     rng = random.Random(seed)
     model = CrfModel(space=space, use_unary=use_unary)
-    for graph in [_random_graph(space, seed=s) for s in range(4)]:
-        for node in graph.unknowns:
-            model.observe_training_node(node, graph)
+    graphs = [_random_graph(space, seed=s) for s in range(4)]
+    model.candidates = reference.candidate_index(*reference.observe(graphs))
     n_values, n_paths = len(space.values), len(space.paths)
     for _ in range(600):
         key = (
@@ -343,9 +344,12 @@ class TestEdgeCases:
         model = CrfModel(space=graph.space)
         rel = model.rel_id("rel")
         ctx = model.label_id("ctx")
+        counts = {}
         for label in ("bbb", "aaa"):  # insertion order != string order
-            model.candidate_index[(rel, ctx)][model.label_id(label)] = 3
-            model.label_counts[model.label_id(label)] = 3
+            counts[model.label_id(label)] = 3
+        model.candidates = reference.candidate_index(
+            {(rel, ctx): Counter(counts)}, labels=counts
+        )
         assert oracle.candidates_for(model, graph.unknowns[0], ["?"]) == ["aaa", "bbb"]
         compiled = model.compile()
         assert oracle.map_inference(model, graph) == ["aaa"]
@@ -501,7 +505,7 @@ class TestTrainerParity:
         )
         scalar_model, scalar_stats = train()
         assert oracle_calls
-        assert compiled_model.to_dict() == scalar_model.to_dict()
+        assert oracle.snapshot(compiled_model) == oracle.snapshot(scalar_model)
         assert compiled_stats.updates == scalar_stats.updates
 
 

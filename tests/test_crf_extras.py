@@ -1,5 +1,7 @@
 """Additional CRF behaviour: candidate beams, caches, interpretability."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.interning import FeatureSpace
@@ -12,6 +14,7 @@ from repro.learning.crf import (
     topk_for_node,
 )
 
+from oracles import candidates as reference
 from oracles import crf as oracle
 
 #: One space for every hand-built graph and model here, so their ids agree.
@@ -36,8 +39,10 @@ class TestCandidates:
         graph.add_known_factor(index, "rel", "neighbor")
         model = CrfModel(space=SPACE)
         context = (model.rel_id("rel"), model.label_id("neighbor"))
+        counter = Counter()
         for i in range(100):
-            model.candidate_index[context][model.label_id(f"label{i}")] = 100 - i
+            counter[model.label_id(f"label{i}")] = 100 - i
+        model.candidates = reference.candidate_index({context: counter})
         candidates = oracle.candidates_for(model, graph.unknowns[0], ["?"], beam=10)
         assert len(candidates) == 10
         assert candidates[0] == "label0"
@@ -46,7 +51,9 @@ class TestCandidates:
         graph = CrfGraph(space=SPACE)
         graph.add_unknown("e", gold="g")
         model = CrfModel(space=SPACE)
-        model.label_counts.update({model.label_id("common"): 50, model.label_id("rare"): 1})
+        model.candidates = reference.candidate_index(
+            labels={model.label_id("common"): 50, model.label_id("rare"): 1}
+        )
         candidates = oracle.candidates_for(model, graph.unknowns[0], ["?"])
         assert "common" in candidates
 
@@ -55,7 +62,10 @@ class TestCandidates:
         index = graph.add_unknown("e", gold="g")
         graph.add_unary_factor(index, "selfrel")
         model = CrfModel(space=SPACE)
-        model.unary_candidate_index[model.rel_id("selfrel")][model.label_id("fromunary")] = 5
+        rel = model.rel_id("selfrel")
+        model.candidates = reference.candidate_index(
+            unary={rel: Counter({model.label_id("fromunary"): 5})}
+        )
         candidates = oracle.candidates_for(model, graph.unknowns[0], ["?"])
         assert "fromunary" in candidates
 

