@@ -309,19 +309,44 @@ class Pipeline:
 
     def predict(self, source: str) -> Dict[str, str]:
         """element key -> predicted label for one program."""
-        return self.learner.predict(self.view(self.parse(source)))
+        return self._score(self.parse(source), k=None)
 
     def suggest(self, source: str, k: int = 5) -> Dict[str, List[Tuple[str, float]]]:
         """element key -> top-k (label, score) suggestions."""
-        return self._suggest_view(self.view(self.parse(source)), k)
+        return self._score(self.parse(source), k=k)
 
-    def _suggest_view(self, view, k: int) -> Dict[str, List[Tuple[str, float]]]:
-        # The one boundary every top-k request crosses (this pipeline and
-        # its ScoringHandle): a k below 1 would silently truncate or
-        # misorder inside the learners' slicing.
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        return self.learner.suggest(view, k=k)
+    def _score(self, program: ParsedProgram, k: Optional[int]):
+        """MAP labels (``k=None``) or top-k suggestions for one program.
+
+        Read-only: the view is built against a throwaway
+        :meth:`~repro.core.interning.FeatureSpace.overlay`, so nothing a
+        request interns reaches the trained vocab -- saving after any
+        number of predictions writes the same artifact, and a served
+        model's footprint stays bounded.  Base ids never shift, so the
+        predictions are those of interning into the base: an unseen
+        string misses the weights under either id.  The extractor keeps
+        the base half of its shape cache warm across these rebinds.
+        """
+        base = self.space
+        rebind = getattr(self.representation, "bind_space", None)
+        overlaid = base is not None and rebind is not None
+        if overlaid:
+            rebind(base.overlay())
+        try:
+            view = self.view(program)
+            if k is None:
+                return self.learner.predict(view)
+            # The one boundary every top-k request crosses: a k below 1
+            # would silently truncate or misorder inside the learners'
+            # slicing.
+            if k < 1:
+                raise ValueError(f"k must be >= 1, got {k}")
+            return self.learner.suggest(view, k=k)
+        finally:
+            if overlaid:
+                # Leave the pipeline bound to its base, never to a
+                # request's dead overlay.
+                rebind(base)
 
     def rename(self, source: str) -> str:
         """Predict names and return the renamed program text.
@@ -423,20 +448,16 @@ class Pipeline:
 class ScoringHandle:
     """Read-only prediction over a trained pipeline with a frozen space.
 
-    The handle is what a server holds: the trained weights and their
-    feature space become immutable at construction, and every scoring
-    call builds its feature view against a fresh
-    :meth:`~repro.core.interning.FeatureSpace.overlay`, so
+    The handle is what a server holds.  It scores through the pipeline's
+    own per-call overlay (:meth:`Pipeline.predict` is already read-only)
+    and adds two things:
 
-    * base ids never shift -- predictions are bit-identical to the
-      mutable ``Pipeline.predict`` path (unseen features miss the weight
-      tables under either id assignment);
-    * nothing a request interns outlives the request -- the resident
-      footprint is bounded no matter how much traffic flows through;
-    * concurrent readers share nothing mutable except the representation
-      instance, which a lock confines to one scoring call at a time
-      (scoring is pure-Python CPU work, so the lock costs nothing that
-      the GIL was not already charging).
+    * the feature space is frozen at construction, so an intern that
+      bypasses the overlay raises instead of growing shared state;
+    * a lock confines the one mutable thing readers share, the
+      representation instance, to one scoring call at a time (scoring
+      is pure-Python CPU work, so the lock costs nothing that the GIL
+      was not already charging).  Parsing runs outside it.
     """
 
     def __init__(self, pipeline: Pipeline) -> None:
@@ -447,9 +468,8 @@ class ScoringHandle:
             )
         self.pipeline = pipeline
         self.spec = pipeline.spec
-        self._base_space = pipeline.space
-        if self._base_space is not None:
-            self._base_space.freeze()
+        if pipeline.space is not None:
+            pipeline.space.freeze()
         # Freeze-time compile: the CRF learner freezes its candidate
         # tables against the now-frozen base vocab once, and every
         # request (and every throwaway overlay -- overlay ids sit above
@@ -509,27 +529,7 @@ class ScoringHandle:
     def _score(
         self, source: str, k: Optional[int], program: Optional[ParsedProgram] = None
     ):
-        pipeline = self.pipeline
         if program is None:
-            program = pipeline.parse(source)
+            program = self.pipeline.parse(source)
         with self._lock:
-            rebind = getattr(pipeline.representation, "bind_space", None)
-            overlaid = self._base_space is not None and rebind is not None
-            if overlaid:
-                # Rebinding swaps the request's throwaway overlay in; the
-                # extractor keeps the *base* half of its shape cache
-                # warm across these rebinds (entries referencing
-                # only frozen-base ids mean the same strings under every
-                # overlay) and discards only overlay-local entries, so no
-                # request-local id ever leaks into shared state.
-                rebind(self._base_space.overlay())
-            try:
-                view = pipeline.view(program)
-                if k is None:
-                    return pipeline.learner.predict(view)
-                return pipeline._suggest_view(view, k)
-            finally:
-                if overlaid:
-                    # Leave the pipeline bound to the frozen base, never
-                    # to a request's dead overlay.
-                    rebind(self._base_space)
+            return self.pipeline._score(program, k)

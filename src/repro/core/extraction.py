@@ -274,8 +274,8 @@ class PathExtractor:
         # abstractions, which are functions of the shape alone; an
         # arbitrary callable gets no cache and is recomputed per path.
         # The cache is split in two: a *base* half whose entries reference
-        # only ids of a frozen base vocabulary (safe to keep across
-        # overlay rebinds -- the serving read path), and a *local* half for
+        # only ids of the bound space's base path vocab (safe to keep
+        # across overlay rebinds -- the read path), and a *local* half for
         # everything else, discarded whenever the space changes.
         cached = isinstance(config.abstraction, str) and config.abstraction in ABSTRACTIONS
         self._shape_cache: Optional[Dict[ShapeKey, int]] = {} if cached else None
@@ -292,50 +292,34 @@ class PathExtractor:
 
     @staticmethod
     def _base_len_of(space: FeatureSpace) -> Optional[int]:
-        """Ids below this are resident in a frozen base vocab (None: no base).
-
-        An overlay space's base half is immutable by construction; a
-        frozen non-overlay space is its own base.  A mutable space has no
-        base -- every cache entry is then "local" and dies on rebind.
-        """
+        """Ids at or above this are overlay-local (None: no overlay, so
+        every id is resident in the base for good -- vocabs only grow)."""
         paths = space.paths
-        if isinstance(paths, OverlayVocab):
-            return len(paths.base)
-        if paths.frozen:
-            return len(paths)
-        return None
+        return len(paths.base) if isinstance(paths, OverlayVocab) else None
 
     @staticmethod
-    def _frozen_base_of(space: FeatureSpace) -> Optional[Vocab]:
+    def _base_of(space: FeatureSpace) -> Vocab:
         paths = space.paths
-        base = paths.base if isinstance(paths, OverlayVocab) else paths
-        return base if base.frozen else None
+        return paths.base if isinstance(paths, OverlayVocab) else paths
 
     def bind_space(self, space: FeatureSpace) -> None:
         """Re-target interning (e.g. onto a space restored from disk).
 
-        Rebinding between spaces that share one *frozen* base path vocab
-        -- the per-request overlay dance of the serving read path --
-        keeps the base half of the shape cache warm: its entries
-        reference only base ids, which mean the same strings under every
-        overlay.  Local entries (and everything, on a rebind to an
-        unrelated space) are discarded.
+        Rebinding between spaces that share one base path vocab -- the
+        per-call overlay dance of ``Pipeline.predict`` and the serving
+        read path -- keeps the base half of the shape cache warm: its
+        entries reference only base ids, and vocabs are append-only, so
+        a base id means the same string under every overlay, frozen or
+        not.  Overlay-local entries (and everything, on a rebind to an
+        unrelated space) are discarded: their ids would mean different
+        strings next call.
         """
-        old_base = self._frozen_base_of(self._space)
+        old_base = self._base_of(self._space)
         self._space = space
-        new_base = self._frozen_base_of(space)
         self._cache_base_len = self._base_len_of(space)
         if self._shape_cache is None:
             return
-        if new_base is not None and new_base is old_base:
-            # Same frozen base: promote fully-base-resident local entries
-            # (the warm-up path right after freeze()), drop overlay-local
-            # ones -- their ids would mean different strings next request.
-            base_len = len(new_base)
-            for key, rel in self._shape_cache.items():
-                if rel < base_len:
-                    self._base_shape_cache[key] = rel
-        else:
+        if self._base_of(space) is not old_base:
             self._base_shape_cache.clear()
         self._shape_cache.clear()
 
@@ -482,7 +466,7 @@ class PathExtractor:
         rel_id = space.paths.intern(self._alpha(_row_path(start, end, up, down)))
         if shape_cache is not None:
             base_len = self._cache_base_len
-            if base_len is not None and rel_id < base_len:
+            if base_len is None or rel_id < base_len:
                 self._base_shape_cache[key] = rel_id
             else:
                 shape_cache[key] = rel_id

@@ -22,10 +22,12 @@ invariant: **every routed prediction is bit-identical to a direct**
     ``/healthz``, folds in the router's passive per-forward outcomes,
     and drain-restarts single replicas for rolling reloads.
 :mod:`repro.fleet.router`
-    :class:`FleetRouter`: the asyncio front tier (stdlib only, the same
-    HTTP dialect as the single server).  ``POST /predict`` derives the
-    source's digest (memoized per source bytes, so a repeat is not
-    parsed), routes by it, forwards the body verbatim to the
+    :class:`FleetRouter`: the asyncio front tier, on the single
+    server's own HTTP front (:class:`~repro.serving.http.HttpService`).
+    ``POST /predict`` runs the server's admission step (so malformed
+    requests are refused as a replica would refuse them), which yields
+    the source's digest (memoized per source bytes, so a repeat is not
+    parsed); it routes by it, forwards the body verbatim to the
     ring owner and retries once -- after exponential backoff with
     jitter -- on the ring successor when the owner is dead, draining or
     timed out.  ``GET /fleet/stats`` merges replica stats and the

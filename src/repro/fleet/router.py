@@ -1,26 +1,31 @@
 """The consistent-hash front tier: one address for N serving replicas.
 
-:class:`FleetRouter` is an asyncio HTTP server (stdlib only, the same
-wire dialect as :class:`~repro.serving.server.PredictionServer`) that
-owns no model and scores nothing.  Its whole job is placement:
+:class:`FleetRouter` is the fleet's
+:class:`~repro.serving.http.HttpService` -- the same listener, keep-alive
+loop, counters and per-path latency histograms as a
+:class:`~repro.serving.server.PredictionServer` replica -- but it owns no
+model and scores nothing.  Its whole job is placement:
 
-* ``POST /predict`` -- derive the source's structural
+* ``POST /predict`` -- run the replicas' own admission step
+  (:func:`~repro.serving.admission.admit`), so a request a replica would
+  refuse is refused here with the replica's status and text, before any
+  forward.  It yields the source's structural
   :func:`~repro.core.extraction.ast_digest` (recalled from a memo keyed
   on the source's bytes when they were seen before, else parsed with
-  the same frontends the replicas run), and forward the request --
-  body bytes untouched -- to the replica that owns
-  ``digest x task`` on the :class:`~repro.fleet.ring.HashRing`.  Owner
-  dead, draining or timed out?  One retry, after an exponential-backoff-
-  with-jitter pause, on the ring successor -- the replica whose cache
-  inherits that key range anyway.  The response is the replica's
-  response, byte-for-byte the same JSON a direct server would return
-  (the replica that answered is named in an ``X-Fleet-Replica`` header,
-  never in the body).
+  the same frontends the replicas run).  The request -- body bytes
+  untouched -- goes to the replica that owns ``digest x task`` on the
+  :class:`~repro.fleet.ring.HashRing`.  Owner dead, draining or timed
+  out?  One retry, after an exponential-backoff-with-jitter pause, on
+  the ring successor -- the replica whose cache inherits that key range
+  anyway.  The response is the replica's response, byte-for-byte the
+  same JSON a direct server would return (the replica that answered is
+  named in an ``X-Fleet-Replica`` header, never in the body).
 * ``GET /healthz`` -- fleet liveness: 200 while at least one replica is
   routable.
-* ``GET /fleet/stats`` -- every replica's ``/stats`` merged (counters
-  summed, latency histograms added bucket-wise), the ring layout,
-  per-replica health, and the fitted grey-box capacity model
+* ``GET /fleet/stats`` -- the router's own counters and latency
+  histograms, every replica's ``/stats`` merged (counters summed,
+  latency histograms added bucket-wise), the ring layout, per-replica
+  health, and the fitted grey-box capacity model
   (:mod:`~repro.fleet.capacity`) with a sizing hint.
 * ``POST /fleet/reload`` -- rolling drain-restart: one replica at a
   time leaves the ring, drains, restarts from its (possibly updated)
@@ -36,24 +41,17 @@ into certain timeout.
 from __future__ import annotations
 
 import asyncio
-import json
 import random
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..core.extraction import ast_digest
-from ..lang.base import ParseError, parse_source
+from ..lang.base import parse_source
 from ..resilience import faults
 from ..resilience.faults import FaultInjected
-from ..serving.cache import LruCache, source_key
-from ..serving.http import (
-    BadRequest,
-    Connection,
-    ConnectionPool,
-    HttpRequest,
-    read_request,
-    respond,
-)
+from ..serving.admission import admit
+from ..serving.cache import LruCache
+from ..serving.http import ConnectionPool, HttpRequest, HttpService, json_object
 from ..serving.metrics import FixedHistogram
 from .capacity import (
     AdmissionController,
@@ -69,7 +67,19 @@ from .ring import DEFAULT_VNODES, HashRing, request_key
 DIGEST_MEMO_SIZE = 4096
 
 
-class FleetRouter:
+class RoutedCell(NamedTuple):
+    """A cell the replicas serve, as the router resolves and digests it."""
+
+    language: str
+    task: str
+    cell: str
+
+    def fingerprinted(self, source: str) -> Tuple[None, str]:
+        """The structural routing digest, parsed as the replicas parse."""
+        return None, ast_digest(parse_source(self.language, source))
+
+
+class FleetRouter(HttpService):
     """Route predictions across a :class:`ReplicaSet` by consistent hash."""
 
     def __init__(
@@ -83,29 +93,30 @@ class FleetRouter:
         max_inflight_per_replica: int = 16,
         poll_interval_s: float = 2.0,
     ) -> None:
+        super().__init__(address, port)
         self.replicas = replicas
-        self.address = address
-        self.port = port
         self.forward_timeout_s = float(forward_timeout_s)
         self.retry_backoff_s = max(0.0, float(retry_backoff_s))
         self.poll_interval_s = float(poll_interval_s)
         self.ring = HashRing(vnodes=vnodes)
         self.admission = AdmissionController(max_inflight_per_replica)
         self._pools: Dict[str, ConnectionPool] = {}
-        self._routes: Dict[Tuple[str, str], str] = {}  # (language, task) -> cell
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._connection_tasks: set = set()
+        self._cells: Dict[Tuple[str, str], RoutedCell] = {}
         self._poll_task: Optional[asyncio.Task] = None
+        #: Forwards in flight (what admission control meters).
         self._inflight = 0
-        self._requests = 0
-        self._errors = 0
         self._digests = LruCache(DIGEST_MEMO_SIZE)
         self._routed: Dict[str, int] = {}
         self._failovers = 0
         self._reloads = 0
         self._reloading = False
         self._model: Optional[FleetModel] = None
-        self._started_monotonic = 0.0
+        self.routes = {
+            ("POST", "/predict"): self._predict,
+            ("GET", "/healthz"): self._healthz,
+            ("GET", "/fleet/stats"): self._fleet_stats,
+            ("POST", "/fleet/reload"): self._fleet_reload,
+        }
 
     # ------------------------------------------------------------------
     # Lifecycle (the same surface ServerThread drives)
@@ -116,11 +127,7 @@ class FleetRouter:
         self._sync_ring()
         if not len(self.ring):
             raise RuntimeError("no healthy replicas; cannot start the router")
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.address, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        self._started_monotonic = time.monotonic()
+        await super().start()
         self._poll_task = asyncio.get_running_loop().create_task(self._poll_loop())
 
     async def shutdown(self) -> None:
@@ -131,17 +138,7 @@ class FleetRouter:
             except asyncio.CancelledError:
                 pass
             self._poll_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        deadline = time.monotonic() + 30.0
-        while self._inflight > 0 and time.monotonic() < deadline:
-            await asyncio.sleep(0.01)
-        for task in list(self._connection_tasks):
-            task.cancel()
-        if self._connection_tasks:
-            await asyncio.gather(*self._connection_tasks, return_exceptions=True)
+        await super().shutdown()
         for pool in self._pools.values():
             pool.close()
         self._pools.clear()
@@ -149,18 +146,6 @@ class FleetRouter:
     async def abort(self) -> None:
         """Crash-stop (ServerThread.kill drives this); replicas keep running."""
         await self.shutdown()
-
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        try:
-            await self._server.serve_forever()
-        except asyncio.CancelledError:
-            pass
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.address}:{self.port}"
 
     # ------------------------------------------------------------------
     # Membership: ring <-> replica health
@@ -205,7 +190,7 @@ class FleetRouter:
         return pool
 
     async def _learn_routes(self) -> None:
-        """Fetch the served cells from a replica; build the route table.
+        """Fetch the served cells from a replica, keyed for resolution.
 
         Every replica serves the same models (shared-nothing copies of
         one fleet), so the first answer wins.  Cells look like
@@ -216,131 +201,28 @@ class FleetRouter:
         for replica in self.replicas:
             if replica.url is None:
                 continue
-            host, _, port = replica.url.rpartition("//")[2].partition(":")
             try:
-                connection = await Connection.open(host, int(port), timeout=10.0)
-                try:
-                    status, _headers, payload = await connection.call(
-                        "GET", "/healthz", timeout=10.0
-                    )
-                finally:
-                    connection.close()
+                status, _headers, payload = await self._pool(replica).call(
+                    "GET", "/healthz", timeout=10.0
+                )
             except OSError as error:
                 last_error = error
                 continue
             if status != 200:
                 continue
-            cells = payload.get("models") or []
-            routes: Dict[Tuple[str, str], str] = {}
-            for cell in cells:
+            cells: Dict[Tuple[str, str], RoutedCell] = {}
+            for cell in payload.get("models") or []:
                 parts = str(cell).split("/")
                 if len(parts) >= 2:
-                    routes[(parts[0], parts[1])] = str(cell)
-            if routes:
-                self._routes = routes
+                    cells[(parts[0], parts[1])] = RoutedCell(*parts[:2], str(cell))
+            if cells:
+                self._cells = cells
                 return
         raise RuntimeError(
             f"could not learn served models from any replica: {last_error}"
         )
 
-    def _resolve(
-        self, language: Optional[str], task: Optional[str]
-    ) -> Tuple[str, str]:
-        """(language, task) for one request -- ModelHost.resolve's twin.
-
-        The router and the replicas must agree on resolution, otherwise
-        a request could route on one cell and score on another.
-        """
-        matches = [
-            (lang, tsk)
-            for (lang, tsk) in self._routes
-            if (language is None or lang == language)
-            and (task is None or tsk == task)
-        ]
-        if len(matches) == 1:
-            return matches[0]
-        served = ", ".join(f"({lang}, {tsk})" for lang, tsk in sorted(self._routes))
-        wanted = f"(language={language or '*'}, task={task or '*'})"
-        if not matches:
-            raise LookupError(f"no model serves {wanted}; serving: {served}")
-        raise LookupError(f"{wanted} is ambiguous; serving: {served}")
-
-    # ------------------------------------------------------------------
-    # HTTP plumbing
-    # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connection_tasks.add(task)
-        try:
-            while True:
-                try:
-                    request = await read_request(reader)
-                except BadRequest as error:
-                    await respond(
-                        writer, error.status, {"error": str(error)}, keep_alive=False
-                    )
-                    break
-                if request is None:
-                    break
-                self._requests += 1
-                status, payload, headers = await self._route(request)
-                if status >= 400:
-                    self._errors += 1
-                await respond(
-                    writer,
-                    status,
-                    payload,
-                    keep_alive=request.keep_alive,
-                    extra_headers=headers,
-                )
-                if not request.keep_alive:
-                    break
-        except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            # Only shutdown() cancels connection tasks (and awaits them
-            # right after); finishing normally keeps asyncio's stream
-            # machinery from logging teardown cancellations.
-            pass
-        finally:
-            if task is not None:
-                self._connection_tasks.discard(task)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, RuntimeError):
-                pass
-
-    async def _route(
-        self, request: HttpRequest
-    ) -> Tuple[int, dict, Optional[Dict[str, str]]]:
-        if request.path == "/predict":
-            if request.method != "POST":
-                return 405, {"error": "use POST /predict"}, None
-            return await self._predict(request)
-        if request.path == "/healthz":
-            if request.method != "GET":
-                return 405, {"error": "use GET /healthz"}, None
-            status, payload = self._healthz()
-            return status, payload, None
-        if request.path == "/fleet/stats":
-            if request.method != "GET":
-                return 405, {"error": "use GET /fleet/stats"}, None
-            return 200, await self._fleet_stats(), None
-        if request.path == "/fleet/reload":
-            if request.method != "POST":
-                return 405, {"error": "use POST /fleet/reload"}, None
-            status, payload = await self._fleet_reload(request)
-            return status, payload, None
-        return 404, {
-            "error": f"unknown path {request.path!r}; routes: POST /predict, "
-            f"GET /healthz, GET /fleet/stats, POST /fleet/reload"
-        }, None
-
-    def _healthz(self) -> Tuple[int, dict]:
+    async def _healthz(self, _request: HttpRequest) -> Tuple[int, dict]:
         states = self.replicas.states()
         healthy = sum(1 for state in states.values() if state == HEALTHY)
         payload = {
@@ -352,11 +234,6 @@ class FleetRouter:
             "uptime_seconds": round(self._uptime(), 3),
         }
         return (200 if healthy else 503), payload
-
-    def _uptime(self) -> float:
-        if not self._started_monotonic:
-            return 0.0
-        return time.monotonic() - self._started_monotonic
 
     # ------------------------------------------------------------------
     # POST /predict: admit -> place -> forward (retry once on successor)
@@ -380,49 +257,11 @@ class FleetRouter:
                 {"Retry-After": str(retry_after)},
             )
 
-        try:
-            payload = json.loads(request.body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            return 400, {"error": f"body is not valid JSON: {error}"}, None
-        if not isinstance(payload, dict):
-            return 400, {"error": "body must be a JSON object"}, None
-        source = payload.get("source")
-        if not isinstance(source, str) or not source.strip():
-            return 400, {"error": "field 'source' (non-empty string) is required"}, None
-        language = payload.get("language")
-        task = payload.get("task")
-        for field_name, value in (("language", language), ("task", task)):
-            if value is not None and not isinstance(value, str):
-                return 400, {"error": f"field {field_name!r} must be a string"}, None
-
-        try:
-            route_language, route_task = self._resolve(language, task)
-        except LookupError as error:
-            return 404, {"error": str(error)}, None
-
         # The routing key is the same structural digest the replica's
         # response cache keys on, so one program always lands on the
-        # replica already holding its answer.  Bytes seen before recall
-        # their digest from the memo; otherwise parsing is CPU-bound:
-        # off-loop, like the replicas do it.
-        try:
-            memo_key = source_key(self._routes[(route_language, route_task)], source)
-        except UnicodeEncodeError as error:
-            return 400, {"error": f"source is not encodable as UTF-8: {error}"}, None
-        digest = self._digests.get(memo_key)
-        if digest is None:
-            loop = asyncio.get_running_loop()
-            try:
-                digest = await loop.run_in_executor(
-                    None, _digest_source, route_language, source
-                )
-            except ParseError as error:
-                return 400, {"error": f"cannot parse source: {error}"}, None
-            except Exception as error:  # noqa: BLE001 - our bug, not user input
-                return 500, {"error": f"fingerprinting failed: {error}"}, None
-            self._digests.put(memo_key, digest)
-
-        key = request_key(digest, route_task)
+        # replica already holding its answer.
+        admitted = await admit(request.body, self._cells, self._digests)
+        key = request_key(admitted.digest, admitted.handle.task)
         # The forward path (owner attempt + backoff + successor retry)
         # runs against one deadline derived from the caller's announced
         # budget: a failover must never make the client wait longer than
@@ -548,7 +387,7 @@ class FleetRouter:
     # ------------------------------------------------------------------
     # GET /fleet/stats
     # ------------------------------------------------------------------
-    async def _fleet_stats(self) -> dict:
+    async def _fleet_stats(self, _request: HttpRequest) -> Tuple[int, dict]:
         per_replica = await self._collect_stats()
         merged = _merge_stats(per_replica)
         estimates = [
@@ -569,7 +408,7 @@ class FleetRouter:
                 service_rate=self._model.service_rate,
                 p95_service_ms=self._model.p95_service_ms,
             )
-        return {
+        return 200, {
             "router": {
                 "uptime_seconds": round(self._uptime(), 3),
                 "requests": self._requests,
@@ -581,6 +420,7 @@ class FleetRouter:
                 "reloads": self._reloads,
                 "admission_limit": self.admission.limit(healthy),
                 "digests": self._digests.stats(),
+                "latency": self.latency_stats(),
             },
             "ring": self.ring.describe(),
             "replicas": self.replicas.status(),
@@ -613,13 +453,7 @@ class FleetRouter:
     async def _fleet_reload(self, request: HttpRequest) -> Tuple[int, dict]:
         model_paths: Optional[List[str]] = None
         if request.body:
-            try:
-                payload = json.loads(request.body.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as error:
-                return 400, {"error": f"body is not valid JSON: {error}"}
-            if not isinstance(payload, dict):
-                return 400, {"error": "body must be a JSON object"}
-            models = payload.get("models")
+            models = json_object(request.body).get("models")
             if models is not None:
                 if not isinstance(models, list) or not all(
                     isinstance(path, str) for path in models
@@ -668,11 +502,6 @@ class FleetRouter:
         finally:
             self._reloading = False
         return 200, {"reloaded": report, "models": model_paths or "unchanged"}
-
-
-def _digest_source(language: str, source: str) -> str:
-    """The structural routing digest (module-level: executor-friendly)."""
-    return ast_digest(parse_source(language, source))
 
 
 #: The replicas' LruCache stats blocks, and the counters merged by addition.

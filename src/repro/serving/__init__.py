@@ -1,7 +1,7 @@
 """Async batched prediction serving (the ROADMAP's "heavy traffic" path).
 
 The subsystem turns a saved :class:`~repro.api.Pipeline` into an HTTP
-service with the read-path properties PR 3 made possible:
+service:
 
 :mod:`repro.serving.host`
     :class:`ModelHost` loads each model once, freezes its feature space
@@ -17,10 +17,17 @@ service with the read-path properties PR 3 made possible:
     duplicated submission never reaches extraction or inference, and a
     second one from the source's bytes to its digest, so a byte-identical
     resubmission never reaches the parser either.
+:mod:`repro.serving.http`
+    :class:`~repro.serving.http.HttpService`, the one HTTP front of the
+    server and the fleet router: listener lifecycle, keep-alive loop,
+    counters, per-path latency histograms and the route table.
+:mod:`repro.serving.admission`
+    The one ``POST /predict`` admission step both tiers run: body
+    checks, the ``(language, task)`` resolver and the digest memo.
 :mod:`repro.serving.server`
-    :class:`PredictionServer`, a stdlib-only asyncio HTTP server with
-    ``POST /predict``, ``GET /healthz`` and ``GET /stats`` and a graceful
-    drain on shutdown.
+    :class:`PredictionServer`, the scoring tier on that front, with
+    ``POST /predict``, ``GET /healthz`` and ``GET /stats`` and a
+    graceful drain on shutdown.
 :mod:`repro.serving.client`
     :class:`ServingClient`, the blocking helper behind tests, the
     benchmark and ``pigeon predict --server``.

@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..api.pipeline import Pipeline, ScoringHandle
 from ..api.protocols import ParsedProgram
+from .admission import resolve_cell
 
 
 @dataclass(frozen=True)
@@ -83,22 +84,9 @@ class ModelHost:
 
         Either field may be omitted when it is unambiguous across the
         loaded models; raises ``LookupError`` (-> HTTP 404) otherwise.
+        The fleet router resolves with the same :func:`resolve_cell`.
         """
-        matches = [
-            handle
-            for (lang, tsk), handle in self.handles.items()
-            if (language is None or lang == language)
-            and (task is None or tsk == task)
-        ]
-        if len(matches) == 1:
-            return matches[0]
-        served = ", ".join(
-            f"({lang}, {tsk})" for lang, tsk in sorted(self.handles)
-        )
-        wanted = f"(language={language or '*'}, task={task or '*'})"
-        if not matches:
-            raise LookupError(f"no model serves {wanted}; serving: {served}")
-        raise LookupError(f"{wanted} is ambiguous; serving: {served}")
+        return resolve_cell(self.handles, language, task)
 
     # ------------------------------------------------------------------
     # Scoring

@@ -61,6 +61,14 @@ function run() {
 SGNS = {"dim": 16, "epochs": 12, "negatives": 1}
 
 
+def _novel_js(i):
+    """A program whose identifiers and literal the training set never saw."""
+    return (
+        f"function novel{i}(arg{i}) {{ var local{i} = arg{i} + {i};"
+        f" while (local{i} > {i}) {{ local{i} = local{i} - 1; }} return local{i}; }}"
+    )
+
+
 class TestRunSpec:
     def test_roundtrip(self):
         spec = RunSpec(
@@ -250,6 +258,40 @@ class TestPersistence:
         assert weights == pipeline.learner.model.plane.as_dict()
         for key in weights:
             assert all(isinstance(part, int) for part in key)
+
+    def test_predicts_leave_the_saved_artifact_unchanged(self, tmp_path):
+        pipeline = Pipeline(language="javascript", training={"epochs": 2})
+        pipeline.train(TRAIN_JS)
+        before, after = tmp_path / "before.bin", tmp_path / "after.bin"
+        pipeline.save(str(before))
+        for i in range(10):
+            pipeline.predict(_novel_js(i))
+            pipeline.suggest(_novel_js(i + 10), k=5)
+        pipeline.save(str(after))
+        assert after.read_bytes() == before.read_bytes()
+
+    def test_loaded_vocab_does_not_grow_over_predicts(self, tmp_path):
+        pipeline = Pipeline(language="javascript", training={"epochs": 2})
+        pipeline.train(TRAIN_JS)
+        path = str(tmp_path / "model.bin")
+        pipeline.save(path)
+        loaded = Pipeline.load(path)
+        sizes = (len(loaded.space.paths), len(loaded.space.values))
+        for i in range(100):
+            loaded.predict(_novel_js(i))
+        assert (len(loaded.space.paths), len(loaded.space.values)) == sizes
+
+    def test_predictions_do_not_depend_on_earlier_predicts(self, tmp_path):
+        pipeline = Pipeline(language="javascript", training={"epochs": 3})
+        pipeline.train(TRAIN_JS)
+        path = str(tmp_path / "model.bin")
+        pipeline.save(path)
+        first = (pipeline.predict(TEST_JS), pipeline.suggest(TEST_JS, k=5))
+        for i in range(20):
+            pipeline.predict(_novel_js(i))
+        assert (pipeline.predict(TEST_JS), pipeline.suggest(TEST_JS, k=5)) == first
+        loaded = Pipeline.load(path)
+        assert (loaded.predict(TEST_JS), loaded.suggest(TEST_JS, k=5)) == first
 
     def test_word2vec_save_load_identical_predictions(self, tmp_path):
         pipeline = Pipeline(language="javascript", learner="word2vec", sgns=SGNS)

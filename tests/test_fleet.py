@@ -42,7 +42,7 @@ from repro.fleet import (
     request_key,
 )
 from repro.serving import ServerThread, ServingClient, ServingError
-from repro.serving.http import HttpRequest
+from repro.serving.http import HttpRequest, HttpService
 
 #: Unseen-identifier programs (one per test concern that needs a fresh
 #: cache key); layout variants of PROGRAM must share its routing digest.
@@ -577,24 +577,24 @@ def method_model_path(tmp_path_factory, corpus_sources):
 
 @pytest.fixture()
 def parse_calls(monkeypatch):
-    """Languages the router's ``_digest_source`` and sources the replicas'
+    """Sources the router's ``RoutedCell.fingerprinted`` and the replicas'
     ``ScoringHandle.fingerprinted`` were called with."""
-    import repro.fleet.router as router_module
     from repro.api.pipeline import ScoringHandle
+    from repro.fleet.router import RoutedCell
 
     calls = {"router": [], "replica": []}
-    digest_source = router_module._digest_source
+    digest_source = RoutedCell.fingerprinted
     fingerprinted = ScoringHandle.fingerprinted
 
-    def counting_digest(language, source):
+    def counting_digest(self, source):
         calls["router"].append(source)
-        return digest_source(language, source)
+        return digest_source(self, source)
 
     def counting_fingerprinted(self, source):
         calls["replica"].append(source)
         return fingerprinted(self, source)
 
-    monkeypatch.setattr(router_module, "_digest_source", counting_digest)
+    monkeypatch.setattr(RoutedCell, "fingerprinted", counting_digest)
     monkeypatch.setattr(ScoringHandle, "fingerprinted", counting_fingerprinted)
     return calls
 
@@ -757,12 +757,12 @@ class TestRouterParseStatusCodes:
         assert stats["router"]["digests"]["misses"] == 0  # refused before hashing
 
     def test_other_digest_failures_are_counted_500s(self, model_path, monkeypatch):
-        import repro.fleet.router as router_module
+        from repro.fleet.router import RoutedCell
 
-        def broken(language, source):
+        def broken(self, source):
             raise RuntimeError("frontend bug")
 
-        monkeypatch.setattr(router_module, "_digest_source", broken)
+        monkeypatch.setattr(RoutedCell, "fingerprinted", broken)
         with _fleet([model_path], count=1) as (_replicas, _router, client):
             status, payload = client.request(
                 "POST", "/predict", json.dumps({"source": "var a = b;"}).encode()
@@ -773,3 +773,66 @@ class TestRouterParseStatusCodes:
         assert stats["router"]["errors"] == 1
         assert stats["router"]["digests"]["size"] == 0
         assert "/predict" not in stats["merged"]["latency"]  # never forwarded
+
+
+# ----------------------------------------------------------------------
+# The shared HTTP front: what the router now gets from HttpService
+# ----------------------------------------------------------------------
+
+
+class _GarbledStatsReplica(HttpService):
+    """Answers /healthz like a one-cell replica; its /stats is garbled."""
+
+    def __init__(self):
+        super().__init__("127.0.0.1", 0)
+        self.routes = {
+            ("GET", "/healthz"): self._healthz,
+            ("GET", "/stats"): self._stats,
+        }
+
+    async def _healthz(self, _request):
+        cell = "javascript/variable_naming/ast-paths/crf"
+        return 200, {"status": "ok", "models": [cell]}
+
+    async def _stats(self, _request):
+        return 200, {"requests": "many"}
+
+
+class TestSharedFront:
+    def test_route_failure_is_a_counted_500_not_a_dropped_connection(self):
+        with ServerThread(_GarbledStatsReplica()) as stub_url:
+            replicas = ReplicaSet([AdoptedReplica("stub", stub_url)])
+            replicas.start()
+            router = FleetRouter(replicas, port=0, poll_interval_s=3600.0)
+            with ServerThread(router) as url, ServingClient(url, retries=0) as client:
+                # Merging the garbled /stats raises ValueError in the handler.
+                status, payload = client.request("GET", "/fleet/stats")
+                assert status == 500
+                assert "ValueError" in payload["error"]
+                assert client.healthz()["healthy"] == 1  # same connection, still served
+                assert router._errors == 1 and router._requests == 2
+                assert router.latency_stats()["/fleet/stats"]["count"] == 1
+
+    def test_router_reports_its_own_per_path_latency(self, model_path):
+        with _fleet([model_path], count=1) as (_replicas, _router, client):
+            client.predict(PROGRAM)
+            client.predict(PROGRAM)
+            client.healthz()
+            latency = client.fleet_stats()["router"]["latency"]
+        assert latency["/predict"]["count"] == 2
+        assert latency["/healthz"]["count"] == 1
+
+    def test_replica_accept_fault_fires_on_the_replica_only(self, model_path):
+        from repro.resilience import FaultPlan, install, reset
+
+        with _fleet([model_path], count=1) as (_replicas, _router, client):
+            install(FaultPlan.parse("replica.accept:error@1", seed=11))
+            try:
+                # The router answers; the forward it made was dropped.
+                status, payload = client.request(
+                    "POST", "/predict", json.dumps({"source": PROGRAM}).encode()
+                )
+            finally:
+                reset()
+        assert status == 502
+        assert "replica-0 unreachable" in payload["error"]

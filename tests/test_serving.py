@@ -141,11 +141,13 @@ class TestScoringHandle:
     def test_direct_mutation_is_fenced_off_after_freeze(self, model_path):
         served = Pipeline.load(model_path)
         served.scoring_handle()
-        # The mutable predict path would intern the novel identifiers
-        # into the now-frozen space: that is exactly what must not
-        # happen behind a server's back.
+        # Building a view outside an overlay (what training does) would
+        # intern the novel identifiers into the now-frozen space: that
+        # is exactly what must not happen behind a server's back.
         with pytest.raises(FrozenVocabError):
-            served.predict(NOVEL_JS)
+            served.view(served.parse(NOVEL_JS))
+        # predict() itself scores through an overlay, like the handle.
+        assert served.predict(NOVEL_JS) == served.scoring_handle().predict(NOVEL_JS)
 
     def test_extraction_caches_stay_warm_across_requests(self, model_path, direct):
         # The shape cache is split so entries resident in the frozen base
@@ -385,12 +387,67 @@ class TestPredict:
             assert predictions == want[source]
 
 
+@pytest.fixture(scope="module")
+def one_replica_router(model_path):
+    """A fleet router over one in-process replica: ``(replica server, url)``.
+
+    Health polling is off, so the replica sees only forwarded requests.
+    """
+    from repro.fleet import FleetRouter, ReplicaSet
+
+    replicas = ReplicaSet.in_process([model_path], 1, cache_size=128)
+    replicas.start()
+    try:
+        router = FleetRouter(replicas, port=0, poll_interval_s=3600.0)
+        with ServerThread(router) as url:
+            yield replicas.get("replica-0").server, url
+    finally:
+        replicas.stop()
+
+
+def _error_text(payload):
+    return payload["error"].partition("; routes: ")[0]
+
+
+class BothFronts:
+    """Sends each request to a direct server and to a one-replica router.
+
+    Both fronts must answer with the same status and the same error text
+    (a 404's route listing names each front's own routes, so only the
+    text before it is compared), and the router must answer every
+    malformed request itself: the replica behind it sees none of them.
+    Returns the direct server's answer.
+    """
+
+    def __init__(self, direct_url, router_url, replica):
+        self.direct = ServingClient(direct_url)
+        self.routed = ServingClient(router_url)
+        self.replica = replica
+
+    def request(self, method, path, body=None):
+        forwarded = self.replica._requests
+        direct = self.direct.request(method, path, body)
+        routed = self.routed.request(method, path, body)
+        assert routed[0] == direct[0]
+        assert _error_text(routed[1]) == _error_text(direct[1])
+        assert self.replica._requests == forwarded
+        return direct
+
+    def close(self):
+        self.direct.close()
+        self.routed.close()
+
+
 class TestMalformedRequests:
     @pytest.fixture()
-    def client(self, live_server):
+    def client(self, live_server, one_replica_router):
         _server, url = live_server
-        with ServingClient(url) as client:
-            yield client
+        replica, router_url = one_replica_router
+        fronts = BothFronts(url, router_url, replica)
+        try:
+            yield fronts
+        finally:
+            fronts.close()
 
     def test_body_not_json(self, client):
         status, payload = client.request("POST", "/predict", b"this is not json")
