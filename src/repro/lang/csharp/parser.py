@@ -9,14 +9,21 @@ Unlike the Java frontend, this tree keeps ``Block`` and
 is slightly more elaborate than the one we used for Java", which is why
 its tuned path parameters differ (7/4 vs 6/3).  We reproduce that
 elaborateness deliberately.
+
+Expressions, comma lists, types and the generic-argument lookahead come
+from the shared C-family core, :class:`repro.lang.cfamily.CFamilyParser`,
+filled with this module's Roslyn-kind tables; after parsing,
+:func:`repro.lang.cfamily.resolve_bindings` (shared with Java) groups the
+occurrences of fields, parameters and locals.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from ...core.ast_model import Ast, Node
-from ..lexing import CHAR, EOF, IDENT, KEYWORD, NUMBER, OP, STRING, Lexer, TokenStream, expect_close_angle
+from ..cfamily import CFamilyParser, binary_table, resolve_bindings
+from ..lexing import CHAR, IDENT, KEYWORD, NUMBER, STRING
 
 _KEYWORDS = frozenset(
     """
@@ -42,48 +49,57 @@ _MODIFIERS = (
     "sealed",
 )
 _PREDEFINED_TYPES = ("int", "long", "double", "float", "bool", "char", "byte", "string", "object", "void")
-_ASSIGN_KINDS = {
-    "=": "SimpleAssignmentExpression",
-    "+=": "AddAssignmentExpression",
-    "-=": "SubtractAssignmentExpression",
-    "*=": "MultiplyAssignmentExpression",
-    "/=": "DivideAssignmentExpression",
-    "%=": "ModuloAssignmentExpression",
-}
-_BINARY_KINDS = {
-    "||": "LogicalOrExpression",
-    "&&": "LogicalAndExpression",
-    "|": "BitwiseOrExpression",
-    "^": "ExclusiveOrExpression",
-    "&": "BitwiseAndExpression",
-    "==": "EqualsExpression",
-    "!=": "NotEqualsExpression",
-    "<": "LessThanExpression",
-    ">": "GreaterThanExpression",
-    "<=": "LessThanOrEqualExpression",
-    ">=": "GreaterThanOrEqualExpression",
-    "<<": "LeftShiftExpression",
-    ">>": "RightShiftExpression",
-    "+": "AddExpression",
-    "-": "SubtractExpression",
-    "*": "MultiplyExpression",
-    "/": "DivideExpression",
-    "%": "ModuloExpression",
-}
-_UNARY_KINDS = {
-    "!": "LogicalNotExpression",
-    "-": "UnaryMinusExpression",
-    "+": "UnaryPlusExpression",
-    "~": "BitwiseNotExpression",
-    "++": "PreIncrementExpression",
-    "--": "PreDecrementExpression",
-}
 
 
-class _CSharpParser:
-    def __init__(self, source: str) -> None:
-        tokens = Lexer(source, _KEYWORDS, "csharp").tokenize()
-        self.ts = TokenStream(tokens, "csharp")
+class _CSharpParser(CFamilyParser):
+    LANGUAGE = "csharp"
+    KEYWORDS = _KEYWORDS
+    ASSIGN = {
+        "=": "SimpleAssignmentExpression",
+        "+=": "AddAssignmentExpression",
+        "-=": "SubtractAssignmentExpression",
+        "*=": "MultiplyAssignmentExpression",
+        "/=": "DivideAssignmentExpression",
+        "%=": "ModuloAssignmentExpression",
+    }
+    CONDITIONAL = "ConditionalExpression"
+    BINARY = binary_table(
+        {
+            "||": "LogicalOrExpression",
+            "&&": "LogicalAndExpression",
+            "|": "BitwiseOrExpression",
+            "^": "ExclusiveOrExpression",
+            "&": "BitwiseAndExpression",
+            "==": "EqualsExpression",
+            "!=": "NotEqualsExpression",
+            "<": "LessThanExpression",
+            ">": "GreaterThanExpression",
+            "<=": "LessThanOrEqualExpression",
+            ">=": "GreaterThanOrEqualExpression",
+            "is": "IsExpression",
+            "as": "AsExpression",
+            "<<": "LeftShiftExpression",
+            ">>": "RightShiftExpression",
+            "+": "AddExpression",
+            "-": "SubtractExpression",
+            "*": "MultiplyExpression",
+            "/": "DivideExpression",
+            "%": "ModuloExpression",
+        }
+    )
+    TYPE_OPERAND = frozenset({"is", "as"})
+    PREFIX = {
+        "!": "LogicalNotExpression",
+        "-": "UnaryMinusExpression",
+        "+": "UnaryPlusExpression",
+        "~": "BitwiseNotExpression",
+        "++": "PreIncrementExpression",
+        "--": "PreDecrementExpression",
+    }
+    POSTFIX = {"++": "PostIncrementExpression", "--": "PostDecrementExpression"}
+    TYPE_KEYWORDS = {**{name: "PredefinedType" for name in _PREDEFINED_TYPES}, "var": "VarKeyword"}
+    NAMED_TYPE = "IdentifierName"
+    GENERIC_TYPE = "GenericName"
 
     # ------------------------------------------------------------------
     # Compilation unit
@@ -139,12 +155,7 @@ class _CSharpParser:
         name = ts.expect_ident().text
         node = Node(kind, children=[Node("IdentifierToken", value=name, meta={"id_kind": "class"})])
         if ts.match_op(":"):
-            bases = Node("BaseList")
-            while True:
-                bases.add_child(self.parse_type())
-                if not ts.match_op(","):
-                    break
-            node.add_child(bases)
+            node.add_child(Node("BaseList", children=self.comma_list(None, self.parse_type)))
         ts.expect_op("{")
         while not ts.current.is_op("}"):
             if ts.at_end():
@@ -167,8 +178,8 @@ class _CSharpParser:
             node.add_child(self.parse_block())
             return node
         type_node = self.parse_type()
-        name_tok = ts.expect_ident()
-        if ts.current.is_op("("):
+        if ts.current.kind == IDENT and ts.peek().is_op("("):
+            name_tok = ts.advance()
             node = Node(
                 "MethodDeclaration",
                 children=[
@@ -181,8 +192,9 @@ class _CSharpParser:
                 return node
             node.add_child(self.parse_block())
             return node
-        if ts.current.is_op("{"):
+        if ts.current.kind == IDENT and ts.peek().is_op("{"):
             # Auto-property: Type Name { get; set; }
+            name_tok = ts.advance()
             node = Node(
                 "PropertyDeclaration",
                 children=[
@@ -204,108 +216,23 @@ class _CSharpParser:
             node.add_child(accessors)
             return node
         # Field declaration.
-        node = Node("FieldDeclaration", children=[type_node])
-        declarator = Node(
-            "VariableDeclarator",
-            children=[Node("IdentifierToken", value=name_tok.text, meta={"id_kind": "field"})],
-        )
-        if ts.match_op("="):
-            declarator.add_child(Node("EqualsValueClause", children=[self.parse_expression()]))
-        node.add_child(declarator)
-        while ts.match_op(","):
-            more = ts.expect_ident()
-            declarator = Node(
-                "VariableDeclarator",
-                children=[Node("IdentifierToken", value=more.text, meta={"id_kind": "field"})],
-            )
-            if ts.match_op("="):
-                declarator.add_child(Node("EqualsValueClause", children=[self.parse_expression()]))
-            node.add_child(declarator)
+        declarators = self.comma_list(None, lambda: self.parse_declarator("field"))
         ts.expect_op(";")
-        return node
+        return Node("FieldDeclaration", children=[type_node, *declarators])
 
     def parse_parameter_list(self) -> Node:
-        ts = self.ts
-        node = Node("ParameterList")
-        ts.expect_op("(")
-        while not ts.current.is_op(")"):
-            ts.match_keyword("out", "ref")
-            param_type = self.parse_type()
-            name = ts.expect_ident()
-            node.add_child(
-                Node(
-                    "Parameter",
-                    children=[
-                        param_type,
-                        Node("IdentifierToken", value=name.text, meta={"id_kind": "param"}),
-                    ],
-                )
-            )
-            if not ts.match_op(","):
-                break
-        ts.expect_op(")")
-        return node
+        self.ts.expect_op("(")
+        return Node("ParameterList", children=self.comma_list(")", self.parse_parameter))
 
-    # ------------------------------------------------------------------
-    # Types
-    # ------------------------------------------------------------------
-    def parse_type(self) -> Node:
+    def parse_parameter(self) -> Node:
         ts = self.ts
-        tok = ts.current
-        if tok.is_keyword(*_PREDEFINED_TYPES):
-            ts.advance()
-            node: Node = Node("PredefinedType", value=tok.text)
-        elif tok.is_keyword("var"):
-            ts.advance()
-            node = Node("VarKeyword", value="var")
-        else:
-            name = ts.expect_ident().text
-            while ts.current.is_op(".") and ts.peek().kind == IDENT:
-                ts.advance()
-                name += "." + ts.expect_ident().text
-            base = Node("IdentifierName", value=name)
-            if ts.current.is_op("<") and self._looks_like_type_args():
-                ts.advance()
-                generic = Node("GenericName", children=[base])
-                while not ts.current.is_op(">", ">>", ">>>"):
-                    generic.add_child(self.parse_type())
-                    if not ts.match_op(","):
-                        break
-                expect_close_angle(ts)
-                node = generic
-            else:
-                node = base
-        while ts.current.is_op("[") and ts.peek().is_op("]"):
-            ts.advance()
-            ts.advance()
-            node = Node("ArrayType", children=[node])
-        return node
-
-    def _looks_like_type_args(self) -> bool:
-        ts = self.ts
-        tokens = ts.tokens
-        depth = 0
-        i = ts.pos
-        while i < len(tokens):
-            tok = tokens[i]
-            if tok.kind == EOF:
-                return False
-            if tok.is_op("<"):
-                depth += 1
-            elif tok.is_op(">"):
-                depth -= 1
-                if depth == 0:
-                    return True
-            elif tok.is_op(">>"):
-                depth -= 2
-                if depth <= 0:
-                    return True
-            elif tok.kind in (IDENT, KEYWORD) or tok.is_op(",", ".", "[", "]"):
-                pass
-            else:
-                return False
-            i += 1
-        return False
+        ts.match_keyword("out", "ref")
+        param_type = self.parse_type()
+        name = ts.expect_ident()
+        return Node(
+            "Parameter",
+            children=[param_type, Node("IdentifierToken", value=name.text, meta={"id_kind": "param"})],
+        )
 
     # ------------------------------------------------------------------
     # Statements (Block nodes are kept, unlike the Java frontend)
@@ -419,7 +346,7 @@ class _CSharpParser:
         if tok.is_op(";"):
             ts.advance()
             return Node("EmptyStatement")
-        if self._looks_like_local_declaration():
+        if self.looks_like_local_declaration():
             node = self.parse_local_declaration()
             ts.expect_op(";")
             return node
@@ -432,11 +359,10 @@ class _CSharpParser:
         ts.expect_keyword("for")
         ts.expect_op("(")
         node = Node("ForStatement")
-        if not ts.current.is_op(";"):
-            if self._looks_like_local_declaration():
-                node.add_child(self.parse_local_declaration())
-            else:
-                node.add_child(self.parse_expression())
+        if self.looks_like_local_declaration():
+            node.add_child(self.parse_local_declaration())
+        elif not ts.current.is_op(";"):
+            node.add_child(self.parse_expression())
         ts.expect_op(";")
         if not ts.current.is_op(";"):
             node.add_child(self.parse_expression())
@@ -447,152 +373,47 @@ class _CSharpParser:
         node.add_child(self.parse_embedded())
         return node
 
-    def _looks_like_local_declaration(self) -> bool:
-        ts = self.ts
-        tok = ts.current
-        if tok.is_keyword(*_PREDEFINED_TYPES) or tok.is_keyword("var"):
-            return True
-        if tok.kind != IDENT:
-            return False
-        tokens = ts.tokens
-        i = ts.pos + 1
-        while tokens[i].is_op(".") and tokens[i + 1].kind == IDENT:
-            i += 2
-        if tokens[i].is_op("<"):
-            depth = 0
-            while i < len(tokens):
-                if tokens[i].is_op("<"):
-                    depth += 1
-                elif tokens[i].is_op(">"):
-                    depth -= 1
-                    if depth == 0:
-                        i += 1
-                        break
-                elif tokens[i].is_op(">>"):
-                    depth -= 2
-                    if depth <= 0:
-                        i += 1
-                        break
-                elif tokens[i].kind in (IDENT, KEYWORD) or tokens[i].is_op(",", ".", "[", "]"):
-                    pass
-                else:
-                    return False
-                i += 1
-        while tokens[i].is_op("[") and tokens[i + 1].is_op("]"):
-            i += 2
-        return tokens[i].kind == IDENT
-
     def parse_local_declaration(self) -> Node:
-        ts = self.ts
         type_node = self.parse_type()
-        decl = Node("VariableDeclaration", children=[type_node])
-        while True:
-            name = ts.expect_ident()
-            declarator = Node(
-                "VariableDeclarator",
-                children=[Node("IdentifierToken", value=name.text, meta={"id_kind": "local"})],
-            )
-            if ts.match_op("="):
-                declarator.add_child(Node("EqualsValueClause", children=[self.parse_expression()]))
-            decl.add_child(declarator)
-            if not ts.match_op(","):
-                break
+        declarators = self.comma_list(None, lambda: self.parse_declarator("local"))
+        decl = Node("VariableDeclaration", children=[type_node, *declarators])
         return Node("LocalDeclarationStatement", children=[decl])
 
-    # ------------------------------------------------------------------
-    # Expressions
-    # ------------------------------------------------------------------
-    def parse_expression(self) -> Node:
-        left = self.parse_conditional()
-        tok = self.ts.current
-        if tok.kind == OP and tok.text in _ASSIGN_KINDS:
-            kind = _ASSIGN_KINDS[self.ts.advance().text]
-            right = self.parse_expression()
-            return Node(kind, children=[left, right])
-        return left
-
-    def parse_conditional(self) -> Node:
-        cond = self.parse_binary(0)
-        if self.ts.match_op("?"):
-            then = self.parse_expression()
-            self.ts.expect_op(":")
-            other = self.parse_expression()
-            return Node("ConditionalExpression", children=[cond, then, other])
-        return cond
-
-    _BINARY_LEVELS = (
-        ("||",),
-        ("&&",),
-        ("|",),
-        ("^",),
-        ("&",),
-        ("==", "!="),
-        ("<", ">", "<=", ">=", "is", "as"),
-        ("<<", ">>"),
-        ("+", "-"),
-        ("*", "/", "%"),
-    )
-
-    def parse_binary(self, level: int) -> Node:
-        if level >= len(self._BINARY_LEVELS):
-            return self.parse_unary()
-        ops = self._BINARY_LEVELS[level]
-        left = self.parse_binary(level + 1)
-        while True:
-            tok = self.ts.current
-            if tok.is_keyword("is") and "is" in ops:
-                self.ts.advance()
-                left = Node("IsExpression", children=[left, self.parse_type()])
-                continue
-            if tok.is_keyword("as") and "as" in ops:
-                self.ts.advance()
-                left = Node("AsExpression", children=[left, self.parse_type()])
-                continue
-            if tok.kind == OP and tok.text in ops:
-                op = self.ts.advance().text
-                right = self.parse_binary(level + 1)
-                left = Node(_BINARY_KINDS[op], children=[left, right])
-            else:
-                return left
-
-    def parse_unary(self) -> Node:
+    def parse_declarator(self, id_kind: str) -> Node:
         ts = self.ts
-        tok = ts.current
-        if tok.kind == OP and tok.text in _UNARY_KINDS:
-            kind = _UNARY_KINDS[ts.advance().text]
-            return Node(kind, children=[self.parse_unary()])
-        if tok.is_keyword("new"):
-            ts.advance()
-            type_node = self.parse_type()
-            if ts.current.is_op("["):
-                node = Node("ArrayCreationExpression", children=[type_node])
-                while ts.match_op("["):
-                    if not ts.current.is_op("]"):
-                        node.add_child(self.parse_expression())
-                    ts.expect_op("]")
-                return node
-            node = Node("ObjectCreationExpression", children=[type_node])
-            if ts.match_op("("):
-                args = Node("ArgumentList")
-                while not ts.current.is_op(")"):
-                    args.add_child(Node("Argument", children=[self.parse_expression()]))
-                    if not ts.match_op(","):
-                        break
-                ts.expect_op(")")
-                node.add_child(args)
-            return self.parse_access_tail(node)
-        return self.parse_postfix()
+        name = ts.expect_ident()
+        declarator = Node(
+            "VariableDeclarator",
+            children=[Node("IdentifierToken", value=name.text, meta={"id_kind": id_kind})],
+        )
+        if ts.match_op("="):
+            declarator.add_child(Node("EqualsValueClause", children=[self.parse_expression()]))
+        return declarator
 
-    def parse_postfix(self) -> Node:
-        node = self.parse_access_tail(self.parse_primary())
-        tok = self.ts.current
-        if tok.kind == OP and tok.text == "++":
-            self.ts.advance()
-            return Node("PostIncrementExpression", children=[node])
-        if tok.kind == OP and tok.text == "--":
-            self.ts.advance()
-            return Node("PostDecrementExpression", children=[node])
-        return node
+    # ------------------------------------------------------------------
+    # Expressions (assignment, ``?:`` and operators: see CFamilyParser)
+    # ------------------------------------------------------------------
+    def parse_new(self) -> Node:
+        ts = self.ts
+        type_node = self.parse_type()
+        if ts.current.is_op("["):
+            node = Node("ArrayCreationExpression", children=[type_node])
+            while ts.match_op("["):
+                if not ts.current.is_op("]"):
+                    node.add_child(self.parse_expression())
+                ts.expect_op("]")
+            return node
+        node = Node("ObjectCreationExpression", children=[type_node])
+        if ts.match_op("("):
+            node.add_child(self.parse_argument_list())
+        return self.parse_access_tail(node)
+
+    def parse_argument_list(self) -> Node:
+        """``arg, ...)`` after the opening parenthesis."""
+        return Node(
+            "ArgumentList",
+            children=self.comma_list(")", lambda: Node("Argument", children=[self.parse_expression()])),
+        )
 
     def parse_access_tail(self, node: Node) -> Node:
         ts = self.ts
@@ -600,26 +421,15 @@ class _CSharpParser:
             if ts.current.is_op(".") and ts.peek().kind in (IDENT, KEYWORD):
                 ts.advance()
                 name_tok = ts.advance()
-                member = Node(
+                node = Node(
                     "SimpleMemberAccessExpression",
                     children=[
                         node,
                         Node("IdentifierName", value=name_tok.text, meta={"id_kind": "property"}),
                     ],
                 )
-                if ts.current.is_op("("):
-                    ts.advance()
-                    call = Node("InvocationExpression", children=[member])
-                    args = Node("ArgumentList")
-                    while not ts.current.is_op(")"):
-                        args.add_child(Node("Argument", children=[self.parse_expression()]))
-                        if not ts.match_op(","):
-                            break
-                    ts.expect_op(")")
-                    call.add_child(args)
-                    node = call
-                else:
-                    node = member
+                if ts.match_op("("):
+                    node = Node("InvocationExpression", children=[node, self.parse_argument_list()])
             elif ts.current.is_op("["):
                 ts.advance()
                 index = self.parse_expression()
@@ -627,15 +437,7 @@ class _CSharpParser:
                 node = Node("ElementAccessExpression", children=[node, index])
             elif ts.current.is_op("("):
                 ts.advance()
-                call = Node("InvocationExpression", children=[node])
-                args = Node("ArgumentList")
-                while not ts.current.is_op(")"):
-                    args.add_child(Node("Argument", children=[self.parse_expression()]))
-                    if not ts.match_op(","):
-                        break
-                ts.expect_op(")")
-                call.add_child(args)
-                node = call
+                node = Node("InvocationExpression", children=[node, self.parse_argument_list()])
             else:
                 return node
 
@@ -681,96 +483,6 @@ class _CSharpParser:
         raise ts.error(f"unexpected token {tok}")
 
 
-# ----------------------------------------------------------------------
-# Binding resolution
-# ----------------------------------------------------------------------
-
-
-def resolve_csharp_bindings(root: Node) -> None:
-    """Attach occurrence-grouping bindings, mirroring the Java frontend."""
-    class_counter = [0]
-    method_counter = [0]
-
-    def classes(node: Node):
-        for child in node.children:
-            if child.kind in ("ClassDeclaration", "StructDeclaration", "InterfaceDeclaration"):
-                yield child
-            elif child.kind == "NamespaceDeclaration":
-                yield from classes(child)
-
-    def visit_class(class_node: Node) -> None:
-        class_counter[0] += 1
-        cid = class_counter[0]
-        fields: Dict[str, str] = {}
-        for member in class_node.children:
-            if member.kind == "FieldDeclaration":
-                for declarator in member.find("VariableDeclarator"):
-                    name_node = declarator.children[0]
-                    key = f"c{cid}:{name_node.value}"
-                    fields[name_node.value or ""] = key
-                    name_node.meta["binding"] = key
-            elif member.kind == "PropertyDeclaration":
-                name_node = member.children[1]
-                key = f"c{cid}:{name_node.value}"
-                fields[name_node.value or ""] = key
-                name_node.meta["binding"] = key
-        for member in class_node.children:
-            if member.kind in ("MethodDeclaration", "ConstructorDeclaration"):
-                visit_method(member, fields)
-
-    def visit_method(method: Node, fields: Dict[str, str]) -> None:
-        method_counter[0] += 1
-        mid = method_counter[0]
-        local_bindings: Dict[str, tuple] = {}
-
-        def declare(name_node: Node, id_kind: str) -> None:
-            key = f"m{mid}:{name_node.value}"
-            local_bindings[name_node.value or ""] = (key, id_kind)
-            name_node.meta["binding"] = key
-            name_node.meta["id_kind"] = id_kind
-
-        def visit(node: Node) -> None:
-            if node.kind == "Parameter":
-                declare(node.children[1], "param")
-            elif node.kind == "VariableDeclaration":
-                for declarator in node.children[1:]:
-                    if declarator.kind == "VariableDeclarator":
-                        declare(declarator.children[0], "local")
-            elif node.kind == "ForEachStatement":
-                declare(node.children[1], "local")
-            elif node.kind == "CatchDeclaration" and len(node.children) > 1:
-                declare(node.children[1], "local")
-            elif node.kind == "IdentifierName" and "binding" not in node.meta:
-                # Skip member names (the right side of a member access).
-                parent = node.parent
-                is_member_name = (
-                    parent is not None
-                    and parent.kind == "SimpleMemberAccessExpression"
-                    and parent.children[1] is node
-                )
-                if not is_member_name:
-                    name = node.value or ""
-                    if name in local_bindings:
-                        key, kind = local_bindings[name]
-                        node.meta["binding"] = key
-                        node.meta["id_kind"] = kind
-                    elif name in fields:
-                        node.meta["binding"] = fields[name]
-                        node.meta["id_kind"] = "field"
-                    else:
-                        node.meta["binding"] = f"g:{name}"
-                        node.meta["id_kind"] = "global"
-            for child in node.children:
-                if node.kind == "ForEachStatement" and child is node.children[1]:
-                    continue  # already declared
-                visit(child)
-
-        visit(method)
-
-    for class_node in classes(root):
-        visit_class(class_node)
-
-
 class CSharpFrontend:
     """PIGEON's C# module."""
 
@@ -778,7 +490,7 @@ class CSharpFrontend:
 
     def parse(self, source: str) -> Ast:
         root = _CSharpParser(source).parse_compilation_unit()
-        resolve_csharp_bindings(root)
+        resolve_bindings(root)
         return Ast(root, language="csharp")
 
 

@@ -16,6 +16,11 @@ in the paper.  Two UglifyJS conventions matter for that:
 * operator-bearing nodes embed the operator in the kind (``Assign=``,
   ``Binary==``, ``UnaryPrefix!``).
 
+Expressions (assignment, ``?:``, the binary operators by precedence
+climbing, prefix and postfix operators) and comma lists come from the
+shared C-family core, :class:`repro.lang.cfamily.CFamilyParser`, filled
+with this module's operator -> node kind tables.
+
 After parsing, a scope resolver marks every identifier terminal with
 ``meta["id_kind"]`` and, for local variables and parameters, a
 ``meta["binding"]`` key that groups the occurrences of one program
@@ -27,7 +32,8 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ...core.ast_model import Ast, Node
-from ..lexing import CHAR, EOF, IDENT, KEYWORD, NUMBER, OP, STRING, Lexer, TokenStream
+from ..cfamily import CFamilyParser, binary_table
+from ..lexing import CHAR, EOF, IDENT, KEYWORD, NUMBER, STRING
 
 _KEYWORDS = frozenset(
     """
@@ -37,13 +43,27 @@ _KEYWORDS = frozenset(
     """.split()
 )
 
-_ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=")
 
-
-class _JsParser:
-    def __init__(self, source: str) -> None:
-        tokens = Lexer(source, _KEYWORDS, "javascript").tokenize()
-        self.ts = TokenStream(tokens, "javascript")
+class _JsParser(CFamilyParser):
+    LANGUAGE = "javascript"
+    KEYWORDS = _KEYWORDS
+    ASSIGN = {
+        op: f"Assign{op}" for op in ("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=")
+    }
+    CONDITIONAL = "Conditional"
+    BINARY = binary_table(
+        {
+            op: f"Binary{op}"
+            for op in (
+                "||", "&&", "|", "^", "&", "==", "!=", "===", "!==", "<", ">", "<=", ">=",
+                "instanceof", "in", "<<", ">>", ">>>", "+", "-", "*", "/", "%",
+            )
+        }
+    )
+    PREFIX = {
+        op: f"UnaryPrefix{op}" for op in ("!", "-", "+", "~", "++", "--", "typeof", "delete", "void")
+    }
+    POSTFIX = {op: f"UnaryPostfix{op}" for op in ("++", "--")}
 
     # ------------------------------------------------------------------
     # Program structure
@@ -60,7 +80,9 @@ class _JsParser:
         if tok.is_keyword("function"):
             return self.parse_function(declaration=True)
         if tok.is_keyword("var", "let", "const"):
-            return self.parse_var_statement()
+            node = self.parse_var()
+            ts.match_op(";")
+            return node
         if tok.is_keyword("if"):
             return self.parse_if()
         if tok.is_keyword("while"):
@@ -130,29 +152,22 @@ class _JsParser:
         elif declaration:
             raise ts.error("function declaration requires a name")
         ts.expect_op("(")
-        while not ts.current.is_op(")"):
-            param = ts.expect_ident()
-            node.add_child(Node("SymbolFunarg", value=param.text))
-            if not ts.match_op(","):
-                break
-        ts.expect_op(")")
+        for param in self.comma_list(")", lambda: Node("SymbolFunarg", value=ts.expect_ident().text)):
+            node.add_child(param)
         self.parse_block_into(node)
         return node
 
-    def parse_var_statement(self) -> Node:
+    def parse_var(self) -> Node:
+        """``var``/``let``/``const`` and its declarators, without the ``;``."""
+        self.ts.advance()
+        return Node("Var", children=self.comma_list(None, self.parse_var_def))
+
+    def parse_var_def(self) -> Node:
         ts = self.ts
-        ts.advance()  # var / let / const
-        node = Node("Var")
-        while True:
-            name = ts.expect_ident()
-            vardef = Node("VarDef", children=[Node("SymbolVar", value=name.text)])
-            if ts.match_op("="):
-                vardef.add_child(self.parse_assignment())
-            node.add_child(vardef)
-            if not ts.match_op(","):
-                break
-        ts.match_op(";")
-        return node
+        vardef = Node("VarDef", children=[Node("SymbolVar", value=ts.expect_ident().text)])
+        if ts.match_op("="):
+            vardef.add_child(self.parse_assignment())
+        return vardef
 
     def parse_if(self) -> Node:
         ts = self.ts
@@ -192,32 +207,25 @@ class _JsParser:
         ts = self.ts
         ts.expect_keyword("for")
         ts.expect_op("(")
-        # Distinguish for-in from the classic three-clause form.
-        init: Optional[Node] = None
-        if ts.current.is_keyword("var", "let", "const"):
-            save = ts.pos
-            ts.advance()
-            name = ts.expect_ident()
-            if ts.current.is_keyword("in", "of"):
-                ts.advance()
-                node = Node("ForIn", children=[Node("SymbolVar", value=name.text)])
-                node.add_child(self.parse_expression())
-                ts.expect_op(")")
-                self.parse_block_into(node)
-                return node
-            ts.pos = save
-            init = self.parse_var_statement_noconsume_semi()
-        elif not ts.current.is_op(";"):
-            first = self.parse_expression()
-            if ts.current.is_keyword("in", "of"):
-                ts.advance()
-                node = Node("ForIn", children=[first, self.parse_expression()])
-                ts.expect_op(")")
-                self.parse_block_into(node)
-                return node
-            init = first
         node = Node("For")
-        if init is not None:
+        if ts.current.is_keyword("var", "let", "const"):
+            if ts.peek().kind == IDENT and ts.peek(2).is_keyword("in", "of"):
+                ts.advance()
+                target = Node("SymbolVar", value=ts.advance().text)
+                ts.advance()
+                return self.parse_for_in(target)
+            node.add_child(self.parse_var())
+        elif not ts.current.is_op(";"):
+            # The first operand is read alone: read as part of a whole
+            # expression, ``k in obj`` would be one binary ``in``.  The
+            # rest of the header continues from it, so nothing is parsed
+            # twice.
+            first = self.parse_unary()
+            if ts.match_keyword("in", "of"):
+                return self.parse_for_in(first)
+            init = self.parse_expression(first)
+            if ts.match_keyword("in", "of"):
+                return self.parse_for_in(init)
             node.add_child(init)
         ts.expect_op(";")
         if not ts.current.is_op(";"):
@@ -229,19 +237,11 @@ class _JsParser:
         self.parse_block_into(node)
         return node
 
-    def parse_var_statement_noconsume_semi(self) -> Node:
-        """``var`` clause of a for-loop header (no trailing semicolon)."""
-        ts = self.ts
-        ts.advance()
-        node = Node("Var")
-        while True:
-            name = ts.expect_ident()
-            vardef = Node("VarDef", children=[Node("SymbolVar", value=name.text)])
-            if ts.match_op("="):
-                vardef.add_child(self.parse_assignment())
-            node.add_child(vardef)
-            if not ts.match_op(","):
-                break
+    def parse_for_in(self, target: Node) -> Node:
+        """The rest of ``for (target in|of expr) body``."""
+        node = Node("ForIn", children=[target, self.parse_expression()])
+        self.ts.expect_op(")")
+        self.parse_block_into(node)
         return node
 
     def parse_try(self) -> Node:
@@ -266,80 +266,21 @@ class _JsParser:
         return node
 
     # ------------------------------------------------------------------
-    # Expressions (precedence climbing)
+    # Expressions (assignment, ``?:`` and operators: see CFamilyParser)
     # ------------------------------------------------------------------
-    def parse_expression(self) -> Node:
-        expr = self.parse_assignment()
-        if self.ts.current.is_op(","):
-            seq = Node("Seq", children=[expr])
-            while self.ts.match_op(","):
-                seq.add_child(self.parse_assignment())
-            return seq
-        return expr
+    def parse_expression(self, left: Optional[Node] = None) -> Node:
+        """A comma expression; ``left`` as in :meth:`parse_assignment`."""
+        items = [self.parse_assignment(left)]
+        if self.ts.match_op(","):
+            items += self.comma_list(None, self.parse_assignment)
+        return items[0] if len(items) == 1 else Node("Seq", children=items)
 
-    def parse_assignment(self) -> Node:
-        left = self.parse_conditional()
-        tok = self.ts.current
-        if tok.kind == OP and tok.text in _ASSIGN_OPS:
-            op = self.ts.advance().text
-            right = self.parse_assignment()
-            return Node(f"Assign{op}", children=[left, right])
-        return left
-
-    def parse_conditional(self) -> Node:
-        cond = self.parse_binary(0)
-        if self.ts.match_op("?"):
-            then = self.parse_assignment()
-            self.ts.expect_op(":")
-            other = self.parse_assignment()
-            return Node("Conditional", children=[cond, then, other])
-        return cond
-
-    _BINARY_LEVELS = (
-        ("||",),
-        ("&&",),
-        ("|",),
-        ("^",),
-        ("&",),
-        ("==", "!=", "===", "!=="),
-        ("<", ">", "<=", ">=", "instanceof", "in"),
-        ("<<", ">>", ">>>"),
-        ("+", "-"),
-        ("*", "/", "%"),
-    )
-
-    def parse_binary(self, level: int) -> Node:
-        if level >= len(self._BINARY_LEVELS):
-            return self.parse_unary()
-        ops = self._BINARY_LEVELS[level]
-        left = self.parse_binary(level + 1)
-        while True:
-            tok = self.ts.current
-            is_kw_op = tok.kind == KEYWORD and tok.text in ops
-            if (tok.kind == OP and tok.text in ops) or is_kw_op:
-                op = self.ts.advance().text
-                right = self.parse_binary(level + 1)
-                left = Node(f"Binary{op}", children=[left, right])
-            else:
-                return left
-
-    def parse_unary(self) -> Node:
-        ts = self.ts
-        tok = ts.current
-        if tok.kind == OP and tok.text in ("!", "-", "+", "~", "++", "--"):
-            op = ts.advance().text
-            return Node(f"UnaryPrefix{op}", children=[self.parse_unary()])
-        if tok.is_keyword("typeof", "delete", "void"):
-            op = ts.advance().text
-            return Node(f"UnaryPrefix{op}", children=[self.parse_unary()])
-        if tok.is_keyword("new"):
-            ts.advance()
-            callee = self.parse_callee_for_new()
-            node = Node("New", children=[callee])
-            if ts.match_op("("):
-                self.parse_args_into(node)
-            return self.parse_call_tail(node)
-        return self.parse_postfix()
+    def parse_new(self) -> Node:
+        node = Node("New", children=[self.parse_callee_for_new()])
+        if self.ts.match_op("("):
+            for arg in self.comma_list(")", self.parse_assignment):
+                node.add_child(arg)
+        return self.parse_access_tail(node)
 
     def parse_callee_for_new(self) -> Node:
         """Member chain of a ``new`` expression, without call parentheses."""
@@ -352,15 +293,7 @@ class _JsParser:
             else:
                 return node
 
-    def parse_postfix(self) -> Node:
-        node = self.parse_call_tail(self.parse_primary())
-        tok = self.ts.current
-        if tok.kind == OP and tok.text in ("++", "--"):
-            op = self.ts.advance().text
-            return Node(f"UnaryPostfix{op}", children=[node])
-        return node
-
-    def parse_call_tail(self, node: Node) -> Node:
+    def parse_access_tail(self, node: Node) -> Node:
         ts = self.ts
         while True:
             if ts.current.is_op("."):
@@ -377,19 +310,9 @@ class _JsParser:
                 node = Node("Sub", children=[node, index])
             elif ts.current.is_op("("):
                 ts.advance()
-                call = Node("Call", children=[node])
-                self.parse_args_into(call)
-                node = call
+                node = Node("Call", children=[node, *self.comma_list(")", self.parse_assignment)])
             else:
                 return node
-
-    def parse_args_into(self, node: Node) -> None:
-        ts = self.ts
-        while not ts.current.is_op(")"):
-            node.add_child(self.parse_assignment())
-            if not ts.match_op(","):
-                break
-        ts.expect_op(")")
 
     def parse_primary(self) -> Node:
         ts = self.ts
@@ -427,30 +350,22 @@ class _JsParser:
             return expr
         if tok.is_op("["):
             ts.advance()
-            arr = Node("Array")
-            while not ts.current.is_op("]"):
-                arr.add_child(self.parse_assignment())
-                if not ts.match_op(","):
-                    break
-            ts.expect_op("]")
-            return arr
+            return Node("Array", children=self.comma_list("]", self.parse_assignment))
         if tok.is_op("{"):
             ts.advance()
-            obj = Node("Object")
-            while not ts.current.is_op("}"):
-                key_tok = ts.current
-                if key_tok.kind not in (IDENT, STRING, NUMBER, KEYWORD):
-                    raise ts.error("expected object key")
-                ts.advance()
-                kv = Node("ObjectKeyVal", children=[Node("Key", value=key_tok.text)])
-                ts.expect_op(":")
-                kv.add_child(self.parse_assignment())
-                obj.add_child(kv)
-                if not ts.match_op(","):
-                    break
-            ts.expect_op("}")
-            return obj
+            return Node("Object", children=self.comma_list("}", self.parse_object_entry))
         raise ts.error(f"unexpected token {tok}")
+
+    def parse_object_entry(self) -> Node:
+        ts = self.ts
+        key_tok = ts.current
+        if key_tok.kind not in (IDENT, STRING, NUMBER, KEYWORD):
+            raise ts.error("expected object key")
+        ts.advance()
+        kv = Node("ObjectKeyVal", children=[Node("Key", value=key_tok.text)])
+        ts.expect_op(":")
+        kv.add_child(self.parse_assignment())
+        return kv
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Shared hand-written lexer infrastructure.
 
 The JavaScript, Java and C# frontends all tokenise with :class:`Lexer`,
-parameterised by a keyword set and an operator table.  The Python
+parameterised by a keyword set and an operator table, and parse the
+tokens with the shared core in :mod:`repro.lang.cfamily`.  The Python
 frontend parses with the stdlib parser instead, but the token-stream
 baselines (:mod:`repro.baselines.ngram_crf`,
 :mod:`repro.baselines.token_context`) lex Python source with
@@ -323,26 +324,6 @@ class Lexer:
 
         tokens.append(Token(EOF, "", line, col))
         return tokens
-
-
-def expect_close_angle(ts: "TokenStream") -> None:
-    """Consume one ``>`` closing a generic-argument list.
-
-    ``Map<String, List<Integer>>`` lexes its tail as one ``>>`` token;
-    type parsers call this to split it into two closing angles, the same
-    trick javac and Roslyn use.
-    """
-    tok = ts.current
-    if tok.is_op(">"):
-        ts.advance()
-        return
-    if tok.is_op(">>"):
-        ts.tokens[ts.pos] = Token(OP, ">", tok.line, tok.column + 1)
-        return
-    if tok.is_op(">>>"):
-        ts.tokens[ts.pos] = Token(OP, ">>", tok.line, tok.column + 1)
-        return
-    raise ts.error(f"expected '>', found {tok}")
 
 
 class TokenStream:

@@ -448,10 +448,16 @@ class ConnectionPool:
         self._idle: list = []
 
     async def acquire(self, timeout: float) -> Connection:
+        """An idle connection still open at both ends, else a new one.
+
+        A pooled connection whose peer has closed it (a replica restarted
+        on the same port, say) is dropped, not reused.
+        """
         while self._idle:
             connection = self._idle.pop()
-            if not connection.closed:
+            if not connection.closed and not connection.reader.at_eof():
                 return connection
+            connection.close()
         return await Connection.open(self.host, self.port, timeout)
 
     def release(self, connection: Connection) -> None:
@@ -471,7 +477,11 @@ class ConnectionPool:
         body: Optional[bytes] = None,
         timeout: float = 30.0,
     ) -> Tuple[int, Dict[str, str], dict]:
-        """Acquire -> round-trip -> release (close on failure)."""
+        """Acquire -> round-trip -> release (close on failure).
+
+        A failed call is not retried: the caller decides whether to try
+        elsewhere.
+        """
         connection = await self.acquire(timeout)
         try:
             result = await connection.call(method, path, body=body, timeout=timeout)

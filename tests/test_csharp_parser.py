@@ -79,6 +79,23 @@ class TestStatements:
         assert decl.kind == "VariableDeclaration"
         assert decl.children[1].kind == "VariableDeclarator"
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            wrap("Dictionary<string, Dictionary<string, List<int>>> m = null;"),
+            "class C { Dictionary<string, Dictionary<string, List<int>>> m; }",
+            wrap("", params="Dictionary<string, Dictionary<string, List<int>>> m"),
+        ],
+        ids=["local", "field", "parameter"],
+    )
+    def test_three_deep_generics(self, source):
+        ast = parse_csharp(source)
+        outer = next(n for n in ast.root.walk() if n.kind == "GenericName")
+        assert [n.value for n in outer.walk() if not n.children] == [
+            "Dictionary", "string", "Dictionary", "string", "List", "int",
+        ]
+        assert outer.parent.kind in ("VariableDeclaration", "FieldDeclaration", "Parameter")
+
     def test_var_keyword(self):
         kinds = kinds_of(wrap("var x = 1;"))
         assert "VarKeyword" in kinds

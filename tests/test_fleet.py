@@ -11,6 +11,7 @@ errors, and come back healthy from a rolling reload that never drops
 below N-1 healthy replicas.
 """
 
+import asyncio
 import contextlib
 import json
 import math
@@ -42,7 +43,7 @@ from repro.fleet import (
     request_key,
 )
 from repro.serving import ServerThread, ServingClient, ServingError
-from repro.serving.http import HttpRequest, HttpService
+from repro.serving.http import ConnectionPool, HttpRequest, HttpService
 
 #: Unseen-identifier programs (one per test concern that needs a fresh
 #: cache key); layout variants of PROGRAM must share its routing digest.
@@ -836,3 +837,102 @@ class TestSharedFront:
                 reset()
         assert status == 502
         assert "replica-0 unreachable" in payload["error"]
+
+
+class TestStaleKeepAlive:
+    def test_replica_restarted_on_its_port_stays_healthy(self, model_path):
+        from repro.serving.host import ModelHost
+        from repro.serving.server import PredictionServer
+
+        first = ServerThread(PredictionServer(ModelHost([model_path]), port=0))
+        replica_url = first.__enter__()
+        port = int(replica_url.rsplit(":", 1)[1])
+        second = None
+        try:
+            replicas = ReplicaSet.adopt([replica_url])
+            replicas.start()
+            router = FleetRouter(replicas, port=0, poll_interval_s=3600.0)
+            body = json.dumps({"source": PROGRAM}).encode()
+            with ServerThread(router) as url, ServingClient(url, retries=0) as client:
+                assert client.request("POST", "/predict", body)[0] == 200
+                # Drain-restart on the same port: the router's pooled
+                # keep-alive connection now leads to a closed socket.
+                first.__exit__(None, None, None)
+                second = ServerThread(PredictionServer(ModelHost([model_path]), port=port))
+                assert second.__enter__() == replica_url
+                status, payload = client.request("POST", "/predict", body)
+                assert status == 200, payload
+                assert replicas.states() == {"replica-0": HEALTHY}
+        finally:
+            first.__exit__(None, None, None)
+            if second is not None:
+                second.__exit__(None, None, None)
+
+
+_STUB_ANSWER = (
+    b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+    b"Content-Length: 2\r\nConnection: keep-alive\r\n\r\n{}"
+)
+
+
+def _stub_replica(answers_per_connection, drop_next):
+    """A raw HTTP stub whose every connection answers its first
+    ``answers_per_connection`` requests, then closes: at once, or, with
+    ``drop_next``, after reading the next request and leaving it unanswered."""
+    connections = []
+
+    async def read_request(reader):
+        head = await reader.readuntil(b"\r\n\r\n")
+        length = int(head.lower().split(b"content-length:")[1].split(b"\r\n")[0])
+        await reader.readexactly(length)
+
+    async def handle(reader, writer):
+        connections.append(writer)
+        try:
+            for _ in range(answers_per_connection):
+                await read_request(reader)
+                writer.write(_STUB_ANSWER)
+                await writer.drain()
+            if drop_next:
+                await read_request(reader)
+        except (asyncio.IncompleteReadError, ConnectionError):
+            pass  # the client closed first
+        finally:
+            writer.close()
+
+    return handle, connections
+
+
+class TestConnectionPool:
+    def _run(self, answers_per_connection, drop_next, calls):
+        async def scenario():
+            handle, connections = _stub_replica(answers_per_connection, drop_next)
+            server = await asyncio.start_server(handle, "127.0.0.1", 0)
+            pool = ConnectionPool("127.0.0.1", server.sockets[0].getsockname()[1])
+            try:
+                results = []
+                for _ in range(calls):
+                    try:
+                        results.append((await pool.call("POST", "/predict", b"{}", timeout=5.0))[0])
+                    except ConnectionError as error:
+                        results.append(type(error).__name__)
+                    await asyncio.sleep(0.05)  # let the stub's close arrive
+                return results, len(connections)
+            finally:
+                pool.close()
+                server.close()
+                await server.wait_closed()
+
+        return asyncio.run(scenario())
+
+    def test_connection_closed_by_the_peer_is_not_reused(self):
+        results, connections = self._run(answers_per_connection=1, drop_next=False, calls=3)
+        assert results == [200, 200, 200]
+        assert connections == 3
+
+    def test_failed_call_is_not_retried(self):
+        # The pooled connection is open when taken and dies under the
+        # request: the failure propagates, no second connection is made.
+        results, connections = self._run(answers_per_connection=1, drop_next=True, calls=2)
+        assert results == [200, "ConnectionResetError"]
+        assert connections == 1

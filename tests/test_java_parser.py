@@ -80,6 +80,29 @@ class TestTypes:
         ast = parse_java(wrap("", params="Map<String, List<Integer>> m"))
         assert any(n.kind == "GenericType" for n in ast.root.walk())
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            wrap("Map<String, Map<String, List<Integer>>> m = null;"),
+            "class C { Map<String, Map<String, List<Integer>>> m; }",
+            wrap("", params="Map<String, Map<String, List<Integer>>> m"),
+        ],
+        ids=["local", "field", "parameter"],
+    )
+    def test_three_deep_generics(self, source):
+        ast = parse_java(source)
+        outer = next(n for n in ast.root.walk() if n.kind == "GenericType")
+        assert [n.value for n in outer.walk() if n.kind == "ClassType"] == [
+            "Map", "String", "Map", "String", "List", "Integer",
+        ]
+        assert outer.parent.kind in ("VariableDeclarationExpr", "FieldDeclaration", "Parameter")
+
+    def test_nested_generic_for_header_declares(self):
+        ast = parse_java(wrap("for (List<List<X>> a = b; a != null; ) { use(a); }"))
+        loop = next(n for n in ast.root.walk() if n.kind == "ForStmt")
+        assert loop.children[0].kind == "VariableDeclarationExpr"
+        assert loop.children[0].children[0].kind == "GenericType"
+
     def test_array_type(self):
         ast = parse_java(wrap("", params="int[] xs"))
         assert any(n.kind == "ArrayType" for n in ast.root.walk())

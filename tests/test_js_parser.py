@@ -60,6 +60,23 @@ class TestStatements:
             assert node.kind == "ForIn"
             assert node.children[0].kind == "SymbolVar"
 
+    def test_for_in_without_declaration(self):
+        ast = parse_js("for (k in obj) { f(k); } for (o.p in obj || {}) g();")
+        bare, member = ast.root.children
+        assert bare.kind == "ForIn"
+        assert [c.kind for c in bare.children[:2]] == ["SymbolRef", "SymbolRef"]
+        assert bare.children[0].value == "k"
+        assert member.kind == "ForIn"
+        assert [c.kind for c in member.children[:2]] == ["Dot", "Binary||"]
+
+    def test_for_header_keeps_in_inside_clauses(self):
+        ast = parse_js("for (i = 0; k in obj; i++) x(); for (var j = 0, n = 2; j < n; j++) y();")
+        three, declared = ast.root.children
+        assert three.kind == "For"
+        assert [c.kind for c in three.children[:3]] == ["Assign=", "Binaryin", "UnaryPostfix++"]
+        assert declared.kind == "For"
+        assert declared.children[0].kind == "Var" and len(declared.children[0].children) == 2
+
     def test_do_while(self):
         ast = parse_js("do { f(); } while (x);")
         node = ast.root.children[0]
