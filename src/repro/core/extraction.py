@@ -30,8 +30,16 @@ up steps, down steps, top) and carries no ids until a consumer asks:
   the top on one side, listed upward.  Every endpoint carries its chain
   ids for the depths its rows need, so a key costs three lookups.  The
   reversed relation is the swapped key in the same cache.  An
-  :class:`~repro.core.paths.AstPath` is built only on a cache miss, or
-  for a callable abstraction, which has no cache;
+  :class:`~repro.core.paths.AstPath` is built only on a cache miss
+  while interning straight into a vocab (training), on a miss under a
+  coarser named abstraction, or per path for a callable abstraction,
+  which has no cache.  Under the default ``full`` abstraction one shape
+  spells exactly one relation, so the first miss over an overlay (the
+  serving read path) indexes every base relation by splitting its
+  string back into a shape.  From then on a miss is a relation the base
+  does not know; it takes an overlay-local id whose string is spelled
+  only if something decodes it
+  (:meth:`~repro.core.interning.OverlayVocab.reserve`);
 * endpoint value ids are interned once per node.
 
 The view builders resolve only the rows they keep.  A string consumer
@@ -51,6 +59,8 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import islice
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .abstractions import ABSTRACTIONS, Abstraction, get_abstraction
@@ -270,6 +280,9 @@ class PathExtractor:
         # -> chain id, with 0 the empty chain.  Space-independent, so the
         # trie survives every rebind.
         self._chain_ids: Dict[Tuple[int, str], int] = {}
+        # Spells a reserved relation (see _rel).  It holds the trie alone,
+        # not the extractor, so a dead request's overlay pins no caches.
+        self._spell = partial(_spell_shape, self._chain_ids)
         # rel-id cache keyed by path shape.  Sound for the named built-in
         # abstractions, which are functions of the shape alone; an
         # arbitrary callable gets no cache and is recomputed per path.
@@ -282,6 +295,11 @@ class PathExtractor:
         self._base_shape_cache: Dict[ShapeKey, int] = {}
         self._cache_base_len = self._base_len_of(self._space)
         self._base_shape_hits = 0
+        # Under ``full`` the base half can be completed from the base
+        # relation strings (see _index_base); base ids below this one
+        # have been split already.
+        self._full = cached and config.abstraction == "full"
+        self._base_split = 0
 
     # ------------------------------------------------------------------
     # Feature space
@@ -310,9 +328,11 @@ class PathExtractor:
         read path -- keeps the base half of the shape cache warm: its
         entries reference only base ids, and vocabs are append-only, so
         a base id means the same string under every overlay, frozen or
-        not.  Overlay-local entries (and everything, on a rebind to an
-        unrelated space) are discarded: their ids would mean different
-        strings next call.
+        not.  So the base index of the ``full`` abstraction (see
+        :meth:`_rel`) is split at most once per base path vocab, on the
+        first request that misses it.  Overlay-local entries (and
+        everything, on a rebind to an unrelated space) are discarded:
+        their ids would mean different strings next call.
         """
         old_base = self._base_of(self._space)
         self._space = space
@@ -321,6 +341,7 @@ class PathExtractor:
             return
         if self._base_of(space) is not old_base:
             self._base_shape_cache.clear()
+            self._base_split = 0
         self._shape_cache.clear()
 
     def cache_stats(self) -> dict:
@@ -447,7 +468,12 @@ class PathExtractor:
         """The interned relation of one path, by shape key.
 
         The concrete :class:`AstPath` is built only on a cache miss, or
-        for a callable abstraction (which has no cache).
+        for a callable abstraction (which has no cache).  Under ``full``
+        over an overlay, a miss first completes the base index
+        (:meth:`_index_base`); once it is complete, a key it lacks is a
+        relation the base does not know, and takes the overlay's next
+        local id with its string left unspelled -- the id, in the same
+        first-miss order, that interning its path string would give.
         """
         if space is not self._space:
             raise RuntimeError(
@@ -456,21 +482,71 @@ class PathExtractor:
             )
         shape_cache = self._shape_cache
         if shape_cache is not None:
-            rel_id = self._base_shape_cache.get(key)
+            base_cache = self._base_shape_cache
+            rel_id = base_cache.get(key)
             if rel_id is not None:
                 self._base_shape_hits += 1
                 return rel_id
             rel_id = shape_cache.get(key)
             if rel_id is not None:
                 return rel_id
+            base_len = self._cache_base_len
+            if self._full and base_len is not None and (
+                len(base_cache) == base_len or self._index_base()
+            ):
+                rel_id = base_cache.get(key)  # a split just made may hold it
+                if rel_id is None:
+                    rel_id = shape_cache[key] = space.paths.reserve(key, self._spell)
+                return rel_id
         rel_id = space.paths.intern(self._alpha(_row_path(start, end, up, down)))
         if shape_cache is not None:
-            base_len = self._cache_base_len
             if base_len is None or rel_id < base_len:
                 self._base_shape_cache[key] = rel_id
             else:
                 shape_cache[key] = rel_id
         return rel_id
+
+    def _index_base(self) -> bool:
+        """Complete the base half of the shape cache; True if it is.
+
+        Splits each base relation not split before back into its shape:
+        ``A↑B↑T↓C↓D`` has the start-side chain ``A, B``, the top kind
+        ``T`` and the end-side chain ``D, C`` (listed upward).  Under
+        ``full`` a shape spells exactly one string, so the cache holds
+        one entry per base relation it indexes, and an entry count equal
+        to the base's size proves every base relation indexed -- as it is,
+        with no split at all, in the extractor that trained the base.
+        """
+        cache = self._base_shape_cache
+        base_len = self._cache_base_len
+        split = self._base_split
+        if len(cache) != base_len and split < base_len:
+            chain_id = self._chain_id
+            # Many relations share a side: one chain walk per distinct side.
+            starts: Dict[str, int] = {"": 0}
+            ends: Dict[str, int] = {"": 0}
+            texts = islice(self._base_of(self._space), split, base_len)
+            for rel_id, text in enumerate(texts, split):
+                up_side, _, end_side = text.partition(DOWN)
+                start_side, _, top = up_side.rpartition(UP)
+                start = starts.get(start_side)
+                if start is None:
+                    start = starts[start_side] = chain_id(start_side.split(UP))
+                end = ends.get(end_side)
+                if end is None:
+                    end = ends[end_side] = chain_id(reversed(end_side.split(DOWN)))
+                cache.setdefault((start, top, end), rel_id)
+            self._base_split = base_len
+        return len(cache) == base_len
+
+    def _chain_id(self, kinds: Iterable[str]) -> int:
+        """The interned chain of ``kinds``, listed upward (0: empty)."""
+        chain_ids = self._chain_ids
+        chain = 0
+        for kind in kinds:
+            step = (chain, kind)
+            chain = chain_ids.get(step) or chain_ids.setdefault(step, len(chain_ids) + 1)
+        return chain
 
     def _chains_of(self, node: Node, depth: int) -> List[int]:
         """``[0, c1, .., cd]``: ``ci`` is the interned kind chain of
@@ -580,6 +656,24 @@ class PathExtractor:
 
 def _leaf_order(row: Tuple[Node, Node, int, int, Node]) -> Tuple[int, int]:
     return (row[0]._leaf_index, row[1]._leaf_index)  # type: ignore[return-value]
+
+
+def _spell_shape(chain_ids: Dict[Tuple[int, str], int], key: ShapeKey) -> str:
+    """The ``full`` relation of a shape, for a reserved id someone decodes:
+    the inverse of the split in :meth:`PathExtractor._index_base`."""
+    # Chain ids are dense in insertion order, so the trie's key list maps
+    # chain id - 1 to (the chain one kind shorter, that kind).
+    steps = list(chain_ids)
+
+    def kinds(chain: int) -> List[str]:  # nearest the top first
+        out = []
+        while chain:
+            chain, kind = steps[chain - 1]
+            out.append(kind)
+        return out
+
+    start, top, end = key
+    return UP.join([*reversed(kinds(start)), top]) + "".join(DOWN + kind for kind in kinds(end))
 
 
 def _row_path(start: Node, end: Node, up: int, down: int) -> AstPath:

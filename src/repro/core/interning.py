@@ -31,7 +31,7 @@ explicitly.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 
 class FrozenVocabError(RuntimeError):
@@ -122,14 +122,21 @@ class OverlayVocab(Vocab):
     with each other -- that is fine, because local ids never appear in
     model weights (the model only knows base ids) and overlays are never
     shared across requests.
+
+    :meth:`reserve` hands out a local id from the same counter as
+    :meth:`intern`, for an item whose string is built only if
+    :meth:`value` asks for it.
     """
 
-    __slots__ = ("_base", "_base_len")
+    __slots__ = ("_base", "_base_len", "_reserved", "_spell")
 
     def __init__(self, base: Vocab) -> None:
         super().__init__()
         self._base = base
         self._base_len = len(base)
+        #: local index -> the item behind a reserved id, until spelled.
+        self._reserved: Dict[int, Hashable] = {}
+        self._spell: Optional[Callable[[Hashable], str]] = None
 
     @property
     def base(self) -> Vocab:
@@ -151,6 +158,23 @@ class OverlayVocab(Vocab):
         self._values.append(value)
         return self._base_len + new_id
 
+    def reserve(self, item: Hashable, spell: Callable[[Hashable], str]) -> int:
+        """The next local id, for an ``item`` absent from the base whose
+        string ``spell(item)`` builds only when :meth:`value` first asks.
+
+        The serving read path gives an unseen relation an id this way,
+        keyed by its path shape, without spelling the path out.  One
+        overlay takes one ``spell``.  A reserved item is not indexed by
+        its string: interning that string later gives another id.
+        """
+        if self._frozen:
+            raise FrozenVocabError("overlay vocabulary is frozen; cannot reserve an id")
+        local = len(self._values)
+        self._values.append(None)
+        self._reserved[local] = item
+        self._spell = spell
+        return self._base_len + local
+
     def id_of(self, value: str) -> Optional[int]:
         base_id = self._base.id_of(value)
         if base_id is not None:
@@ -161,7 +185,11 @@ class OverlayVocab(Vocab):
     def value(self, value_id: int) -> str:
         if value_id < self._base_len:
             return self._base.value(value_id)
-        return self._values[value_id - self._base_len]
+        local = value_id - self._base_len
+        value = self._values[local]
+        if value is None:
+            value = self._values[local] = self._spell(self._reserved.pop(local))
+        return value
 
     def __len__(self) -> int:
         return self._base_len + len(self._values)
@@ -171,7 +199,8 @@ class OverlayVocab(Vocab):
 
     def __iter__(self) -> Iterator[str]:
         yield from self._base
-        yield from self._values
+        for local in range(len(self._values)):
+            yield self.value(self._base_len + local)
 
     def to_list(self) -> List[str]:
         return list(self)

@@ -90,6 +90,8 @@ class CFamilyParser:
     GENERIC_TYPE = ""
     #: Punctuation a generic-argument list may contain besides angles.
     TYPE_ARG_PUNCT: Tuple[str, ...] = (",", ".", "[", "]")
+    #: C#: the node kind of a declared type with a trailing ``?``.
+    NULLABLE_TYPE = ""
 
     def __init__(self, source: str) -> None:
         tokens = Lexer(source, self.KEYWORDS, self.LANGUAGE).tokenize()
@@ -223,12 +225,17 @@ class CFamilyParser:
             node = Node(self.NAMED_TYPE, value=name)
             if ts.current.is_op("<") and self.type_args_end(ts.pos) > 0:
                 ts.advance()
-                node = Node(self.GENERIC_TYPE, children=[node, *self.comma_list(">", self.parse_type)])
+                args = self.comma_list(">", self.parse_type_argument)
+                node = Node(self.GENERIC_TYPE, children=[node, *args])
         while ts.current.is_op("[") and ts.peek().is_op("]"):
             ts.advance()
             ts.advance()
             node = Node("ArrayType", children=[node])
         return node
+
+    def parse_type_argument(self) -> Node:
+        """One generic argument (Java adds wildcards)."""
+        return self.parse_type()
 
     def type_args_end(self, i: int) -> int:
         """Index just past the generic-argument list opening at token ``i``.
@@ -267,7 +274,8 @@ class CFamilyParser:
 
     def looks_like_local_declaration(self) -> bool:
         """Whether a statement starts ``Type name``: a type keyword, or a
-        (qualified, generic, array) type name followed by an identifier."""
+        (qualified, generic, array, C# nullable) type name followed by an
+        identifier."""
         ts = self.ts
         tok = ts.current
         if tok.kind == KEYWORD:
@@ -284,6 +292,9 @@ class CFamilyParser:
                 return False
         while tokens[i].is_op("[") and tokens[i + 1].is_op("]"):
             i += 2
+        if self.NULLABLE_TYPE and tokens[i].is_op("?"):
+            # ``T? name`` ends where the conditional ``a ? b : c`` goes on.
+            return tokens[i + 1].kind == IDENT and tokens[i + 2].is_op("=", ";", ",")
         return tokens[i].kind == IDENT
 
 

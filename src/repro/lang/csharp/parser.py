@@ -100,6 +100,7 @@ class _CSharpParser(CFamilyParser):
     TYPE_KEYWORDS = {**{name: "PredefinedType" for name in _PREDEFINED_TYPES}, "var": "VarKeyword"}
     NAMED_TYPE = "IdentifierName"
     GENERIC_TYPE = "GenericName"
+    NULLABLE_TYPE = "NullableType"
 
     # ------------------------------------------------------------------
     # Compilation unit
@@ -177,7 +178,7 @@ class _CSharpParser(CFamilyParser):
             node.add_child(self.parse_parameter_list())
             node.add_child(self.parse_block())
             return node
-        type_node = self.parse_type()
+        type_node = self.parse_declared_type()
         if ts.current.kind == IDENT and ts.peek().is_op("("):
             name_tok = ts.advance()
             node = Node(
@@ -220,6 +221,14 @@ class _CSharpParser(CFamilyParser):
         ts.expect_op(";")
         return Node("FieldDeclaration", children=[type_node, *declarators])
 
+    def parse_declared_type(self) -> Node:
+        """A local, field, parameter or return type: ``T``, or the
+        nullable ``T?``."""
+        node = self.parse_type()
+        if self.ts.match_op("?"):
+            node = Node(self.NULLABLE_TYPE, children=[node])
+        return node
+
     def parse_parameter_list(self) -> Node:
         self.ts.expect_op("(")
         return Node("ParameterList", children=self.comma_list(")", self.parse_parameter))
@@ -227,7 +236,7 @@ class _CSharpParser(CFamilyParser):
     def parse_parameter(self) -> Node:
         ts = self.ts
         ts.match_keyword("out", "ref")
-        param_type = self.parse_type()
+        param_type = self.parse_declared_type()
         name = ts.expect_ident()
         return Node(
             "Parameter",
@@ -287,7 +296,7 @@ class _CSharpParser(CFamilyParser):
         if tok.is_keyword("foreach"):
             ts.advance()
             ts.expect_op("(")
-            var_type = self.parse_type()
+            var_type = self.parse_declared_type()
             name = ts.expect_ident()
             ts.expect_keyword("in")
             node = Node(
@@ -374,7 +383,7 @@ class _CSharpParser(CFamilyParser):
         return node
 
     def parse_local_declaration(self) -> Node:
-        type_node = self.parse_type()
+        type_node = self.parse_declared_type()
         declarators = self.comma_list(None, lambda: self.parse_declarator("local"))
         decl = Node("VariableDeclaration", children=[type_node, *declarators])
         return Node("LocalDeclarationStatement", children=[decl])

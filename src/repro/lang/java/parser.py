@@ -162,6 +162,17 @@ class _JavaParser(CFamilyParser):
         ts.expect_op(";")
         return Node("FieldDeclaration", children=[type_node, *declarators])
 
+    def parse_type_argument(self) -> Node:
+        """A generic argument: a type, or a wildcard ``?``, ``? extends T``
+        or ``? super T``."""
+        ts = self.ts
+        if not ts.match_op("?"):
+            return self.parse_type()
+        for keyword, kind in (("extends", "ExtendedType"), ("super", "SuperType")):
+            if ts.match_keyword(keyword):
+                return Node("WildcardType", children=[Node(kind, children=[self.parse_type()])])
+        return Node("WildcardType", value="?")
+
     def parse_parameters_into(self, node: Node) -> None:
         self.ts.expect_op("(")
         for param in self.comma_list(")", self.parse_parameter):

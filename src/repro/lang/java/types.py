@@ -16,7 +16,7 @@ filter.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple, Union
 
 from ...core.ast_model import Node
 
@@ -319,27 +319,35 @@ class _TypeInferrer:
         def declared_type(node: Node) -> Optional[str]:
             return type_node_to_name(node, self.env)
 
-        def visit(node: Node) -> None:
-            if node.kind == "Parameter":
-                t = declared_type(node.children[0])
-                if t:
-                    locals_[node.children[1].value or ""] = t
-                    node.children[1].meta["type"] = t
-            elif node.kind == "VariableDeclarationExpr":
-                t = declared_type(node.children[0])
-                if t:
-                    for declarator in node.children:
-                        if declarator.kind == "VariableDeclarator":
-                            locals_[declarator.children[0].value or ""] = t
-                            declarator.children[0].meta["type"] = t
-            for child in node.children:
-                visit(child)
-            # Post-order: children types are known when typing the parent.
+        # One walk with an explicit stack (no frame per tree level):
+        # declarations on the way down; a node's expression type once its
+        # children are typed -- at once for a leaf, else at the 1-tuple
+        # left under its children.
+        stack: List[Union[Node, Tuple[Node]]] = [method]
+        while stack:
+            node = stack.pop()
+            if type(node) is tuple:
+                node = node[0]
+            else:
+                if node.kind == "Parameter":
+                    t = declared_type(node.children[0])
+                    if t:
+                        locals_[node.children[1].value or ""] = t
+                        node.children[1].meta["type"] = t
+                elif node.kind == "VariableDeclarationExpr":
+                    t = declared_type(node.children[0])
+                    if t:
+                        for declarator in node.children:
+                            if declarator.kind == "VariableDeclarator":
+                                locals_[declarator.children[0].value or ""] = t
+                                declarator.children[0].meta["type"] = t
+                if node.children:
+                    stack.append((node,))
+                    stack.extend(reversed(node.children))
+                    continue
             t = self.expression_type(node, locals_, table)
             if t is not None:
                 node.meta["type"] = t
-
-        visit(method)
 
     # ------------------------------------------------------------------
     def expression_type(

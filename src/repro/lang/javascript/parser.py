@@ -29,7 +29,7 @@ element (the CRF merges them into a single node, Sec. 5.1).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Union
 
 from ...core.ast_model import Ast, Node
 from ..cfamily import CFamilyParser, binary_table
@@ -394,30 +394,34 @@ class _Scope:
 
 
 def _collect_declarations(fn_node: Node, scope: _Scope) -> None:
-    """Hoist declarations of one function scope (not nested functions)."""
+    """Hoist declarations of one function scope (not nested functions).
 
-    def rec(node: Node, at_function_root: bool) -> None:
-        for child in node.children:
-            if child.kind in _FUNCTION_KINDS and not at_function_root:
-                # Nested function: its params/vars belong to its own scope,
-                # but a Defun name is declared in *this* scope.
-                for sub in child.children:
-                    if sub.kind == "SymbolDefun":
-                        scope.declarations.setdefault(sub.value or "", "function")
-                continue
-            if child.kind == "SymbolFunarg" and at_function_root:
-                scope.declarations[child.value or ""] = "param"
-            elif child.kind == "SymbolVar":
-                scope.declarations.setdefault(child.value or "", "local")
-            elif child.kind == "SymbolCatch":
-                scope.declarations.setdefault(child.value or "", "local")
-            elif child.kind == "SymbolDefun":
-                scope.declarations.setdefault(child.value or "", "function")
-            if child.kind in _FUNCTION_KINDS:
-                continue  # do not descend into nested function bodies
-            rec(child, at_function_root=False)
-
-    rec(fn_node, at_function_root=True)
+    A pre-order walk with an explicit stack, so a tree as deep as a long
+    operator chain needs no Python frame per level.
+    """
+    stack = fn_node.children[::-1]
+    while stack:
+        child = stack.pop()
+        at_function_root = child.parent is fn_node
+        if child.kind in _FUNCTION_KINDS and not at_function_root:
+            # Nested function: its params/vars belong to its own scope,
+            # but a Defun name is declared in *this* scope.
+            for sub in child.children:
+                if sub.kind == "SymbolDefun":
+                    scope.declarations.setdefault(sub.value or "", "function")
+            continue
+        if child.kind == "SymbolFunarg" and at_function_root:
+            scope.declarations[child.value or ""] = "param"
+        elif child.kind == "SymbolVar":
+            scope.declarations.setdefault(child.value or "", "local")
+        elif child.kind == "SymbolCatch":
+            scope.declarations.setdefault(child.value or "", "local")
+        elif child.kind == "SymbolDefun":
+            scope.declarations.setdefault(child.value or "", "function")
+        if child.kind in _FUNCTION_KINDS:
+            continue  # do not descend into nested function bodies
+        if child.children:
+            stack.extend(reversed(child.children))
     # Also catch Defun/Function children's names declared directly above.
     for child in fn_node.children:
         if child.kind in _FUNCTION_KINDS:
@@ -453,19 +457,24 @@ def resolve_scopes(root: Node) -> None:
             node.meta["id_kind"] = "property"
             node.meta["binding"] = f"p:{node.value}"
 
-    def visit(node: Node, scope: _Scope) -> None:
+    scope = new_scope(None)
+    _collect_declarations(root, scope)
+    # Pre-order with an explicit stack.  A function opens its scope when
+    # it is reached, so scope ids follow source order, and leaves the
+    # enclosing scope on the stack, under its subtree, to return to.
+    stack: List[Union[Node, _Scope]] = [root]
+    while stack:
+        node = stack.pop()
+        if type(node) is _Scope:
+            scope = node
+            continue
+        if node.kind in _FUNCTION_KINDS and node is not root:
+            stack.append(scope)
+            scope = new_scope(scope)
+            _collect_declarations(node, scope)
         mark(node, scope)
-        for child in node.children:
-            if child.kind in _FUNCTION_KINDS:
-                child_scope = new_scope(scope)
-                _collect_declarations(child, child_scope)
-                visit(child, child_scope)
-            else:
-                visit(child, scope)
-
-    global_scope = new_scope(None)
-    _collect_declarations(root, global_scope)
-    visit(root, global_scope)
+        if node.children:
+            stack.extend(reversed(node.children))
 
 
 class JavaScriptFrontend:

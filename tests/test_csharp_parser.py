@@ -96,6 +96,30 @@ class TestStatements:
         ]
         assert outer.parent.kind in ("VariableDeclaration", "FieldDeclaration", "Parameter")
 
+    @pytest.mark.parametrize(
+        "source, holder",
+        [
+            (wrap("int? x = null;"), "VariableDeclaration"),
+            (wrap("Foo? x = y;"), "VariableDeclaration"),
+            ("class C { int? f; }", "FieldDeclaration"),
+            (wrap("", params="int? p"), "Parameter"),
+            ("class C { int? F() { return null; } }", "MethodDeclaration"),
+            (wrap("foreach (int? v in vs) { }"), "ForEachStatement"),
+        ],
+        ids=["local", "named-local", "field", "parameter", "return", "foreach"],
+    )
+    def test_nullable_types(self, source, holder):
+        ast = parse_csharp(source)
+        nullable = next(n for n in ast.root.walk() if n.kind == "NullableType")
+        assert nullable.parent.kind == holder
+        assert nullable.parent.children[0] is nullable
+        assert [c.kind for c in nullable.children] in (["PredefinedType"], ["IdentifierName"])
+
+    @pytest.mark.parametrize("body", ["x = a ? b : c;", "a ? b : c;", "var y = a ? b : c;"])
+    def test_conditional_is_not_a_nullable_type(self, body):
+        kinds = kinds_of(wrap(body))
+        assert "ConditionalExpression" in kinds and "NullableType" not in kinds
+
     def test_var_keyword(self):
         kinds = kinds_of(wrap("var x = 1;"))
         assert "VarKeyword" in kinds

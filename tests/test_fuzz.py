@@ -7,6 +7,9 @@ caller's input deserves a 400.  Two probes hold it to that:
 * a nested-parenthesis depth ladder, which real code reaches and which
   used to exhaust the Python stack through one frame per precedence
   level;
+* a flat operator chain of 1000 operands (a long string concatenation),
+  whose left-deep tree used to exhaust the stack in the recursive walks
+  that run after parsing (JavaScript scopes, Java types);
 * seeded mutants of generated files: every prefix, 1-7 character
   deletions and single punctuation insertions.
 
@@ -18,6 +21,7 @@ import random
 
 import pytest
 
+from repro.api import Pipeline
 from repro.corpus.generator import generate_corpus
 from repro.lang.base import ParseError, parse_source
 from repro.lang.javascript.parser import _JsParser
@@ -49,6 +53,23 @@ def test_nested_parentheses_depth_100_parse(language):
     source = _EXPRESSION_HOLDERS[language].format("(" * depth + "a" + ")" * depth)
     ast = parse_source(language, source)
     assert [leaf.value for leaf in ast.root.leaves()].count("a") == 1
+
+
+@pytest.mark.parametrize("language", _LANGUAGES)
+def test_operator_chain_of_1000_operands_parses(language):
+    operands = 1000
+    source = _EXPRESSION_HOLDERS[language].format(" + ".join(["a"] * operands))
+    ast = parse_source(language, source)
+    assert [leaf.value for leaf in ast.root.leaves()].count("a") == operands
+
+
+def test_operator_chain_of_1000_operands_predicts():
+    files = generate_corpus(language="javascript", n_projects=1, seed=3)
+    pipeline = Pipeline(language="javascript", training={"epochs": 1})
+    pipeline.train([f.source for f in files])
+    chain = " + ".join(["part"] * 1000)
+    source = f"function join(part) {{ var text = {chain}; return text; }}"
+    assert set(pipeline.predict(source)) >= {"s2:part", "s2:text"}
 
 
 @pytest.mark.parametrize("language", _LANGUAGES)

@@ -247,6 +247,30 @@ class TestOverlay:
         assert "c" in overlay and "e" not in overlay
         assert overlay.id_of("e") is None
 
+    def test_reserved_ids_spell_their_string_only_when_asked(self):
+        base = Vocab(["a"])
+        base.freeze()
+        overlay = OverlayVocab(base)
+        spelled = []
+
+        def spell(item):
+            spelled.append(item)
+            return f"<{item}>"
+
+        assert overlay.intern("x") == 1
+        assert overlay.reserve(("k", 1), spell) == 2  # the intern counter
+        assert overlay.reserve(("k", 2), spell) == 3
+        assert overlay.intern("y") == 4
+        assert spelled == [] and len(overlay) == 5
+        assert overlay.value(3) == "<('k', 2)>" and overlay.value(3) == "<('k', 2)>"
+        assert spelled == [("k", 2)]  # once per id
+        assert list(overlay) == ["a", "x", "<('k', 1)>", "<('k', 2)>", "y"]
+        # A reserved item is not indexed by its string.
+        assert overlay.id_of("<('k', 1)>") is None
+        assert overlay.freeze() is overlay
+        with pytest.raises(FrozenVocabError):
+            overlay.reserve(("k", 3), spell)
+
     def test_two_overlays_are_independent(self):
         base = Vocab(["a"])
         base.freeze()

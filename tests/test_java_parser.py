@@ -103,6 +103,32 @@ class TestTypes:
         assert loop.children[0].kind == "VariableDeclarationExpr"
         assert loop.children[0].children[0].kind == "GenericType"
 
+    @pytest.mark.parametrize(
+        "source, bound, bound_type",
+        [
+            (wrap("", params="List<? extends Number> xs"), "ExtendedType", "Number"),
+            (wrap("", params="Comparator<? super T> c"), "SuperType", "T"),
+            (wrap("List<?> xs = null;"), None, None),
+            ("class C { List<?> f; }", None, None),
+            ("class C { Map<String, ? extends List<?>> f() { return null; } }", "ExtendedType", "List"),
+        ],
+        ids=["extends-parameter", "super-parameter", "local", "field", "nested-return"],
+    )
+    def test_wildcards(self, source, bound, bound_type):
+        ast = parse_java(source)
+        wildcard = next(n for n in ast.root.walk() if n.kind == "WildcardType")
+        assert wildcard.parent.kind == "GenericType"
+        if bound is None:
+            assert wildcard.value == "?" and not wildcard.children
+        else:
+            assert [c.kind for c in wildcard.children] == [bound]
+            assert bound_type in [n.value for n in wildcard.walk()]
+
+    def test_conditional_is_not_a_wildcard(self):
+        ast = parse_java(wrap("x = a ? b : c; y = a < b ? c : d;"))
+        kinds = [n.kind for n in ast.root.walk()]
+        assert kinds.count("ConditionalExpr") == 2 and "WildcardType" not in kinds
+
     def test_array_type(self):
         ast = parse_java(wrap("", params="int[] xs"))
         assert any(n.kind == "ArrayType" for n in ast.root.walk())

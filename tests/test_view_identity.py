@@ -16,13 +16,21 @@ the method oracle also finding call sites by one walk per method.
 
 Corpora: generated programs in all four languages and top-level
 definitions from pinned stdlib modules present in CPython 3.10-3.13.
+
+The serving section checks the string-free relation ids of a loaded
+model (the ``full`` abstraction over a per-request overlay) against the
+string route, on the two ``perfbench`` models.
 """
 
+import importlib.util
 import os
+import sys
 import sysconfig
 
 import pytest
 
+from repro.api import Pipeline
+from repro.core import extraction
 from repro.core.extraction import ExtractionConfig, PathExtractor
 from repro.core.interning import FeatureSpace
 from repro.corpus import generate_corpus
@@ -231,3 +239,166 @@ def test_trained_models_identical(corpora, corpus):
     assert _predictions(product_model, product_graphs[split:]) == _predictions(
         reference_model, reference_graphs[split:]
     )
+
+
+# ----------------------------------------------------------------------
+# Serving: relation ids without path strings
+# ----------------------------------------------------------------------
+
+#: Requests per model: enough unseen relations to exercise every route.
+SERVED_UNITS = 40
+
+
+def _perfbench_inputs():
+    path = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "inputs.py"
+    )
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(sys.modules, spec.name, inputs)  # its dataclasses look it up
+        spec.loader.exec_module(inputs)
+        stdlib = inputs.load_stdlib()
+        js = (inputs.js_training_sources(), inputs.js_eval_units(4))
+    return stdlib, js
+
+
+@pytest.fixture(scope="module")
+def serving_models(tmp_path_factory):
+    """model -> (artifact path, request sources, training sources) for the
+    perfbench models."""
+    stdlib, (js_train, js_units) = _perfbench_inputs()
+    cells = {
+        "javascript": ("javascript", js_train, js_units),
+        "stdlib": ("python", [u.source for u in stdlib.train], stdlib.held_out),
+    }
+    models = {}
+    for name, (language, train, units) in cells.items():
+        if len(units) < SERVED_UNITS // 4:
+            continue  # too few of the pinned stdlib modules are installed
+        pipeline = Pipeline(language=language, training={"epochs": 1})
+        pipeline.train(train)
+        path = str(tmp_path_factory.mktemp("serving") / f"{name}.pmod")
+        pipeline.save(path)
+        models[name] = (path, [u.source for u in units[:SERVED_UNITS]], train)
+    return models
+
+
+def _model(serving_models, name):
+    if name not in serving_models:
+        pytest.skip("too few of the pinned stdlib modules are installed")
+    return serving_models[name]
+
+
+def _string_route(pipeline):
+    """``pipeline`` with its extractor interning every missed path string."""
+    pipeline.representation.extractor._full = False
+    return pipeline
+
+
+def _count_row_paths(monkeypatch):
+    calls = []
+    real = extraction._row_path
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(extraction, "_row_path", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["stdlib", "javascript"])
+def test_string_free_serving_matches_the_string_route(serving_models, name, monkeypatch):
+    path, sources, _ = _model(serving_models, name)
+    calls = _count_row_paths(monkeypatch)
+    reference = _string_route(Pipeline.load(path)).scoring_handle()
+    predicted = [reference.predict(source) for source in sources]
+    suggested = [reference.suggest(source, k=5) for source in sources]
+    assert calls  # the requests meet relations the model never saw
+    calls.clear()
+
+    loaded = Pipeline.load(path)
+    handle = loaded.scoring_handle()
+    assert [handle.predict(source) for source in sources] == predicted
+    assert [handle.suggest(source, k=5) for source in sources] == suggested
+    extractor = loaded.representation.extractor
+    assert extractor._base_split == len(loaded.space.paths)  # the index was split
+    again = Pipeline.load(path).scoring_handle()
+    assert [again.suggest(source, k=5) for source in sources] == suggested
+    assert [again.predict(source) for source in sources] == predicted
+    # Each fresh handle's first request builds the index from the key
+    # that missed; that request must resolve the key through the index.
+    for source, expected in zip(sources[:10], suggested):
+        assert Pipeline.load(path).scoring_handle().suggest(source, k=5) == expected
+    assert calls == []  # no AstPath on any request, the first included
+
+
+def _factor_rows(graph):
+    return [list(rows) for rows in (graph.known_factors, graph.edge_factors, graph.unary_factors)]
+
+
+def test_unseen_relations_decode_on_demand(serving_models, monkeypatch):
+    path, sources, _ = _model(serving_models, "stdlib")
+
+    def overlay_views(pipeline):
+        base = pipeline.space
+        views = []
+        for source in sources:
+            pipeline.representation.bind_space(base.overlay())
+            try:
+                views.append(pipeline.view(pipeline.parse(source)))
+            finally:
+                pipeline.representation.bind_space(base)
+        return views
+
+    reference = overlay_views(_string_route(Pipeline.load(path)))
+    expected = [decoded_graph(view) for view in reference]
+    calls = _count_row_paths(monkeypatch)
+    spelled = []
+    spell = extraction._spell_shape
+    monkeypatch.setattr(
+        extraction, "_spell_shape", lambda trie, key: spelled.append(key) or spell(trie, key)
+    )
+    views = overlay_views(Pipeline.load(path))
+    assert not spelled
+    # The same ids, in the same first-miss order, as the string route.
+    assert [_factor_rows(view) for view in views] == [_factor_rows(view) for view in reference]
+    assert [decoded_graph(view) for view in views] == expected
+    assert calls == []
+    assert spelled  # the unseen relations, spelled from their shapes
+
+
+def test_a_live_pipeline_needs_no_split(serving_models):
+    path, sources, train = _model(serving_models, "javascript")
+    pipeline = Pipeline.load(path)
+    trained = Pipeline(pipeline.spec)
+    trained.train(train)
+    expected = [pipeline.suggest(source, k=5) for source in sources]
+    assert [trained.suggest(source, k=5) for source in sources] == expected
+    extractor = trained.representation.extractor
+    assert extractor._base_split == 0
+    assert len(extractor._base_shape_cache) == len(trained.space.paths)
+
+
+@pytest.mark.parametrize(
+    "abstraction",
+    ["first-top-last", "no-arrows", lambda path: path.encode()],
+    ids=["first-top-last", "no-arrows", "callable"],
+)
+def test_other_abstractions_keep_the_string_route(serving_models, abstraction, monkeypatch):
+    _, sources, train = _model(serving_models, "javascript")
+    pipeline = Pipeline(
+        language="javascript", extraction={"abstraction": abstraction}, training={"epochs": 1}
+    )
+    pipeline.train(train)
+
+    def refuse(self):
+        raise AssertionError("the base index is only for the full abstraction")
+
+    monkeypatch.setattr(PathExtractor, "_index_base", refuse)
+    calls = _count_row_paths(monkeypatch)
+    for source in sources:
+        pipeline.predict(source)
+        pipeline.suggest(source, k=5)
+    assert calls  # every request spells its unseen relations out
