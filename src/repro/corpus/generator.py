@@ -12,18 +12,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .ir import CallLocal, ExprStmt, FileSpec, Function, VOID, default_value
+from .render import SYNTAX, render_file
 from .templates import DOMAINS, add_distractors, sample_function
-from . import render_csharp, render_java, render_js, render_python
-
-_RENDERERS: Dict[str, Callable[[FileSpec], str]] = {
-    "javascript": render_js.render_file,
-    "java": render_java.render_file,
-    "python": render_python.render_file,
-    "csharp": render_csharp.render_file,
-}
 
 _EXTENSIONS = {"javascript": "js", "java": "java", "python": "py", "csharp": "cs"}
 
@@ -98,12 +91,11 @@ def generate_corpus(config: Optional[CorpusConfig] = None, **overrides) -> List[
         config = CorpusConfig()
     if overrides:
         config = CorpusConfig(**{**config.__dict__, **overrides})
-    if config.language not in _RENDERERS:
-        known = ", ".join(sorted(_RENDERERS))
+    if config.language not in SYNTAX:
+        known = ", ".join(sorted(SYNTAX))
         raise ValueError(f"unknown language {config.language!r}; known: {known}")
 
     rng = random.Random(config.seed)
-    render = _RENDERERS[config.language]
     ext = _EXTENSIONS[config.language]
     domains = list(DOMAINS)
     files: List[CorpusFile] = []
@@ -129,7 +121,7 @@ def generate_corpus(config: Optional[CorpusConfig] = None, **overrides) -> List[
                 continue
             module = f"{rng.choice(_MODULE_NOUNS)}_{p}_{f}"
             spec = generate_file_spec(rng, project, module, config, domain)
-            source = render(spec)
+            source = render_file(spec, config.language)
             project_files.append(
                 CorpusFile(
                     project=project,

@@ -1,8 +1,8 @@
 """Language-independent program IR used by the corpus generator.
 
 Semantic templates (``templates.py``) build functions in this IR; the
-per-language renderers (``render_*.py``) lower it to concrete source
-text, which the corresponding frontend then parses back.  The IR is
+renderer (``render.py``) lowers it to concrete source text in each
+language, which the corresponding frontend then parses back.  The IR is
 deliberately tiny: just enough structure to express the naming patterns
 the paper's tasks learn (flags, counters, accumulators, searches,
 builders, handlers).
@@ -11,13 +11,13 @@ builders, handlers).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 # ----------------------------------------------------------------------
 # Types
 # ----------------------------------------------------------------------
 
-#: Abstract type tags, lowered per language by the renderers.
+#: Abstract type tags, lowered per language by the renderer.
 INT = "int"
 DOUBLE = "double"
 BOOL = "bool"
@@ -28,8 +28,8 @@ MAP_STR_INT = "map<string,int>"
 VOID = "void"
 OBJECT = "object"
 
-#: Custom project types: ``custom:<SimpleName>``.  The Java/C# renderers
-#: qualify the simple name with a *project-dependent* package, so the
+#: Custom project types: ``custom:<SimpleName>``.  Rendered Java
+#: qualifies the simple name with a *project-dependent* package, so the
 #: same simple name maps to different full types across projects -- the
 #: ambiguity that makes the paper's full-type task nontrivial
 #: (``com.mysql.jdbc.Connection`` vs ``org.apache.http.Connection``).
@@ -119,7 +119,7 @@ class CallFree:
 class CallLocal:
     """Call to a method defined in the same file.
 
-    Renderers style the name per language (camelCase for JS/Java,
+    The renderer styles the name per language (camelCase for JS/Java,
     snake_case for Python, PascalCase for C#); these are the invocation
     sites the method-naming task's *external paths* come from.
     """
@@ -275,6 +275,19 @@ Stmt = Union[
 # ----------------------------------------------------------------------
 
 
+def camel(subtokens: Sequence[str]) -> str:
+    first, *rest = subtokens
+    return first + "".join(part.capitalize() for part in rest)
+
+
+def pascal(subtokens: Sequence[str]) -> str:
+    return "".join(part.capitalize() for part in subtokens)
+
+
+def snake(subtokens: Sequence[str]) -> str:
+    return "_".join(subtokens)
+
+
 @dataclass
 class Function:
     """One generated function/method."""
@@ -288,14 +301,13 @@ class Function:
     template: str = ""
 
     def camel_name(self) -> str:
-        first, *rest = self.name_subtokens
-        return first + "".join(part.capitalize() for part in rest)
+        return camel(self.name_subtokens)
 
     def pascal_name(self) -> str:
-        return "".join(part.capitalize() for part in self.name_subtokens)
+        return pascal(self.name_subtokens)
 
     def snake_name(self) -> str:
-        return "_".join(self.name_subtokens)
+        return snake(self.name_subtokens)
 
 
 @dataclass
@@ -309,7 +321,7 @@ class FileSpec:
 
 
 def expr_type(expr: Expr) -> str:
-    """Static type of an IR expression (used by the renderers)."""
+    """Static type of an IR expression (used by the renderer)."""
     if isinstance(expr, Var):
         return expr.slot.type
     if isinstance(expr, Lit):
@@ -356,84 +368,3 @@ def default_value(type_tag: str) -> Expr:
     if type_tag in (LIST_INT, LIST_STRING, MAP_STR_INT):
         return NewCollection(type_tag)
     return Lit(None, OBJECT)
-
-
-def all_slots(fn: Function) -> List[VarSlot]:
-    """Every distinct variable slot of a function (params + locals)."""
-    seen: List[VarSlot] = []
-
-    def expr_slots(expr: Expr) -> None:
-        if isinstance(expr, Var):
-            if expr.slot not in seen:
-                seen.append(expr.slot)
-        elif isinstance(expr, (Bin, StrCat)):
-            expr_slots(expr.left)
-            expr_slots(expr.right)
-        elif isinstance(expr, Not):
-            expr_slots(expr.operand)
-        elif isinstance(expr, Len):
-            expr_slots(expr.operand)
-        elif isinstance(expr, Index):
-            expr_slots(expr.collection)
-            expr_slots(expr.index)
-        elif isinstance(expr, (MapGet, MapHas)):
-            expr_slots(expr.map)
-            expr_slots(expr.key)
-        elif isinstance(expr, (CallFree, CallLocal)):
-            for arg in expr.args:
-                expr_slots(arg)
-
-    def stmt_slots(stmt: Stmt) -> None:
-        if isinstance(stmt, Decl):
-            if stmt.slot not in seen:
-                seen.append(stmt.slot)
-            if stmt.init is not None:
-                expr_slots(stmt.init)
-        elif isinstance(stmt, Assign):
-            expr_slots(stmt.target)
-            expr_slots(stmt.value)
-        elif isinstance(stmt, Aug):
-            expr_slots(stmt.target)
-            expr_slots(stmt.value)
-        elif isinstance(stmt, Incr):
-            expr_slots(stmt.target)
-        elif isinstance(stmt, If):
-            expr_slots(stmt.cond)
-            for s in stmt.body:
-                stmt_slots(s)
-            for s in stmt.orelse:
-                stmt_slots(s)
-        elif isinstance(stmt, While):
-            expr_slots(stmt.cond)
-            for s in stmt.body:
-                stmt_slots(s)
-        elif isinstance(stmt, ForRange):
-            if stmt.slot not in seen:
-                seen.append(stmt.slot)
-            expr_slots(stmt.stop)
-            for s in stmt.body:
-                stmt_slots(s)
-        elif isinstance(stmt, ForEach):
-            if stmt.slot not in seen:
-                seen.append(stmt.slot)
-            expr_slots(stmt.iterable)
-            for s in stmt.body:
-                stmt_slots(s)
-        elif isinstance(stmt, Return) and stmt.value is not None:
-            expr_slots(stmt.value)
-        elif isinstance(stmt, ExprStmt):
-            expr_slots(stmt.expr)
-        elif isinstance(stmt, Append):
-            expr_slots(stmt.collection)
-            expr_slots(stmt.value)
-        elif isinstance(stmt, MapPut):
-            expr_slots(stmt.map)
-            expr_slots(stmt.key)
-            expr_slots(stmt.value)
-
-    for param in fn.params:
-        if param not in seen:
-            seen.append(param)
-    for stmt in fn.body:
-        stmt_slots(stmt)
-    return seen

@@ -1,7 +1,7 @@
 """The parser core shared by the C-family frontends (JavaScript, Java, C#).
 
 The three hand-written parsers build different node kinds and keep their
-own statements, declarations, ``new``, casts, access tails and primaries,
+own statements, declarations, ``new``, access tails and primaries,
 but they read expressions with one grammar: right-associative assignment,
 ``?:``, ten levels of left-associative binary operators, and prefix and
 postfix operators.  :class:`CFamilyParser` parses that grammar once, from
@@ -12,7 +12,8 @@ operand instead of one per precedence level, which is what lets deeply
 parenthesised code parse.
 
 The class also holds the one comma-separated-list loop, and, for the typed
-languages (Java, C#), the type parser with its generic-argument lookahead.
+languages (Java, C#), the type parser with its generic-argument lookahead,
+C#'s nullable ``T?`` suffix and the cast ``(T) x``.
 :func:`resolve_bindings` groups the identifier occurrences of a Java or C#
 tree into program elements.
 """
@@ -22,7 +23,7 @@ from __future__ import annotations
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from ..core.ast_model import Node
-from .lexing import IDENT, KEYWORD, OP, Lexer, Token, TokenStream
+from .lexing import CHAR, IDENT, KEYWORD, NUMBER, OP, STRING, Lexer, Token, TokenStream
 
 #: The C family's binary precedence, loosest first; each language's table
 #: takes the levels of the operators it has.
@@ -90,8 +91,10 @@ class CFamilyParser:
     GENERIC_TYPE = ""
     #: Punctuation a generic-argument list may contain besides angles.
     TYPE_ARG_PUNCT: Tuple[str, ...] = (",", ".", "[", "]")
-    #: C#: the node kind of a declared type with a trailing ``?``.
+    #: C#: the node kind of a type with a trailing ``?``.
     NULLABLE_TYPE = ""
+    #: Node kind of a cast ``(T) x``.
+    CAST = ""
 
     def __init__(self, source: str) -> None:
         tokens = Lexer(source, self.KEYWORDS, self.LANGUAGE).tokenize()
@@ -180,6 +183,11 @@ class CFamilyParser:
     def parse_unary(self) -> Node:
         ts = self.ts
         tok = ts.current
+        if self.CAST and tok.is_op("(") and self.looks_like_cast():
+            ts.advance()
+            type_node = self.parse_type()
+            ts.expect_op(")")
+            return Node(self.CAST, children=[type_node, self.parse_unary()])
         kind = self.PREFIX.get(tok.text) if tok.kind == OP or tok.kind == KEYWORD else None
         if kind is not None:
             ts.advance()
@@ -227,11 +235,39 @@ class CFamilyParser:
                 ts.advance()
                 args = self.comma_list(">", self.parse_type_argument)
                 node = Node(self.GENERIC_TYPE, children=[node, *args])
-        while ts.current.is_op("[") and ts.peek().is_op("]"):
-            ts.advance()
-            ts.advance()
-            node = Node("ArrayType", children=[node])
-        return node
+        while True:
+            if ts.current.is_op("[") and ts.peek().is_op("]"):
+                ts.advance()
+                ts.advance()
+                node = Node("ArrayType", children=[node])
+            elif self.NULLABLE_TYPE and ts.current.is_op("?") and self.nullable_at(ts.pos):
+                ts.advance()
+                node = Node(self.NULLABLE_TYPE, children=[node])
+            else:
+                return node
+
+    def nullable_at(self, i: int) -> bool:
+        """Whether the ``?`` at token ``i`` ends a nullable type ``T?``
+        rather than opening a conditional (``x is T ? a : b``): no operand
+        follows it, or the one that does is a declared name (``T? name =``,
+        a parameter, a ``foreach`` variable, a property, or a method:
+        ``T? Name(...)`` then ``{`` or ``;``, where ``T ? f(x) : y`` calls)."""
+        tokens = self.ts.tokens
+        nxt = tokens[i + 1]
+        if nxt.kind != IDENT:
+            return nxt.kind == OP and nxt.text != "(" and nxt.text not in self.PREFIX
+        after = tokens[i + 2]
+        if not after.is_op("("):
+            return after.is_op("=", ";", ",", ")", "{") or after.is_keyword("in")
+        depth = 0
+        for j in range(i + 2, len(tokens)):
+            if tokens[j].is_op("("):
+                depth += 1
+            elif tokens[j].is_op(")"):
+                depth -= 1
+                if depth == 0:
+                    return tokens[j + 1].is_op("{", ";")
+        return False
 
     def parse_type_argument(self) -> Node:
         """One generic argument (Java adds wildcards)."""
@@ -290,12 +326,45 @@ class CFamilyParser:
             i = self.type_args_end(i)
             if i < 0:
                 return False
-        while tokens[i].is_op("[") and tokens[i + 1].is_op("]"):
-            i += 2
-        if self.NULLABLE_TYPE and tokens[i].is_op("?"):
-            # ``T? name`` ends where the conditional ``a ? b : c`` goes on.
-            return tokens[i + 1].kind == IDENT and tokens[i + 2].is_op("=", ";", ",")
-        return tokens[i].kind == IDENT
+        while True:
+            if tokens[i].is_op("[") and tokens[i + 1].is_op("]"):
+                i += 2
+            elif self.NULLABLE_TYPE and tokens[i].is_op("?"):
+                # ``T? name`` ends where the conditional ``a ? b : c`` goes on.
+                if not (tokens[i + 1].is_op("[") and tokens[i + 2].is_op("]")):
+                    return tokens[i + 1].kind == IDENT and tokens[i + 2].is_op("=", ";", ",")
+                i += 1
+            else:
+                return tokens[i].kind == IDENT
+
+    def looks_like_cast(self) -> bool:
+        """Whether the ``(`` at the current token opens a cast: a type
+        keyword or a C# nullable ``T?`` closed by ``)``, or a qualified
+        name closed by ``)`` and followed by an operand."""
+        tokens = self.ts.tokens
+        i = self.ts.pos + 1
+        tok = tokens[i]
+        if tok.kind == KEYWORD:
+            if tok.text not in self.TYPE_KEYWORDS:
+                return False
+            i += 1
+        elif tok.kind == IDENT:
+            i += 1
+            while tokens[i].is_op(".") and tokens[i + 1].kind == IDENT:
+                i += 2
+        else:
+            return False
+        if self.NULLABLE_TYPE and tokens[i].is_op("?") and tokens[i + 1].is_op(")"):
+            return True
+        if not tokens[i].is_op(")"):
+            return False
+        nxt = tokens[i + 1]
+        return (
+            tok.kind == KEYWORD
+            or nxt.kind in (IDENT, NUMBER, STRING, CHAR)
+            or nxt.is_op("(")
+            or nxt.is_keyword("new", "this")
+        )
 
 
 # ----------------------------------------------------------------------

@@ -10,8 +10,8 @@ is slightly more elaborate than the one we used for Java", which is why
 its tuned path parameters differ (7/4 vs 6/3).  We reproduce that
 elaborateness deliberately.
 
-Expressions, comma lists, types and the generic-argument lookahead come
-from the shared C-family core, :class:`repro.lang.cfamily.CFamilyParser`,
+Expressions, casts, comma lists, types and the generic-argument lookahead
+come from the shared C-family core, :class:`repro.lang.cfamily.CFamilyParser`,
 filled with this module's Roslyn-kind tables; after parsing,
 :func:`repro.lang.cfamily.resolve_bindings` (shared with Java) groups the
 occurrences of fields, parameters and locals.
@@ -101,6 +101,8 @@ class _CSharpParser(CFamilyParser):
     NAMED_TYPE = "IdentifierName"
     GENERIC_TYPE = "GenericName"
     NULLABLE_TYPE = "NullableType"
+    TYPE_ARG_PUNCT = (",", ".", "[", "]", "?")
+    CAST = "CastExpression"
 
     # ------------------------------------------------------------------
     # Compilation unit
@@ -178,7 +180,7 @@ class _CSharpParser(CFamilyParser):
             node.add_child(self.parse_parameter_list())
             node.add_child(self.parse_block())
             return node
-        type_node = self.parse_declared_type()
+        type_node = self.parse_type()
         if ts.current.kind == IDENT and ts.peek().is_op("("):
             name_tok = ts.advance()
             node = Node(
@@ -221,14 +223,6 @@ class _CSharpParser(CFamilyParser):
         ts.expect_op(";")
         return Node("FieldDeclaration", children=[type_node, *declarators])
 
-    def parse_declared_type(self) -> Node:
-        """A local, field, parameter or return type: ``T``, or the
-        nullable ``T?``."""
-        node = self.parse_type()
-        if self.ts.match_op("?"):
-            node = Node(self.NULLABLE_TYPE, children=[node])
-        return node
-
     def parse_parameter_list(self) -> Node:
         self.ts.expect_op("(")
         return Node("ParameterList", children=self.comma_list(")", self.parse_parameter))
@@ -236,7 +230,7 @@ class _CSharpParser(CFamilyParser):
     def parse_parameter(self) -> Node:
         ts = self.ts
         ts.match_keyword("out", "ref")
-        param_type = self.parse_declared_type()
+        param_type = self.parse_type()
         name = ts.expect_ident()
         return Node(
             "Parameter",
@@ -296,7 +290,7 @@ class _CSharpParser(CFamilyParser):
         if tok.is_keyword("foreach"):
             ts.advance()
             ts.expect_op("(")
-            var_type = self.parse_declared_type()
+            var_type = self.parse_type()
             name = ts.expect_ident()
             ts.expect_keyword("in")
             node = Node(
@@ -383,7 +377,7 @@ class _CSharpParser(CFamilyParser):
         return node
 
     def parse_local_declaration(self) -> Node:
-        type_node = self.parse_declared_type()
+        type_node = self.parse_type()
         declarators = self.comma_list(None, lambda: self.parse_declarator("local"))
         decl = Node("VariableDeclaration", children=[type_node, *declarators])
         return Node("LocalDeclarationStatement", children=[decl])

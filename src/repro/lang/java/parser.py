@@ -11,8 +11,8 @@ Statement bodies are flattened into their parent construct (no
 ``BlockStmt`` wrapper), keeping path lengths comparable to the paper's
 tuned ``max_length`` of 6 for Java.
 
-Expressions, comma lists, types and the generic-argument lookahead come
-from the shared C-family core, :class:`repro.lang.cfamily.CFamilyParser`,
+Expressions, casts, comma lists, types and the generic-argument lookahead
+come from the shared C-family core, :class:`repro.lang.cfamily.CFamilyParser`,
 filled with this module's operator and type tables.  After parsing,
 :func:`repro.lang.cfamily.resolve_bindings` marks identifier terminals
 with occurrence-grouping bindings, and :func:`repro.lang.java.types
@@ -65,6 +65,7 @@ class _JavaParser(CFamilyParser):
     NAMED_TYPE = "ClassType"
     GENERIC_TYPE = "GenericType"
     TYPE_ARG_PUNCT = (",", ".", "[", "]", "?")
+    CAST = "CastExpr"
 
     # ------------------------------------------------------------------
     # Compilation unit
@@ -372,33 +373,6 @@ class _JavaParser(CFamilyParser):
     # ------------------------------------------------------------------
     # Expressions (assignment, ``?:`` and operators: see CFamilyParser)
     # ------------------------------------------------------------------
-    def parse_unary(self) -> Node:
-        # Cast: '(' Type ')' unary -- conservative lookahead.
-        if self.ts.current.is_op("(") and self._looks_like_cast():
-            self.ts.advance()
-            type_node = self.parse_type()
-            self.ts.expect_op(")")
-            return Node("CastExpr", children=[type_node, self.parse_unary()])
-        return super().parse_unary()
-
-    def _looks_like_cast(self) -> bool:
-        ts = self.ts
-        tokens = ts.tokens
-        i = ts.pos + 1
-        if tokens[i].is_keyword(*_PRIMITIVES):
-            return tokens[i + 1].is_op(")")
-        if tokens[i].kind != IDENT:
-            return False
-        j = i + 1
-        while tokens[j].is_op(".") and tokens[j + 1].kind == IDENT:
-            j += 2
-        if not tokens[j].is_op(")"):
-            return False
-        nxt = tokens[j + 1]
-        return nxt.kind in (IDENT, NUMBER, STRING, CHAR) or nxt.is_op("(") or nxt.is_keyword(
-            "new", "this"
-        )
-
     def parse_new(self) -> Node:
         ts = self.ts
         type_node = self.parse_type()

@@ -23,8 +23,9 @@ into one id, which is exactly the "bag of near identifiers" baseline.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -64,25 +65,27 @@ class ColumnarGraph:
 
 @dataclass
 class UnknownNode:
-    """One predictable program element; its factors live in its graph."""
+    """One predictable program element; its factors live in its graph.
+
+    The node reaches its graph through a weak reference: a strong one
+    would make every graph a reference cycle, which only the cyclic
+    collector frees, so a request's graph (and everything it holds)
+    would outlive the request.
+    """
 
     #: Gold label (the original, stripped name); empty at pure inference.
     gold: str = ""
     #: Opaque element key for reporting (e.g. the frontend binding).
     key: str = ""
-    #: The graph that stores this node's factors, and the node's index.
-    graph: Optional["CrfGraph"] = field(default=None, repr=False, compare=False)
+    #: The node's index in its graph, and a weak reference to the graph.
     index: int = 0
+    graph_ref: Optional[Callable[[], Optional["CrfGraph"]]] = field(
+        default=None, repr=False, compare=False
+    )
 
     def degree(self) -> int:
-        """How many factors this node owns (known, edge and unary)."""
-        cols = self.graph.columnar()
-        i = self.index
-        return int(
-            cols.known_off[i + 1] - cols.known_off[i]
-            + cols.edge_off[i + 1] - cols.edge_off[i]
-            + cols.unary_off[i + 1] - cols.unary_off[i]
-        )
+        """How many factors this node owns; see :meth:`CrfGraph.degree`."""
+        return self.graph_ref().degree(self.index)
 
 
 def _by_owner(rows: List[int], width: int, n_nodes: int) -> List[np.ndarray]:
@@ -121,6 +124,7 @@ class CrfGraph:
         self.edge_factors: List[int] = []
         self.unary_factors: List[int] = []
         self._columnar: Optional[Tuple[Tuple[int, ...], ColumnarGraph]] = None
+        self._ref = weakref.ref(self)
 
     # ------------------------------------------------------------------
     # Construction
@@ -130,7 +134,7 @@ class CrfGraph:
         if key in self._key_to_index:
             return self._key_to_index[key]
         index = len(self.unknowns)
-        self.unknowns.append(UnknownNode(gold=gold, key=key, graph=self, index=index))
+        self.unknowns.append(UnknownNode(gold=gold, key=key, index=index, graph_ref=self._ref))
         self._key_to_index[key] = index
         return index
 
@@ -218,6 +222,16 @@ class CrfGraph:
 
     def gold_assignment(self) -> List[str]:
         return [node.gold for node in self.unknowns]
+
+    def degree(self, index: int) -> int:
+        """How many factors node ``index`` owns (known, edge and unary)."""
+        cols = self.columnar()
+        i = self._node(index)
+        return int(
+            cols.known_off[i + 1] - cols.known_off[i]
+            + cols.edge_off[i + 1] - cols.edge_off[i]
+            + cols.unary_off[i + 1] - cols.unary_off[i]
+        )
 
     def factor_count(self) -> int:
         return (

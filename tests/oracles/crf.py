@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.learning.crf.graph import CrfGraph, UnknownNode
+from repro.learning.crf.graph import CrfGraph
 from repro.learning.crf.inference import UNKNOWN_LABEL
 from repro.learning.crf.model import CrfModel
 from repro.learning.crf.weights import UNARY_OTHER, WeightKey, WeightPlane
@@ -104,7 +104,8 @@ def snapshot(model: CrfModel) -> dict:
 # ----------------------------------------------------------------------
 def node_score(
     model: CrfModel,
-    node: UnknownNode,
+    graph: CrfGraph,
+    index: int,
     label: str,
     assignment: Sequence[str],
     weights: Optional[Weights] = None,
@@ -117,7 +118,7 @@ def node_score(
     if weights is None:
         weights = model.plane.as_dict()
     score = 0.0
-    factors = factors_of(node.graph, node.index)
+    factors = factors_of(graph, index)
     for factor in factors.known:
         key = (lid, factor.rel, factor.label)
         if key in weights:
@@ -143,14 +144,15 @@ def assignment_score(
     """Total (directionally double-counted, consistent) graph score."""
     weights = model.plane.as_dict()
     return sum(
-        node_score(model, node, assignment[i], assignment, weights)
-        for i, node in enumerate(graph.unknowns)
+        node_score(model, graph, i, assignment[i], assignment, weights)
+        for i in range(len(graph))
     )
 
 
 def candidates_for(
     model: CrfModel,
-    node: UnknownNode,
+    graph: CrfGraph,
+    index: int,
     assignment: Sequence[str],
     beam: int = 48,
 ) -> List[str]:
@@ -164,7 +166,7 @@ def candidates_for(
     string)`` and the first ``beam`` are kept.
     """
     values = model.space.values
-    index = counters(model)
+    context_counts = counters(model)
     counts: Dict[int, int] = {}
 
     def propose(counter) -> None:
@@ -172,17 +174,17 @@ def candidates_for(
             for label, count in counter.most_common(PER_CONTEXT):
                 counts[int(label)] = counts.get(int(label), 0) + int(count)
 
-    factors = factors_of(node.graph, node.index)
+    factors = factors_of(graph, index)
     for factor in factors.known:
-        propose(index.pair.get((factor.rel, factor.label)))
+        propose(context_counts.pair.get((factor.rel, factor.label)))
     for edge in factors.edges:
         other = values.id_of(assignment[edge.other])
         if other is not None:
-            propose(index.pair.get((edge.rel, other)))
+            propose(context_counts.pair.get((edge.rel, other)))
     if model.use_unary:
         for rel in factors.unary:
-            propose(index.unary.get(rel))
-    for label, count in index.labels.most_common(GLOBAL_FALLBACK):
+            propose(context_counts.unary.get(rel))
+    for label, count in context_counts.labels.most_common(GLOBAL_FALLBACK):
         counts.setdefault(int(label), int(count))
     ranked = sorted(counts, key=lambda label: (-counts[label], values.value(label)))
     return [values.value(label) for label in ranked[:beam]]
@@ -214,8 +216,7 @@ def map_inference(
         key=lambda i: -(len(factors_of(graph, i).known) + len(factors_of(graph, i).unary)),
     )
     for i in order:
-        node = graph.unknowns[i]
-        candidates = candidates_for(model, node, assignment, beam=beam)
+        candidates = candidates_for(model, graph, i, assignment, beam=beam)
         candidate_cache[i] = candidates
         assignment[i] = _best_label(
             model, graph, i, candidates, assignment, loss_augmented, gold, weights
@@ -225,9 +226,8 @@ def map_inference(
     for _ in range(max_sweeps):
         changed = False
         for i in range(len(graph)):
-            node = graph.unknowns[i]
             # Refresh candidates: neighbour labels may have changed.
-            candidates = candidates_for(model, node, assignment, beam=beam)
+            candidates = candidates_for(model, graph, i, assignment, beam=beam)
             merged = list(dict.fromkeys(candidate_cache[i] + candidates))
             candidate_cache[i] = merged[:beam]
             best = _best_label(
@@ -252,7 +252,6 @@ def _best_label(
     gold: Optional[Sequence[str]],
     weights: Optional[Weights] = None,
 ) -> str:
-    node = graph.unknowns[index]
     if not candidates:
         # Explicit empty-beam fallback: score the unknown sentinel (an
         # unseen label scores exactly 0.0) rather than keeping whatever
@@ -261,7 +260,7 @@ def _best_label(
     best_label = candidates[0]
     best_score = float("-inf")
     for label in candidates:
-        score = node_score(model, node, label, assignment, weights)
+        score = node_score(model, graph, index, label, assignment, weights)
         if loss_augmented and gold is not None and label != gold[index]:
             score += 1.0
         if score > best_score:
@@ -281,11 +280,10 @@ def topk_for_node(
     """Top-k candidate labels for one node, with their scores."""
     if assignment is None:
         assignment = map_inference(model, graph)
-    node = graph.unknowns[index]
-    candidates = candidates_for(model, node, assignment, beam=beam)
+    candidates = candidates_for(model, graph, index, assignment, beam=beam)
     weights = model.plane.as_dict()
     scored = [
-        (label, node_score(model, node, label, assignment, weights))
+        (label, node_score(model, graph, index, label, assignment, weights))
         for label in candidates
     ]
     scored.sort(key=lambda kv: (-kv[1], kv[0]))

@@ -1,4 +1,4 @@
-"""Unit tests for the corpus substrate: IR, templates, renderers, generator."""
+"""Unit tests for the corpus substrate: IR, templates, renderer, generator."""
 
 import random
 
@@ -9,26 +9,50 @@ from repro.corpus.dedup import content_digest, is_vendored
 from repro.corpus.generator import CorpusConfig, corpus_stats
 from repro.corpus.ir import (
     BOOL,
+    DOUBLE,
     INT,
     LIST_INT,
+    LIST_STRING,
+    MAP_STR_INT,
+    OBJECT,
     STRING,
+    VOID,
+    Append,
+    Assign,
+    Aug,
     Bin,
+    Break,
     CallFree,
+    CallLocal,
     Decl,
+    ExprStmt,
+    FileSpec,
+    ForEach,
+    ForRange,
     Function,
+    If,
+    Incr,
+    Index,
     Len,
     Lit,
+    MapGet,
+    MapHas,
+    MapPut,
     NewCollection,
+    Not,
+    Return,
     StrCat,
+    Throw,
     Var,
     VarSlot,
-    all_slots,
+    While,
     custom_simple_name,
     custom_type,
     default_value,
     expr_type,
     is_custom,
 )
+from repro.corpus.render import render_expr, render_file, render_function, render_stmt
 from repro.corpus.templates import (
     NAME_NOISE,
     RARE_NAME_PROB,
@@ -62,18 +86,6 @@ class TestIr:
         for tag in (INT, BOOL, STRING, LIST_INT):
             value = default_value(tag)
             assert expr_type(value) == tag or tag == BOOL
-
-    def test_all_slots_covers_params_and_locals(self):
-        counter = VarSlot("c", INT)
-        values = VarSlot("xs", LIST_INT, "param")
-        fn = Function(
-            ("count",),
-            [values],
-            [Decl(counter, Lit(0, INT))],
-            INT,
-        )
-        names = [slot.name for slot in all_slots(fn)]
-        assert names == ["xs", "c"]
 
     def test_function_name_styles(self):
         fn = Function(("count", "items"), [], [])
@@ -128,13 +140,306 @@ class TestTemplates:
         """flag_loop and straightline_flag bodies use the same value set
         modulo the flag name pools (the paper's Fig. 3 construction)."""
         from repro.corpus.templates import t_flag_loop, t_straightline_flag
-        from repro.corpus.render_js import render_function
-
         rng = random.Random(2)
-        loop_src = render_function(t_flag_loop(rng))
-        straight_src = render_function(t_straightline_flag(rng))
+        loop_src = render_function(t_flag_loop(rng), "javascript")
+        straight_src = render_function(t_straightline_flag(rng), "javascript")
         for token in ("false", "true"):
             assert token in loop_src and token in straight_src
+
+
+def _golden_spec() -> FileSpec:
+    """A file that uses every IR expression and statement kind."""
+    n = VarSlot("n", INT, "param")
+    words = VarSlot("words", LIST_STRING, "param")
+    counts = VarSlot("counts", MAP_STR_INT, "param")
+    conn = VarSlot("conn", custom_type("Connection"), "param")
+    ids = VarSlot("ids", LIST_INT)
+    total = VarSlot("total", INT)
+    ratio = VarSlot("ratio", DOUBLE)
+    label = VarSlot("label", STRING)
+    done = VarSlot("done", BOOL)
+    i = VarSlot("i", INT)
+    word = VarSlot("word", STRING)
+    tally = Function(
+        ("tally", "words"),
+        [n, words, counts, conn],
+        [
+            Decl(ids, NewCollection(LIST_INT)),
+            Decl(total, Lit(0, INT)),
+            Decl(ratio, Lit(2.5, DOUBLE)),
+            Decl(label),
+            Decl(done, Lit(False, BOOL)),
+            Assign(Var(label), StrCat(Lit("n=", STRING), Var(label))),
+            Aug(Var(total), "+", Bin("*", Var(n), Lit(2, INT))),
+            Incr(Var(total)),
+            If(
+                Bin(
+                    "&&",
+                    Not(Var(done)),
+                    Bin("||", Bin("<", Var(total), Len(Var(words))), Lit(True, BOOL)),
+                ),
+                [],
+            ),
+            If(MapHas(Var(counts), Lit("a", STRING)), [Break()], [Assign(Var(done), Lit(True, BOOL))]),
+            While(Bin("==", Var(conn), Lit(None, OBJECT)), []),
+            ForRange(i, Len(Var(ids)), [Append(Var(ids), Index(Var(ids), Var(i)))]),
+            ForEach(
+                word,
+                Var(words),
+                [
+                    If(
+                        Bin(">", Len(Var(word)), MapGet(Var(counts), Var(word))),
+                        [MapPut(Var(counts), Var(word), Len(Var(word)))],
+                    )
+                ],
+            ),
+            ExprStmt(CallFree("logValue", [Var(total), Var(ratio)], VOID)),
+            Decl(VarSlot("names", LIST_STRING), NewCollection(LIST_STRING)),
+            Decl(VarSlot("seen", MAP_STR_INT), NewCollection(MAP_STR_INT)),
+            If(Bin("<", Var(n), Lit(0, INT)), [Throw("negative n")]),
+            Return(Var(total)),
+        ],
+        INT,
+    )
+    args = [Lit(0, INT), NewCollection(LIST_STRING), NewCollection(MAP_STR_INT), Lit(None, OBJECT)]
+    caller = Function(
+        ("run", "tally", "0"),
+        [],
+        [
+            # Java imports a free call's return type.
+            ExprStmt(CallFree("openSession", [], custom_type("Session"))),
+            ExprStmt(CallLocal(("tally", "words"), args, INT)),
+            Return(),
+        ],
+        VOID,
+    )
+    empty = Function(("noop",), [], [], VOID)
+    return FileSpec(project="acme", module="word_utils", functions=[tally, caller, empty])
+
+
+#: The golden spec's rendering in each language.
+_GOLDEN = {
+    "javascript": """\
+function tallyWords(n, words, counts, conn) {
+  var ids = [];
+  var total = 0;
+  var ratio = 2.5;
+  var label;
+  var done = false;
+  label = ("n=" + label);
+  total += (n * 2);
+  total++;
+  if ((!done && ((total < words.length) || true))) {
+  }
+  if (counts.hasOwnProperty("a")) {
+    break;
+  } else {
+    done = true;
+  }
+  while ((conn == null)) {
+  }
+  for (var i = 0; i < ids.length; i++) {
+    ids.push(ids[i]);
+  }
+  for (var word of words) {
+    if ((word.length > counts[word])) {
+      counts[word] = word.length;
+    }
+  }
+  logValue(total, ratio);
+  var names = [];
+  var seen = {};
+  if ((n < 0)) {
+    throw new Error("negative n");
+  }
+  return total;
+}
+
+function runTally0() {
+  openSession();
+  tallyWords(0, [], {}, null);
+  return;
+}
+
+function noop() {
+}
+""",
+    "java": """\
+package com.acme.app;
+
+import com.acme.net.Connection;
+import com.acme.net.Session;
+import java.util.ArrayList;
+import java.util.HashMap;
+import java.util.List;
+import java.util.Map;
+
+public class WordUtils {
+
+    public int tallyWords(int n, List<String> words, Map<String, Integer> counts, Connection conn) {
+        List<Integer> ids = new ArrayList<Integer>();
+        int total = 0;
+        double ratio = 2.5;
+        String label;
+        boolean done = false;
+        label = ("n=" + label);
+        total += (n * 2);
+        total++;
+        if ((!done && ((total < words.size()) || true))) {
+        }
+        if (counts.containsKey("a")) {
+            break;
+        } else {
+            done = true;
+        }
+        while ((conn == null)) {
+        }
+        for (int i = 0; i < ids.size(); i++) {
+            ids.add(ids.get(i));
+        }
+        for (String word : words) {
+            if ((word.length() > counts.get(word))) {
+                counts.put(word, word.length());
+            }
+        }
+        logValue(total, ratio);
+        List<String> names = new ArrayList<String>();
+        Map<String, Integer> seen = new HashMap<String, Integer>();
+        if ((n < 0)) {
+            throw new IllegalArgumentException("negative n");
+        }
+        return total;
+    }
+
+    public void runTally0() {
+        openSession();
+        tallyWords(0, new ArrayList<String>(), new HashMap<String, Integer>(), null);
+        return;
+    }
+
+    public void noop() {
+    }
+
+}
+""",
+    "python": """\
+def tally_words(n, words, counts, conn):
+    ids = []
+    total = 0
+    ratio = 2.5
+    label = None
+    done = False
+    label = ("n=" + label)
+    total += (n * 2)
+    total += 1
+    if (not done and ((total < len(words)) or True)):
+        pass
+    if ("a" in counts):
+        break
+    else:
+        done = True
+    while (conn == None):
+        pass
+    for i in range(len(ids)):
+        ids.append(ids[i])
+    for word in words:
+        if (len(word) > counts[word]):
+            counts[word] = len(word)
+    logValue(total, ratio)
+    names = []
+    seen = {}
+    if (n < 0):
+        raise ValueError("negative n")
+    return total
+
+
+def run_tally_0():
+    openSession()
+    tally_words(0, [], {}, None)
+    return
+
+
+def noop():
+    pass
+""",
+    "csharp": """\
+using System;
+using System.Collections.Generic;
+
+namespace Acme.App {
+    public class WordUtils {
+
+        public int TallyWords(int n, List<string> words, Dictionary<string, int> counts, Connection conn) {
+            List<int> ids = new List<int>();
+            int total = 0;
+            double ratio = 2.5;
+            string label;
+            bool done = false;
+            label = ("n=" + label);
+            total += (n * 2);
+            total++;
+            if ((!done && ((total < words.Count) || true))) {
+            }
+            if (counts.ContainsKey("a")) {
+                break;
+            } else {
+                done = true;
+            }
+            while ((conn == null)) {
+            }
+            for (int i = 0; i < ids.Count; i++) {
+                ids.Add(ids[i]);
+            }
+            foreach (string word in words) {
+                if ((word.Length > counts[word])) {
+                    counts[word] = word.Length;
+                }
+            }
+            Helpers.LogValue(total, ratio);
+            List<string> names = new List<string>();
+            Dictionary<string, int> seen = new Dictionary<string, int>();
+            if ((n < 0)) {
+                throw new ArgumentException("negative n");
+            }
+            return total;
+        }
+
+        public void RunTally0() {
+            Helpers.OpenSession();
+            TallyWords(0, new List<string>(), new Dictionary<string, int>(), null);
+            return;
+        }
+
+        public void Noop() {
+        }
+
+    }
+}
+""",
+}
+
+
+class TestRender:
+    @pytest.mark.parametrize("language", sorted(_GOLDEN))
+    def test_golden_file(self, language):
+        assert render_file(_golden_spec(), language) == _GOLDEN[language]
+
+    @pytest.mark.parametrize("language", sorted(_GOLDEN))
+    def test_golden_file_parses(self, language):
+        assert parse_source(language, _GOLDEN[language]).size() > 100
+
+    def test_statement_keeps_its_depth(self):
+        loop = While(Var(VarSlot("busy", BOOL)), [])
+        assert render_stmt(loop, "python", depth=2) == [
+            "        while busy:",
+            "            pass",
+        ]
+        assert render_stmt(loop, "javascript", depth=1) == ["  while (busy) {", "  }"]
+
+    @pytest.mark.parametrize("language", sorted(_GOLDEN))
+    def test_exponent_double_gets_no_suffix(self, language):
+        assert render_expr(Lit(1e-05, DOUBLE), language) == "1e-05"
+        assert render_expr(Lit(3, DOUBLE), language) == "3.0"
 
 
 @pytest.mark.parametrize("language", ["javascript", "java", "python", "csharp"])

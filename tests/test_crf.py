@@ -97,8 +97,8 @@ class TestGraph:
         graph.add_unknown("lonely")
         cols = graph.columnar()
         rows = len(cols.known_rel) + len(cols.edge_rel) + len(cols.unary_rel)
-        assert [node.degree() for node in graph.unknowns] == [3, 2, 0]
-        assert sum(node.degree() for node in graph.unknowns) == rows == 5
+        assert [graph.degree(i) for i in range(len(graph))] == [3, 2, 0]
+        assert sum(graph.degree(i) for i in range(len(graph))) == rows == 5
         assert graph.factor_count() == rows
 
     def test_factor_on_a_missing_node_rejected(self):
@@ -116,7 +116,7 @@ class TestModelScoring:
         model = CrfModel(space=SPACE)
         model.plane.assign(model.pair_key("done", "relA", "true"), 2.0)
         model.plane.assign(model.unary_key("done", "selfA"), 0.5)
-        score = oracle.node_score(model, graph.unknowns[0], "done", ["done", "count"])
+        score = oracle.node_score(model, graph, 0, "done", ["done", "count"])
         # pairwise known + unknown edge (weight 0) + unary
         assert score == pytest.approx(2.5)
 
@@ -124,7 +124,7 @@ class TestModelScoring:
         graph = tiny_graph()
         model = CrfModel(use_unary=False, space=SPACE)
         model.plane.assign(model.unary_key("done", "selfA"), 5.0)
-        score = oracle.node_score(model, graph.unknowns[0], "done", ["done", "count"])
+        score = oracle.node_score(model, graph, 0, "done", ["done", "count"])
         assert score == 0.0
 
     def test_assignment_score(self):
@@ -140,7 +140,7 @@ class TestModelScoring:
         graph = tiny_graph()
         model = CrfModel(space=SPACE)
         model.candidates = reference.candidate_index(*reference.observe([graph]))
-        candidates = oracle.candidates_for(model, graph.unknowns[0], ["?", "?"])
+        candidates = oracle.candidates_for(model, graph, 0, ["?", "?"])
         assert "done" in candidates
 
     def test_top_features_interpretability(self):

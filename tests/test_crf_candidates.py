@@ -102,9 +102,9 @@ def _assert_candidates_match(model, compiled, graph, assignment_ids, beam):
     cg = compiled.compile_graph(graph)
     assignment = _strings(model, assignment_ids.tolist(), compiled.label_base)
     values = model.space.values
-    for index, node in enumerate(graph.unknowns):
+    for index in range(len(graph)):
         product = model.candidate_ids_for(cg, index, assignment_ids, beam=beam)
-        expected = oracle.candidates_for(model, node, assignment, beam=beam)
+        expected = oracle.candidates_for(model, graph, index, assignment, beam=beam)
         assert [values.value(label) for label in product] == expected
 
 
@@ -197,7 +197,7 @@ class TestFallbackAndTies:
         ranked = model.candidate_ids_for(cg, lonely, unassigned, beam=48)
         names = [model.label_of(label) for label in ranked]
         assert names == ["bbb", "eee", "fff"]
-        assert names == oracle.candidates_for(model, graph.unknowns[lonely], ["?", "?"])
+        assert names == oracle.candidates_for(model, graph, lonely, ["?", "?"])
 
     def test_count_ties_break_on_the_label_string(self):
         model = self._model()
@@ -217,7 +217,7 @@ class TestFallbackAndTies:
                     model.label_of(label)
                     for label in model.candidate_ids_for(cg, index, ids, beam=48)
                 ]
-                expected = oracle.candidates_for(model, graph.unknowns[index], strings)
+                expected = oracle.candidates_for(model, graph, index, strings)
                 assert product == expected
         # Node b's edge points at "ctx" only in the second assignment.
         ids = np.array([ctx, ctx], dtype=np.int64)
@@ -239,14 +239,14 @@ class TestLoadedModel:
             cg, rcg = compiled.compile_graph(graph), reloaded.compile_graph(graph)
             assignment = rng.integers(-1, compiled.label_base + 2, size=len(graph))
             strings = _strings(model, assignment.tolist(), compiled.label_base)
-            for index, node in enumerate(graph.unknowns):
+            for index in range(len(graph)):
                 for beam in (48, 96):
                     live = model.candidate_ids_for(cg, index, assignment, beam=beam)
                     packed = loaded.candidate_ids_for(rcg, index, assignment, beam=beam)
                     assert packed == live
                     names = [model.label_of(label) for label in live]
-                    assert names == oracle.candidates_for(model, node, strings, beam)
-                    assert names == oracle.candidates_for(loaded, node, strings, beam)
+                    assert names == oracle.candidates_for(model, graph, index, strings, beam)
+                    assert names == oracle.candidates_for(loaded, graph, index, strings, beam)
                 candidates = np.array(live + [-1, compiled.label_base], dtype=np.int64)
                 packed_scores = reloaded.score_candidates(
                     rcg, index, candidates, assignment
@@ -276,9 +276,8 @@ class TestTraining:
 
         def checked_candidates(self, cg, index, assignment_ids, beam=48):
             ranked = real_candidates(self, cg, index, assignment_ids, beam=beam)
-            node = current["graph"].unknowns[index]
             strings = _strings(self, assignment_ids.tolist(), len(self.space.values))
-            expected = oracle.candidates_for(self, node, strings, beam=beam)
+            expected = oracle.candidates_for(self, current["graph"], index, strings, beam=beam)
             assert [self.label_of(label) for label in ranked] == expected
             checked.append(index)
             return ranked
@@ -354,10 +353,10 @@ class TestLookupRegressions:
         ids = label_ids(compiled, assignment)
         cg = other.compile_graph(graph)
         candidates = np.arange(-1, compiled.label_base + 1, dtype=np.int64)
-        for index, node in enumerate(graph.unknowns):
+        for index in range(len(graph)):
             scores = other.score_candidates(cg, index, candidates, ids)
             expected = [
-                oracle.node_score(model, node, model.label_of(c), assignment)
+                oracle.node_score(model, graph, index, model.label_of(c), assignment)
                 if 0 <= c < compiled.label_base
                 else 0.0
                 for c in candidates.tolist()
@@ -384,7 +383,7 @@ class TestLookupRegressions:
         scores = compiled.score_candidates(
             cg, a, np.array([x], dtype=np.int64), np.array([-1], dtype=np.int64)
         )
-        assert oracle.node_score(model, graph.unknowns[a], "x", ["?"]) == 0.0
+        assert oracle.node_score(model, graph, a, "x", ["?"]) == 0.0
         assert scores.tobytes() == np.zeros(1).tobytes()
 
     def test_edge_groups_born_after_compile(self):
@@ -411,10 +410,9 @@ class TestLookupRegressions:
             key = (int(candidates[step + 3]), rel, int(other))
             model.plane.assign(key, 3.0 + step)
             cg = compiled.compile_graph(graph)
-            node = graph.unknowns[index]
             scores = compiled.score_candidates(cg, index, candidates, ids)
             assert scores.tolist() == [
-                oracle.node_score(model, node, model.label_of(c), assignment)
+                oracle.node_score(model, graph, index, model.label_of(c), assignment)
                 if 0 <= c < compiled.label_base
                 else 0.0
                 for c in candidates.tolist()
@@ -446,9 +444,8 @@ class TestLookupRegressions:
         _assert_candidates_match(model, compiled, graph, ids, 48)
         assert compiled._candidates.base == base + 1
         cg = compiled.compile_graph(graph)
-        node = graph.unknowns[index]
         scores = compiled.score_candidates(cg, index, np.array([late]), ids)
-        expected = oracle.node_score(model, node, "late-label", assignment)
+        expected = oracle.node_score(model, graph, index, "late-label", assignment)
         assert scores.tolist() == [expected] and expected != 0.0
 
     def test_gather_with_duplicate_and_descending_rows(self):
@@ -483,10 +480,10 @@ class TestLookupRegressions:
         assignment = oracle.map_inference(model, graph)
         ids = label_ids(compiled, assignment)
         cg = compiled.compile_graph(graph)
-        for index, node in enumerate(graph.unknowns):
+        for index in range(len(graph)):
             scores = compiled.score_candidates(cg, index, candidates, ids)
             assert scores.tolist() == [
-                oracle.node_score(model, node, model.label_of(c), assignment)
+                oracle.node_score(model, graph, index, model.label_of(c), assignment)
                 if ok
                 else 0.0
                 for c, ok in zip(candidates.tolist(), valid.tolist())

@@ -350,7 +350,7 @@ class TestEdgeCases:
         model.candidates = reference.candidate_index(
             {(rel, ctx): Counter(counts)}, labels=counts
         )
-        assert oracle.candidates_for(model, graph.unknowns[0], ["?"]) == ["aaa", "bbb"]
+        assert oracle.candidates_for(model, graph, 0, ["?"]) == ["aaa", "bbb"]
         compiled = model.compile()
         assert oracle.map_inference(model, graph) == ["aaa"]
         assert map_inference(compiled, graph) == ["aaa"]
@@ -421,10 +421,9 @@ class TestEdgeCases:
             for factor in oracle.factors_of(graph, node.index).known
             if not _has_group(model.plane, factor.rel, factor.label)
         )
-        node = graph.unknowns[index]
         label = model.candidate_ids_for(cg, index, assignment_ids, beam=96)[0]
         name = space.values.value(label)
-        before = oracle.node_score(model, node, name, assignment)
+        before = oracle.node_score(model, graph, index, name, assignment)
         model.plane.assign((label, factor.rel, factor.label), 5.0)
         candidates = np.array([label], dtype=np.int64)
         with pytest.raises(RuntimeError, match="groups"):
@@ -433,7 +432,7 @@ class TestEdgeCases:
         fresh = compiled.compile_graph(graph)
         assert fresh is not cg
         assert len(fresh.live_known.rows) > len(cg.live_known.rows)
-        expected = oracle.node_score(model, node, name, assignment)
+        expected = oracle.node_score(model, graph, index, name, assignment)
         assert expected != before
         score = compiled.score_candidates(fresh, index, candidates, assignment_ids)
         assert score.tolist() == [expected]

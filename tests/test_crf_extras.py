@@ -43,7 +43,7 @@ class TestCandidates:
         for i in range(100):
             counter[model.label_id(f"label{i}")] = 100 - i
         model.candidates = reference.candidate_index({context: counter})
-        candidates = oracle.candidates_for(model, graph.unknowns[0], ["?"], beam=10)
+        candidates = oracle.candidates_for(model, graph, 0, ["?"], beam=10)
         assert len(candidates) == 10
         assert candidates[0] == "label0"
 
@@ -54,7 +54,7 @@ class TestCandidates:
         model.candidates = reference.candidate_index(
             labels={model.label_id("common"): 50, model.label_id("rare"): 1}
         )
-        candidates = oracle.candidates_for(model, graph.unknowns[0], ["?"])
+        candidates = oracle.candidates_for(model, graph, 0, ["?"])
         assert "common" in candidates
 
     def test_unary_candidates_used(self):
@@ -66,7 +66,7 @@ class TestCandidates:
         model.candidates = reference.candidate_index(
             unary={rel: Counter({model.label_id("fromunary"): 5})}
         )
-        candidates = oracle.candidates_for(model, graph.unknowns[0], ["?"])
+        candidates = oracle.candidates_for(model, graph, 0, ["?"])
         assert "fromunary" in candidates
 
 

@@ -174,10 +174,10 @@ class TestGroupsAndBase:
         assert cg.base == base + 1
         ids = np.full(len(graph), base, dtype=np.int64)
         candidates = np.arange(-1, base + 2, dtype=np.int64)
-        for index, node in enumerate(graph.unknowns):
+        for index in range(len(graph)):
             scores = compiled.score_candidates(cg, index, candidates, ids)
             assert scores.tolist() == [
-                oracle.node_score(model, node, model.label_of(c), assignment)
+                oracle.node_score(model, graph, index, model.label_of(c), assignment)
                 if 0 <= c <= base
                 else 0.0
                 for c in candidates.tolist()

@@ -115,7 +115,33 @@ class TestStatements:
         assert nullable.parent.children[0] is nullable
         assert [c.kind for c in nullable.children] in (["PredefinedType"], ["IdentifierName"])
 
-    @pytest.mark.parametrize("body", ["x = a ? b : c;", "a ? b : c;", "var y = a ? b : c;"])
+    @pytest.mark.parametrize(
+        "body, holder",
+        [
+            ("List<int?> xs;", "GenericName"),
+            ("int?[] xs;", "ArrayType"),
+            ("object y = (int?)x;", "CastExpression"),
+            ("var y = new int?[3];", "ArrayCreationExpression"),
+        ],
+        ids=["type-argument", "array-element", "cast", "array-creation"],
+    )
+    def test_nullable_types_inside_other_types_and_expressions(self, body, holder):
+        ast = parse_csharp(wrap(body))
+        nullable = next(n for n in ast.root.walk() if n.kind == "NullableType")
+        assert nullable.parent.kind == holder
+        assert nullable.parent.parent.kind in ("VariableDeclaration", "EqualsValueClause")
+        assert [c.kind for c in nullable.children] == ["PredefinedType"]
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "x = a ? b : c;",
+            "a ? b : c;",
+            "var y = a ? b : c;",
+            "var y = x is int ? a : b;",
+            "var y = x is int ? F(x) : G();",
+        ],
+    )
     def test_conditional_is_not_a_nullable_type(self, body):
         kinds = kinds_of(wrap(body))
         assert "ConditionalExpression" in kinds and "NullableType" not in kinds

@@ -1,4 +1,4 @@
-"""Hostile-input contract of the C-family parsers (JavaScript, Java, C#).
+"""Hostile-input contract of the language frontends (JavaScript, Java, C#, Python).
 
 Whatever the bytes, a parser either returns a tree or raises
 :class:`ParseError`; any other exception would surface as a 500 where the
@@ -9,7 +9,8 @@ caller's input deserves a 400.  Two probes hold it to that:
   level;
 * a flat operator chain of 1000 operands (a long string concatenation),
   whose left-deep tree used to exhaust the stack in the recursive walks
-  that run after parsing (JavaScript scopes, Java types);
+  that run after parsing (JavaScript scopes, Java types, the Python
+  bridge's conversion and scope resolution);
 * seeded mutants of generated files: every prefix, 1-7 character
   deletions and single punctuation insertions.
 
@@ -31,6 +32,7 @@ _EXPRESSION_HOLDERS = {
     "javascript": "x = {};",
     "java": "class A {{ void f() {{ x = {}; }} }}",
     "csharp": "class A {{ void F() {{ x = {}; }} }}",
+    "python": "x = {}",
 }
 _LANGUAGES = tuple(_EXPRESSION_HOLDERS)
 _PUNCTUATION = "(){}[];,.<>=+-*/%!?:&|^~"
@@ -70,6 +72,29 @@ def test_operator_chain_of_1000_operands_predicts():
     chain = " + ".join(["part"] * 1000)
     source = f"function join(part) {{ var text = {chain}; return text; }}"
     assert set(pipeline.predict(source)) >= {"s2:part", "s2:text"}
+
+
+def test_python_operator_chain_of_1000_operands_predicts():
+    files = generate_corpus(language="python", n_projects=1, seed=3)
+    pipeline = Pipeline(language="python", training={"epochs": 1})
+    pipeline.train([f.source for f in files])
+    chain = " + ".join(["part"] * 1000)
+    source = f"def join(part):\n    text = {chain}\n    return text\n"
+    assert set(pipeline.predict(source)) >= {"s2:part", "s2:text"}
+
+
+@pytest.mark.parametrize("operands", [3200, 10000])
+def test_python_chain_past_the_cpython_parser_limit_parses_or_is_refused(operands):
+    # CPython's own parser gives up on long chains with a RecursionError
+    # (3.11: just under 3000 operands); the frontend reports that as
+    # unparseable input, and converts whatever CPython does parse.
+    source = _EXPRESSION_HOLDERS["python"].format(" + ".join(["a"] * operands))
+    try:
+        ast = parse_source("python", source)
+    except ParseError as error:
+        assert "nested too deeply" in str(error)
+    else:
+        assert [leaf.value for leaf in ast.root.leaves()].count("a") == operands
 
 
 @pytest.mark.parametrize("language", _LANGUAGES)

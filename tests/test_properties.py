@@ -234,4 +234,4 @@ class TestCrfScoreProperties:
         for factor in factors_of(graph, 0).known:
             expected += weights[(model.label_id("g"), factor.rel, factor.label)]
         assert expected >= len(factors)
-        assert node_score(model, graph.unknowns[0], "g", ["g"]) == expected
+        assert node_score(model, graph, 0, "g", ["g"]) == expected

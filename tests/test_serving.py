@@ -7,6 +7,7 @@ loopback socket through :class:`ServingClient`.
 
 import asyncio
 import contextlib
+import gc
 import json
 import threading
 import time
@@ -15,9 +16,10 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.api import Pipeline
-from repro.core.interning import FrozenVocabError
+from repro.core.interning import FrozenVocabError, OverlayVocab
 from repro.corpus import deduplicate, generate_corpus
 from repro.corpus.generator import CorpusConfig
+from repro.learning.crf.graph import CrfGraph
 from repro.serving import (
     BatcherClosed,
     LruCache,
@@ -177,7 +179,8 @@ class TestScoringHandle:
         # strings.  A cached local id surviving the first request would
         # mislabel the second request's relations.
         served = Pipeline.load(model_path)
-        base_len = len(served.space.paths)
+        base = served.space
+        base_len = len(base.paths)
         handle = served.scoring_handle()
         extractor = served.representation.extractor
         for source in (UNSEEN_SHAPES_A, UNSEEN_SHAPES_B):
@@ -189,12 +192,35 @@ class TestScoringHandle:
             assert extractor.cache_stats()["shape_entries"] == 0
             assert all(rel < base_len for rel in extractor._base_shape_cache.values())
             # The view a request builds decodes to the fresh load's view.
-            served.representation.bind_space(served.space.overlay())
+            served.representation.bind_space(base.overlay())
             try:
                 overlay_view = served.view(served.parse(source))
             finally:
-                served.representation.bind_space(served.space)
+                served.representation.bind_space(base)
+            assert served.space is base
             assert _decoded(overlay_view) == _decoded(fresh_view)
+
+    def test_requests_free_their_graphs_without_the_cycle_collector(
+        self, model_path, corpus_sources
+    ):
+        # A request's graph and its overlay vocabularies must be freed by
+        # reference counting alone: nothing they hold may outlive the
+        # request until the cyclic collector happens to run.
+        handle = Pipeline.load(model_path).scoring_handle()
+        sources = [NOVEL_JS, UNSEEN_SHAPES_A, UNSEEN_SHAPES_B, *corpus_sources[18:25]]
+
+        def alive():
+            return sum(isinstance(o, (CrfGraph, OverlayVocab)) for o in gc.get_objects())
+
+        gc.collect()
+        before = alive()
+        gc.disable()
+        try:
+            for i in range(30):
+                handle.predict(sources[i % len(sources)])
+            assert alive() == before
+        finally:
+            gc.enable()
 
     def test_fingerprint_is_layout_independent(self, model_path):
         handle = Pipeline.load(model_path).scoring_handle()
