@@ -211,15 +211,18 @@ class Pipeline:
         ckpt = self._open_checkpoint(
             checkpoint, resume, lambda: corpus_fingerprint(sources)
         )
-        programs = [self.parse(source, name=f"train:{i}") for i, source in enumerate(sources)]
-        views = [self.view(program) for program in programs]
+        # Each program's tree, and with it its memoised path table, is
+        # dropped once its view is built: the fit needs only the views.
+        views = [
+            self.view(self.parse(source, name=f"train:{i}")) for i, source in enumerate(sources)
+        ]
         learner_stats = (
             self.learner.fit(views)
             if ckpt is None
             else self.learner.fit(views, checkpoint=ckpt)
         )
         self.stats = PipelineStats(
-            files_trained=len(programs),
+            files_trained=len(sources),
             elements_trained=sum(len(view) for view in views),
             parameters=learner_stats.parameters,
             train_seconds=learner_stats.train_seconds,

@@ -14,38 +14,44 @@
   read these rows.
 
 Leafwise extraction is a **single bottom-up pass**: one post-order
-traversal merges per-child leaf lists bucketed by depth, so a pair of
-terminals is considered exactly once -- at its lowest common ancestor,
-the path's top -- and pairs whose path would exceed ``max_length`` or
-``max_width`` are pruned before anything is built.  The naive all-pairs
-algorithm (quadratic in the number of terminals, with an LCA climb per
-pair) lives in ``tests/oracles/extraction.py``, the oracle the tests and
-the extraction benchmark compare against.
+traversal merges per-child buckets of leaf indices by depth, so a pair
+of terminals is considered exactly once -- at its lowest common
+ancestor, the path's top -- and pairs whose path would exceed
+``max_length`` or ``max_width`` are pruned before anything is built.
+Each pair's row is led by the int ``i * n_leaves + j``, so one plain
+sort puts the rows in leaf order.  The naive all-pairs algorithm
+(quadratic in the number of terminals, with an LCA climb per pair)
+lives in ``tests/oracles/extraction.py``, the oracle the tests and the
+extraction benchmark compare against.
 
-The table is **columnar and lazy**.  A row is five columns (start, end,
-up steps, down steps, top) and carries no ids until a consumer asks:
+The table is **int rows, resolved lazily**.  A row names its two
+endpoints by index into the table's endpoint list, with its up and down
+steps and the top's kind, and carries no ids until a consumer asks:
 
-* a relation id comes from a shape cache keyed ``(chain_start, top kind,
+* a relation id comes from a shape key ``(chain_start, top kind,
   chain_end)``, where a chain is the interned id of the node kinds below
   the top on one side, listed upward.  Every endpoint carries its chain
-  ids for the depths its rows need, so a key costs three lookups.  The
-  reversed relation is the swapped key in the same cache.  An
+  ids for the depths its rows need, so a key costs two list lookups.
+  The reversed relation is the swapped key.  The table memoises its
+  keys, so the extractor resolves each distinct shape once per table,
+  in first-use order, through its shape cache.  An
   :class:`~repro.core.paths.AstPath` is built only on a cache miss
   while interning straight into a vocab (training), on a miss under a
   coarser named abstraction, or per path for a callable abstraction,
-  which has no cache.  Under the default ``full`` abstraction one shape
-  spells exactly one relation, so the first miss over an overlay (the
-  serving read path) indexes every base relation by splitting its
-  string back into a shape.  From then on a miss is a relation the base
-  does not know; it takes an overlay-local id whose string is spelled
-  only if something decodes it
+  which has no cache (and no table memo).  Under the default ``full``
+  abstraction one shape spells exactly one relation, so the first miss
+  over an overlay (the serving read path) indexes every base relation
+  by splitting its string back into a shape.  From then on a miss is a
+  relation the base does not know; it takes an overlay-local id whose
+  string is spelled only if something decodes it
   (:meth:`~repro.core.interning.OverlayVocab.reserve`);
-* endpoint value ids are interned once per node.
+* endpoint value ids are interned once per endpoint.
 
-The view builders resolve only the rows they keep.  A string consumer
-reads :meth:`PathTable.triples`, which resolves every row in order, so
-it interns exactly what a path-by-path extractor would, in the same
-order; :func:`extract_path_contexts` decodes those triples.
+The view builders resolve only the rows they keep, in one pass over the
+rows.  A string consumer reads :meth:`PathTable.triples`, which resolves
+every row in order, so it interns exactly what a path-by-path extractor
+would, in the same order; :func:`extract_path_contexts` decodes those
+triples.
 
 It also implements the *downsampling* of Sec. 5.5 / Fig. 11: each
 extracted path-context occurrence is kept with probability ``p`` using a
@@ -162,92 +168,110 @@ def ast_digest(ast: Ast) -> str:
     return hasher.hexdigest()
 
 
-class PathTable:
-    """Extracted paths as columns, with ids resolved on demand.
+#: One table row: ``(order, start, end, up, down, top)``.  ``start`` and
+#: ``end`` index the table's endpoint list, ``up`` and ``down`` are the
+#: steps from each to the top, and ``top`` is the top's kind.  ``order``
+#: sorts the leafwise rows into leaf order (``i * n_leaves + j``); it is
+#: 0 on every other row, and readers skip it.
+Row = Tuple[int, int, int, int, int, str]
 
-    Row ``i`` is the path that climbs ``ups[i]`` steps from ``starts[i]``
-    to ``tops[i]`` and descends ``downs[i]`` steps to ``ends[i]``; a row
-    with ``downs[i] == 0`` ends at its top, one with ``ups[i] == 0``
-    starts there.  In a table from :meth:`PathExtractor.extract`,
-    leafwise rows come first, in leaf order ``(i, j)``, then the
+#: The kind chains of an endpoint that is only ever a path's top.
+_TOP_ONLY = [0]
+
+
+class PathTable:
+    """Extracted paths as int rows, with ids resolved on demand.
+
+    :attr:`nodes` is the table's endpoint list and :attr:`rows` its
+    :data:`Row` tuples; the row ``(_, s, e, up, down, top)`` is the path
+    that climbs ``up`` steps from ``nodes[s]`` to a node of kind ``top``
+    and descends ``down`` steps to ``nodes[e]``.  A row with ``down ==
+    0`` ends at its top, one with ``up == 0`` starts there.  In a table
+    from :meth:`PathExtractor.extract`, endpoint ``i`` is leaf ``i`` of
+    the tree for every leaf, and the ancestors that semi-paths end at
+    follow; leafwise rows come first, in leaf order ``(i, j)``, then the
     semi-paths of each terminal, nearest ancestor first.  A table from
     :meth:`PathExtractor.extract_between` holds its rows in (source,
-    target) order.
+    target) order.  :attr:`chains` holds, per endpoint, the kind-chain
+    ids ``[0, c1, .., cd]`` of its first ``d`` nodes upward, for the
+    deepest step ``d`` its rows take.
 
-    Building the table interns nothing.  :meth:`rel_id`,
-    :meth:`reversed_rel_id` and :meth:`value_id` intern on first use, so
-    a view builder pays only for the rows it keeps.  :meth:`triples`
-    resolves every row in order, so a consumer that reads it interns the
-    same strings, in the same order, as a path-by-path extractor would.
+    Building the table interns nothing.  :meth:`rel_id` and
+    :meth:`value_id` intern on first use, so a view builder pays only
+    for the rows it keeps.  :meth:`triples` resolves every row in order,
+    so a consumer that reads it interns the same strings, in the same
+    order, as a path-by-path extractor would.
 
     Ids reference :attr:`space`, the extractor's space when the table
-    was built; resolving a row after the extractor was rebound to
-    another space raises.
+    was built; resolving a shape the table has not resolved before,
+    after the extractor was rebound to another space, raises.
+    :attr:`tree_size` is the number of nodes of the extracted tree (0
+    for anchored rows).
     """
 
-    __slots__ = (
-        "starts", "ends", "ups", "downs", "tops",
-        "space", "_extractor", "_chains", "_value_ids",
-    )
+    __slots__ = ("nodes", "rows", "chains", "tree_size", "space", "_extractor", "_rels", "_values")
 
     def __init__(
         self,
         extractor: "PathExtractor",
-        rows: List[Tuple[Node, Node, int, int, Node]],
-        chains: Dict[Node, List[int]],
+        nodes: List[Node],
+        rows: List[Row],
+        chains: List[List[int]],
+        tree_size: int = 0,
     ) -> None:
-        columns = tuple(zip(*rows)) if rows else ((), (), (), (), ())
-        self.starts, self.ends, self.ups, self.downs, self.tops = columns
+        self.nodes = nodes
+        self.rows = rows
+        self.chains = chains
+        self.tree_size = tree_size
         self.space = extractor.space
         self._extractor = extractor
-        #: endpoint -> kind-chain ids of its first d nodes upward.
-        self._chains = chains
-        self._value_ids: Dict[Node, int] = {}
+        # Shape key -> relation id, for the keys this table has resolved.
+        # None under a callable abstraction: it may spell two paths of
+        # one shape differently, so every row goes to the extractor.
+        self._rels: Optional[Dict[ShapeKey, int]] = (
+            None if extractor._shape_cache is None else {}
+        )
+        self._values: List[Optional[int]] = [None] * len(nodes)
 
     def __len__(self) -> int:
-        return len(self.starts)
+        return len(self.rows)
 
-    def _key(self, i: int) -> ShapeKey:
-        chains = self._chains
-        down = self.downs[i]
-        return (
-            chains[self.starts[i]][self.ups[i]],
-            self.tops[i].kind,
-            chains[self.ends[i]][down] if down else 0,
-        )
+    def rel_id(self, start: int, end: int, up: int, down: int, top: str) -> int:
+        """The interned relation of the path from endpoint ``start``.
 
-    def rel_id(self, i: int) -> int:
-        """The interned relation of row ``i``, read from its start."""
-        return self._extractor._rel(
-            self.space, self._key(i), self.starts[i], self.ends[i], self.ups[i], self.downs[i]
-        )
+        Pass a row's fields in order for the relation read from its
+        start, and with the two ends swapped (``end, start, down, up``)
+        for the one read from its end: the swapped shape key.  The
+        extractor resolves each shape key once per table.
+        """
+        chains = self.chains
+        key = (chains[start][up], top, chains[end][down])
+        rels = self._rels
+        if rels is not None:
+            rel_id = rels.get(key)
+            if rel_id is not None:
+                return rel_id
+        nodes = self.nodes
+        rel_id = self._extractor._rel(self.space, key, nodes[start], nodes[end], up, down)
+        if rels is not None:
+            rels[key] = rel_id
+        return rel_id
 
-    def reversed_rel_id(self, i: int) -> int:
-        """The relation of row ``i`` read from its end: the swapped key."""
-        up_side, top, down_side = self._key(i)
-        return self._extractor._rel(
-            self.space,
-            (down_side, top, up_side),
-            self.ends[i],
-            self.starts[i],
-            self.downs[i],
-            self.ups[i],
-        )
-
-    def value_id(self, node: Node) -> int:
-        """The interned endpoint value of ``node`` (once per node)."""
-        value_id = self._value_ids.get(node)
+    def value_id(self, index: int) -> int:
+        """The interned value of endpoint ``index`` (once per endpoint)."""
+        value_id = self._values[index]
         if value_id is None:
-            value_id = self.space.values.intern(endpoint_value(node))
-            self._value_ids[node] = value_id
+            value_id = self._values[index] = self.space.values.intern(
+                endpoint_value(self.nodes[index])
+            )
         return value_id
 
     def triples(self) -> List[Tuple[int, int, int]]:
         """``(start value id, rel id, end value id)`` of every row, in order."""
-        value_id = self.value_id
+        value_id, rel_id = self.value_id, self.rel_id
         return [
-            (value_id(start), self.rel_id(i), value_id(end))
-            for i, (start, end) in enumerate(zip(self.starts, self.ends))
+            (value_id(start), rel_id(start, end, up, down, top), value_id(end))
+            for _, start, end, up, down, top in self.rows
         ]
 
 
@@ -347,7 +371,8 @@ class PathExtractor:
     def cache_stats(self) -> dict:
         """Shape cache occupancy and the base-half hit counter.
 
-        ``base_shape_hits`` is the observable behind the serving
+        ``base_shape_hits`` (counted once per key and table, the
+        table memoising the rest) is the observable behind the serving
         warm-cache guarantee: it keeps growing across
         :class:`~repro.api.pipeline.ScoringHandle` requests, while
         ``shape_entries`` (overlay-local entries) is empty between them.
@@ -372,26 +397,40 @@ class PathExtractor:
         extractor.  No path is materialised and nothing is interned.
         """
         cfg = self.config
-        rng = self._rng_for(ast)
-        rows = self._leafwise_pairs(ast)
-        rows.sort(key=_leaf_order)
-        if cfg.downsample_p < 1.0:
-            rows = [row for row in rows if self._keep(rng)]
-        leaves = ast.leaves
-        if cfg.leaf_filter is not None:
-            leaves = [leaf for leaf in leaves if cfg.leaf_filter(leaf)]
+        p = cfg.downsample_p
+        # Re-seeded per tree, so its sample is independent of processing
+        # order; without downsampling no fingerprint walk is made.
+        draw = random.Random(cfg.seed ^ ast_fingerprint(ast)).random if p < 1.0 else None
+        rows, tree_size = self._leafwise_pairs(ast)
+        rows.sort()
+        if draw is not None:
+            rows = [row for row in rows if draw() < p]
         max_length = cfg.max_length
+        keep_leaf = cfg.leaf_filter
+        nodes = list(ast.leaves)
+        kept = range(len(nodes))
+        if keep_leaf is not None:
+            kept = [i for i in kept if keep_leaf(nodes[i])]
+        chains = [_TOP_ONLY] * len(nodes)
+        for i in kept:
+            chains[i] = self._chains_of(nodes[i], max_length)
         if cfg.include_semi_paths:
             min_length = cfg.semi_path_min_length
-            for leaf in leaves:
-                node = leaf.parent
+            ends: Dict[Node, int] = {}  # ancestor -> endpoint index
+            for i in kept:
+                node = nodes[i].parent
                 length = 1
                 while node is not None and length <= max_length:
-                    if length >= min_length and self._keep(rng):
-                        rows.append((leaf, node, length, 0, node))
+                    if length >= min_length and (draw is None or draw() < p):
+                        end = ends.get(node)
+                        if end is None:
+                            end = ends[node] = len(nodes)
+                            nodes.append(node)
+                            chains.append(_TOP_ONLY)
+                        rows.append((0, i, end, length, 0, node.kind))
                     node = node.parent
                     length += 1
-        return PathTable(self, rows, {leaf: self._chains_of(leaf, max_length) for leaf in leaves})
+        return PathTable(self, nodes, rows, chains, tree_size)
 
     def extract_between(
         self,
@@ -405,7 +444,8 @@ class PathExtractor:
         to its surrounding terminals (pairwise factors) and to each other
         (unary factors).  Rows follow (source, target) order, and a node
         is never paired with itself.  Endpoints may be nonterminals, and
-        one may be an ancestor of the other (``ups`` or ``downs`` is 0).
+        one may be an ancestor of the other (a row's ``up`` or ``down``
+        is 0).
         ``enforce_limits`` applies max_length and max_width; ``False``
         applies neither.
 
@@ -416,8 +456,20 @@ class PathExtractor:
         the extractor-lifetime RNG, once per admissible pair.
         """
         cfg = self.config
-        rows: List[Tuple[Node, Node, int, int, Node]] = []
-        depths: Dict[Node, int] = {}
+        p = cfg.downsample_p
+        nodes: List[Node] = []
+        index: Dict[Node, int] = {}
+        depths: List[int] = []  # per endpoint: the most steps a row takes from it
+
+        def endpoint(node: Node) -> int:
+            i = index.get(node)
+            if i is None:
+                i = index[node] = len(nodes)
+                nodes.append(node)
+                depths.append(0)
+            return i
+
+        rows: List[Row] = []
         target_list = list(targets)
         for src in sources:
             above = [src]  # src and its ancestors, bottom-up
@@ -443,15 +495,16 @@ class PathExtractor:
                         abs(below.child_index() - above[up - 1].child_index()) > cfg.max_width
                     ):
                         continue
-                if not self._keep(self._rng):
+                if p < 1.0 and self._rng.random() >= p:
                     continue
-                rows.append((src, dst, up, down, node))
-                if depths.get(src, -1) < up:
-                    depths[src] = up
-                if depths.get(dst, -1) < down:
-                    depths[dst] = down
-        chains = {node: self._chains_of(node, depth) for node, depth in depths.items()}
-        return PathTable(self, rows, chains)
+                start, end = endpoint(src), endpoint(dst)
+                rows.append((0, start, end, up, down, node.kind))
+                if depths[start] < up:
+                    depths[start] = up
+                if depths[end] < down:
+                    depths[end] = down
+        chains = [self._chains_of(node, depth) for node, depth in zip(nodes, depths)]
+        return PathTable(self, nodes, rows, chains)
 
     # ------------------------------------------------------------------
     # Internals
@@ -467,9 +520,11 @@ class PathExtractor:
     ) -> int:
         """The interned relation of one path, by shape key.
 
-        The concrete :class:`AstPath` is built only on a cache miss, or
-        for a callable abstraction (which has no cache).  Under ``full``
-        over an overlay, a miss first completes the base index
+        A :class:`PathTable` calls this once per distinct key it
+        resolves (every row under a callable abstraction).  The concrete
+        :class:`AstPath` is built only on a cache miss, or for a callable
+        abstraction (which has no cache).  Under ``full`` over an
+        overlay, a miss first completes the base index
         (:meth:`_index_base`); once it is complete, a key it lacks is a
         relation the base does not know, and takes the overlay's next
         local id with its string left unspelled -- the id, in the same
@@ -562,11 +617,11 @@ class PathExtractor:
             current = current.parent
         return ids
 
-    def _leafwise_pairs(self, ast: Ast) -> List[Tuple[Node, Node, int, int, Node]]:
-        """All (a, b, up_steps, down_steps, top) admissible leaf pairs.
+    def _leafwise_pairs(self, ast: Ast) -> Tuple[List[Row], int]:
+        """All admissible leaf pairs as unsorted rows, and the tree's size.
 
         One post-order pass.  Each node receives, from each child, the
-        list of that subtree's terminals bucketed by depth; a bucket
+        indices of that subtree's terminals bucketed by depth; a bucket
         deeper than ``max_length - 1`` can never satisfy the length limit
         through this node or any ancestor and is dropped before it is
         carried upward.  Pairs are formed only across children whose
@@ -582,11 +637,8 @@ class PathExtractor:
         keep_leaf = cfg.leaf_filter
         max_depth = max_length - 1  # deepest useful bucket below any node
 
-        out: List[Tuple[Node, Node, int, int, Node]] = []
-        if max_width < 1:
-            return out  # a leafwise path's width is >= 1 by construction
-
-        # Children-before-parents order without recursion.
+        # Children-before-parents order without recursion; children come
+        # left to right, so the terminals come in leaf order.
         order: List[Node] = []
         stack = [ast.root]
         while stack:
@@ -595,67 +647,55 @@ class PathExtractor:
             stack.extend(node.children)
         order.reverse()
 
-        # id(node) -> buckets; buckets[d] = subtree terminals at depth d.
-        buckets_of: Dict[int, List[List[Node]]] = {}
+        out: List[Row] = []
+        if max_width < 1:
+            return out, len(order)  # a leafwise path's width is >= 1 by construction
+        append = out.append
+        n_leaves = len(ast.leaves)
+        leaf = 0
+
+        # One entry per finished subtree whose parent is not done yet, in
+        # order: its buckets lifted to the parent's level, so entry[d]
+        # holds the subtree's terminals d steps below the parent.
+        lifted_of: List[List[List[int]]] = []
         for node in order:
             children = node.children
             if not children:
                 kept = keep_leaf is None or keep_leaf(node)
-                buckets_of[id(node)] = [[node]] if kept else [[]]
+                lifted_of.append([[], [leaf]] if kept else [[]])
+                leaf += 1
                 continue
-
-            # Lift each child's buckets by one level, pruning at max_depth.
-            lifted: List[List[List[Node]]] = []
-            for child in children:
-                child_buckets = buckets_of.pop(id(child))
-                lifted.append([[]] + child_buckets[:max_depth])
+            width = len(children)
+            if width == 1:  # no pairs: lift the one child's buckets
+                lifted_of[-1] = [[]] + lifted_of[-1][:max_depth]
+                continue
+            lifted = lifted_of[-width:]
+            del lifted_of[-width:]
 
             # Pair leaves across child subtrees; this node is the LCA.
-            for i in range(len(lifted)):
+            kind = node.kind
+            for i in range(width - 1):
                 left = lifted[i]
-                for j in range(i + 1, min(i + max_width, len(lifted) - 1) + 1):
-                    right = lifted[j]
-                    for depth_a in range(1, len(left)):
-                        bucket_a = left[depth_a]
+                for right in lifted[i + 1 : i + 1 + max_width]:
+                    for depth_a, bucket_a in enumerate(left):
                         if not bucket_a:
                             continue
-                        for depth_b in range(1, min(max_length - depth_a, len(right) - 1) + 1):
-                            bucket_b = right[depth_b]
+                        for depth_b, bucket_b in enumerate(right[1 : max_length - depth_a + 1], 1):
                             if not bucket_b:
                                 continue
                             for a in bucket_a:
+                                first = a * n_leaves
                                 for b in bucket_b:
-                                    out.append((a, b, depth_a, depth_b, node))
+                                    append((first + b, a, b, depth_a, depth_b, kind))
 
-            # Merge the lifted buckets for this node's parent.
-            depth_count = max(len(l) for l in lifted)
-            merged: List[List[Node]] = [[] for _ in range(depth_count)]
+            # Merge the lifted buckets, then lift them for the parent.
+            merged: List[List[int]] = [[] for _ in range(max(map(len, lifted)))]
             for lifted_child in lifted:
                 for depth, bucket in enumerate(lifted_child):
                     if bucket:
                         merged[depth].extend(bucket)
-            buckets_of[id(node)] = merged
-        return out
-
-    def _rng_for(self, ast: Ast) -> random.Random:
-        """A fresh RNG for one AST, independent of processing order.
-
-        When downsampling is off this returns the shared RNG (it is never
-        consulted), skipping the fingerprint walk on the hot path.
-        """
-        if self.config.downsample_p >= 1.0:
-            return self._rng
-        return random.Random(self.config.seed ^ ast_fingerprint(ast))
-
-    def _keep(self, rng: random.Random) -> bool:
-        p = self.config.downsample_p
-        if p >= 1.0:
-            return True
-        return rng.random() < p
-
-
-def _leaf_order(row: Tuple[Node, Node, int, int, Node]) -> Tuple[int, int]:
-    return (row[0]._leaf_index, row[1]._leaf_index)  # type: ignore[return-value]
+            lifted_of.append([[]] + merged[:max_depth])
+        return out, len(order)
 
 
 def _spell_shape(chain_ids: Dict[Tuple[int, str], int], key: ShapeKey) -> str:

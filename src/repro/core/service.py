@@ -123,6 +123,6 @@ class ExtractionService:
         self.stats.seconds += time.perf_counter() - started
         self.stats.asts += 1
         self.stats.paths += len(extracted)
-        self.stats.nodes += ast.size()
+        self.stats.nodes += extracted.tree_size
         self._memo[ast] = extracted
         return extracted

@@ -31,6 +31,7 @@ _PRECEDENCE: Dict[str, int] = {
     op: level
     for level, ops in enumerate(
         (
+            ("??",),
             ("||",),
             ("&&",),
             ("|",),
@@ -47,6 +48,9 @@ _PRECEDENCE: Dict[str, int] = {
     for op in ops
 }
 _TIGHTEST = max(_PRECEDENCE.values())
+#: The binary operators that group to the right: ``a ?? b ?? c`` is
+#: ``a ?? (b ?? c)``.
+_RIGHT_ASSOCIATIVE = frozenset({"??"})
 
 #: How much one closing-angle token lowers the generic-argument depth:
 #: ``Map<K, List<V>>`` lexes its tail as one ``>>``.
@@ -54,9 +58,13 @@ _ANGLE_DEPTH = {"<": 1, ">": -1, ">>": -2, ">>>": -3}
 _CLOSE_ANGLES = (">", ">>", ">>>")
 
 
-def binary_table(kinds: Mapping[str, str]) -> Dict[str, Tuple[int, str]]:
-    """``op -> (precedence, node kind)`` for a language's ``op -> kind`` map."""
-    return {op: (_PRECEDENCE[op], kind) for op, kind in kinds.items()}
+def binary_table(kinds: Mapping[str, str]) -> Dict[str, Tuple[int, str, int]]:
+    """``op -> (precedence, node kind, right operand's lowest precedence)``
+    for a language's ``op -> kind`` map."""
+    return {
+        op: (_PRECEDENCE[op], kind, _PRECEDENCE[op] + (op not in _RIGHT_ASSOCIATIVE))
+        for op, kind in kinds.items()
+    }
 
 
 class CFamilyParser:
@@ -75,8 +83,9 @@ class CFamilyParser:
     ASSIGN: Mapping[str, str] = {}
     #: Node kind of ``c ? a : b``.
     CONDITIONAL = ""
-    #: Binary operators: op -> (precedence, node kind), from :func:`binary_table`.
-    BINARY: Mapping[str, Tuple[int, str]] = {}
+    #: Binary operators: op -> (precedence, node kind, right operand's
+    #: lowest precedence), from :func:`binary_table`.
+    BINARY: Mapping[str, Tuple[int, str, int]] = {}
     #: Binary operators whose right operand is a type (``x instanceof T``).
     TYPE_OPERAND: FrozenSet[str] = frozenset()
     #: Prefix operators (symbols or keywords): op -> node kind.
@@ -150,7 +159,10 @@ class CFamilyParser:
     parse_expression = parse_assignment
 
     def parse_binary(self, min_level: int = 1, left: Optional[Node] = None) -> Node:
-        """Precedence climbing over ``BINARY``; every level is left-associative.
+        """Precedence climbing over ``BINARY``.
+
+        Every level is left-associative except ``??``, whose right operand
+        takes the further ``??`` of the chain.
 
         ``left`` is the first operand when the caller has parsed it
         already (with :meth:`parse_unary`), so that a look at the token
@@ -171,12 +183,12 @@ class CFamilyParser:
             entry = self.BINARY.get(tok.text) if tok.kind == OP or tok.kind == KEYWORD else None
             if entry is None or not min_level <= entry[0] <= ceiling:
                 return left
-            level, kind = entry
+            level, kind, right_level = entry
             ts.advance()
             if tok.text in self.TYPE_OPERAND:
                 right = self.parse_type()
             else:
-                right = self.parse_binary(level + 1)
+                right = self.parse_binary(right_level)
             left = Node(kind, children=[left, right])
             ceiling = level
 

@@ -48,6 +48,8 @@ _MODIFIERS = (
     "abstract",
     "sealed",
 )
+#: Member access operator -> Roslyn node kind.
+_MEMBER_ACCESS = {".": "SimpleMemberAccessExpression", "?.": "ConditionalAccessExpression"}
 _PREDEFINED_TYPES = ("int", "long", "double", "float", "bool", "char", "byte", "string", "object", "void")
 
 
@@ -65,6 +67,7 @@ class _CSharpParser(CFamilyParser):
     CONDITIONAL = "ConditionalExpression"
     BINARY = binary_table(
         {
+            "??": "CoalesceExpression",
             "||": "LogicalOrExpression",
             "&&": "LogicalAndExpression",
             "|": "BitwiseOrExpression",
@@ -399,6 +402,11 @@ class _CSharpParser(CFamilyParser):
     def parse_new(self) -> Node:
         ts = self.ts
         type_node = self.parse_type()
+        if ts.current.is_op("?") and ts.peek().is_op("("):
+            # ``new T?()``: no conditional can follow the bare type of a
+            # ``new``, so this ``?`` is the nullable suffix.
+            ts.advance()
+            type_node = Node(self.NULLABLE_TYPE, children=[type_node])
         if ts.current.is_op("["):
             node = Node("ArrayCreationExpression", children=[type_node])
             while ts.match_op("["):
@@ -421,11 +429,12 @@ class _CSharpParser(CFamilyParser):
     def parse_access_tail(self, node: Node) -> Node:
         ts = self.ts
         while True:
-            if ts.current.is_op(".") and ts.peek().kind in (IDENT, KEYWORD):
-                ts.advance()
+            if ts.current.is_op(".", "?.") and ts.peek().kind in (IDENT, KEYWORD):
+                # ``a?.b`` reads ``b`` only when ``a`` is not null.
+                access = _MEMBER_ACCESS[ts.advance().text]
                 name_tok = ts.advance()
                 node = Node(
-                    "SimpleMemberAccessExpression",
+                    access,
                     children=[
                         node,
                         Node("IdentifierName", value=name_tok.text, meta={"id_kind": "property"}),

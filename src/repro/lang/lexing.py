@@ -204,6 +204,7 @@ class Lexer:
             return ParseError(f"[{self.language}] {message}", line, col)
 
         python = self.language == "python"
+        csharp = self.language == "csharp"
 
         while i < n:
             ch = src[i]
@@ -248,13 +249,18 @@ class Lexer:
                 col += 2
                 continue
             # -- strings ---------------------------------------------------
-            if ch in "\"'":
-                width = 3 if python and src.startswith(ch * 3, i) else 1
-                j = _string_end(src, i + width, ch * width, python and _is_fstring(src, i))
+            # A C# interpolated string ``$"x{a}"`` is one string token.
+            interpolated = ch == "$" and csharp and src.startswith('$"', i)
+            if ch in "\"'" or interpolated:
+                quote = src[i + interpolated]
+                width = 3 if python and src.startswith(quote * 3, i) else 1
+                body = i + interpolated + width
+                fmt = interpolated or (python and _is_fstring(src, i))
+                j = _string_end(src, body, quote * width, fmt)
                 if j < 0:
                     raise error("unterminated string literal")
-                kind = CHAR if ch == "'" and self.language in ("java", "csharp") else STRING
-                tokens.append(Token(kind, src[i + width : j], line, col))
+                kind = CHAR if quote == "'" and self.language in ("java", "csharp") else STRING
+                tokens.append(Token(kind, src[body:j], line, col))
                 end = j + width
                 newlines = src.count("\n", i, end)
                 if newlines:

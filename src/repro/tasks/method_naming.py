@@ -107,9 +107,10 @@ def build_method_graph(
     occupied = {id(n) for info in elements.values() for n in info["occurrences"]}
 
     def add_known(index: int, table: PathTable) -> None:
-        for i, end in enumerate(table.ends):
-            if id(end) not in occupied:
-                graph.add_known_factor(index, table.rel_id(i), table.value_id(end))
+        nodes = table.nodes
+        for _, s, e, up, down, top in table.rows:
+            if id(nodes[e]) not in occupied:
+                graph.add_known_factor(index, table.rel_id(s, e, up, down, top), table.value_id(e))
 
     for key, info in elements.items():
         index = graph.index_of(key)
@@ -132,8 +133,8 @@ def build_method_graph(
                 add_known(index, extractor.extract_between([call_site], surrounding))
                 # Unary factors between occurrences of the method name.
                 unary = extractor.extract_between([decl], [call_site], enforce_limits=False)
-                for i in range(len(unary)):
-                    graph.add_unary_factor(index, unary.rel_id(i))
+                for _, s, e, up, down, top in unary.rows:
+                    graph.add_unary_factor(index, unary.rel_id(s, e, up, down, top))
     graph.columnar()  # group the factor rows per node while building
     return graph
 

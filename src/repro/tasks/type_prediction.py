@@ -92,13 +92,13 @@ def build_type_graph(
         assert index is not None
         for node in nodes:
             table = extractor.extract_between([node], _nearby_leaves(ast, node))
-            for i, end in enumerate(table.ends):
-                graph.add_known_factor(index, table.rel_id(i), table.value_id(end))
+            for _, s, e, up, down, top in table.rows:
+                graph.add_known_factor(index, table.rel_id(s, e, up, down, top), table.value_id(e))
         # Unary factors between occurrences of the same variable.
         if len(nodes) > 1:
             unary = extractor.extract_between(nodes[:1], nodes[1:], enforce_limits=False)
-            for i in range(len(unary)):
-                graph.add_unary_factor(index, unary.rel_id(i))
+            for _, s, e, up, down, top in unary.rows:
+                graph.add_unary_factor(index, unary.rel_id(s, e, up, down, top))
     graph.columnar()  # group the factor rows per node while building
     return graph
 

@@ -83,32 +83,34 @@ def add_path_factors(
     """Add the factors of every path with an element at one or both ends.
 
     ``groups`` are the elements (see :func:`element_groups`), each
-    already an unknown of ``graph``.  Rows with no element endpoint are
-    skipped before any id is resolved, and a reversed relation is
-    resolved only for the rows that need one.  Factor rows are appended
-    to the graph's row lists in table order; the graph's
-    :meth:`~repro.learning.crf.graph.CrfGraph.columnar` view groups them
-    per node, keeping that order.
+    already an unknown of ``graph``.  One pass over the table's rows:
+    each endpoint index maps to its element's node index through a list,
+    rows with no element endpoint are skipped before any id is resolved,
+    and a reversed relation is resolved only for the rows that need one.
+    Factor rows are appended to the graph's row lists in table order;
+    the graph's :meth:`~repro.learning.crf.graph.CrfGraph.columnar` view
+    groups them per node, keeping that order.
     """
-    node_index = {
+    owner = {
         leaf: graph.index_of(binding)
         for binding, occurrences in groups.items()
         for leaf in occurrences
-    }
-    get = node_index.get
+    }.get
+    element = [owner(node) for node in table.nodes]
+    rel_id, value_id = table.rel_id, table.value_id
     known, edges, unary = graph.known_factors, graph.edge_factors, graph.unary_factors
-    for i, (start, end) in enumerate(zip(table.starts, table.ends)):
-        a = get(start)
-        b = get(end)
+    for _, s, e, up, down, top in table.rows:
+        a = element[s]
+        b = element[e]
         if a is None:
             if b is not None:
-                known += (b, table.reversed_rel_id(i), table.value_id(start))
+                known += (b, rel_id(e, s, down, up, top), value_id(s))
         elif b is None:
-            known += (a, table.rel_id(i), table.value_id(end))
+            known += (a, rel_id(s, e, up, down, top), value_id(e))
         elif a == b:
-            unary += (a, table.rel_id(i))
+            unary += (a, rel_id(s, e, up, down, top))
         else:
-            edges += (a, table.rel_id(i), b, b, table.reversed_rel_id(i), a)
+            edges += (a, rel_id(s, e, up, down, top), b, b, rel_id(e, s, down, up, top), a)
 
 
 # ----------------------------------------------------------------------
@@ -145,19 +147,19 @@ def element_contexts(
     binding_of = {leaf: binding for binding, leaves in groups.items() for leaf in leaves}.get
 
     table = extractor.extract(ast)
-    for i, (start, end) in enumerate(zip(table.starts, table.ends)):
-        start_binding = binding_of(start)
-        end_binding = binding_of(end)
-        if start_binding is None and end_binding is None:
-            continue
+    bindings = [binding_of(node) for node in table.nodes]
+    rel_id, value_id = table.rel_id, table.value_id
+    for _, s, e, up, down, top in table.rows:
+        start_binding = bindings[s]
+        end_binding = bindings[e]
         if start_binding == end_binding:
-            continue  # self-contexts would pair a name with itself
+            continue  # neither end is an element, or a self-context
         if start_binding is not None:
-            other = placeholder_id if end_binding is not None else table.value_id(end)
-            contexts[start_binding].append((table.rel_id(i), other))
+            other = placeholder_id if end_binding is not None else value_id(e)
+            contexts[start_binding].append((rel_id(s, e, up, down, top), other))
         if end_binding is not None:
-            other = placeholder_id if start_binding is not None else table.value_id(start)
-            contexts[end_binding].append((table.reversed_rel_id(i), other))
+            other = placeholder_id if start_binding is not None else value_id(s)
+            contexts[end_binding].append((rel_id(e, s, down, up, top), other))
 
     return {
         binding: (groups[binding][0].value or "", tokens)

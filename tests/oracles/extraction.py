@@ -20,7 +20,8 @@ back to strings.
 
 :func:`table_rows` materialises a product
 :class:`~repro.core.extraction.PathTable` as :class:`ExtractedPath`
-records, resolving every row in order, for tests that compare rows.
+records, resolving every row in order, for tests that compare rows;
+:func:`row_nodes` reads its rows with nodes for endpoint indices.
 """
 
 from __future__ import annotations
@@ -126,10 +127,22 @@ def table_rows(table: PathTable) -> List[ExtractedPath]:
             start_id,
             end_id,
         )
-        for start, end, (start_id, rel_id, end_id) in zip(
-            table.starts, table.ends, table.triples()
+        for (start, end, _, _, _), (start_id, rel_id, end_id) in zip(
+            row_nodes(table), table.triples()
         )
     ]
+
+
+def row_nodes(table: PathTable) -> List[Tuple[Node, Node, int, int, Node]]:
+    """``(start, end, up, down, top)`` of every row of a product table,
+    with its endpoints and top as nodes."""
+    out = []
+    for _, start, end, up, down, _ in table.rows:
+        top = table.nodes[start]
+        for _ in range(up):
+            top = top.parent
+        out.append((table.nodes[start], table.nodes[end], up, down, top))
+    return out
 
 
 class ReferencePathExtractor:

@@ -208,6 +208,42 @@ class TestExpressions:
         kinds = kinds_of(wrap("bool b = o is Exception; var e = o as Exception;"))
         assert "IsExpression" in kinds and "AsExpression" in kinds
 
+    @staticmethod
+    def initializer(body):
+        """The expression a one-declarator local declaration assigns."""
+        ast = parse_csharp(wrap(body))
+        clause = next(n for n in ast.root.walk() if n.kind == "EqualsValueClause")
+        return clause.children[0]
+
+    @staticmethod
+    def shape(node):
+        if not node.children:
+            return node.value
+        return (node.kind, *[TestExpressions.shape(child) for child in node.children])
+
+    def test_coalesce(self):
+        node = self.initializer("var y = a ?? b;")
+        assert self.shape(node) == ("CoalesceExpression", "a", "b")
+
+    def test_coalesce_groups_to_the_right(self):
+        node = self.initializer("var y = a ?? b ?? c;")
+        assert self.shape(node) == (
+            "CoalesceExpression", "a", ("CoalesceExpression", "b", "c")
+        )
+
+    def test_conditional_member_access(self):
+        node = self.initializer("var y = a?.b;")
+        assert self.shape(node) == ("ConditionalAccessExpression", "a", "b")
+
+    def test_interpolated_string(self):
+        node = self.initializer('var s = $"x{a}";')
+        assert node.kind == "StringLiteralExpression" and node.value == "x{a}"
+
+    def test_nullable_object_creation(self):
+        node = self.initializer("var y = new int?();")
+        assert node.kind == "ObjectCreationExpression"
+        assert self.shape(node.children[0]) == ("NullableType", "int")
+
 
 class TestBindings:
     def test_local_grouping(self, count_csharp_ast):

@@ -8,6 +8,9 @@ the same subset (same RNG stream), and the per-AST reseeding must make
 each tree's sample independent of processing order.
 """
 
+import inspect
+import textwrap
+
 import pytest
 
 from repro.core.extraction import ExtractionConfig, PathExtractor, PathTable, ast_fingerprint
@@ -15,8 +18,9 @@ from repro.core.interning import FeatureSpace
 from repro.corpus import generate_corpus
 from repro.corpus.generator import CorpusConfig
 from repro.lang.base import parse_source
+from repro.tasks.variable_naming import build_crf_graph
 
-from oracles.extraction import ReferencePathExtractor, table_rows
+from oracles.extraction import ReferencePathExtractor, row_nodes, table_rows
 
 LANGUAGES = ("javascript", "java", "python", "csharp")
 
@@ -30,9 +34,13 @@ SETTINGS = [
 ]
 
 
-def corpus_asts(language, n_projects=3, seed=11):
+def corpus_sources(language, n_projects=3, seed=11):
     files = generate_corpus(CorpusConfig(language=language, n_projects=n_projects, seed=seed))
-    return [parse_source(language, f.source) for f in files]
+    return [f.source for f in files]
+
+
+def corpus_asts(language, n_projects=3, seed=11):
+    return [parse_source(language, source) for source in corpus_sources(language, n_projects, seed)]
 
 
 def signature(extracted):
@@ -141,18 +149,19 @@ class TestReversedRelations:
             extractor = PathExtractor(config, space=FeatureSpace())
             for ast in asts:
                 table = extractor.extract(ast)
-                for i, extracted in enumerate(table_rows(table)):
-                    rid = table.reversed_rel_id(i)
+                for row, extracted in zip(table.rows, table_rows(table)):
+                    _, s, e, up, down, top = row
+                    rid = table.rel_id(e, s, down, up, top)
                     assert extractor.space.paths.value(rid) == alpha(extracted.path.reversed())
-                    assert table.rel_id(i) == extracted.rel_id
+                    assert table.rel_id(s, e, up, down, top) == extracted.rel_id
 
     def test_callable_abstraction_not_cached_but_correct(self, fig1_ast):
         extractor = PathExtractor(
             ExtractionConfig(abstraction=lambda p: p.encode()), space=FeatureSpace()
         )
         table = extractor.extract(fig1_ast)
-        for i, extracted in enumerate(table_rows(table)):
-            rid = table.reversed_rel_id(i)
+        for (_, s, e, up, down, top), extracted in zip(table.rows, table_rows(table)):
+            rid = table.rel_id(e, s, down, up, top)
             assert extractor.space.paths.value(rid) == extracted.path.reversed().encode()
         assert extractor.cache_stats()["shape_entries"] == 0
 
@@ -186,8 +195,9 @@ class TestAnchoredRows:
         source = next(n for n in fig1_ast.root.walk() if n.kind == "If")
         targets = list(source.leaves())
         table = engine.extract_between([source], targets)
-        assert len(table) == len(targets) and set(table.ups) == {0}
-        assert set(table.tops) == {source}
+        rows = row_nodes(table)
+        assert len(table) == len(targets) and {up for _, _, up, _, _ in rows} == {0}
+        assert {top for *_, top in rows} == {source}
         assert signature(table) == signature(oracle.paths_from([source], targets))
 
     def test_target_ancestor_of_source(self, fig1_ast):
@@ -196,8 +206,9 @@ class TestAnchoredRows:
         ancestors = list(leaf.ancestors())
         assert len(ancestors) > 3
         table = engine.extract_between([leaf], ancestors)
-        assert list(table.ends) == ancestors[:3]
-        assert set(table.downs) == {0}
+        rows = row_nodes(table)
+        assert [end for _, end, *_ in rows] == ancestors[:3]
+        assert {down for _, _, _, down, _ in rows} == {0}
         assert signature(table) == signature(oracle.paths_from([leaf], ancestors))
 
     def test_node_never_paired_with_itself(self, fig1_ast):
@@ -205,7 +216,7 @@ class TestAnchoredRows:
         leaves = fig1_ast.leaves
         table = engine.extract_between(leaves[:3], leaves[:3])
         assert len(table) == 6
-        assert all(start is not end for start, end in zip(table.starts, table.ends))
+        assert all(start is not end for start, end, *_ in row_nodes(table))
         assert signature(table) == signature(oracle.paths_from(leaves[:3], leaves[:3]))
 
     def test_limits_off_keeps_long_and_wide_paths(self, fig1_ast):
@@ -214,7 +225,7 @@ class TestAnchoredRows:
         limited = engine.extract_between(leaves[:1], leaves)
         unlimited = engine.extract_between(leaves[:1], leaves, enforce_limits=False)
         assert len(limited) < len(unlimited) == len(leaves) - 1
-        assert max(u + d for u, d in zip(unlimited.ups, unlimited.downs)) > 2
+        assert max(up + down for _, _, _, up, down, _ in unlimited.rows) > 2
         assert signature(unlimited) == signature(
             oracle.paths_from(leaves[:1], leaves, enforce_limits=False)
         )
@@ -226,7 +237,7 @@ class TestAnchoredRows:
         for width in (2, 3):
             engine, oracle = self.both(max_length=4, max_width=width)
             table = engine.extract_between([a], ast.leaves)
-            reached = {end.value for end in table.ends}
+            reached = {end.value for _, end, *_ in row_nodes(table)}
             assert ("d" in reached) == (width >= 3)
             assert signature(table) == signature(oracle.paths_from([a], ast.leaves))
 
@@ -242,3 +253,33 @@ class TestAnchoredRows:
                 kept += len(table)
                 total += len(PathExtractor().extract_between([source], ast.leaves))
         assert 0 < kept < total
+
+
+class TestShapeMemo:
+    """A table resolves each shape key through the extractor once: the
+    rows after the first that share a key read the table's memo."""
+
+    @pytest.mark.parametrize(
+        "language, source",
+        [
+            ("python", inspect.getsource(textwrap.dedent)),
+            ("javascript", corpus_sources("javascript", n_projects=1, seed=5)[0]),
+        ],
+        ids=["stdlib-definition", "javascript-file"],
+    )
+    def test_extractor_resolves_each_shape_key_once(self, language, source, monkeypatch):
+        keys = []
+        resolve = PathExtractor._rel
+
+        def counted(self, space, key, *rest):
+            keys.append(key)
+            return resolve(self, space, key, *rest)
+
+        monkeypatch.setattr(PathExtractor, "_rel", counted)
+        graph = build_crf_graph(parse_source(language, source), PathExtractor(space=FeatureSpace()))
+        assert keys and len(keys) == len(set(keys))
+        # Each known and unary row resolves one relation, each edge row
+        # pair two: most of them were memo hits.
+        known, edges, unary = graph.known_factors, graph.edge_factors, graph.unary_factors
+        resolved = len(known) // 3 + len(edges) // 3 + len(unary) // 2
+        assert resolved > len(keys)

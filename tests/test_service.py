@@ -10,6 +10,8 @@ from repro.corpus import generate_corpus
 from repro.corpus.generator import CorpusConfig
 from repro.lang.base import parse_source
 
+from oracles.extraction import row_nodes
+
 
 def corpus_sources(language="javascript", n_projects=2, seed=13):
     files = generate_corpus(CorpusConfig(language=language, n_projects=n_projects, seed=seed))
@@ -24,6 +26,13 @@ class TestMemoization:
         assert second is first
         assert service.stats.asts == 1
         assert service.stats.cache_hits == 1
+
+    @pytest.mark.parametrize("max_width", [3, 0], ids=["pairs", "no-pairs"])
+    def test_counts_every_node_once(self, fig1_ast, max_width):
+        service = ExtractionService(config=ExtractionConfig(max_width=max_width))
+        service.extract(fig1_ast)
+        service.extract(fig1_ast)  # a memo hit walks nothing
+        assert service.stats.nodes == fig1_ast.size()
 
     def test_results_match_bare_extractor(self, fig1_ast):
         space = FeatureSpace()
@@ -50,8 +59,8 @@ class TestMemoization:
         # Every emitted id, from every AST, decodes through the one
         # shared space.
         for table in tables:
-            for start, end, (_start_id, rel_id, _end_id) in zip(
-                table.starts, table.ends, table.triples()
+            for (start, end, *_), (_start_id, rel_id, _end_id) in zip(
+                row_nodes(table), table.triples()
             ):
                 assert service.space.paths.value(rel_id) == path_between(start, end).encode()
 
